@@ -79,9 +79,9 @@ def switch_at(k_star):
     """Chain forced to stop at k_star < T instead of at the horizon."""
     def run(kt, label):
         spec = ModelSpec.parse(label)
-        V0, *_ = _backward_pass(spec, kt, kt.C_tilde, np.zeros(T + 1), stop_at=lambda t: False,
-                                start_epoch=k_star, keep_grids=False, backend=None)
-        return V0[:, spec.layers - 1] + kt.A
+        V0, _ = _backward_pass(spec, kt, kt.C_tilde, np.zeros(T + 1), [kt.params.K],
+                               stops=False, start_epoch=k_star, grids=False, backend=None)
+        return V0[0, :, spec.layers - 1] + kt.A
     return run
 
 
@@ -90,9 +90,9 @@ def original_form(kt_cost):
     def run(kt, label):
         k = kernels_with_K(kt_cost, kt.params.K)
         spec = ModelSpec.parse(label)
-        V0, *_ = _backward_pass(spec, k, k.C, k.stop_tail, stop_at=lambda t: False,
-                                start_epoch=T, keep_grids=False, backend=None)
-        return V0[:, spec.layers - 1]
+        V0, _ = _backward_pass(spec, k, k.C, k.stop_tail, [k.params.K],
+                               stops=False, start_epoch=T, grids=False, backend=None)
+        return V0[0, :, spec.layers - 1]
     return run
 
 
@@ -100,12 +100,12 @@ def c3_held_kernels():
     """Kernel table whose lost-sales cost uses c3 at the period-start epoch."""
     real = kernel_module._period_integrals
 
-    def held(params, lam, k, imax):
-        P0, _, _, c3_full, prem_full = real(params, lam, k, imax)
+    def held(params, rates, periods, imax):
+        P0, _, _, c3_full, prem_full = real(params, rates, periods, imax)
         d = params.delta
-        B0 = lam * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
-        c2k = params.c2_bar + params.c3_bar * np.exp(-params.gamma * k)
-        return P0, c2k * lam * P0, c2k * B0, c3_full, prem_full
+        B0 = rates * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
+        c2k = params.c2_bar + params.c3_bar * np.exp(-params.gamma * periods)
+        return P0, (c2k * rates)[:, None] * P0, c2k * B0, c3_full, prem_full
 
     with mock.patch.object(kernel_module, "_period_integrals", held):
         return build_kernel_table(PARAMS, MODEL, LostSalesConvention.ARRIVAL, x_max=X)

@@ -72,6 +72,7 @@ from .solver import (
     order_up_to_profile,
     solve,
     solve_original_form,
+    solve_values,
     static_switch_values,
 )
 

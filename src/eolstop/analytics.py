@@ -20,7 +20,7 @@ from . import _backends
 from .costs import CostParameters
 from .demand import IntensityModel
 from .errors import AssumptionViolated, NotFound, PolicyIncompatible
-from .kernels import PMF_TAIL_EPS, constant_A
+from .kernels import constant_A, period_pmfs
 from .solver import CONTINUE, ORDER, STOP, PolicyTable, StopMode
 
 DEFAULT_TAU_STEP = 0.01
@@ -296,16 +296,6 @@ class StoppingTimeDistribution:
         return float(np.dot(np.arange(len(self.mass)), self.mass))
 
 
-def _period_pmfs(model: IntensityModel):
-    pmfs, tails = [], []
-    for lam in model.rates:
-        n = int(poisson.ppf(1.0 - PMF_TAIL_EPS, lam)) + 1 if lam > 0 else 0
-        grid = np.arange(n + 1)
-        pmfs.append(poisson.pmf(grid, lam))
-        tails.append(np.maximum(poisson.sf(grid, lam), 0.0))
-    return pmfs, tails
-
-
 def stopping_time_distribution(policy: PolicyTable, model: IntensityModel, x0: int,
                                backend: str | None = None) -> StoppingTimeDistribution:
     """Exact stopping-time law by one backward pass per target epoch.
@@ -320,7 +310,7 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel, x0: i
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
     T, X, Z = policy.horizon, policy.x_max, policy.action.shape[2]
-    pmfs, tails = _period_pmfs(model)
+    pmfs, tails = period_pmfs(model.rates)
     mass = np.zeros(T + 1)
 
     a0 = policy.action[0, x0, policy.z0]

@@ -31,7 +31,7 @@ from .solver import (
     StopMode,
     extract_regions,
     solve,
-    static_switch_values,
+    solve_values,
 )
 
 _VALIDATION_ERRORS = (ConfigError,)
@@ -96,20 +96,15 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _solve_grid(cfg: ExperimentConfig, labels) -> dict:
-    """total cost V(0, x0) + A per (model label, K, x0); kernels shared across K."""
-    base = cfg.build_kernels()
+def _solve_grid(cfg: ExperimentConfig, labels, kernels) -> dict:
+    """total cost V(0, x0) + A per (model label, K, x0); one call per label
+    covers every K."""
     out = {}
-    for K in cfg.setup_costs:
-        kt = kernels_with_K(base, K)
-        for label in labels:
-            spec = ModelSpec.parse(label)
-            if spec.stop_mode is StopMode.STATIC:
-                vals, _ = static_switch_values(spec, kt)  # per-x0 optimal switch epochs
-            else:
-                vals = solve(spec, kt, max(cfg.x0)).values_at_zero
+    for label in labels:
+        vals = solve_values(ModelSpec.parse(label), kernels, cfg.setup_costs)
+        for K, row in zip(cfg.setup_costs, vals):
             for x0 in cfg.x0:
-                out[(label, K, x0)] = float(vals[x0])
+                out[(label, K, x0)] = float(row[x0])
     return out
 
 
@@ -121,7 +116,24 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out)
     t0 = time.perf_counter()
-    values = _solve_grid(cfg, cfg.models)
+    base = cfg.build_kernels()
+    values = {}
+    for label in cfg.models:
+        spec = ModelSpec.parse(label)
+        if spec.stop_mode is StopMode.STATIC:  # per-x0 optimal switch epochs
+            values.update(_solve_grid(cfg, [label], base))
+        for K in cfg.setup_costs:
+            kt = kernels_with_K(base, K)
+            res = solve(spec, kt, cfg.x0[0])
+            if spec.stop_mode is not StopMode.STATIC:  # x0 does not enter the backward pass
+                values.update({(label, K, x0): float(res.values_at_zero[x0]) for x0 in cfg.x0})
+            tag = f"{label.replace('/', '')}_K{K:g}"
+            _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
+            if spec.stop_mode is StopMode.DYNAMIC:
+                for x0 in cfg.x0:
+                    dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
+                    _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
+    t_solve = time.perf_counter() - t0
     rows = []
     for (label, K, x0), v in sorted(values.items()):
         rows.append({"model": label, "K": K, "x0": x0, "total_cost": v})
@@ -131,20 +143,6 @@ def _cmd_solve(args) -> int:
         w.writeheader()
         for r in rows:
             w.writerow(r)
-
-    base = cfg.build_kernels()
-    t_solve = time.perf_counter() - t0
-    for label in cfg.models:
-        spec = ModelSpec.parse(label)
-        for K in cfg.setup_costs:
-            kt = kernels_with_K(base, K)
-            res = solve(spec, kt, cfg.x0[0])
-            tag = f"{label.replace('/', '')}_K{K:g}"
-            _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
-            if spec.stop_mode is StopMode.DYNAMIC:
-                for x0 in cfg.x0:
-                    dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
-                    _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
     _write_manifest(out_dir, "solve", cfg,
                     {"solve_grid": t_solve, "total": time.perf_counter() - t0})
     print(f"wrote {out_dir}/values.csv ({len(rows)} rows)")
@@ -165,7 +163,7 @@ def _pct_grid(values: dict, a: str, b: str, cfg: ExperimentConfig):
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    values = _solve_grid(cfg, (args.model_a, args.model_b))
+    values = _solve_grid(cfg, (args.model_a, args.model_b), cfg.build_kernels())
     cells = _pct_grid(values, args.model_a, args.model_b, cfg)
     out_dir = Path(args.out)
     name = f"compare_{args.model_a.replace('/', '')}_vs_{args.model_b.replace('/', '')}.csv"
@@ -204,18 +202,15 @@ def _cmd_sweep(args) -> int:
     from .kernels import build_kernel_table
 
     conv = LostSalesConvention.parse(cfg.convention)
+    labels = (args.model_a, args.model_b)
     pct = {}  # (sid, K, x0) -> percentage
     for sid in ids:
         s = settings.setting_from_id(sid)
-        model = settings.setting_intensity(s)
-        base = build_kernel_table(settings.setting_cost_params(s, cfg.setup_costs[0]),
-                                  model, conv, x_max=cfg.x_max)
-        for K in cfg.setup_costs:
-            kt = kernels_with_K(base, K)
-            va = solve(ModelSpec.parse(args.model_a), kt, max(cfg.x0)).values_at_zero
-            vb = solve(ModelSpec.parse(args.model_b), kt, max(cfg.x0)).values_at_zero
-            for x0 in cfg.x0:
-                pct[(sid, K, x0)] = float(100.0 * (va[x0] - vb[x0]) / vb[x0])
+        kt = build_kernel_table(settings.setting_cost_params(s, cfg.setup_costs[0]),
+                                settings.setting_intensity(s), conv, x_max=cfg.x_max)
+        cells = _pct_grid(_solve_grid(cfg, labels, kt), *labels, cfg)
+        for K, row in zip(cfg.setup_costs, cells):
+            pct.update({(sid, K, x0): v for x0, v in zip(cfg.x0, row)})
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

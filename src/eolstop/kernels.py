@@ -31,15 +31,22 @@ def unit_poisson_integrals(lam: float, decay: float, imax: int) -> np.ndarray:
     """P_i = int_0^1 e^{-decay*s} * Poisson_i(lam*s) ds for i = 0..imax."""
     if lam < 0 or decay < 0:
         raise ValueError("lam and decay must be non-negative")
-    if lam == 0.0:
-        out = np.zeros(imax + 1)
-        out[0] = (1.0 - np.exp(-decay)) / decay if decay > 0 else 1.0
-        return out
+    return _unit_poisson_rows(np.array([float(lam)]), decay, np.array([imax]))[0]
+
+
+def _unit_poisson_rows(rates: np.ndarray, decay: float, imax: np.ndarray) -> np.ndarray:
+    """Row k holds unit_poisson_integrals(rates[k], decay, imax[k]), zero past
+    imax[k]; one gammainc evaluation for every row."""
+    i = np.arange(imax.max() + 1)
+    out = np.zeros((len(rates), len(i)))
+    pos = rates > 0
+    lam = rates[pos, None]
     b = decay + lam
-    i = np.arange(imax + 1)
     # (lam/b)^i in log space; gammainc underflows cleanly to 0 in the far tail
     ratio = np.exp(i * (np.log(lam) - np.log(b)))
-    return ratio * gammainc(i + 1, b) / b
+    out[pos] = np.where(i <= imax[pos, None], ratio * gammainc(i + 1, b) / b, 0.0)
+    out[~pos, 0] = (1.0 - np.exp(-decay)) / decay if decay > 0 else 1.0
+    return out
 
 
 def unit_poisson_integrals_quadrature(
@@ -53,25 +60,55 @@ def unit_poisson_integrals_quadrature(
     return vals @ (w * np.exp(-decay * s))
 
 
+def _support_caps(rates: np.ndarray) -> np.ndarray:
+    """Per-period cap on the kernel sums: the 1 - 1e-15 demand quantile + 10."""
+    caps = np.ones(len(rates), dtype=np.int64)
+    pos = rates > 0
+    caps[pos] = poisson.ppf(1.0 - 1e-15, rates[pos]).astype(np.int64) + 10
+    return caps
+
+
 def _support_cap(lam: float) -> int:
-    if lam <= 0:
-        return 1
-    return int(poisson.ppf(1.0 - 1e-15, lam)) + 10
+    return int(_support_caps(np.array([lam]))[0])
 
 
-def _period_integrals(params: CostParameters, lam: float, k: int, imax: int):
-    """Building blocks on [k, k+1): P0 (weight e^{-delta s}), the c2-weighted
-    arrival integrals R_i, and the plain c2/c3 arrival integrals."""
+def period_pmfs(rates) -> tuple[list, list]:
+    """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
+    PMF_TAIL_EPS tail mass; one pmf and one sf evaluation for all periods."""
+    rates = np.asarray(rates, dtype=np.float64)
+    n_sup = np.zeros(len(rates), dtype=np.int64)
+    pos = rates > 0
+    n_sup[pos] = poisson.ppf(1.0 - PMF_TAIL_EPS, rates[pos]).astype(np.int64) + 1
+    grid = np.arange(n_sup.max() + 1)
+    pmf = poisson.pmf(grid, rates[:, None])
+    tail = np.maximum(poisson.sf(grid, rates[:, None]), 0.0)
+    return ([row[: n + 1] for row, n in zip(pmf, n_sup)],
+            [row[: n + 1] for row, n in zip(tail, n_sup)])
+
+
+def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
+                      imax: np.ndarray):
+    """Building blocks on [k, k+1) for each period k of ``periods`` (rates and
+    imax aligned with it): P0 (weight e^{-delta s}) and the c2-weighted
+    arrival integrals R_i as rows zero past imax[k], then per period the
+    plain c2/c3 arrival integrals and the premium integral."""
     d, g = params.delta, params.gamma
-    P0 = unit_poisson_integrals(lam, d, imax)
-    Pg = unit_poisson_integrals(lam, d + g, imax)
-    B0 = lam * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
-    Bg = lam * ((1.0 - np.exp(-(d + g))) / (d + g) if d + g > 0 else 1.0)
-    c3k = params.c3_bar * np.exp(-g * k)
-    R_c2 = params.c2_bar * lam * P0 + c3k * lam * Pg  # int e^{-d s} c2 lam pmf_i
+    P0 = _unit_poisson_rows(rates, d, imax)
+    Pg = _unit_poisson_rows(rates, d + g, imax)
+    B0 = rates * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
+    Bg = rates * ((1.0 - np.exp(-(d + g))) / (d + g) if d + g > 0 else 1.0)
+    c3k = params.c3_bar * np.exp(-g * periods)
+    # int e^{-d s} c2 lam pmf_i
+    R_c2 = (params.c2_bar * rates)[:, None] * P0 + (c3k * rates)[:, None] * Pg
     c2_full = params.c2_bar * B0 + c3k * Bg  # int e^{-d s} c2 lam
     c3_full = c3k * Bg  # int e^{-d s} c3 lam
     return P0, R_c2, c2_full, c3_full, params.c2_bar * B0
+
+
+def _one_period(params: CostParameters, model: IntensityModel, k: int, imax: int):
+    """_period_integrals of period k alone."""
+    rows = _period_integrals(params, model.rates[k:k + 1], np.array([k]), np.array([imax]))
+    return [a[0] for a in rows]
 
 
 def _check_period(params: CostParameters, model: IntensityModel, k: int, upper: int | None = None):
@@ -113,7 +150,7 @@ def replacement_cost(
     lam = float(model.rates[k])
     upper = x if convention is LostSalesConvention.PAPER else x - 1
     imax = min(upper, _support_cap(lam))
-    _, R_c2, c2_full, _, _ = _period_integrals(params, lam, k, max(imax, 0))
+    _, R_c2, c2_full, _, _ = _one_period(params, model, k, max(imax, 0))
     sub = float(np.sum(R_c2[: imax + 1])) if upper >= 0 else 0.0
     return max(c2_full - sub, 0.0)  # exact tail cancels to rounding noise
 
@@ -155,7 +192,7 @@ def reformulated_cost(params, model, convention, k: int, x: int) -> float:
     lam = float(model.rates[k])
     upper = x if convention is LostSalesConvention.PAPER else x - 1
     imax = min(upper, _support_cap(lam))
-    _, R_c2, _, _, prem_full = _period_integrals(params, lam, k, max(imax, 0))
+    _, R_c2, _, _, prem_full = _one_period(params, model, k, max(imax, 0))
     if x == 0:
         return float(prem_full)
     sub = float(np.sum(R_c2[: imax + 1])) if upper >= 0 else 0.0
@@ -209,48 +246,38 @@ def build_kernel_table(
 
     The double sum in the holding kernel and the satisfied-demand sum in the
     replacement kernel are running sums over i, so the whole table costs
-    O(T * x_max) beyond the per-period integral arrays.
+    O(T * x_max) beyond the per-period integral arrays, which are built for
+    all periods in one vectorised pass.
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     if params.horizon != model.horizon:
         raise ValueError("cost parameters and intensity model disagree on the horizon")
-    T = params.horizon
-    X = x_max
+    T, X = params.horizon, x_max
+    rates = np.asarray(model.rates, dtype=np.float64)
+    caps = np.minimum(_support_caps(rates), X)
+    P0, R_c2, c2_full, c3_period, prem_full = _period_integrals(params, rates, np.arange(T), caps)
+
+    def running_sum(rows):  # cumsum over i, held at its last value past the cap
+        out = np.zeros((T, X + 1))
+        out[:, : rows.shape[1]] = rows
+        return np.cumsum(out, axis=1, out=out)
+
+    # in-place steps keep the peak near the four (T, X+1) arrays returned
+    q = running_sum(P0)
     H = np.zeros((T, X + 1))
-    L = np.zeros((T, X + 1))
-    Ct = np.zeros((T, X + 1))
-    c3_period = np.zeros(T)
-    pmfs, pmf_tails = [], []
-
-    for k in range(T):
-        lam = float(model.rates[k])
-        icap = min(_support_cap(lam), X)
-        P0, R_c2, c2_full, c3_full, prem_full = _period_integrals(params, lam, k, icap)
-        c3_period[k] = c3_full
-
-        q = np.cumsum(P0)
-        qpad = np.full(X + 1, q[-1])
-        qpad[: icap + 1] = q
-        Hk = np.zeros(X + 1)
-        Hk[1:] = params.c1 * np.cumsum(qpad)[:-1]
-        H[k] = Hk
-
-        rcum = np.cumsum(R_c2)
-        rpad = np.full(X + 1, rcum[-1])
-        rpad[: icap + 1] = rcum
-        if convention is LostSalesConvention.PAPER:
-            sub = rpad  # sum_{i<=x}
-        else:
-            sub = np.concatenate(([0.0], rpad[:-1]))  # sum_{i<=x-1}, empty at x=0
-        L[k] = np.maximum(c2_full - sub, 0.0)
-        Ct[k] = Hk + prem_full - sub
-        Ct[k, 0] = prem_full  # x = 0 case is the premium integral in both modes
-
-        n_sup = int(poisson.ppf(1.0 - PMF_TAIL_EPS, lam)) + 1 if lam > 0 else 0
-        grid = np.arange(n_sup + 1)
-        pmfs.append(poisson.pmf(grid, lam))
-        pmf_tails.append(np.maximum(poisson.sf(grid, lam), 0.0))
+    np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
+    sub = running_sum(R_c2)  # sum_{i<=x}
+    if convention is LostSalesConvention.ARRIVAL:
+        sub[:, 1:] = sub[:, :-1]  # sum_{i<=x-1}, empty at x=0
+        sub[:, 0] = 0.0
+    L = np.subtract(c2_full[:, None], sub, out=q)
+    np.maximum(L, 0.0, out=L)
+    Ct = H + prem_full[:, None]
+    Ct -= sub
+    Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
+    del sub
+    pmfs, pmf_tails = period_pmfs(rates)
 
     stop_tail = np.zeros(T + 1)
     for k in range(T - 1, -1, -1):

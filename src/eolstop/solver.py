@@ -12,6 +12,14 @@ scrap term ``c4*x`` and the policy-independent outside-source constant A is
 added back at the end.  ``solve_original_form`` runs the same engine on the
 raw kernels (stopping cost with its integral tail) to verify the
 reformulation identity V = V_tilde + A.
+
+After the reformulation the setup cost K enters only the order search, so
+one backward pass serves several K.  Each epoch computes every distinct
+value column once: a budget layer that has had no admissible order since
+the seed holds the same no-order chain as every other such layer, for every
+K.  A ``.../Z`` model is therefore one no-order chain down to t=1 plus one
+order search per K at t=0; a layer leaves the chain at its first admissible
+order (epoch T-1 for ``.../F``) and is carried per K from there.
 """
 
 from __future__ import annotations
@@ -131,138 +139,112 @@ def _order_admissible(spec: ModelSpec, t: int, z: int) -> bool:
     return True
 
 
-def _backward_pass(
-    spec: ModelSpec,
-    kernels: KernelTable,
-    cost: np.ndarray,
-    stop_tail: np.ndarray,
-    *,
-    stop_at,
-    start_epoch: int,
-    keep_grids: bool,
-    backend: str | None,
-):
-    """Run the recursion from ``start_epoch`` down to 0.
+def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
+                   stop_tail: np.ndarray, setup_costs, *, stops: bool, start_epoch: int,
+                   grids: bool, backend: str | None):
+    """Run the recursion from ``start_epoch`` down to 0 for every setup cost.
 
-    ``stop_at(t)`` says whether stopping is admissible at epoch t < start;
-    the pass is seeded with a forced stop at ``start_epoch``.
+    The pass is seeded with a forced stop at ``start_epoch``; ``stops`` says
+    whether stopping is admissible before it.  Returns V(0) as
+    (len(setup_costs), X+1, Z) and, with ``grids`` (one setup cost only), the
+    (V, G, J_order, action, target) grids over every epoch; without, no
+    policy is filled.  Either way a chosen order-up-to level at x_max raises
+    CapSaturated.
     """
     p = kernels.params
     T, X, Z = kernels.horizon, kernels.x_max, spec.layers
     y = np.arange(X + 1, dtype=np.float64)
-    scrap = p.c4 * y
+    scrap, cy = p.c4 * y, p.c_bar * y
     disc = np.exp(-p.delta)
+    if grids:
+        V = np.empty((T + 1, X + 1, Z))
+        V[start_epoch:] = (scrap + stop_tail[start_epoch:, None])[:, :, None]
+        G_all = np.full((T, X + 1, Z), np.nan)
+        J_all = np.full((T, X + 1, Z), np.inf)
+        action = np.full((T + 1, X + 1, Z), STOP, dtype=np.int8)
+        target = np.full((T + 1, X + 1, Z), -1, dtype=np.int32)
 
-    V = np.empty((start_epoch + 1, X + 1, Z)) if keep_grids else None
-    G_all = np.empty((start_epoch, X + 1, Z)) if keep_grids else None
-    J_all = np.empty((start_epoch, X + 1, Z)) if keep_grids else None
-    action = np.full((T + 1, X + 1, Z), STOP, dtype=np.int8)
-    target = np.full((T + 1, X + 1, Z), -1, dtype=np.int32)
-
-    Vnext = np.tile((scrap + stop_tail[start_epoch])[:, None], (1, Z))
-    if keep_grids:
-        V[start_epoch] = Vnext
-
+    cols = [scrap + stop_tail[start_epoch]]  # the distinct value columns at t+1
+    ids = np.zeros((len(setup_costs), Z), dtype=np.intp)  # (K, layer) -> column
     for t in range(start_epoch - 1, -1, -1):
         pmf, tail = kernels.pmfs[t], kernels.pmf_tails[t]
+        G = [cost[t] + disc * _backends.ev_clamped(v, pmf, tail, backend) for v in cols]
         stop_vec = scrap + stop_tail[t]
-        G = np.empty((X + 1, Z))
-        for z in range(Z):
-            G[:, z] = cost[t] + disc * _backends.ev_clamped(Vnext[:, z], pmf, tail, backend)
-        Vt = np.empty((X + 1, Z))
-        for z in range(Z):
-            src = z if spec.order_budget is None else z - 1
-            if _order_admissible(spec, t, z):
-                w = p.c_bar * y + G[:, src]
-                mins, args = _backends.suffix_min(w, backend)
-                J_ord = np.full(X + 1, np.inf)
-                J_ord[:-1] = p.K + mins[1:] - p.c_bar * y[:-1]
-                tgt = args[1:]
+        cols, owner, carried = [], [], {}
+        new_ids = np.empty_like(ids)
+        for (k, z), c in np.ndenumerate(ids):
+            admissible = _order_admissible(spec, t, z)
+            if not admissible and c in carried:  # no order, same column as a done layer
+                new_ids[k, z] = carried[c]
+                if grids:
+                    for grid in (V, G_all, J_all, action, target):
+                        grid[t, :, z] = grid[t, :, owner[carried[c]]]
+                continue
+            val, ordering = G[c], np.zeros(X + 1, dtype=bool)
+            if admissible:
+                src = ids[k, z if spec.order_budget is None else z - 1]
+                mins, args = _backends.suffix_min(cy + G[src], backend)
+                J = np.full(X + 1, np.inf)
+                J[:-1] = setup_costs[k] + mins[1:] - cy[:-1]
+                ordering = J < val  # strict: order only when it beats doing nothing
+                val = np.where(ordering, J, val)
             else:
-                J_ord = np.full(X + 1, np.inf)
-                tgt = None
-            ordering = J_ord < G[:, z]  # strict: order only when it beats doing nothing
-            val = np.where(ordering, J_ord, G[:, z])
-            act = np.where(ordering, ORDER, CONTINUE).astype(np.int8)
-            if stop_at(t):
-                stopping = stop_vec <= val  # ties stop
-                val = np.where(stopping, stop_vec, val)
-                act = np.where(stopping, STOP, act)
-            Vt[:, z] = val
-            action[t, :, z] = act
-            if tgt is not None:
-                chosen = act == ORDER
-                target[t, :-1, z][chosen[:-1]] = tgt[chosen[:-1]]
-                if np.any(target[t, :, z][chosen] >= kernels.x_max):
-                    raise CapSaturated(
-                        f"order-up-to reached x_max={kernels.x_max} at epoch {t}; raise the cap"
-                    )
-            if keep_grids:
-                G_all[t, :, z] = G[:, z]
-                J_all[t, :, z] = J_ord
-        Vnext = Vt
-        if keep_grids:
-            V[t] = Vt
+                carried[c] = len(cols)
+            stopping = stop_vec <= val if stops else np.zeros(X + 1, dtype=bool)  # ties stop
+            val = np.where(stopping, stop_vec, val)
+            ordering &= ~stopping
+            if admissible and np.any(args[1:][ordering[:-1]] >= X):
+                raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
+            new_ids[k, z] = len(cols)
+            cols.append(val)
+            owner.append(z)
+            if grids:
+                V[t, :, z], G_all[t, :, z] = val, G[c]
+                action[t, :, z] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
+                if admissible:
+                    J_all[t, :, z] = J
+                    target[t, :-1, z] = np.where(ordering[:-1], args[1:], -1)
+        ids = new_ids
 
-    return Vnext, V, G_all, J_all, action, target
+    V0 = np.array([[cols[c] for c in row] for row in ids]).transpose(0, 2, 1)
+    return V0, ((V, G_all, J_all, action, target) if grids else None)
 
 
-def _assemble(spec, kernels, stop_tail, add_A, *, stop_at, start_epoch, x0, backend,
-              switch_epoch=None, cost=None):
-    cost = kernels.C_tilde if cost is None else cost
-    V0, V, G, J, action, target = _backward_pass(
-        spec, kernels, cost, stop_tail,
-        stop_at=stop_at, start_epoch=start_epoch, keep_grids=True, backend=backend,
-    )
-    T, X, Z = kernels.horizon, kernels.x_max, spec.layers
-    if start_epoch < T:  # forced switch before the end: pad value grid shape
-        Vfull = np.empty((T + 1, X + 1, Z))
-        Vfull[: start_epoch + 1] = V
-        scrap = kernels.params.c4 * np.arange(X + 1, dtype=np.float64)
-        for t in range(start_epoch + 1, T + 1):
-            Vfull[t] = np.tile((scrap + stop_tail[t])[:, None], (1, Z))
-        Gfull = np.full((T, X + 1, Z), np.nan)
-        Gfull[:start_epoch] = G
-        Jfull = np.full((T, X + 1, Z), np.inf)
-        Jfull[:start_epoch] = J
-        V, G, J = Vfull, Gfull, Jfull
-    A = kernels.A if add_A else 0.0
-    z0 = 0 if spec.order_budget is None else spec.order_budget
-    grid = ValueGrid(V=V, G=G, J_order=J, A=A)
-    policy = PolicyTable(
-        spec=spec, x_max=X, horizon=T, action=action, target=target,
-        z0=z0, switch_epoch=switch_epoch,
-    )
-    total = float(V[0, x0, z0] + A)
-    return SolveResult(spec=spec, value_grid=grid, policy=policy, total_cost=total)
+def _static_sweep(spec, kernels, setup_costs, *, cost, stop_tail, backend):
+    """Per setup cost (rows) and starting inventory: the value of the best
+    committed switch epoch and that epoch (the earliest on ties)."""
+    best = np.full((len(setup_costs), kernels.x_max + 1), np.inf)
+    best_k = np.zeros(best.shape, dtype=np.int64)
+    for k_star in range(kernels.horizon + 1):
+        V0, _ = _backward_pass(spec, kernels, cost, stop_tail, setup_costs, stops=False,
+                               start_epoch=k_star, grids=False, backend=backend)
+        v = V0[:, :, spec.layers - 1]
+        better = v < best
+        best[better] = v[better]
+        best_k[better] = k_star
+    return best, best_k
 
 
 def _solve_with(spec, kernels, x0, *, stop_tail, add_A, backend, cost=None):
-    T = kernels.horizon
+    T, Ks = kernels.horizon, [kernels.params.K]
     if not 0 <= x0 <= kernels.x_max:
         raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
-
-    if spec.stop_mode is StopMode.DYNAMIC:
-        return _assemble(spec, kernels, stop_tail, add_A, stop_at=lambda t: True,
-                         start_epoch=T, x0=x0, backend=backend, cost=cost)
-    if spec.stop_mode is StopMode.NEVER:
-        return _assemble(spec, kernels, stop_tail, add_A, stop_at=lambda t: False,
-                         start_epoch=T, x0=x0, backend=backend, cost=cost)
-
-    # STATIC: sweep the committed switch epoch, keep the best for x0
-    best_val, best_k = np.inf, T
-    use_cost = kernels.C_tilde if cost is None else cost
-    for k_star in range(T + 1):
-        V0, *_ = _backward_pass(
-            spec, kernels, use_cost, stop_tail,
-            stop_at=lambda t: False, start_epoch=k_star, keep_grids=False, backend=backend,
-        )
-        z0 = 0 if spec.order_budget is None else spec.order_budget
-        if V0[x0, z0] < best_val:
-            best_val, best_k = float(V0[x0, z0]), k_star
-    return _assemble(spec, kernels, stop_tail, add_A, stop_at=lambda t: False,
-                     start_epoch=best_k, x0=x0, backend=backend,
-                     switch_epoch=best_k, cost=cost)
+    cost = kernels.C_tilde if cost is None else cost
+    switch_epoch = None
+    if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
+        _, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail,
+                                  backend=backend)
+        switch_epoch = int(best_k[0, x0])
+    _, (V, G, J, action, target) = _backward_pass(
+        spec, kernels, cost, stop_tail, Ks, stops=spec.stop_mode is StopMode.DYNAMIC,
+        start_epoch=T if switch_epoch is None else switch_epoch, grids=True, backend=backend,
+    )
+    A = kernels.A if add_A else 0.0
+    z0 = spec.layers - 1  # the whole budget is left at time zero
+    policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
+                         target=target, z0=z0, switch_epoch=switch_epoch)
+    return SolveResult(spec=spec, value_grid=ValueGrid(V=V, G=G, J_order=J, A=A),
+                       policy=policy, total_cost=float(V[0, x0, z0] + A))
 
 
 def solve(spec: ModelSpec, kernels: KernelTable, x0: int,
@@ -290,20 +272,32 @@ def static_switch_values(spec: ModelSpec, kernels: KernelTable,
     epoch and its total cost (V + A)."""
     if spec.stop_mode is not StopMode.STATIC:
         raise BudgetMisuse("static_switch_values requires a STATIC spec")
-    T, X = kernels.horizon, kernels.x_max
-    zero_tail = np.zeros(T + 1)
-    z0 = 0 if spec.order_budget is None else spec.order_budget
-    best = np.full(X + 1, np.inf)
-    best_k = np.zeros(X + 1, dtype=np.int64)
-    for k_star in range(T + 1):
-        V0, *_ = _backward_pass(
-            spec, kernels, kernels.C_tilde, zero_tail,
-            stop_at=lambda t: False, start_epoch=k_star, keep_grids=False, backend=backend,
-        )
-        better = V0[:, z0] < best
-        best[better] = V0[better, z0]
-        best_k[better] = k_star
-    return best + kernels.A, best_k
+    best, best_k = _static_sweep(spec, kernels, [kernels.params.K], cost=kernels.C_tilde,
+                                 stop_tail=np.zeros(kernels.horizon + 1), backend=backend)
+    return best[0] + kernels.A, best_k[0]
+
+
+def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs,
+                 backend: str | None = None) -> np.ndarray:
+    """Total cost V(0, x) + A per setup cost (rows) and starting inventory.
+
+    One backward pass serves every K, since the kernels do not depend on
+    it.  Rows equal ``solve(spec, kernels_with_K(kernels, K), x0).values_at_zero``;
+    for STATIC specs each x takes its own best switch epoch, as in
+    ``static_switch_values``.
+    """
+    Ks = [float(K) for K in setup_costs]
+    zero_tail = np.zeros(kernels.horizon + 1)
+    if spec.stop_mode is StopMode.STATIC:
+        best, _ = _static_sweep(spec, kernels, Ks, cost=kernels.C_tilde,
+                                stop_tail=zero_tail, backend=backend)
+        return best + kernels.A
+    V0, _ = _backward_pass(
+        spec, kernels, kernels.C_tilde, zero_tail, Ks,
+        stops=spec.stop_mode is StopMode.DYNAMIC, start_epoch=kernels.horizon,
+        grids=False, backend=backend,
+    )
+    return V0[:, :, spec.layers - 1] + kernels.A
 
 
 def extract_regions(policy: PolicyTable, t: int, z: int | None = None):

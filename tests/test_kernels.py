@@ -260,6 +260,27 @@ class TestKernelTable:
             assert kt.stop_tail[17] == pytest.approx(
                 stopping_cost(p, base_model, 17, 0), rel=1e-12)
 
+    @pytest.mark.parametrize("conv", [ARR, PAP])
+    def test_every_cell_matches_point_functions_at_edges(self, conv):
+        # a zero-rate period, and x_max below the support cap of the 40/period one
+        model = IntensityModel(horizon=4, rates=np.array([0.0, 3.0, 40.0, 0.5]))
+        p = base_params(T=4)
+        kt = build_kernel_table(p, model, conv, x_max=30)
+        for k in range(4):
+            tol = dict(rel=1e-12, abs=1e-12 * max(1.0, kt.L[k, 0]))
+            for x in range(31):
+                assert kt.H[k, x] == pytest.approx(holding_cost(p, model, k, x), **tol)
+                assert kt.L[k, x] == pytest.approx(replacement_cost(p, model, conv, k, x), **tol)
+                assert kt.C_tilde[k, x] == pytest.approx(
+                    reformulated_cost(p, model, conv, k, x), **tol)
+            assert kt.c3_period[k] == pytest.approx(period_c3_term(p, model, k), rel=1e-12)
+            assert kt.stop_tail[k] == pytest.approx(stopping_cost(p, model, k, 0), rel=1e-12)
+            n = len(kt.pmfs[k])
+            assert np.array_equal(kt.pmfs[k], poisson.pmf(np.arange(n), model.rates[k]))
+        no_demand = p.c1 * np.arange(31) * (1.0 - np.exp(-p.delta)) / p.delta
+        assert np.all(kt.L[0] == 0.0) and kt.H[0] == pytest.approx(no_demand, rel=1e-12)
+        assert list(kt.pmfs[0]) == [1.0] and list(kt.pmf_tails[0]) == [0.0]
+
     def test_monotonicity_and_additivity(self, base_kernels):
         kt = base_kernels
         scale = kt.L[:, :1]  # per-period magnitude for tolerance

@@ -17,9 +17,12 @@ from eolstop import (
     extract_regions,
     order_up_to_profile,
     solve,
+    kernels_with_K,
     solve_original_form,
+    solve_values,
     static_switch_values,
 )
+from eolstop import _backends
 from eolstop.solver import CONTINUE, ORDER, STOP, FirstOrder, StopMode
 
 from conftest import base_params, small_instance
@@ -304,6 +307,8 @@ class TestSpecValidation:
         kt = build_kernel_table(params, model, ARR, x_max=8)
         with pytest.raises(CapSaturated):
             solve(ModelSpec.parse("T/inf/F"), kt, 0)
+        with pytest.raises(CapSaturated):  # the value-only pass checks the cap too
+            solve_values(ModelSpec.parse("T/inf/F"), kt, [0.0, 1000.0])
 
 
 class TestStaticModels:
@@ -347,3 +352,48 @@ class TestStaticModels:
             sv, _ = static_switch_values(ModelSpec.parse("S/1/Z"), kt)
             d1 = solve(ModelSpec.parse("D/1/Z"), kt, 0).total_cost
             assert 100 * (sv[0] - d1) / d1 == pytest.approx(ref, abs=0.3)
+
+
+class TestSolveValues:
+    KS = [0.0, 20.0, 200.0, 20.0]
+
+    @pytest.mark.parametrize("label", ["D/1/Z", "D/2/Z", "T/1/Z", "D/inf/F", "D/3/F", "S/1/Z"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_per_K_solves(self, label, seed):
+        params, model, _, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        spec = ModelSpec.parse(label)
+        got = solve_values(spec, kt, self.KS)
+        assert got.shape == (len(self.KS), x_max + 1)
+        for K, row in zip(self.KS, got):
+            k = kernels_with_K(kt, K)
+            if spec.stop_mode is StopMode.STATIC:
+                want = static_switch_values(spec, k)[0]
+            else:
+                want = solve(spec, k, 0).values_at_zero
+            assert np.array_equal(row, want)
+
+    def test_layers_that_cannot_order_hold_the_no_order_chain(self):
+        # at t >= 1 no layer of D/2/Z may order, so each holds the chain that
+        # the never-ordering layer z=0 of D/1/F holds, with the same actions
+        kt = tiny_kernels(seed=5, T=5, x_max=15)
+        zero_only = solve(ModelSpec.parse("D/2/Z"), kt, 0)
+        chain = solve(ModelSpec.parse("D/1/F"), kt, 0)
+        for z in range(3):
+            for grid in ("V", "G"):
+                got = getattr(zero_only.value_grid, grid)[1:, :, z]
+                assert np.array_equal(got, getattr(chain.value_grid, grid)[1:, :, 0])
+            assert np.array_equal(zero_only.policy.action[1:, :, z], chain.policy.action[1:, :, 0])
+
+    @pytest.mark.parametrize("label, steps", [("D/1/Z", lambda T: T),
+                                              ("D/inf/F", lambda T: 3 * T - 2)])
+    def test_no_order_chain_computed_once(self, label, steps, monkeypatch):
+        # layers that cannot order yet share one column for every K; the
+        # first step of an .../F model is still shared, as all layers hold
+        # the seed
+        calls = []
+        real = _backends.ev_clamped
+        monkeypatch.setattr(_backends, "ev_clamped", lambda *a: calls.append(1) or real(*a))
+        kt = tiny_kernels(seed=3, T=6, x_max=20)
+        solve_values(ModelSpec.parse(label), kt, [0.0, 20.0, 200.0])
+        assert len(calls) == steps(6)
