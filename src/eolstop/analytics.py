@@ -5,6 +5,17 @@ differences in inventory, the first-order-condition order-up-to level, upper
 and lower bounds on the best switching time, assumption validation, and the
 exact distribution of the optimal stopping time induced by a solved dynamic
 policy.
+
+The first difference Delta_x C(x, tau) is evaluated for a block of x at once
+on one quadrature grid; the order-up-to search walks x in blocks of
+``_X_BLOCK`` and stops at the first block with a hit.
+
+The stopping-time law is one forward pass under the fixed policy: the law of
+(x, z) starts at (x0, z0); at each epoch the mass on stopping states is
+P{tau* = t} and leaves, ordering states hand their mass to the order-up-to
+level one budget layer down, and the post-decision law is pushed through the
+period's demand, (y - D)^+, by the transpose of ``_backends.ev_clamped``.
+That is T*Z pushes per law, against one backward pass per target epoch.
 """
 
 from __future__ import annotations
@@ -16,15 +27,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import poisson
 
-from . import _backends
 from .costs import CostParameters
 from .demand import IntensityModel
 from .errors import AssumptionViolated, NotFound, PolicyIncompatible
 from .kernels import constant_A, period_pmfs
-from .solver import CONTINUE, ORDER, STOP, PolicyTable, StopMode
+from .solver import ORDER, STOP, PolicyTable, StopMode
 
 DEFAULT_TAU_STEP = 0.01
 _GL_ORDER = 32
+_X_BLOCK = 64  # x per Delta_x C block; its temporaries are 64 x 32*tau floats (0.8 MB at 50)
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,11 @@ def _require_assumptions(params, model, need_lambda_mono=False):
 # switching-time cost curve
 # ---------------------------------------------------------------------------
 
+def _check_tau(model: IntensityModel, tau: float):
+    if not 0 <= tau <= model.horizon:  # also rejects NaN
+        raise ValueError(f"tau must lie in [0, {model.horizon}], got {tau!r}")
+
+
 def _gl_nodes(model: IntensityModel, tau: float, order: int):
     """Gauss-Legendre nodes/weights over [0, tau], composite per unit interval."""
     base_x, base_w = leggauss(order)
@@ -120,8 +136,7 @@ def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: floa
     """Total discounted cost of operating without orders until the committed
     switch epoch tau, then scrapping and outsourcing the remainder."""
     _require_assumptions(params, model)
-    if not 0 <= tau <= model.horizon:
-        raise ValueError(f"tau must lie in [0, {model.horizon}]")
+    _check_tau(model, tau)
     u, w, lam = _gl_nodes(model, tau, order)
     A = constant_A(params, model)
     if len(u) == 0:
@@ -135,19 +150,28 @@ def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: floa
     return params.c4 * x + i1 + i2 + (params.c1 - params.delta * params.c4) * i3 + A
 
 
+def _delta_x_block(params: CostParameters, model: IntensityModel, xs: np.ndarray, nodes):
+    """Delta_x C(x, tau) for every x in ``xs`` on the quadrature grid ``nodes``
+    (``_gl_nodes`` over [0, tau])."""
+    u, w, lam = nodes
+    if len(u) == 0:
+        return np.full(len(xs), params.c4)
+    mu = model.mean_value(u)
+    disc = np.exp(-params.delta * u)
+    c2u = params.c2_bar + params.c3_bar * np.exp(-params.gamma * u)
+    x = xs[:, None]
+    i1 = np.sum(w * disc * lam * (-params.c4 - c2u) * poisson.pmf(x, mu), axis=1)
+    i2 = np.sum(w * disc * poisson.cdf(x, mu), axis=1)
+    return params.c4 + i1 + (params.c1 - params.delta * params.c4) * i2
+
+
 def delta_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
                         order: int = _GL_ORDER) -> float:
     """First difference in inventory of the switch-cost curve, closed form."""
     _require_assumptions(params, model)
-    u, w, lam = _gl_nodes(model, tau, order)
-    if len(u) == 0:
-        return params.c4
-    mu = model.mean_value(u)
-    disc = np.exp(-params.delta * u)
-    c2u = params.c2_bar + params.c3_bar * np.exp(-params.gamma * u)
-    i1 = np.sum(w * disc * lam * (-params.c4 - c2u) * poisson.pmf(x, mu))
-    i2 = np.sum(w * disc * poisson.cdf(x, mu))
-    return params.c4 + i1 + (params.c1 - params.delta * params.c4) * i2
+    _check_tau(model, tau)
+    nodes = _gl_nodes(model, tau, order)
+    return float(_delta_x_block(params, model, np.array([x]), nodes)[0])
 
 
 def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
@@ -158,6 +182,7 @@ def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, 
     it is empty for the smooth exponential family used throughout.
     """
     _require_assumptions(params, model)
+    _check_tau(model, tau)
     j = x + 1  # the closed form indexes the Poisson terms one level up
     mu_tau = float(model.mean_value(tau))
     c2_tau = params.c2_bar + params.c3_bar * math.exp(-params.gamma * tau)
@@ -233,9 +258,13 @@ def order_up_to_of_tau(params: CostParameters, model: IntensityModel, tau: float
                        x_cap: int = 1200) -> int:
     """Smallest x with c_bar + Delta_x C(x, tau) >= 0 (the first-order condition)."""
     _require_assumptions(params, model)
-    for x in range(x_cap + 1):
-        if params.c_bar + delta_x_switch_cost(params, model, x, tau) >= 0:
-            return x
+    _check_tau(model, tau)
+    nodes = _gl_nodes(model, tau, _GL_ORDER)
+    for lo in range(0, x_cap + 1, _X_BLOCK):
+        xs = np.arange(lo, min(lo + _X_BLOCK, x_cap + 1))
+        hits = np.flatnonzero(params.c_bar + _delta_x_block(params, model, xs, nodes) >= 0)
+        if len(hits):
+            return int(xs[hits[0]])
     raise NotFound(f"first-order condition unmet for every x <= {x_cap}")
 
 
@@ -296,51 +325,45 @@ class StoppingTimeDistribution:
         return float(np.dot(np.arange(len(self.mass)), self.mass))
 
 
-def stopping_time_distribution(policy: PolicyTable, model: IntensityModel, x0: int,
-                               backend: str | None = None) -> StoppingTimeDistribution:
-    """Exact stopping-time law by one backward pass per target epoch.
+def _push_demand(q: np.ndarray, pmf: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Law of (y - D)^+ for y ~ q, the transpose of ``_backends.ev_clamped``:
+    mass at y moves to y - d with pmf[d], and demand beyond y (with the
+    truncated residual) lands on 0."""
+    n, s = len(q), len(pmf) - 1
+    out = np.correlate(q, pmf, "full")[s:s + n]
+    out[0] += np.dot(q, tail[np.minimum(np.arange(n), s)])
+    return out
 
-    The recursion propagates, per post-action state, the probability that the
-    first entry into the stopping region happens exactly at the target epoch;
-    ordering states hand off to the entered order-up-to level one budget layer
-    down.
+
+def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
+                               x0: int) -> StoppingTimeDistribution:
+    """Exact stopping-time law by one forward pass of the state law.
+
+    Starting from all mass on (x0, z0), each epoch's stopping states give
+    their mass to P{tau* = t} and leave; ordering states move to their
+    order-up-to level (one budget layer down for a finite budget); the
+    post-decision law then passes through the period's demand.
     """
     if policy.spec.stop_mode is not StopMode.DYNAMIC:
         raise PolicyIncompatible("stopping-time distribution needs a dynamic-stop policy")
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
-    T, X, Z = policy.horizon, policy.x_max, policy.action.shape[2]
+    T, Z = policy.horizon, policy.action.shape[2]
     pmfs, tails = period_pmfs(model.rates)
+    src = np.arange(Z) if policy.spec.order_budget is None else np.arange(Z) - 1
     mass = np.zeros(T + 1)
-
-    a0 = policy.action[0, x0, policy.z0]
-    if a0 == STOP:
-        mass[0] = 1.0
-        return StoppingTimeDistribution(mass=mass, x0=x0)
-
-    for m in range(1, T + 1):
-        h = np.zeros((X + 1, Z))
-        for z in range(Z):
-            h[policy.action[m, :, z] == STOP, z] = 1.0
-        for t in range(m - 1, 0, -1):
-            P = np.empty((X + 1, Z))
-            for z in range(Z):
-                P[:, z] = _backends.ev_clamped(h[:, z], pmfs[t], tails[t], backend)
-            h = np.zeros((X + 1, Z))
-            for z in range(Z):
-                act = policy.action[t, :, z]
-                cont = act == CONTINUE
-                h[cont, z] = P[cont, z]
-                orde = np.flatnonzero(act == ORDER)
-                if len(orde):
-                    src = z if policy.spec.order_budget is None else z - 1
-                    h[orde, z] = P[policy.target[t, orde, z], src]
-        P0 = np.empty((X + 1, Z))
-        for z in range(Z):
-            P0[:, z] = _backends.ev_clamped(h[:, z], pmfs[0], tails[0], backend)
-        if a0 == ORDER:
-            src = policy.z0 if policy.spec.order_budget is None else policy.z0 - 1
-            mass[m] = P0[policy.target[0, x0, policy.z0], src]
-        else:
-            mass[m] = P0[x0, policy.z0]
+    q = np.zeros((policy.x_max + 1, Z))
+    q[x0, policy.z0] = 1.0
+    for t in range(T + 1):
+        act = policy.action[t]
+        stopping = act == STOP
+        mass[t] = q[stopping].sum()
+        q[stopping] = 0.0
+        if t == T or not q.any():
+            break
+        xs, zs = np.nonzero(act == ORDER)
+        moved = q[xs, zs]
+        q[xs, zs] = 0.0
+        np.add.at(q, (policy.target[t, xs, zs], src[zs]), moved)
+        q = np.stack([_push_demand(q[:, z], pmfs[t], tails[t]) for z in range(Z)], axis=1)
     return StoppingTimeDistribution(mass=mass, x0=x0)

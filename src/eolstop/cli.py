@@ -120,13 +120,12 @@ def _cmd_solve(args) -> int:
     values = {}
     for label in cfg.models:
         spec = ModelSpec.parse(label)
-        if spec.stop_mode is StopMode.STATIC:  # per-x0 optimal switch epochs
-            values.update(_solve_grid(cfg, [label], base))
         for K in cfg.setup_costs:
             kt = kernels_with_K(base, K)
             res = solve(spec, kt, cfg.x0[0])
-            if spec.stop_mode is not StopMode.STATIC:  # x0 does not enter the backward pass
-                values.update({(label, K, x0): float(res.values_at_zero[x0]) for x0 in cfg.x0})
+            # x0 enters only the choice of a STATIC switch epoch; each x0 takes its own best
+            row = res.values_at_zero if res.switch_values is None else res.switch_values
+            values.update({(label, K, x0): float(row[x0]) for x0 in cfg.x0})
             tag = f"{label.replace('/', '')}_K{K:g}"
             _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
             if spec.stop_mode is StopMode.DYNAMIC:

@@ -120,13 +120,15 @@ class SolveResult:
     value_grid: ValueGrid
     policy: PolicyTable
     total_cost: float
+    switch_values: np.ndarray | None = None  # STATIC: V(0, x) + A at each x's best epoch
 
     @property
     def values_at_zero(self) -> np.ndarray:
         """V(0, x) + A for every starting inventory (the policy's own layer).
 
         For STATIC specs these are the values of the switch epoch chosen for
-        the requested x0; use ``static_switch_values`` for per-x optima.
+        the requested x0; ``switch_values`` holds the per-x optima, as
+        ``static_switch_values`` returns them.
         """
         return self.value_grid.V[0, :, self.policy.z0] + self.value_grid.A
 
@@ -230,21 +232,22 @@ def _solve_with(spec, kernels, x0, *, stop_tail, add_A, backend, cost=None):
     if not 0 <= x0 <= kernels.x_max:
         raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
     cost = kernels.C_tilde if cost is None else cost
-    switch_epoch = None
+    A = kernels.A if add_A else 0.0
+    switch_epoch = switch_values = None
     if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
-        _, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail,
-                                  backend=backend)
-        switch_epoch = int(best_k[0, x0])
+        best, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail,
+                                     backend=backend)
+        switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
     _, (V, G, J, action, target) = _backward_pass(
         spec, kernels, cost, stop_tail, Ks, stops=spec.stop_mode is StopMode.DYNAMIC,
         start_epoch=T if switch_epoch is None else switch_epoch, grids=True, backend=backend,
     )
-    A = kernels.A if add_A else 0.0
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
                          target=target, z0=z0, switch_epoch=switch_epoch)
     return SolveResult(spec=spec, value_grid=ValueGrid(V=V, G=G, J_order=J, A=A),
-                       policy=policy, total_cost=float(V[0, x0, z0] + A))
+                       policy=policy, total_cost=float(V[0, x0, z0] + A),
+                       switch_values=switch_values)
 
 
 def solve(spec: ModelSpec, kernels: KernelTable, x0: int,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -25,8 +27,11 @@ from eolstop import (
     switch_time_bounds,
     validate_assumptions,
 )
+from eolstop import _backends, analytics
+from eolstop.kernels import period_pmfs
+from eolstop.solver import CONTINUE, ORDER, STOP
 
-from conftest import base_params
+from conftest import base_params, small_instance
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -170,6 +175,19 @@ class TestOrderUpToOfTau:
         with pytest.raises(NotFound):
             order_up_to_of_tau(base_params(), base_model, 25.0, x_cap=0)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 10.0, 25.0, 40.0, 49.5, 50.0])
+    def test_matches_linear_scan(self, base_model, tau):
+        p = base_params()
+        s_tau = next(x for x in range(1201)
+                     if p.c_bar + delta_x_switch_cost(p, base_model, x, tau) >= 0)
+        assert order_up_to_of_tau(p, base_model, tau) == s_tau
+        # a cap at the answer ends inside a block; one below it finds nothing
+        assert (s_tau + 1) % analytics._X_BLOCK != 0
+        assert order_up_to_of_tau(p, base_model, tau, x_cap=s_tau) == s_tau
+        if s_tau > 0:
+            with pytest.raises(NotFound):
+                order_up_to_of_tau(p, base_model, tau, x_cap=s_tau - 1)
+
     def test_monotone_step_under_stated_conditions(self):
         # a low critical ratio keeps the level far below expected demand, so
         # all four hypotheses can be machine-checked before the conclusion
@@ -187,6 +205,22 @@ class TestOrderUpToOfTau:
             assert p.c1 <= bound * lam * (p.c3_bar * np.exp(-p.gamma * u))
         s2e = order_up_to_of_tau(p, model, tau2 + eps)
         assert s2 <= s2e
+
+
+class TestTauChecks:
+    POINT_FUNCTIONS = [switch_cost, delta_x_switch_cost, delta2_x_switch_cost,
+                       lambda p, m, x, tau: order_up_to_of_tau(p, m, tau)]
+
+    @pytest.mark.parametrize("fn", POINT_FUNCTIONS)
+    @pytest.mark.parametrize("tau", [60.0, -1.0, math.nan])
+    def test_tau_outside_horizon_rejected(self, base_model, fn, tau):
+        with pytest.raises(ValueError, match="tau must lie in"):
+            fn(base_params(), base_model, 10, tau)
+
+    @pytest.mark.parametrize("fn", POINT_FUNCTIONS)
+    def test_horizon_ends_accepted(self, base_model, fn):
+        for tau in (0.0, 50.0):
+            assert np.isfinite(fn(base_params(), base_model, 10, tau))
 
 
 class TestBounds:
@@ -242,3 +276,73 @@ class TestStoppingTimeDistribution:
         res = solve(ModelSpec.parse("T/inf/F"), base_kernels, 0)
         with pytest.raises(PolicyIncompatible):
             stopping_time_distribution(res.policy, base_kernels.model, 0)
+
+    @pytest.mark.parametrize("conv", list(LostSalesConvention))
+    @pytest.mark.parametrize("label", ["D/inf/F", "D/1/F", "D/1/Z", "D/2/F"])
+    def test_forward_law_matches_backward_oracle(self, label, conv):
+        seen = set()
+        for seed in range(8):
+            params, model, _, x_max = small_instance(seed)
+            kt = build_kernel_table(params, model, conv, x_max=x_max)
+            res = solve(ModelSpec.parse(label), kt, 0)
+            act = res.policy.action[0, :, res.policy.z0]
+            for a in (STOP, ORDER, CONTINUE):  # one x0 per region at t=0
+                xs = np.flatnonzero(act == a)
+                if len(xs):
+                    seen.add(a)
+                    x0 = int(xs[len(xs) // 2])
+                    got = stopping_time_distribution(res.policy, model, x0).mass
+                    want = _backward_law(res.policy, model, x0)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert seen == {STOP, ORDER, CONTINUE}
+
+    @pytest.mark.parametrize("label", ["D/inf/F", "D/2/F"])
+    def test_one_push_per_layer_and_period(self, label, monkeypatch):
+        evs, pushes = [], []
+        real_ev, real_push = _backends.ev_clamped, analytics._push_demand
+        monkeypatch.setattr(_backends, "ev_clamped", lambda *a: evs.append(1) or real_ev(*a))
+        monkeypatch.setattr(analytics, "_push_demand",
+                            lambda *a: pushes.append(1) or real_push(*a))
+        model = build_named_intensity("convex", 12, 40.0)
+        kt = build_kernel_table(base_params(K=200.0, T=12), model, ARR, x_max=90)
+        res = solve(ModelSpec.parse(label), kt, 5)
+        evs.clear()
+        dist = stopping_time_distribution(res.policy, model, 5)
+        assert dist.mass[-1] > 0  # mass reaches T, so no epoch is skipped
+        assert not evs
+        assert len(pushes) == 12 * res.policy.action.shape[2]
+
+
+def _backward_law(policy, model, x0):
+    """P{tau* = m} by one backward pass per target epoch: the probability,
+    per post-action state, that the first entry into the stopping region
+    happens exactly at m; ordering states hand off to the order-up-to level
+    one budget layer down."""
+    T, X, Z = policy.horizon, policy.x_max, policy.action.shape[2]
+    pmfs, tails = period_pmfs(model.rates)
+    mass = np.zeros(T + 1)
+    a0 = policy.action[0, x0, policy.z0]
+    if a0 == STOP:
+        mass[0] = 1.0
+        return mass
+    for m in range(1, T + 1):
+        h = (policy.action[m] == STOP).astype(float)
+        for t in range(m - 1, -1, -1):
+            P = np.stack([_backends.ev_clamped(h[:, z], pmfs[t], tails[t]) for z in range(Z)],
+                         axis=1)
+            if t == 0:
+                break
+            h = np.zeros((X + 1, Z))
+            for z in range(Z):
+                act = policy.action[t, :, z]
+                cont = act == CONTINUE
+                h[cont, z] = P[cont, z]
+                orde = np.flatnonzero(act == ORDER)
+                src = z if policy.spec.order_budget is None else z - 1
+                h[orde, z] = P[policy.target[t, orde, z], src]
+        if a0 == ORDER:
+            src = policy.z0 if policy.spec.order_budget is None else policy.z0 - 1
+            mass[m] = P[policy.target[0, x0, policy.z0], src]
+        else:
+            mass[m] = P[x0, policy.z0]
+    return mass

@@ -117,6 +117,38 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2 * 2  # models x K x x0
 
+    def test_solve_static_model_sweeps_once_per_K(self, tmp_path, monkeypatch):
+        # values.csv holds each x0 at its own best switch epoch, and the
+        # regions follow the epoch chosen for the first x0
+        from eolstop import ModelSpec, kernels_with_K, solve, static_switch_values
+        from eolstop import solver
+
+        sweeps = []
+        real = solver._static_sweep
+        monkeypatch.setattr(solver, "_static_sweep",
+                            lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+        Ks, x0s = [200.0, 2000.0], [9, 0, 20]  # at K=2000 the best epochs are 1, 0, 3
+        cfg = write_cfg(tmp_path, models=["S/1/Z"], setup_costs=Ks, x0=x0s)
+        out = tmp_path / "o5"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(sweeps) == len(Ks)
+        with (out / "values.csv").open() as fh:
+            got = {(float(r["K"]), int(r["x0"])): float(r["total_cost"])
+                   for r in csv.DictReader(fh)}
+        spec, base = ModelSpec.parse("S/1/Z"), ExperimentConfig.from_json(cfg).build_kernels()
+        names = {0: "continue", 1: "stop", 2: "order"}
+        for K in Ks:
+            kt = kernels_with_K(base, K)
+            best, epochs = static_switch_values(spec, kt)
+            assert all(got[(K, x0)] == float(best[x0]) for x0 in x0s)
+            pol = solve(spec, kt, x0s[0]).policy
+            assert pol.switch_epoch == epochs[x0s[0]]
+            with (out / f"regions_S1Z_K{K:g}.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["action"] for r in rows] == [
+                names[int(a)] for a in pol.action[:, :, pol.z0].ravel()]
+            assert all(r["action"] == "stop" for r in rows if int(r["t"]) >= pol.switch_epoch)
+
     def test_taudist_masses(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "o4"

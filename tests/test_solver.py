@@ -367,10 +367,14 @@ class TestSolveValues:
         assert got.shape == (len(self.KS), x_max + 1)
         for K, row in zip(self.KS, got):
             k = kernels_with_K(kt, K)
+            res = solve(spec, k, 0)
             if spec.stop_mode is StopMode.STATIC:
-                want = static_switch_values(spec, k)[0]
+                want, epochs = static_switch_values(spec, k)
+                assert np.array_equal(res.switch_values, want)
+                assert res.policy.switch_epoch == epochs[0]
             else:
-                want = solve(spec, k, 0).values_at_zero
+                want = res.values_at_zero
+                assert res.switch_values is None
             assert np.array_equal(row, want)
 
     def test_layers_that_cannot_order_hold_the_no_order_chain(self):
