@@ -80,7 +80,7 @@ def switch_at(k_star):
     def run(kt, label):
         spec = ModelSpec.parse(label)
         V0, _ = _backward_pass(spec, kt, kt.C_tilde, np.zeros(T + 1), [kt.params.K],
-                               stops=False, start_epoch=k_star, grids=False, backend=None)
+                               stops=False, start_epoch=k_star, grids=False)
         return V0[0, :, spec.layers - 1] + kt.A
     return run
 
@@ -91,7 +91,7 @@ def original_form(kt_cost):
         k = kernels_with_K(kt_cost, kt.params.K)
         spec = ModelSpec.parse(label)
         V0, _ = _backward_pass(spec, k, k.C, k.stop_tail, [k.params.K],
-                               stops=False, start_epoch=T, grids=False, backend=None)
+                               stops=False, start_epoch=T, grids=False)
         return V0[0, :, spec.layers - 1]
     return run
 

@@ -1,64 +1,24 @@
-"""Inner loops: numpy-vectorised and scalar implementations.
+"""Inner loops of the solver and the simulator, vectorised with numpy.
 
-Backends, chosen per call with ``backend=`` or for the process with
-EOLSTOP_BACKEND:
+  * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)]
+  * suffix_min - suffix minimum with smallest-index argmin (order-up-to search)
+  * sim_period - one period of the Monte Carlo sweep across all paths
 
-  * "numpy" - vectorised over the grid or over Monte Carlo paths;
-  * "loop"  - the scalar kernels below as plain Python (slow; the reference
-    the numpy path is tested against);
-  * "numba" - the same scalar kernels compiled with ``numba.njit``; only
-    present when the optional numba dependency imports.
-
-Unset, numba is used when importable and numpy otherwise.  Every backend
-consumes identical presampled inputs, so they agree to floating-point
-accumulation order.  Asking for numba without it raises RuntimeError; an
-unknown name raises ValueError.
-
-Hot paths covered here:
-  * clamped one-period expectation  EV[y] = E[V((y - D)^+)]
-  * suffix minimum with smallest-index argmin (order-up-to search)
-  * per-period simulation sweep across all Monte Carlo paths
+Callers reach these by module attribute (``_backends.ev_clamped``), so a test
+can swap in the scalar oracles of ``tests/scalar_kernels.py``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised indirectly via backend dispatch
-    import numba
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAS_NUMBA = False
-
-
-def _checked(name: str, source: str) -> str:
-    """Normalise a backend name, or raise the documented error for it."""
-    key = name.strip().lower()
-    if key in _IMPLS:
-        return key
-    if key == "numba":
-        raise RuntimeError(f"{source}=numba but numba is not importable; "
-                           "install eolstop[numba] or choose 'numpy'")
-    raise ValueError(f"unknown {source}={name!r}; choose one of {sorted(_IMPLS)}")
 
 
 def active_backend() -> str:
-    name = os.environ.get("EOLSTOP_BACKEND", "").strip()
-    if name:
-        return _checked(name, "EOLSTOP_BACKEND")
-    return "numba" if "numba" in _IMPLS else "numpy"
+    """Name of the numeric path; numpy is the only one."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _ev_clamped_np(V, pmf, tail):
+def ev_clamped(V, pmf, tail):
     # tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and truncated residual
     # mass) lands on inventory 0.
     n = len(V)
@@ -68,7 +28,7 @@ def _ev_clamped_np(V, pmf, tail):
     return ev + V[0] * tail[idx]
 
 
-def _suffix_min_np(W):
+def suffix_min(W):
     n = len(W)
     rev = W[::-1]
     run = np.minimum.accumulate(rev)
@@ -80,13 +40,13 @@ def _suffix_min_np(W):
     return run[::-1].copy(), args[::-1].copy()
 
 
-def _sim_period_np(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta):
+def sim_period(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta):
     """Advance all paths through [k, k+1); mutates stock and cost in place.
 
     u is (paths, nmax) with row p holding counts[p] sorted arrival times and
     k+1 in the padding slots.
     """
-    P, nmax = u.shape
+    nmax = u.shape[1]
     j = np.arange(nmax)
     real = j[None, :] < counts[:, None]
     disc_u = np.exp(-delta * u)
@@ -122,102 +82,3 @@ def _sim_period_np(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delt
     lost = (j[None, :] >= y[:, None]) & (j[None, :] < na[:, None])
     cost[act] += np.sum(np.where(lost, disc_u[act] * c2_u[act], 0.0), axis=1)
     stock[act] = np.maximum(y - na, 0)
-
-
-# ---------------------------------------------------------------------------
-# scalar kernels: plain Python as written, numba.njit-compiled when available
-# ---------------------------------------------------------------------------
-
-def _ev_clamped_loop(V, pmf, tail):
-    n = len(V)
-    s = len(pmf) - 1
-    out = np.empty(n)
-    for y in range(n):
-        m = min(y, s)
-        acc = V[0] * tail[m]
-        for d in range(m + 1):
-            acc += pmf[d] * V[y - d]
-        out[y] = acc
-    return out
-
-
-def _suffix_min_loop(W):
-    n = len(W)
-    vals = np.empty(n)
-    args = np.empty(n, dtype=np.int64)
-    best = np.inf
-    barg = n - 1
-    for y in range(n - 1, -1, -1):
-        if W[y] <= best:
-            best = W[y]
-            barg = y
-        vals[y] = best
-        args[y] = barg
-    return vals, args
-
-
-def _sim_period_loop(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta):
-    P = stock.shape[0]
-    for p in range(P):
-        n = counts[p]
-        if stopped[p]:
-            for j in range(n):
-                uj = u[p, j]
-                cost[p] += math.exp(-delta * uj) * c3b * math.exp(-gamma * uj)
-            continue
-        s = stock[p]
-        t_prev = float(k)
-        acc = 0.0
-        for j in range(n):
-            uj = u[p, j]
-            if s > 0:
-                if delta > 0:
-                    acc += s * (math.exp(-delta * t_prev) - math.exp(-delta * uj)) / delta
-                else:
-                    acc += s * (uj - t_prev)
-                s -= 1
-            else:
-                cost[p] += math.exp(-delta * uj) * (c2b + c3b * math.exp(-gamma * uj))
-            t_prev = uj
-        if s > 0:
-            if delta > 0:
-                acc += s * (math.exp(-delta * t_prev) - math.exp(-delta * (k + 1.0))) / delta
-            else:
-                acc += s * (k + 1.0 - t_prev)
-        cost[p] += c1 * acc
-        stock[p] = s
-
-
-_IMPLS = {
-    "numpy": {
-        "ev_clamped": _ev_clamped_np,
-        "suffix_min": _suffix_min_np,
-        "sim_period": _sim_period_np,
-    },
-    "loop": {
-        "ev_clamped": _ev_clamped_loop,
-        "suffix_min": _suffix_min_loop,
-        "sim_period": _sim_period_loop,
-    },
-}
-if _HAS_NUMBA:
-    _IMPLS["numba"] = {key: numba.njit(cache=True)(fn) for key, fn in _IMPLS["loop"].items()}
-
-
-def get_impl(name: str | None = None):
-    return _IMPLS[_checked(name, "backend") if name else active_backend()]
-
-
-def ev_clamped(V, pmf, tail, backend: str | None = None):
-    return get_impl(backend)["ev_clamped"](V, pmf, tail)
-
-
-def suffix_min(W, backend: str | None = None):
-    return get_impl(backend)["suffix_min"](W)
-
-
-def sim_period(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta,
-               backend: str | None = None):
-    return get_impl(backend)["sim_period"](
-        stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta
-    )

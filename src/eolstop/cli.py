@@ -108,6 +108,18 @@ def _solve_grid(cfg: ExperimentConfig, labels, kernels) -> dict:
     return out
 
 
+def _solve_each(cfg: ExperimentConfig, labels):
+    """Solve each model label at each setup cost, at the first x0; yields
+    (label, spec, K, kernels, result, file tag).  ``labels`` is read lazily."""
+    base = cfg.build_kernels()
+    for label in labels:
+        spec = ModelSpec.parse(label)
+        for K in cfg.setup_costs:
+            kt = kernels_with_K(base, K)
+            res = solve(spec, kt, cfg.x0[0])
+            yield label, spec, K, kt, res, f"{label.replace('/', '')}_K{K:g}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -116,22 +128,16 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out)
     t0 = time.perf_counter()
-    base = cfg.build_kernels()
     values = {}
-    for label in cfg.models:
-        spec = ModelSpec.parse(label)
-        for K in cfg.setup_costs:
-            kt = kernels_with_K(base, K)
-            res = solve(spec, kt, cfg.x0[0])
-            # x0 enters only the choice of a STATIC switch epoch; each x0 takes its own best
-            row = res.values_at_zero if res.switch_values is None else res.switch_values
-            values.update({(label, K, x0): float(row[x0]) for x0 in cfg.x0})
-            tag = f"{label.replace('/', '')}_K{K:g}"
-            _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
-            if spec.stop_mode is StopMode.DYNAMIC:
-                for x0 in cfg.x0:
-                    dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
-                    _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
+    for label, spec, K, kt, res, tag in _solve_each(cfg, cfg.models):
+        # x0 enters only the choice of a STATIC switch epoch; each x0 takes its own best
+        row = res.values_at_zero if res.switch_values is None else res.switch_values
+        values.update({(label, K, x0): float(row[x0]) for x0 in cfg.x0})
+        _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
+        if spec.stop_mode is StopMode.DYNAMIC:
+            for x0 in cfg.x0:
+                dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
+                _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
     t_solve = time.perf_counter() - t0
     rows = []
     for (label, K, x0), v in sorted(values.items()):
@@ -247,17 +253,12 @@ def _write_regions_csv(path: Path, policy):
 def _cmd_regions(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    base = cfg.build_kernels()
     out_dir = Path(args.out)
-    for label in cfg.models:
-        spec = ModelSpec.parse(label)
-        for K in cfg.setup_costs:
-            res = solve(spec, kernels_with_K(base, K), cfg.x0[0])
-            tag = f"{label.replace('/', '')}_K{K:g}"
-            _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
-            stop, order, cont = extract_regions(res.policy, 0)
-            print(f"{label} K={K:g} t=0: |stop|={len(stop)} |order|={len(order)} "
-                  f"|continue|={len(cont)}")
+    for label, _, K, _, res, tag in _solve_each(cfg, cfg.models):
+        _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
+        stop, order, cont = extract_regions(res.policy, 0)
+        print(f"{label} K={K:g} t=0: |stop|={len(stop)} |order|={len(order)} "
+              f"|continue|={len(cont)}")
     _write_manifest(out_dir, "regions", cfg, {"total": time.perf_counter() - t0})
     return 0
 
@@ -274,22 +275,20 @@ def _write_taudist_csv(path: Path, dist):
 def _cmd_taudist(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    base = cfg.build_kernels()
     out_dir = Path(args.out)
-    for label in cfg.models:
-        spec = ModelSpec.parse(label)
-        if spec.stop_mode is not StopMode.DYNAMIC:
-            print(f"skipping {label}: stopping-time distribution needs dynamic stopping")
-            continue
-        for K in cfg.setup_costs:
-            kt = kernels_with_K(base, K)
-            res = solve(spec, kt, cfg.x0[0])
-            for x0 in cfg.x0:
-                dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
-                tag = f"{label.replace('/', '')}_K{K:g}_x{x0}"
-                _write_taudist_csv(out_dir / f"taudist_{tag}.csv", dist)
-                print(f"{label} K={K:g} x0={x0}: mean stop {dist.mean():.2f}, "
-                      f"mass sums to {dist.mass.sum():.9f}")
+
+    def dynamic(label):  # runs as _solve_each reaches the label, so skip lines keep their place
+        if ModelSpec.parse(label).stop_mode is StopMode.DYNAMIC:
+            return True
+        print(f"skipping {label}: stopping-time distribution needs dynamic stopping")
+        return False
+
+    for label, _, K, kt, res, tag in _solve_each(cfg, filter(dynamic, cfg.models)):
+        for x0 in cfg.x0:
+            dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
+            _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
+            print(f"{label} K={K:g} x0={x0}: mean stop {dist.mean():.2f}, "
+                  f"mass sums to {dist.mass.sum():.9f}")
     _write_manifest(out_dir, "taudist", cfg, {"total": time.perf_counter() - t0})
     return 0
 

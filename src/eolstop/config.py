@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,29 +56,24 @@ class ExperimentConfig:
         for req in ("intensity", "costs", "setup_costs", "x0", "models"):
             if req not in raw:
                 raise ConfigError(f"missing required config key: {req!r}")
-        intensity = dict(raw["intensity"])
-        if set(intensity) - _INTENSITY_KEYS:
-            raise ConfigError(f"unknown intensity keys: {sorted(set(intensity) - _INTENSITY_KEYS)}")
-        costs = dict(raw["costs"])
-        if set(costs) != _COST_KEYS:
-            missing, extra = _COST_KEYS - set(costs), set(costs) - _COST_KEYS
-            raise ConfigError(f"costs must have exactly {sorted(_COST_KEYS)}; "
-                              f"missing {sorted(missing)}, unknown {sorted(extra)}")
-        models = tuple(raw["models"])
-        if not models:
-            raise ConfigError("models must list at least one taxonomy label")
-        cfg = cls(
-            intensity=intensity,
-            costs=costs,
-            setup_costs=tuple(float(k) for k in raw["setup_costs"]),
-            x0=tuple(int(x) for x in raw["x0"]),
-            models=models,
-            x_max=int(raw.get("x_max", 1200)),
-            convention=str(raw.get("convention", "arrival")),
-            tau_step=float(raw.get("tau_step", 0.01)),
-            seed=int(raw.get("seed", 0)),
-            paths=int(raw.get("paths", 100_000)),
-        )
+        try:
+            x0 = tuple(int(x) for x in raw["x0"])
+            if any(x != float(r) for x, r in zip(x0, raw["x0"])):
+                raise ValueError(f"x0 values must be integers, got {raw['x0']}")
+            cfg = cls(
+                intensity=dict(raw["intensity"]),
+                costs=dict(raw["costs"]),
+                setup_costs=tuple(float(k) for k in raw["setup_costs"]),
+                x0=x0,
+                models=tuple(raw["models"]),
+                x_max=int(raw.get("x_max", 1200)),
+                convention=str(raw.get("convention", "arrival")),
+                tau_step=float(raw.get("tau_step", 0.01)),
+                seed=int(raw.get("seed", 0)),
+                paths=int(raw.get("paths", 100_000)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
         cfg.validate()
         return cfg
 
@@ -107,6 +103,15 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------
     def validate(self):
+        if set(self.intensity) - _INTENSITY_KEYS:
+            raise ConfigError(
+                f"unknown intensity keys: {sorted(set(self.intensity) - _INTENSITY_KEYS)}")
+        if set(self.costs) != _COST_KEYS:
+            missing, extra = _COST_KEYS - set(self.costs), set(self.costs) - _COST_KEYS
+            raise ConfigError(f"costs must have exactly {sorted(_COST_KEYS)}; "
+                              f"missing {sorted(missing)}, unknown {sorted(extra)}")
+        if not self.models:
+            raise ConfigError("models must list at least one taxonomy label")
         kind = self.intensity.get("kind")
         if kind in NAMED_KINDS:
             for req in ("horizon", "total_demand"):
@@ -117,22 +122,24 @@ class ExperimentConfig:
                 raise ConfigError("custom intensity needs 'rates_file' or 'rates'")
         else:
             raise ConfigError(f"intensity.kind must be one of {NAMED_KINDS + ('custom',)}")
-        if any(k < 0 for k in self.setup_costs):
-            raise ConfigError("setup_costs must be non-negative")
+        if not all(math.isfinite(k) and k >= 0 for k in self.setup_costs):
+            raise ConfigError("setup_costs must be finite and non-negative")
+        if not self.x0:
+            raise ConfigError("x0 must list at least one starting inventory")
         if any(x < 0 for x in self.x0):
             raise ConfigError("x0 values must be non-negative")
         if any(x > self.x_max for x in self.x0):
             raise ConfigError("x0 values must not exceed x_max")
-        LostSalesConvention.parse(self.convention)  # raises on bad value
-        for label in self.models:
-            ModelSpec.parse(label)
         if self.x_max < 1:
             raise ConfigError("x_max must be >= 1")
-        if self.tau_step <= 0:
+        if not self.tau_step > 0:
             raise ConfigError("tau_step must be positive")
         if self.paths < 2:
             raise ConfigError("paths must be >= 2")
         try:
+            LostSalesConvention.parse(self.convention)
+            for label in self.models:
+                ModelSpec.parse(label)
             self.build_model()
             self.build_params(self.setup_costs[0])
         except ConfigError:

@@ -51,8 +51,10 @@ class CostParameters:
     horizon: int
 
     def __post_init__(self):
-        for name in ("c_bar", "K", "c1", "c2_bar", "c3_bar", "gamma", "delta"):
-            if getattr(self, name) < 0:
+        for name in ("c_bar", "K", "c1", "c2_bar", "c3_bar", "gamma", "c4", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if name != "c4" and getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.c_bar > -self.c4:
             raise ValueError("need c_bar > -c4, else ordering-and-scrapping is a money pump")

@@ -58,7 +58,6 @@ def evaluate_policy(
     x0: int,
     paths: int = 100_000,
     seed: int = 0,
-    backend: str | None = None,
 ) -> SimEstimate:
     """Estimate the expected discounted total cost of following ``policy``."""
     T = model.horizon
@@ -112,7 +111,6 @@ def evaluate_policy(
             _backends.sim_period(
                 stock, stopped, cost, u, counts[:, k], k,
                 params.c1, params.c2_bar, params.c3_bar, params.gamma, params.delta,
-                backend=backend,
             )
 
     mean = float(cost.mean())

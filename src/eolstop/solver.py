@@ -143,7 +143,7 @@ def _order_admissible(spec: ModelSpec, t: int, z: int) -> bool:
 
 def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
                    stop_tail: np.ndarray, setup_costs, *, stops: bool, start_epoch: int,
-                   grids: bool, backend: str | None):
+                   grids: bool):
     """Run the recursion from ``start_epoch`` down to 0 for every setup cost.
 
     The pass is seeded with a forced stop at ``start_epoch``; ``stops`` says
@@ -170,7 +170,7 @@ def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
     ids = np.zeros((len(setup_costs), Z), dtype=np.intp)  # (K, layer) -> column
     for t in range(start_epoch - 1, -1, -1):
         pmf, tail = kernels.pmfs[t], kernels.pmf_tails[t]
-        G = [cost[t] + disc * _backends.ev_clamped(v, pmf, tail, backend) for v in cols]
+        G = [cost[t] + disc * _backends.ev_clamped(v, pmf, tail) for v in cols]
         stop_vec = scrap + stop_tail[t]
         cols, owner, carried = [], [], {}
         new_ids = np.empty_like(ids)
@@ -185,7 +185,7 @@ def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
             val, ordering = G[c], np.zeros(X + 1, dtype=bool)
             if admissible:
                 src = ids[k, z if spec.order_budget is None else z - 1]
-                mins, args = _backends.suffix_min(cy + G[src], backend)
+                mins, args = _backends.suffix_min(cy + G[src])
                 J = np.full(X + 1, np.inf)
                 J[:-1] = setup_costs[k] + mins[1:] - cy[:-1]
                 ordering = J < val  # strict: order only when it beats doing nothing
@@ -212,14 +212,14 @@ def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
     return V0, ((V, G_all, J_all, action, target) if grids else None)
 
 
-def _static_sweep(spec, kernels, setup_costs, *, cost, stop_tail, backend):
+def _static_sweep(spec, kernels, setup_costs, *, cost, stop_tail):
     """Per setup cost (rows) and starting inventory: the value of the best
     committed switch epoch and that epoch (the earliest on ties)."""
     best = np.full((len(setup_costs), kernels.x_max + 1), np.inf)
     best_k = np.zeros(best.shape, dtype=np.int64)
     for k_star in range(kernels.horizon + 1):
         V0, _ = _backward_pass(spec, kernels, cost, stop_tail, setup_costs, stops=False,
-                               start_epoch=k_star, grids=False, backend=backend)
+                               start_epoch=k_star, grids=False)
         v = V0[:, :, spec.layers - 1]
         better = v < best
         best[better] = v[better]
@@ -227,7 +227,7 @@ def _static_sweep(spec, kernels, setup_costs, *, cost, stop_tail, backend):
     return best, best_k
 
 
-def _solve_with(spec, kernels, x0, *, stop_tail, add_A, backend, cost=None):
+def _solve_with(spec, kernels, x0, *, stop_tail, add_A, cost=None):
     T, Ks = kernels.horizon, [kernels.params.K]
     if not 0 <= x0 <= kernels.x_max:
         raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
@@ -235,12 +235,11 @@ def _solve_with(spec, kernels, x0, *, stop_tail, add_A, backend, cost=None):
     A = kernels.A if add_A else 0.0
     switch_epoch = switch_values = None
     if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
-        best, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail,
-                                     backend=backend)
+        best, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail)
         switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
     _, (V, G, J, action, target) = _backward_pass(
         spec, kernels, cost, stop_tail, Ks, stops=spec.stop_mode is StopMode.DYNAMIC,
-        start_epoch=T if switch_epoch is None else switch_epoch, grids=True, backend=backend,
+        start_epoch=T if switch_epoch is None else switch_epoch, grids=True,
     )
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
@@ -250,38 +249,33 @@ def _solve_with(spec, kernels, x0, *, stop_tail, add_A, backend, cost=None):
                        switch_values=switch_values)
 
 
-def solve(spec: ModelSpec, kernels: KernelTable, x0: int,
-          backend: str | None = None) -> SolveResult:
+def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
     """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
     zero_tail = np.zeros(kernels.horizon + 1)
-    return _solve_with(spec, kernels, x0, stop_tail=zero_tail, add_A=True, backend=backend)
+    return _solve_with(spec, kernels, x0, stop_tail=zero_tail, add_A=True)
 
 
-def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int,
-                        backend: str | None = None) -> float:
+def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float:
     """Un-reformulated recursion: one-period cost C and stopping cost with its
     outside-source integral.  Intended for small instances and equivalence
     tests against ``solve``."""
-    res = _solve_with(
-        spec, kernels, x0,
-        stop_tail=kernels.stop_tail, add_A=False, backend=backend, cost=kernels.C,
-    )
+    res = _solve_with(spec, kernels, x0, stop_tail=kernels.stop_tail, add_A=False,
+                      cost=kernels.C)
     return res.total_cost
 
 
-def static_switch_values(spec: ModelSpec, kernels: KernelTable,
-                         backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+def static_switch_values(spec: ModelSpec,
+                         kernels: KernelTable) -> tuple[np.ndarray, np.ndarray]:
     """For STATIC models: per starting inventory, the best committed switch
     epoch and its total cost (V + A)."""
     if spec.stop_mode is not StopMode.STATIC:
         raise BudgetMisuse("static_switch_values requires a STATIC spec")
     best, best_k = _static_sweep(spec, kernels, [kernels.params.K], cost=kernels.C_tilde,
-                                 stop_tail=np.zeros(kernels.horizon + 1), backend=backend)
+                                 stop_tail=np.zeros(kernels.horizon + 1))
     return best[0] + kernels.A, best_k[0]
 
 
-def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs,
-                 backend: str | None = None) -> np.ndarray:
+def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs) -> np.ndarray:
     """Total cost V(0, x) + A per setup cost (rows) and starting inventory.
 
     One backward pass serves every K, since the kernels do not depend on
@@ -292,13 +286,11 @@ def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs,
     Ks = [float(K) for K in setup_costs]
     zero_tail = np.zeros(kernels.horizon + 1)
     if spec.stop_mode is StopMode.STATIC:
-        best, _ = _static_sweep(spec, kernels, Ks, cost=kernels.C_tilde,
-                                stop_tail=zero_tail, backend=backend)
+        best, _ = _static_sweep(spec, kernels, Ks, cost=kernels.C_tilde, stop_tail=zero_tail)
         return best + kernels.A
     V0, _ = _backward_pass(
         spec, kernels, kernels.C_tilde, zero_tail, Ks,
-        stops=spec.stop_mode is StopMode.DYNAMIC, start_epoch=kernels.horizon,
-        grids=False, backend=backend,
+        stops=spec.stop_mode is StopMode.DYNAMIC, start_epoch=kernels.horizon, grids=False,
     )
     return V0[:, :, spec.layers - 1] + kernels.A
 

@@ -4,32 +4,7 @@ import pytest
 from eolstop import LostSalesConvention, ModelSpec, _backends, build_kernel_table, solve
 
 from conftest import small_instance
-
-
-class TestSelection:
-    def test_numba_missing_and_unknown_names(self, monkeypatch):
-        # behave as on a machine without numba, whether or not it is installed
-        monkeypatch.delitem(_backends._IMPLS, "numba", raising=False)
-        monkeypatch.delenv("EOLSTOP_BACKEND", raising=False)
-        assert _backends.active_backend() == "numpy"
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            _backends.get_impl("numba")
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            _backends.ev_clamped(np.zeros(3), np.ones(1), np.zeros(1), backend="numba")
-        with pytest.raises(ValueError, match="unknown backend"):
-            _backends.get_impl("cuda")
-
-        monkeypatch.setenv("EOLSTOP_BACKEND", "numba")
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            _backends.active_backend()
-        monkeypatch.setenv("EOLSTOP_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="unknown EOLSTOP_BACKEND"):
-            _backends.active_backend()
-
-    def test_names_are_normalised(self, monkeypatch):
-        monkeypatch.setenv("EOLSTOP_BACKEND", " Loop ")
-        assert _backends.active_backend() == "loop"
-        assert _backends.get_impl("NumPy") is _backends._IMPLS["numpy"]
+from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
 
 
 class TestScalarKernelsAgree:
@@ -38,23 +13,25 @@ class TestScalarKernelsAgree:
         V = rng.normal(size=300).cumsum()
         for t in (0, 25, 49):
             pmf, tail = base_kernels.pmfs[t], base_kernels.pmf_tails[t]
-            a = _backends.ev_clamped(V, pmf, tail, backend="numpy")
-            b = _backends.ev_clamped(V, pmf, tail, backend="loop")
+            a = _backends.ev_clamped(V, pmf, tail)
+            b = _ev_clamped_loop(V, pmf, tail)
             assert np.allclose(a, b, rtol=1e-13, atol=1e-12)
 
     def test_suffix_min_with_ties(self):
         rng = np.random.default_rng(1)
         W = rng.integers(0, 20, size=400).astype(float)  # many ties
-        va, ia = _backends.suffix_min(W, backend="numpy")
-        vb, ib = _backends.suffix_min(W, backend="loop")
+        va, ia = _backends.suffix_min(W)
+        vb, ib = _suffix_min_loop(W)
         assert np.array_equal(va, vb) and np.array_equal(ia, ib)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_dp_solve(self, seed):
+    def test_dp_solve(self, seed, monkeypatch):
         params, model, x0, x_max = small_instance(seed)
         kt = build_kernel_table(params, model, LostSalesConvention.ARRIVAL, x_max=x_max)
         spec = ModelSpec.parse(("D/inf/F", "D/1/Z", "T/2/F")[seed % 3])
-        a = solve(spec, kt, x0, backend="numpy")
-        b = solve(spec, kt, x0, backend="loop")
+        a = solve(spec, kt, x0)
+        monkeypatch.setattr(_backends, "ev_clamped", _ev_clamped_loop)
+        monkeypatch.setattr(_backends, "suffix_min", _suffix_min_loop)
+        b = solve(spec, kt, x0)
         assert a.total_cost == pytest.approx(b.total_cost, rel=1e-12)
         assert np.array_equal(a.policy.action, b.policy.action)

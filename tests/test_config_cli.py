@@ -185,10 +185,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "125" in out and "constant" in out
 
-    def test_validation_error_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**TINY, "models": []}))
-        assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    @pytest.mark.parametrize("overrides", [
+        {"models": []},
+        {"models": 5},
+        {"costs": [1.0]},
+        {"costs": {**TINY["costs"], "c1": float("nan")}},
+        {"costs": {**TINY["costs"], "c4": float("inf")}},
+        {"setup_costs": [float("nan")]},
+        {"setup_costs": [0.0, float("nan")]},
+        {"x0": [1.7]},
+        {"x0": []},
+        {"x0": ["a"]},
+        {"x_max": "many"},
+        {"models": ["D/inf/Z"]},
+        {"convention": "foo"},
+    ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
+            "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
+            "model-label", "convention"])
+    def test_validation_error_exit_code(self, tmp_path, overrides):
+        # each is a config error: exit 2 before anything is solved or written
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(write_cfg(tmp_path, **overrides)),
+                     "--out", str(out)]) == 2
+        assert not (out / "values.csv").exists()
+
+    def test_stale_backend_variable_is_ignored(self, tmp_path, monkeypatch):
+        # numpy is the only numeric path, so a leftover selector variable changes nothing
+        import eolstop
+
+        monkeypatch.setenv("EOLSTOP_BACKEND", "numba")
+        assert eolstop.active_backend() == "numpy"
+        assert main(["solve", "--config", str(write_cfg(tmp_path)),
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_numerical_error_exit_code(self, tmp_path):
         # cap far below what the optimal order-up-to needs; no stopping escape

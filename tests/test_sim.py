@@ -16,9 +16,11 @@ from eolstop import (
     stopping_time_distribution,
     switch_cost,
 )
+from eolstop import _backends
 from eolstop.solver import CONTINUE, STOP, PolicyTable
 
 from conftest import base_params
+from scalar_kernels import _sim_period_loop
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -108,19 +110,12 @@ class TestDeterminism:
                             paths=500, seed=9)
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_backends_agree(self, base_kernels):
+    def test_backends_agree(self, base_kernels, monkeypatch):
         res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0)
         args = (res.policy, base_kernels.params, base_kernels.model, 0)
-        a = evaluate_policy(*args, paths=2_000, seed=13, backend="numpy")
-        b = evaluate_policy(*args, paths=2_000, seed=13, backend="loop")
-        assert a.mean == pytest.approx(b.mean, rel=1e-10)
-
-    def test_numba_backend_agrees(self, base_kernels):
-        pytest.importorskip("numba")
-        res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0)
-        args = (res.policy, base_kernels.params, base_kernels.model, 0)
-        a = evaluate_policy(*args, paths=2_000, seed=13, backend="numpy")
-        b = evaluate_policy(*args, paths=2_000, seed=13, backend="numba")
+        a = evaluate_policy(*args, paths=2_000, seed=13)
+        monkeypatch.setattr(_backends, "sim_period", _sim_period_loop)
+        b = evaluate_policy(*args, paths=2_000, seed=13)
         assert a.mean == pytest.approx(b.mean, rel=1e-10)
 
 
