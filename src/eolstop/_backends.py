@@ -1,7 +1,8 @@
 """Inner loops of the solver and the simulator, vectorised with numpy.
 
   * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)]
-  * suffix_min - suffix minimum with smallest-index argmin (order-up-to search)
+  * suffix_min - suffix minimum along the last axis with smallest-index argmin
+                 (order-up-to search)
   * sim_period - one period of the Monte Carlo sweep across all paths
 
 Callers reach these by module attribute (``_backends.ev_clamped``), so a test
@@ -29,15 +30,17 @@ def ev_clamped(V, pmf, tail):
 
 
 def suffix_min(W):
-    n = len(W)
-    rev = W[::-1]
-    run = np.minimum.accumulate(rev)
-    prev = np.concatenate(([np.inf], run[:-1]))
+    """Suffix minimum along the last axis and, on ties, the smallest index
+    attaining it."""
+    n = W.shape[-1]
+    rev = W[..., ::-1]
+    run = np.minimum.accumulate(rev, axis=-1)
+    prev = np.concatenate((np.full(W.shape[:-1] + (1,), np.inf), run[..., :-1]), axis=-1)
     upd = rev <= prev  # ties update, so the scan prefers smaller y
     pos = np.where(upd, np.arange(n), 0)
-    last = np.maximum.accumulate(pos)
+    last = np.maximum.accumulate(pos, axis=-1)
     args = (n - 1) - last
-    return run[::-1].copy(), args[::-1].copy()
+    return run[..., ::-1].copy(), args[..., ::-1].copy()
 
 
 def sim_period(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta):

@@ -6,8 +6,10 @@ and lower bounds on the best switching time, assumption validation, and the
 exact distribution of the optimal stopping time induced by a solved dynamic
 policy.
 
-The first difference Delta_x C(x, tau) is evaluated for a block of x at once
-on one quadrature grid; the order-up-to search walks x in blocks of
+C(x, tau), Delta_x C and Delta^2_x C are each written once, over a set of
+nodes whose ``integrate`` either sums Gauss-Legendre weights up to one tau or
+accumulates per-step sums along a whole tau grid (the curve).  Delta_x C
+takes a block of x at once; the order-up-to search walks x in blocks of
 ``_X_BLOCK`` and stops at the first block with a hit.
 
 The stopping-time law is one forward pass under the fixed policy: the law of
@@ -21,6 +23,7 @@ That is T*Z pushes per law, against one backward pass per target epoch.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +108,29 @@ def _check_tau(model: IntensityModel, tau: float):
         raise ValueError(f"tau must lie in [0, {model.horizon}], got {tau!r}")
 
 
-def _gl_nodes(model: IntensityModel, tau: float, order: int):
+def _model_at(params: CostParameters, model: IntensityModel, u):
+    """mu(u), the discount factor e^{-delta u} and the lost-sales cost c2(u)."""
+    return (model.mean_value(u), np.exp(-params.delta * u),
+            params.c2_bar + params.c3_bar * np.exp(-params.gamma * u))
+
+
+@dataclass(frozen=True, eq=False)
+class _Nodes:
+    """Points u in [0, tau], the model at them, and ``integrate``, which maps
+    integrand values at the points (last axis) to integrals up to tau."""
+
+    u: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    disc: np.ndarray
+    c2: np.ndarray
+    integrate: Callable[[np.ndarray], np.ndarray]
+
+
+def _gl_nodes(params: CostParameters, model: IntensityModel, tau: float, order: int) -> _Nodes:
     """Gauss-Legendre nodes/weights over [0, tau], composite per unit interval."""
     base_x, base_w = leggauss(order)
-    nodes, weights, lams = [], [], []
+    nodes, weights, lams = [np.empty(0)], [np.empty(0)], [np.empty(0)]
     lo = 0.0
     while lo < tau - 1e-15:
         hi = min(math.floor(lo) + 1.0, tau)
@@ -118,9 +140,10 @@ def _gl_nodes(model: IntensityModel, tau: float, order: int):
         weights.append(half * base_w)
         lams.append(np.full(order, model.rates[int(lo)]))
         lo = hi
-    if not nodes:
-        return np.empty(0), np.empty(0), np.empty(0)
-    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(lams)
+    w = np.concatenate(weights)
+    u = np.concatenate(nodes)
+    return _Nodes(u, np.concatenate(lams), *_model_at(params, model, u),
+                  lambda f: np.sum(w * f, axis=-1))
 
 
 def _expected_surplus(x: int, mu) -> np.ndarray:
@@ -131,38 +154,39 @@ def _expected_surplus(x: int, mu) -> np.ndarray:
     return x * poisson.cdf(x - 1, mu) - mu * poisson.cdf(x - 2, mu)
 
 
+def _cost(params: CostParameters, x: int, n: _Nodes):
+    """C(x, tau) - A: run without orders until tau, then scrap and outsource."""
+    return (params.c4 * x
+            + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * poisson.cdf(x - 1, n.mu))
+            + params.c2_bar * n.integrate(n.disc * n.lam)
+            + (params.c1 - params.delta * params.c4)
+            * n.integrate(n.disc * _expected_surplus(x, n.mu)))
+
+
+def _delta_x(params: CostParameters, x, n: _Nodes):
+    """Delta_x C(x, tau); ``x`` may be a column of inventory levels."""
+    return (params.c4
+            + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * poisson.pmf(x, n.mu))
+            + (params.c1 - params.delta * params.c4) * n.integrate(n.disc * poisson.cdf(x, n.mu)))
+
+
+def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _Nodes):
+    """Delta^2_x C(x, tau): the boundary term at tau plus an integral."""
+    j = x + 1  # the closed form indexes the Poisson terms one level up
+    mu_tau, disc_tau, c2_tau = _model_at(params, model, tau)
+    c2p = -params.gamma * params.c3_bar * np.exp(-params.gamma * n.u)
+    return (disc_tau * (c2_tau + params.c4) * poisson.pmf(j, mu_tau)
+            + n.integrate(n.disc * (params.c1 - c2p + params.delta * n.c2) * poisson.pmf(j, n.mu)))
+
+
 def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
                 order: int = _GL_ORDER) -> float:
     """Total discounted cost of operating without orders until the committed
     switch epoch tau, then scrapping and outsourcing the remainder."""
     _require_assumptions(params, model)
     _check_tau(model, tau)
-    u, w, lam = _gl_nodes(model, tau, order)
-    A = constant_A(params, model)
-    if len(u) == 0:
-        return params.c4 * x + A
-    mu = model.mean_value(u)
-    disc = np.exp(-params.delta * u)
-    c2u = params.c2_bar + params.c3_bar * np.exp(-params.gamma * u)
-    i1 = np.sum(w * disc * lam * (-params.c4 - c2u) * poisson.cdf(x - 1, mu))
-    i2 = params.c2_bar * np.sum(w * disc * lam)
-    i3 = np.sum(w * disc * _expected_surplus(x, mu))
-    return params.c4 * x + i1 + i2 + (params.c1 - params.delta * params.c4) * i3 + A
-
-
-def _delta_x_block(params: CostParameters, model: IntensityModel, xs: np.ndarray, nodes):
-    """Delta_x C(x, tau) for every x in ``xs`` on the quadrature grid ``nodes``
-    (``_gl_nodes`` over [0, tau])."""
-    u, w, lam = nodes
-    if len(u) == 0:
-        return np.full(len(xs), params.c4)
-    mu = model.mean_value(u)
-    disc = np.exp(-params.delta * u)
-    c2u = params.c2_bar + params.c3_bar * np.exp(-params.gamma * u)
-    x = xs[:, None]
-    i1 = np.sum(w * disc * lam * (-params.c4 - c2u) * poisson.pmf(x, mu), axis=1)
-    i2 = np.sum(w * disc * poisson.cdf(x, mu), axis=1)
-    return params.c4 + i1 + (params.c1 - params.delta * params.c4) * i2
+    return float(_cost(params, x, _gl_nodes(params, model, tau, order))
+                 + constant_A(params, model))
 
 
 def delta_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
@@ -170,8 +194,7 @@ def delta_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, t
     """First difference in inventory of the switch-cost curve, closed form."""
     _require_assumptions(params, model)
     _check_tau(model, tau)
-    nodes = _gl_nodes(model, tau, order)
-    return float(_delta_x_block(params, model, np.array([x]), nodes)[0])
+    return float(_delta_x(params, x, _gl_nodes(params, model, tau, order)))
 
 
 def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
@@ -183,20 +206,10 @@ def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, 
     """
     _require_assumptions(params, model)
     _check_tau(model, tau)
-    j = x + 1  # the closed form indexes the Poisson terms one level up
-    mu_tau = float(model.mean_value(tau))
-    c2_tau = params.c2_bar + params.c3_bar * math.exp(-params.gamma * tau)
-    out = math.exp(-params.delta * tau) * (c2_tau + params.c4) * poisson.pmf(j, mu_tau)
-    u, w, _ = _gl_nodes(model, tau, order)
-    if len(u):
-        mu = model.mean_value(u)
-        disc = np.exp(-params.delta * u)
-        c2u = params.c2_bar + params.c3_bar * np.exp(-params.gamma * u)
-        c2p = -params.gamma * params.c3_bar * np.exp(-params.gamma * u)
-        out += np.sum(w * disc * (params.c1 - c2p + params.delta * c2u) * poisson.pmf(j, mu))
+    out = _delta2_x(params, model, x, tau, _gl_nodes(params, model, tau, order))
     for loc, drop in c2_jumps:
         if loc <= tau:
-            out -= math.exp(-params.delta * loc) * drop * poisson.pmf(j, model.mean_value(loc))
+            out -= math.exp(-params.delta * loc) * drop * poisson.pmf(x + 1, model.mean_value(loc))
     return float(out)
 
 
@@ -223,34 +236,15 @@ def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
     u = (mid[:, None] + half * base_x[None, :]).ravel()
     w = np.tile(half * base_w, n)
     lam = model.rates[np.minimum(u.astype(int), T - 1)]
-    mu = model.mean_value(u)
-    disc = np.exp(-params.delta * u)
-    c2u = params.c2_bar + params.c3_bar * np.exp(-params.gamma * u)
-    c2p = -params.gamma * params.c3_bar * np.exp(-params.gamma * u)
-    A = constant_A(params, model)
 
     def cum(integrand):
         steps = (integrand * w).reshape(n, -1).sum(axis=1)
         return np.concatenate(([0.0], np.cumsum(steps)))
 
-    vals = (
-        params.c4 * x
-        + cum(disc * lam * (-params.c4 - c2u) * poisson.cdf(x - 1, mu))
-        + params.c2_bar * cum(disc * lam)
-        + (params.c1 - params.delta * params.c4) * cum(disc * _expected_surplus(x, mu))
-        + A
-    )
-    d1 = (
-        params.c4
-        + cum(disc * lam * (-params.c4 - c2u) * poisson.pmf(x, mu))
-        + (params.c1 - params.delta * params.c4) * cum(disc * poisson.cdf(x, mu))
-    )
-    mu_g = model.mean_value(grid)
-    c2_g = params.c2_bar + params.c3_bar * np.exp(-params.gamma * grid)
-    d2 = (
-        np.exp(-params.delta * grid) * (c2_g + params.c4) * poisson.pmf(x + 1, mu_g)
-        + cum(disc * (params.c1 - c2p + params.delta * c2u) * poisson.pmf(x + 1, mu))
-    )
+    nodes = _Nodes(u, lam, *_model_at(params, model, u), cum)
+    vals = _cost(params, x, nodes) + constant_A(params, model)
+    d1 = _delta_x(params, x, nodes)
+    d2 = _delta2_x(params, model, x, grid, nodes)
     return SwitchCostCurve(x=x, tau_grid=grid, values=vals, delta_x=d1, delta2_x=d2)
 
 
@@ -259,10 +253,10 @@ def order_up_to_of_tau(params: CostParameters, model: IntensityModel, tau: float
     """Smallest x with c_bar + Delta_x C(x, tau) >= 0 (the first-order condition)."""
     _require_assumptions(params, model)
     _check_tau(model, tau)
-    nodes = _gl_nodes(model, tau, _GL_ORDER)
+    nodes = _gl_nodes(params, model, tau, _GL_ORDER)
     for lo in range(0, x_cap + 1, _X_BLOCK):
         xs = np.arange(lo, min(lo + _X_BLOCK, x_cap + 1))
-        hits = np.flatnonzero(params.c_bar + _delta_x_block(params, model, xs, nodes) >= 0)
+        hits = np.flatnonzero(params.c_bar + _delta_x(params, xs[:, None], nodes) >= 0)
         if len(hits):
             return int(xs[hits[0]])
     raise NotFound(f"first-order condition unmet for every x <= {x_cap}")

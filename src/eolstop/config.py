@@ -140,6 +140,10 @@ class ExperimentConfig:
             LostSalesConvention.parse(self.convention)
             for label in self.models:
                 ModelSpec.parse(label)
+            if kind in NAMED_KINDS:
+                horizon = self.intensity["horizon"]
+                if int(horizon) != float(horizon):
+                    raise ValueError(f"intensity.horizon must be an integer, got {horizon!r}")
             self.build_model()
             self.build_params(self.setup_costs[0])
         except ConfigError:

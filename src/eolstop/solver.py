@@ -14,12 +14,12 @@ raw kernels (stopping cost with its integral tail) to verify the
 reformulation identity V = V_tilde + A.
 
 After the reformulation the setup cost K enters only the order search, so
-one backward pass serves several K.  Each epoch computes every distinct
-value column once: a budget layer that has had no admissible order since
-the seed holds the same no-order chain as every other such layer, for every
-K.  A ``.../Z`` model is therefore one no-order chain down to t=1 plus one
-order search per K at t=0; a layer leaves the chain at its first admissible
-order (epoch T-1 for ``.../F``) and is carried per K from there.
+one backward pass serves several K, and the switch epochs k* a STATIC model
+may commit to ride along as one more batch axis.  The pass carries one value
+array of shape (k*, K, layer, x) and takes one Bellman step on all of it per
+epoch; rows with k* <= t hold the forced stop.  The K and layer axes keep
+size 1 until some layer may order (epoch T-1 for ``.../F``, 0 for
+``.../Z``), so the no-order chain they all share is computed once.
 """
 
 from __future__ import annotations
@@ -133,98 +133,86 @@ class SolveResult:
         return self.value_grid.V[0, :, self.policy.z0] + self.value_grid.A
 
 
-def _order_admissible(spec: ModelSpec, t: int, z: int) -> bool:
-    if spec.order_budget is not None and z == 0:
-        return False
-    if spec.first_order is FirstOrder.ZERO_ONLY and t > 0:
-        return False
-    return True
-
-
 def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
-                   stop_tail: np.ndarray, setup_costs, *, stops: bool, start_epoch: int,
+                   stop_tail: np.ndarray, setup_costs, switch_epochs, *, stops: bool,
                    grids: bool):
-    """Run the recursion from ``start_epoch`` down to 0 for every setup cost.
+    """Run the recursion down to 0 for every switch epoch and setup cost at once.
 
-    The pass is seeded with a forced stop at ``start_epoch``; ``stops`` says
-    whether stopping is admissible before it.  Returns V(0) as
-    (len(setup_costs), X+1, Z) and, with ``grids`` (one setup cost only), the
-    (V, G, J_order, action, target) grids over every epoch; without, no
-    policy is filled.  Either way a chosen order-up-to level at x_max raises
-    CapSaturated.
+    Row i is forced to stop at epoch ``switch_epochs[i]`` (ascending) and at
+    every later one; ``stops`` says whether stopping is admissible before it.
+    Returns V(0) as (len(switch_epochs), len(setup_costs), Z, X+1) and, with
+    ``grids`` (one epoch, one setup cost), the (V, G, J_order, action, target)
+    grids over every epoch; without, no policy is filled.  Either way a chosen
+    order-up-to level at x_max raises CapSaturated.
     """
     p = kernels.params
     T, X, Z = kernels.horizon, kernels.x_max, spec.layers
     y = np.arange(X + 1, dtype=np.float64)
     scrap, cy = p.c4 * y, p.c_bar * y
     disc = np.exp(-p.delta)
-    if grids:
-        V = np.empty((T + 1, X + 1, Z))
-        V[start_epoch:] = (scrap + stop_tail[start_epoch:, None])[:, :, None]
-        G_all = np.full((T, X + 1, Z), np.nan)
-        J_all = np.full((T, X + 1, Z), np.inf)
-        action = np.full((T + 1, X + 1, Z), STOP, dtype=np.int8)
-        target = np.full((T + 1, X + 1, Z), -1, dtype=np.int32)
+    Ks = np.asarray(setup_costs, dtype=np.float64)[:, None, None]
+    epochs = np.asarray(switch_epochs)
+    full = (len(epochs), len(Ks), Z, X + 1)
+    # an order at layer z >= lo continues at layer z - lo (lo = 0: unlimited)
+    lo = 0 if spec.order_budget is None else 1
+    # W[i, k, z] is the value column at t+1; the K and layer axes stay of size
+    # 1 until some layer may order, so the no-order chain is expected once
+    W = np.broadcast_to(scrap + stop_tail[epochs[-1]], (len(epochs), 1, 1, X + 1))
+    if grids:  # filled as (t, z, x), returned as (t, x, z) views
+        V = np.empty((T + 1, Z, X + 1))
+        V[epochs[0]:] = (scrap + stop_tail[epochs[0]:, None])[:, None, :]
+        G_all = np.full((T, Z, X + 1), np.nan)
+        J_all = np.full((T, Z, X + 1), np.inf)
+        action = np.full((T + 1, Z, X + 1), STOP, dtype=np.int8)
+        target = np.full((T + 1, Z, X + 1), -1, dtype=np.int32)
 
-    cols = [scrap + stop_tail[start_epoch]]  # the distinct value columns at t+1
-    ids = np.zeros((len(setup_costs), Z), dtype=np.intp)  # (K, layer) -> column
-    for t in range(start_epoch - 1, -1, -1):
+    first_live = np.searchsorted(epochs, np.arange(T), side="right")  # first row with k* > t
+    for t in range(epochs[-1] - 1, -1, -1):
+        live = first_live[t]
         pmf, tail = kernels.pmfs[t], kernels.pmf_tails[t]
-        G = [cost[t] + disc * _backends.ev_clamped(v, pmf, tail) for v in cols]
+        ev = [_backends.ev_clamped(v, pmf, tail) for v in W[live:].reshape(-1, X + 1)]
+        G = (cost[t] + disc * np.array(ev)).reshape(W[live:].shape)
+        orders = t == 0 or spec.first_order is FirstOrder.FREE
+        if orders:  # from here on each (K, layer) column is its own
+            mins, args = _backends.suffix_min(cy + G[:, :, :Z - lo])
+            J = np.full((len(G),) + full[1:], np.inf)  # layers below lo have no order left
+            J[:, :, lo:, :-1] = Ks + mins[..., 1:] - cy[:-1]
+            ordering = J < G  # strict: order only when it beats doing nothing
+            val = np.where(ordering, J, G)
+        else:
+            val, ordering = G, np.zeros(G.shape, dtype=bool)
         stop_vec = scrap + stop_tail[t]
-        cols, owner, carried = [], [], {}
-        new_ids = np.empty_like(ids)
-        for (k, z), c in np.ndenumerate(ids):
-            admissible = _order_admissible(spec, t, z)
-            if not admissible and c in carried:  # no order, same column as a done layer
-                new_ids[k, z] = carried[c]
-                if grids:
-                    for grid in (V, G_all, J_all, action, target):
-                        grid[t, :, z] = grid[t, :, owner[carried[c]]]
-                continue
-            val, ordering = G[c], np.zeros(X + 1, dtype=bool)
-            if admissible:
-                src = ids[k, z if spec.order_budget is None else z - 1]
-                mins, args = _backends.suffix_min(cy + G[src])
-                J = np.full(X + 1, np.inf)
-                J[:-1] = setup_costs[k] + mins[1:] - cy[:-1]
-                ordering = J < val  # strict: order only when it beats doing nothing
-                val = np.where(ordering, J, val)
-            else:
-                carried[c] = len(cols)
-            stopping = stop_vec <= val if stops else np.zeros(X + 1, dtype=bool)  # ties stop
+        if stops:
+            stopping = stop_vec <= val  # ties stop
             val = np.where(stopping, stop_vec, val)
             ordering &= ~stopping
-            if admissible and np.any(args[1:][ordering[:-1]] >= X):
-                raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
-            new_ids[k, z] = len(cols)
-            cols.append(val)
-            owner.append(z)
-            if grids:
-                V[t, :, z], G_all[t, :, z] = val, G[c]
-                action[t, :, z] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
-                if admissible:
-                    J_all[t, :, z] = J
-                    target[t, :-1, z] = np.where(ordering[:-1], args[1:], -1)
-        ids = new_ids
+        else:
+            stopping = np.zeros(val.shape, dtype=bool)
+        if orders and np.any(ordering[:, :, lo:, :-1] & (args[..., 1:] >= X)):
+            raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
+        W = val
+        if live:  # rows with k* <= t hold the forced stop
+            W = np.concatenate((np.broadcast_to(stop_vec, (live,) + val.shape[1:]), val))
+        if grids:  # one row and one setup cost
+            V[t], G_all[t] = val[0, 0], G[0, 0]
+            action[t] = np.select([stopping[0, 0], ordering[0, 0]], [STOP, ORDER], CONTINUE)
+            if orders:
+                J_all[t] = J[0, 0]
+                target[t, lo:, :-1] = np.where(ordering[0, 0, lo:, :-1], args[0, 0, :, 1:], -1)
 
-    V0 = np.array([[cols[c] for c in row] for row in ids]).transpose(0, 2, 1)
-    return V0, ((V, G_all, J_all, action, target) if grids else None)
+    V0 = np.broadcast_to(W, full)
+    if not grids:
+        return V0, None
+    return V0, tuple(g.transpose(0, 2, 1) for g in (V, G_all, J_all, action, target))
 
 
 def _static_sweep(spec, kernels, setup_costs, *, cost, stop_tail):
     """Per setup cost (rows) and starting inventory: the value of the best
     committed switch epoch and that epoch (the earliest on ties)."""
-    best = np.full((len(setup_costs), kernels.x_max + 1), np.inf)
-    best_k = np.zeros(best.shape, dtype=np.int64)
-    for k_star in range(kernels.horizon + 1):
-        V0, _ = _backward_pass(spec, kernels, cost, stop_tail, setup_costs, stops=False,
-                               start_epoch=k_star, grids=False)
-        v = V0[:, :, spec.layers - 1]
-        better = v < best
-        best[better] = v[better]
-        best_k[better] = k_star
-    return best, best_k
+    V0, _ = _backward_pass(spec, kernels, cost, stop_tail, setup_costs,
+                           range(kernels.horizon + 1), stops=False, grids=False)
+    v = V0[:, :, spec.layers - 1]
+    return v.min(axis=0), v.argmin(axis=0)
 
 
 def _solve_with(spec, kernels, x0, *, stop_tail, add_A, cost=None):
@@ -238,8 +226,8 @@ def _solve_with(spec, kernels, x0, *, stop_tail, add_A, cost=None):
         best, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail)
         switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
     _, (V, G, J, action, target) = _backward_pass(
-        spec, kernels, cost, stop_tail, Ks, stops=spec.stop_mode is StopMode.DYNAMIC,
-        start_epoch=T if switch_epoch is None else switch_epoch, grids=True,
+        spec, kernels, cost, stop_tail, Ks, [T if switch_epoch is None else switch_epoch],
+        stops=spec.stop_mode is StopMode.DYNAMIC, grids=True,
     )
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
@@ -288,11 +276,9 @@ def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs) -> np.ndarr
     if spec.stop_mode is StopMode.STATIC:
         best, _ = _static_sweep(spec, kernels, Ks, cost=kernels.C_tilde, stop_tail=zero_tail)
         return best + kernels.A
-    V0, _ = _backward_pass(
-        spec, kernels, kernels.C_tilde, zero_tail, Ks,
-        stops=spec.stop_mode is StopMode.DYNAMIC, start_epoch=kernels.horizon, grids=False,
-    )
-    return V0[:, :, spec.layers - 1] + kernels.A
+    V0, _ = _backward_pass(spec, kernels, kernels.C_tilde, zero_tail, Ks, [kernels.horizon],
+                           stops=spec.stop_mode is StopMode.DYNAMIC, grids=False)
+    return V0[0, :, spec.layers - 1] + kernels.A
 
 
 def extract_regions(policy: PolicyTable, t: int, z: int | None = None):

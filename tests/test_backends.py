@@ -7,6 +7,13 @@ from conftest import small_instance
 from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
 
 
+def _suffix_min_rows(W):
+    """``_suffix_min_loop`` on every row of W (the last axis)."""
+    rows = [_suffix_min_loop(w) for w in W.reshape(-1, W.shape[-1])]
+    return (np.array([v for v, _ in rows]).reshape(W.shape),
+            np.array([a for _, a in rows]).reshape(W.shape))
+
+
 class TestScalarKernelsAgree:
     def test_ev_clamped(self, base_kernels):
         rng = np.random.default_rng(0)
@@ -23,15 +30,20 @@ class TestScalarKernelsAgree:
         va, ia = _backends.suffix_min(W)
         vb, ib = _suffix_min_loop(W)
         assert np.array_equal(va, vb) and np.array_equal(ia, ib)
+        W2 = rng.integers(0, 5, size=(6, 50)).astype(float)  # a batch, scanned row by row
+        va, ia = _backends.suffix_min(W2)
+        for w, v, i in zip(W2, va, ia):
+            vb, ib = _suffix_min_loop(w)
+            assert np.array_equal(v, vb) and np.array_equal(i, ib)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dp_solve(self, seed, monkeypatch):
         params, model, x0, x_max = small_instance(seed)
         kt = build_kernel_table(params, model, LostSalesConvention.ARRIVAL, x_max=x_max)
-        spec = ModelSpec.parse(("D/inf/F", "D/1/Z", "T/2/F")[seed % 3])
+        spec = ModelSpec.parse(("D/inf/F", "D/1/Z", "T/2/F", "S/2/F")[seed % 4])
         a = solve(spec, kt, x0)
         monkeypatch.setattr(_backends, "ev_clamped", _ev_clamped_loop)
-        monkeypatch.setattr(_backends, "suffix_min", _suffix_min_loop)
+        monkeypatch.setattr(_backends, "suffix_min", _suffix_min_rows)
         b = solve(spec, kt, x0)
         assert a.total_cost == pytest.approx(b.total_cost, rel=1e-12)
         assert np.array_equal(a.policy.action, b.policy.action)

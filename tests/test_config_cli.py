@@ -199,9 +199,10 @@ class TestCli:
         {"x_max": "many"},
         {"models": ["D/inf/Z"]},
         {"convention": "foo"},
+        {"intensity": {**TINY["intensity"], "horizon": 10.5}},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
-            "model-label", "convention"])
+            "model-label", "convention", "horizon-10.5"])
     def test_validation_error_exit_code(self, tmp_path, overrides):
         # each is a config error: exit 2 before anything is solved or written
         out = tmp_path / "x"

@@ -23,7 +23,8 @@ from eolstop import (
     static_switch_values,
 )
 from eolstop import _backends
-from eolstop.solver import CONTINUE, ORDER, STOP, FirstOrder, StopMode
+from eolstop.solver import (CONTINUE, ORDER, STOP, FirstOrder, StopMode, _backward_pass,
+                            _static_sweep)
 
 from conftest import base_params, small_instance
 
@@ -333,6 +334,33 @@ class TestStaticModels:
         vals, ks = static_switch_values(ModelSpec.parse("S/1/Z"), base_kernels)
         assert res.total_cost == pytest.approx(vals[100], rel=1e-12)
         assert ks[100] == res.policy.switch_epoch
+
+    @pytest.mark.parametrize("label", ["S/1/Z", "S/2/F", "S/inf/F"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, "tied"])
+    def test_switch_epoch_batch_equals_single_epoch_passes(self, label, seed):
+        # one pass over every switch epoch gives what one pass per epoch
+        # gives, the earliest epoch winning ties, in both cost forms
+        if seed == "tied":  # demand-free periods: at x=0 several epochs cost the same
+            model = IntensityModel(horizon=5, rates=np.array([0.0, 2.0, 0.0, 0.0, 1.0]))
+            params, x_max = base_params(K=50.0, T=5), 12
+        else:
+            params, model, _, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        spec, T = ModelSpec.parse(label), kt.horizon
+        for cost, tail in ((kt.C_tilde, np.zeros(T + 1)), (kt.C, kt.stop_tail)):
+            best = np.full(x_max + 1, np.inf)
+            best_k = np.zeros(x_max + 1, dtype=np.int64)
+            for k in range(T + 1):
+                V0, _ = _backward_pass(spec, kt, cost, tail, [params.K], [k], stops=False,
+                                       grids=False)
+                v = V0[0, 0, spec.layers - 1]
+                better = v < best
+                best[better], best_k[better] = v[better], k
+            got, got_k = _static_sweep(spec, kt, [params.K], cost=cost, stop_tail=tail)
+            assert np.array_equal(got[0], best) and np.array_equal(got_k[0], best_k)
+            if cost is kt.C_tilde:
+                vals, epochs = static_switch_values(spec, kt)
+                assert np.array_equal(vals, best + kt.A) and np.array_equal(epochs, best_k)
 
     def test_static_between_dynamic_and_never(self, base_kernels):
         d = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0).total_cost
