@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import poisson
 
+from . import _poisson as poisson
 from .costs import CostParameters
 from .demand import IntensityModel
 from .errors import AssumptionViolated, NotFound, PolicyIncompatible

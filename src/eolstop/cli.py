@@ -27,6 +27,9 @@ from .errors import (
     NotFound,
 )
 from .solver import (
+    CONTINUE,
+    ORDER,
+    STOP,
     ModelSpec,
     StopMode,
     extract_regions,
@@ -238,16 +241,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _write_regions_csv(path: Path, policy):
+    """One row per (t, x) at the starting budget layer, in the bytes
+    ``csv.writer`` would write; each epoch's block is built as one string."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = {0: "continue", 1: "stop", 2: "order"}
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "action", "order_up_to"])
-        for t in range(policy.horizon + 1):
-            act = policy.action[t, :, policy.z0]
-            tgt = policy.target[t, :, policy.z0]
-            for x in range(policy.x_max + 1):
-                w.writerow([t, x, names[int(act[x])], int(tgt[x]) if act[x] == 2 else ""])
+    names = {CONTINUE: "continue", STOP: "stop", ORDER: "order"}
+    xs = range(policy.x_max + 1)
+    blocks = ["t,x,action,order_up_to\r\n"]
+    for t in range(policy.horizon + 1):
+        act = policy.action[t, :, policy.z0].tolist()
+        tgt = policy.target[t, :, policy.z0].tolist()
+        blocks.append("".join(f"{t},{x},{names[a]},{g if a == ORDER else ''}\r\n"
+                              for x, a, g in zip(xs, act, tgt)))
+    path.write_text("".join(blocks), newline="")
 
 
 def _cmd_regions(args) -> int:

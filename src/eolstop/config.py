@@ -20,6 +20,10 @@ from .kernels import KernelTable, build_kernel_table
 from .solver import ModelSpec
 
 SCHEMA_VERSION = 1
+# cap on (T+1)(x_max+1)Z, the cells of one value grid; the largest paper
+# setting (T=100, x_max=1200, Z=4) has under 0.5 M, and each cell costs some
+# tens of bytes across the solver's arrays
+MAX_GRID_CELLS = 10_000_000
 
 _TOP_KEYS = {
     "schema_version", "intensity", "costs", "setup_costs", "x0", "models",
@@ -83,6 +87,11 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        intensity = raw.get("intensity") if isinstance(raw, dict) else None
+        if isinstance(intensity, dict) and isinstance(intensity.get("rates_file"), str):
+            # a relative rates file lives next to the config, wherever the run starts
+            rates_file = str(Path(path).parent / intensity["rates_file"])
+            raw = {**raw, "intensity": {**intensity, "rates_file": rates_file}}
         return cls.from_dict(raw)
 
     @classmethod
@@ -144,7 +153,12 @@ class ExperimentConfig:
                 horizon = self.intensity["horizon"]
                 if int(horizon) != float(horizon):
                     raise ValueError(f"intensity.horizon must be an integer, got {horizon!r}")
-            self.build_model()
+            cells = ((self.build_model().horizon + 1) * (self.x_max + 1)
+                     * max(ModelSpec.parse(label).layers for label in self.models))
+            if cells > MAX_GRID_CELLS:
+                raise ConfigError(
+                    f"(T+1)(x_max+1)Z = {cells} value-grid cells exceeds the limit of "
+                    f"{MAX_GRID_CELLS}; lower x_max or the order budget")
             self.build_params(self.setup_costs[0])
         except ConfigError:
             raise

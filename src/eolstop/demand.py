@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import poisson
 
+from . import _poisson as poisson
 from .errors import NonNormalizable, OutOfHorizon
 
 NAMED_KINDS = ("convex", "concave", "linear", "constant")
@@ -124,10 +124,14 @@ def _scaled_coeff(kind: str, horizon: int) -> float:
     return table[ref] * ref / horizon
 
 
-def load_rates_table(source: str | Path) -> IntensityModel:
-    """Read a custom intensity: one non-negative decimal per line, line t
-    giving the rate on [t, t+1)."""
-    text = Path(source).read_text() if not str(source).count("\n") else str(source)
+def load_rates_table(path: str | Path) -> IntensityModel:
+    """Read a custom intensity from a rates file (see ``parse_rates_table``)."""
+    return parse_rates_table(Path(path).read_text())
+
+
+def parse_rates_table(text: str) -> IntensityModel:
+    """Parse a custom intensity: one non-negative decimal per line, line t
+    giving the rate on [t, t+1); blank lines are skipped."""
     rates = [float(line) for line in text.splitlines() if line.strip()]
     if not rates:
         raise ValueError("empty rates table")

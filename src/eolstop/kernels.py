@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc
-from scipy.stats import poisson
 
+from . import _poisson as poisson
 from .costs import CostParameters, LostSalesConvention
 from .demand import IntensityModel
 from .errors import OutOfGrid

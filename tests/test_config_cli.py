@@ -80,6 +80,35 @@ class TestConfigValidation:
         assert cfg.setup_costs == (0.0, 1000.0, 5000.0)
 
 
+def _regions_csv_oracle(path, policy):
+    """The former row-by-row ``csv.writer`` loop, kept as the byte oracle."""
+    names = {0: "continue", 1: "stop", 2: "order"}
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x", "action", "order_up_to"])
+        for t in range(policy.horizon + 1):
+            act = policy.action[t, :, policy.z0]
+            tgt = policy.target[t, :, policy.z0]
+            for x in range(policy.x_max + 1):
+                w.writerow([t, x, names[int(act[x])], int(tgt[x]) if act[x] == 2 else ""])
+
+
+@pytest.mark.parametrize("seed,label", [(3, "D/inf/F"), (7, "D/2/F")])
+def test_regions_writer_matches_csv_writer(tmp_path, seed, label):
+    from conftest import small_instance
+
+    from eolstop import LostSalesConvention, ModelSpec, build_kernel_table, solve
+    from eolstop.cli import _write_regions_csv
+
+    params, model, x0, x_max = small_instance(seed)
+    kt = build_kernel_table(params, model, LostSalesConvention.ARRIVAL, x_max=x_max)
+    policy = solve(ModelSpec.parse(label), kt, x0).policy
+    assert (policy.action[:, :, policy.z0] == 2).any()  # some rows carry a target
+    _regions_csv_oracle(tmp_path / "want.csv", policy)
+    _write_regions_csv(tmp_path / "got.csv", policy)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestCli:
     def test_compare_writes_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -200,15 +229,40 @@ class TestCli:
         {"models": ["D/inf/Z"]},
         {"convention": "foo"},
         {"intensity": {**TINY["intensity"], "horizon": 10.5}},
+        {"x_max": 10**9},
+        {"models": ["D/100000000/F"]},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
-            "model-label", "convention", "horizon-10.5"])
-    def test_validation_error_exit_code(self, tmp_path, overrides):
-        # each is a config error: exit 2 before anything is solved or written
+            "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge"])
+    def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
+        # each is a config error: exit 2 before anything is solved or written,
+        # so no kernel table (the first large allocation) is ever built
+        import eolstop.config
+
+        def no_build(*a, **kw):
+            raise AssertionError("a kernel table was built for an invalid config")
+
+        monkeypatch.setattr(eolstop.config, "build_kernel_table", no_build)
         out = tmp_path / "x"
         assert main(["solve", "--config", str(write_cfg(tmp_path, **overrides)),
                      "--out", str(out)]) == 2
         assert not (out / "values.csv").exists()
+
+    def test_custom_intensity_from_another_directory(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        (cfg_dir / "rates.txt").write_text("3.0\n2.0\n2.0\n1.0\n")
+        cfg = write_cfg(cfg_dir, intensity={"kind": "custom", "rates_file": "rates.txt"},
+                        x0=[0, 2], x_max=40)
+        runs = {}
+        for cwd in (cfg_dir, tmp_path):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"out_{cwd.name}"
+            # --xmax sends the config through the CLI's override round trip too
+            assert main(["solve", "--config", str(cfg.relative_to(cwd)),
+                         "--out", str(out), "--xmax", "45"]) == 0
+            runs[cwd] = (out / "values.csv").read_bytes()
+        assert runs[cfg_dir] == runs[tmp_path]
 
     def test_stale_backend_variable_is_ignored(self, tmp_path, monkeypatch):
         # numpy is the only numeric path, so a leftover selector variable changes nothing

@@ -13,6 +13,7 @@ from eolstop import (
     load_rates_table,
     sample_path,
 )
+from eolstop.demand import parse_rates_table
 
 
 class TestNamedBuilders:
@@ -151,3 +152,14 @@ def test_load_rates_table(tmp_path):
     assert m.horizon == 3
     assert np.allclose(m.rates, [1.5, 0.0, 2.25])
     assert m.kind == "custom"
+
+
+def test_parse_rates_table_takes_text_only(tmp_path):
+    m = parse_rates_table("1.5\n\n0\n2.25")
+    assert np.allclose(m.rates, [1.5, 0.0, 2.25])
+    f = tmp_path / "one.txt"
+    f.write_text("4.0\n")
+    with pytest.raises(ValueError):
+        parse_rates_table(str(f))  # a path is text, not a file to open
+    with pytest.raises(ValueError, match="empty"):
+        parse_rates_table("\n  \n")
