@@ -1,6 +1,7 @@
 """Inner loops of the solver and the simulator, vectorised with numpy.
 
   * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)]
+  * push_clamped - its transpose, the law of (y - D)^+ for y drawn from q
   * suffix_min - suffix minimum along the last axis with smallest-index argmin
                  (order-up-to search)
   * sim_period - one period of the Monte Carlo sweep across all paths
@@ -19,14 +20,27 @@ def active_backend() -> str:
     return "numpy"
 
 
+def _clamped_tail(pmf, tail, n):
+    """tail[min(y, s)] for y = 0..n-1, s the pmf support: the chance that
+    demand reaches past y, truncated residual included, so stock hits 0."""
+    return tail[np.minimum(np.arange(n), len(pmf) - 1)]
+
+
 def ev_clamped(V, pmf, tail):
     # tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and truncated residual
     # mass) lands on inventory 0.
     n = len(V)
-    s = len(pmf) - 1
-    ev = np.convolve(V, pmf)[:n]
-    idx = np.minimum(np.arange(n), s)
-    return ev + V[0] * tail[idx]
+    return np.convolve(V, pmf)[:n] + V[0] * _clamped_tail(pmf, tail, n)
+
+
+def push_clamped(q, pmf, tail):
+    """Law of (y - D)^+ for y ~ q, the transpose of ``ev_clamped``: mass at y
+    moves to y - d with pmf[d], and demand beyond y (with the truncated
+    residual) lands on 0."""
+    n, s = len(q), len(pmf) - 1
+    out = np.correlate(q, pmf, "full")[s:s + n]
+    out[0] += np.dot(q, _clamped_tail(pmf, tail, n))
+    return out
 
 
 def suffix_min(W):

@@ -16,7 +16,7 @@ The stopping-time law is one forward pass under the fixed policy: the law of
 (x, z) starts at (x0, z0); at each epoch the mass on stopping states is
 P{tau* = t} and leaves, ordering states hand their mass to the order-up-to
 level one budget layer down, and the post-decision law is pushed through the
-period's demand, (y - D)^+, by the transpose of ``_backends.ev_clamped``.
+period's demand, (y - D)^+, by ``_backends.push_clamped``.
 That is T*Z pushes per law, against one backward pass per target epoch.
 """
 
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import _backends
 from . import _poisson as poisson
 from .costs import CostParameters
 from .demand import IntensityModel
@@ -319,16 +320,6 @@ class StoppingTimeDistribution:
         return float(np.dot(np.arange(len(self.mass)), self.mass))
 
 
-def _push_demand(q: np.ndarray, pmf: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Law of (y - D)^+ for y ~ q, the transpose of ``_backends.ev_clamped``:
-    mass at y moves to y - d with pmf[d], and demand beyond y (with the
-    truncated residual) lands on 0."""
-    n, s = len(q), len(pmf) - 1
-    out = np.correlate(q, pmf, "full")[s:s + n]
-    out[0] += np.dot(q, tail[np.minimum(np.arange(n), s)])
-    return out
-
-
 def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
                                x0: int) -> StoppingTimeDistribution:
     """Exact stopping-time law by one forward pass of the state law.
@@ -359,5 +350,5 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
         moved = q[xs, zs]
         q[xs, zs] = 0.0
         np.add.at(q, (policy.target[t, xs, zs], src[zs]), moved)
-        q = np.stack([_push_demand(q[:, z], pmfs[t], tails[t]) for z in range(Z)], axis=1)
+        q = np.stack([_backends.push_clamped(q[:, z], pmfs[t], tails[t]) for z in range(Z)], 1)
     return StoppingTimeDistribution(mass=mass, x0=x0)

@@ -3,6 +3,11 @@
 Reports are CSV (one table per file, rows = setup cost K, columns = initial
 inventory) plus a ``manifest.json`` carrying the config hash, git revision
 and timings so runs can be diffed and reproduced.
+
+``main`` does what every config-reading command shares: it loads the config
+with the flag overrides, times the command and writes the manifest.  Each
+``_cmd_*`` handler takes ``(args, cfg, out_dir, timings)``, writes its
+tables and returns the extra manifest keys, if any.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, settings, sim
-from .config import ExperimentConfig, kernels_with_K
+from .config import ExperimentConfig, check_grid, kernels_with_K
+from .costs import LostSalesConvention
 from .errors import (
     AssumptionViolated,
     CapSaturated,
@@ -26,6 +32,7 @@ from .errors import (
     EolstopError,
     NotFound,
 )
+from .kernels import build_kernel_table
 from .solver import (
     CONTINUE,
     ORDER,
@@ -37,8 +44,9 @@ from .solver import (
     solve_values,
 )
 
-_VALIDATION_ERRORS = (ConfigError,)
 _NUMERICAL_ERRORS = (CapSaturated, NotFound, AssumptionViolated)
+# command-line flag -> the config key it overrides
+_OVERRIDES = {"convention": "convention", "xmax": "x_max", "seed": "seed", "paths": "paths"}
 
 
 # ---------------------------------------------------------------------------
@@ -56,188 +64,66 @@ def _git_revision() -> str:
         return "unknown"
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig | None,
-                    timings: dict, extra: dict | None = None):
+def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, timings: dict,
+                    extra: dict | None):
     manifest = {
         "command": command,
         "package_version": __version__,
         "git_revision": _git_revision(),
-        "config_digest": cfg.digest() if cfg else None,
-        "config": cfg.to_dict() if cfg else None,
+        "config_digest": cfg.digest(),
+        "config": cfg.to_dict(),
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _write_grid_csv(path: Path, row_label: str, rows, col_labels, cells):
+def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([row_label] + [str(c) for c in col_labels])
-        for r, row in zip(rows, cells):
-            w.writerow([r] + [f"{v:.6f}" for v in row])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _load_config(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("--config is required for this command")
     cfg = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    if getattr(args, "convention", None):
-        overrides["convention"] = args.convention
-    if getattr(args, "xmax", None):
-        overrides["x_max"] = args.xmax
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "paths", None):
-        overrides["paths"] = args.paths
-    if overrides:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
-    return cfg
+    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+                 if getattr(args, flag) is not None}
+    return ExperimentConfig.from_dict({**cfg.to_dict(), **overrides}) if overrides else cfg
 
 
-def _solve_grid(cfg: ExperimentConfig, labels, kernels) -> dict:
-    """total cost V(0, x0) + A per (model label, K, x0); one call per label
-    covers every K."""
-    out = {}
-    for label in labels:
-        vals = solve_values(ModelSpec.parse(label), kernels, cfg.setup_costs)
-        for K, row in zip(cfg.setup_costs, vals):
-            for x0 in cfg.x0:
-                out[(label, K, x0)] = float(row[x0])
-    return out
+def _tag(label: str) -> str:
+    return label.replace("/", "")
 
 
-def _solve_each(cfg: ExperimentConfig, labels):
-    """Solve each model label at each setup cost, at the first x0; yields
-    (label, spec, K, kernels, result, file tag).  ``labels`` is read lazily."""
+def _pair_csv(args) -> str:
+    """Report name of a two-model command: ``<command>_<a>_vs_<b>.csv``."""
+    return f"{args.command}_{_tag(args.model_a)}_vs_{_tag(args.model_b)}.csv"
+
+
+def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str) -> np.ndarray:
+    """% increase of model a's total cost V(0, x0) + A over model b's, per
+    (K, x0); one backward pass per label covers every K."""
+    va, vb = (solve_values(ModelSpec.parse(m), kernels, cfg.setup_costs)[:, list(cfg.x0)]
+              for m in (a, b))
+    if not vb.all():
+        raise ConfigError(f"{b} costs 0 at some (K, x0), so a % increase over it is undefined")
+    return 100.0 * (va - vb) / vb
+
+
+def _solve_each(cfg: ExperimentConfig, labels, x0s):
+    """Solve each model label at each setup cost and each start in ``x0s``;
+    yields (label, K, x0, kernels, result, file tag).  ``labels`` is read
+    lazily."""
     base = cfg.build_kernels()
     for label in labels:
         spec = ModelSpec.parse(label)
         for K in cfg.setup_costs:
             kt = kernels_with_K(base, K)
-            res = solve(spec, kt, cfg.x0[0])
-            yield label, spec, K, kt, res, f"{label.replace('/', '')}_K{K:g}"
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def _cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    out_dir = Path(args.out)
-    t0 = time.perf_counter()
-    values = {}
-    for label, spec, K, kt, res, tag in _solve_each(cfg, cfg.models):
-        # x0 enters only the choice of a STATIC switch epoch; each x0 takes its own best
-        row = res.values_at_zero if res.switch_values is None else res.switch_values
-        values.update({(label, K, x0): float(row[x0]) for x0 in cfg.x0})
-        _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
-        if spec.stop_mode is StopMode.DYNAMIC:
-            for x0 in cfg.x0:
-                dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
-                _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
-    t_solve = time.perf_counter() - t0
-    rows = []
-    for (label, K, x0), v in sorted(values.items()):
-        rows.append({"model": label, "K": K, "x0": x0, "total_cost": v})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "values.csv").open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["model", "K", "x0", "total_cost"])
-        w.writeheader()
-        for r in rows:
-            w.writerow(r)
-    _write_manifest(out_dir, "solve", cfg,
-                    {"solve_grid": t_solve, "total": time.perf_counter() - t0})
-    print(f"wrote {out_dir}/values.csv ({len(rows)} rows)")
-    return 0
-
-
-def _pct_grid(values: dict, a: str, b: str, cfg: ExperimentConfig):
-    cells = []
-    for K in cfg.setup_costs:
-        row = []
-        for x0 in cfg.x0:
-            va, vb = values[(a, K, x0)], values[(b, K, x0)]
-            row.append(100.0 * (va - vb) / vb)
-        cells.append(row)
-    return cells
-
-
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    values = _solve_grid(cfg, (args.model_a, args.model_b), cfg.build_kernels())
-    cells = _pct_grid(values, args.model_a, args.model_b, cfg)
-    out_dir = Path(args.out)
-    name = f"compare_{args.model_a.replace('/', '')}_vs_{args.model_b.replace('/', '')}.csv"
-    _write_grid_csv(out_dir / name, "K\\x0", list(cfg.setup_costs), list(cfg.x0), cells)
-    _write_manifest(out_dir, "compare", cfg, {"total": time.perf_counter() - t0},
-                    {"model_a": args.model_a, "model_b": args.model_b})
-    print(f"% increase of {args.model_a} over {args.model_b}")
-    print("K\\x0  " + "  ".join(f"{x:>8d}" for x in cfg.x0))
-    for K, row in zip(cfg.setup_costs, cells):
-        print(f"{K:>5g} " + "  ".join(f"{v:8.1f}" for v in row))
-    return 0
-
-
-def _parse_setting_ids(spec: str):
-    ids = set()
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            ids.update(range(int(lo), int(hi) + 1))
-        else:
-            ids.add(int(part))
-    out = sorted(ids)
-    for sid in out:
-        settings.setting_from_id(sid)  # validates
-    return out
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    ids = _parse_setting_ids(args.settings)
-    t0 = time.perf_counter()
-    from .costs import LostSalesConvention
-    from .kernels import build_kernel_table
-
-    conv = LostSalesConvention.parse(cfg.convention)
-    labels = (args.model_a, args.model_b)
-    pct = {}  # (sid, K, x0) -> percentage
-    for sid in ids:
-        s = settings.setting_from_id(sid)
-        kt = build_kernel_table(settings.setting_cost_params(s, cfg.setup_costs[0]),
-                                settings.setting_intensity(s), conv, x_max=cfg.x_max)
-        cells = _pct_grid(_solve_grid(cfg, labels, kt), *labels, cfg)
-        for K, row in zip(cfg.setup_costs, cells):
-            pct.update({(sid, K, x0): v for x0, v in zip(cfg.x0, row)})
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = f"sweep_{args.model_a.replace('/', '')}_vs_{args.model_b.replace('/', '')}.csv"
-    with (out_dir / name).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "x0", "max_pct", "max_setting", "avg_pct", "min_pct", "min_setting"])
-        for K in cfg.setup_costs:
-            for x0 in cfg.x0:
-                vals = {sid: pct[(sid, K, x0)] for sid in ids}
-                mx = max(vals, key=vals.get)
-                mn = min(vals, key=vals.get)
-                w.writerow([K, x0, f"{vals[mx]:.4f}", mx,
-                            f"{np.mean(list(vals.values())):.4f}", f"{vals[mn]:.4f}", mn])
-                print(f"K={K:g} x0={x0}: max {vals[mx]:.1f}% (set {mx})  "
-                      f"avg {np.mean(list(vals.values())):.1f}%  min {vals[mn]:.1f}% (set {mn})")
-    _write_manifest(out_dir, "sweep", cfg, {"total": time.perf_counter() - t0},
-                    {"settings": ids, "model_a": args.model_a, "model_b": args.model_b})
-    return 0
+            for x0 in x0s:
+                yield label, K, x0, kt, solve(spec, kt, x0), f"{_tag(label)}_K{K:g}"
 
 
 def _write_regions_csv(path: Path, policy):
@@ -255,167 +141,197 @@ def _write_regions_csv(path: Path, policy):
     path.write_text("".join(blocks), newline="")
 
 
-def _cmd_regions(args) -> int:
-    cfg = _load_config(args)
+def _write_taudist_csv(path: Path, dist):
+    _write_csv(path, ["m", "mass"], ((m, f"{p:.12g}") for m, p in enumerate(dist.mass)))
+
+
+def _parse_setting_ids(spec: str) -> list[int]:
+    """Ids from a list like '1-128' or '1,24,125'; each bound is checked
+    before a range is expanded."""
+    ids = set()
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        lo, _, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi or lo)
+        except ValueError:
+            raise ConfigError(f"setting ids must be integers or ranges like 1-128, "
+                              f"got {part!r}") from None
+        if not 1 <= lo <= hi <= settings.N_SETTINGS:
+            raise ConfigError(f"setting ids must rise within 1..{settings.N_SETTINGS}, "
+                              f"got {part!r}")
+        ids.update(range(lo, hi + 1))
+    if not ids:
+        raise ConfigError(f"--settings lists no setting id: {spec!r}")
+    return sorted(ids)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def _cmd_solve(args, cfg, out_dir, timings):
     t0 = time.perf_counter()
-    out_dir = Path(args.out)
-    for label, _, K, _, res, tag in _solve_each(cfg, cfg.models):
+    values = {}
+    for label, K, _, kt, res, tag in _solve_each(cfg, cfg.models, cfg.x0[:1]):
+        # x0 enters only the choice of a STATIC switch epoch; each x0 takes its own best
+        row = res.values_at_zero if res.switch_values is None else res.switch_values
+        values.update({(label, K, x0): float(row[x0]) for x0 in cfg.x0})
+        _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
+        if res.policy.spec.stop_mode is StopMode.DYNAMIC:
+            for x0 in cfg.x0:
+                dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
+                _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
+    timings["solve_grid"] = time.perf_counter() - t0
+    _write_csv(out_dir / "values.csv", ["model", "K", "x0", "total_cost"],
+               ((*key, v) for key, v in sorted(values.items())))
+    print(f"wrote {out_dir}/values.csv ({len(values)} rows)")
+
+
+def _cmd_compare(args, cfg, out_dir, timings):
+    check_grid(cfg.build_model().horizon, cfg.x_max, (args.model_a, args.model_b))
+    cells = _pct_grid(cfg.build_kernels(), cfg, args.model_a, args.model_b)
+    _write_csv(out_dir / _pair_csv(args), ["K\\x0", *cfg.x0],
+               ([K, *(f"{v:.6f}" for v in row)] for K, row in zip(cfg.setup_costs, cells)))
+    print(f"% increase of {args.model_a} over {args.model_b}")
+    print("K\\x0  " + "  ".join(f"{x:>8d}" for x in cfg.x0))
+    for K, row in zip(cfg.setup_costs, cells):
+        print(f"{K:>5g} " + "  ".join(f"{v:8.1f}" for v in row))
+    return {"model_a": args.model_a, "model_b": args.model_b}
+
+
+def _cmd_sweep(args, cfg, out_dir, timings):
+    ids = _parse_setting_ids(args.settings)
+    chosen = [settings.setting_from_id(sid) for sid in ids]
+    check_grid(max(s.horizon for s in chosen), cfg.x_max, (args.model_a, args.model_b))
+    conv = LostSalesConvention.parse(cfg.convention)
+    pct = np.array([  # (setting, K, x0)
+        _pct_grid(build_kernel_table(settings.setting_cost_params(s, cfg.setup_costs[0]),
+                                     settings.setting_intensity(s), conv, x_max=cfg.x_max),
+                  cfg, args.model_a, args.model_b)
+        for s in chosen])
+    rows = []
+    for i, K in enumerate(cfg.setup_costs):
+        for j, x0 in enumerate(cfg.x0):
+            vals = pct[:, i, j]
+            mx, mn, avg = vals.argmax(), vals.argmin(), np.mean(vals)
+            rows.append([K, x0, f"{vals[mx]:.4f}", ids[mx], f"{avg:.4f}", f"{vals[mn]:.4f}",
+                         ids[mn]])
+            print(f"K={K:g} x0={x0}: max {vals[mx]:.1f}% (set {ids[mx]})  "
+                  f"avg {avg:.1f}%  min {vals[mn]:.1f}% (set {ids[mn]})")
+    _write_csv(out_dir / _pair_csv(args),
+               ["K", "x0", "max_pct", "max_setting", "avg_pct", "min_pct", "min_setting"], rows)
+    return {"settings": ids, "model_a": args.model_a, "model_b": args.model_b}
+
+
+def _cmd_regions(args, cfg, out_dir, timings):
+    for label, K, _, _, res, tag in _solve_each(cfg, cfg.models, cfg.x0[:1]):
         _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
         stop, order, cont = extract_regions(res.policy, 0)
         print(f"{label} K={K:g} t=0: |stop|={len(stop)} |order|={len(order)} "
               f"|continue|={len(cont)}")
-    _write_manifest(out_dir, "regions", cfg, {"total": time.perf_counter() - t0})
-    return 0
 
 
-def _write_taudist_csv(path: Path, dist):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "mass"])
-        for m, p in enumerate(dist.mass):
-            w.writerow([m, f"{p:.12g}"])
-
-
-def _cmd_taudist(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    out_dir = Path(args.out)
-
+def _cmd_taudist(args, cfg, out_dir, timings):
     def dynamic(label):  # runs as _solve_each reaches the label, so skip lines keep their place
         if ModelSpec.parse(label).stop_mode is StopMode.DYNAMIC:
             return True
         print(f"skipping {label}: stopping-time distribution needs dynamic stopping")
         return False
 
-    for label, _, K, kt, res, tag in _solve_each(cfg, filter(dynamic, cfg.models)):
+    for label, K, _, kt, res, tag in _solve_each(cfg, filter(dynamic, cfg.models), cfg.x0[:1]):
         for x0 in cfg.x0:
             dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
             _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
             print(f"{label} K={K:g} x0={x0}: mean stop {dist.mean():.2f}, "
                   f"mass sums to {dist.mass.sum():.9f}")
-    _write_manifest(out_dir, "taudist", cfg, {"total": time.perf_counter() - t0})
-    return 0
 
 
-def _cmd_bounds(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    model = cfg.build_model()
-    params = cfg.build_params(cfg.setup_costs[0])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "bounds.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "tau_lb", "tau_ub", "tau_argmin", "cost_at_argmin"])
-        for x0 in cfg.x0:
-            b = analytics.switch_time_bounds(params, model, x0, step=cfg.tau_step)
-            tau_star, cost = analytics.brute_force_switch_argmin(
-                params, model, x0, step=cfg.tau_step)
-            w.writerow([x0, f"{b.lb:.4f}", f"{b.ub:.4f}", f"{tau_star:.4f}", f"{cost:.4f}"])
-            print(f"x={x0}: lb={b.lb:.2f} <= argmin={tau_star:.2f} <= ub={b.ub:.2f}")
-    _write_manifest(out_dir, "bounds", cfg, {"total": time.perf_counter() - t0})
-    return 0
+def _cmd_bounds(args, cfg, out_dir, timings):
+    model, params = cfg.build_model(), cfg.build_params(cfg.setup_costs[0])
+    rows = []
+    for x0 in cfg.x0:
+        b = analytics.switch_time_bounds(params, model, x0, step=cfg.tau_step)
+        tau_star, cost = analytics.brute_force_switch_argmin(params, model, x0, step=cfg.tau_step)
+        rows.append([x0, f"{b.lb:.4f}", f"{b.ub:.4f}", f"{tau_star:.4f}", f"{cost:.4f}"])
+        print(f"x={x0}: lb={b.lb:.2f} <= argmin={tau_star:.2f} <= ub={b.ub:.2f}")
+    _write_csv(out_dir / "bounds.csv", ["x", "tau_lb", "tau_ub", "tau_argmin", "cost_at_argmin"],
+               rows)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    base = cfg.build_kernels()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "simulate.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "K", "x0", "dp_value", "mc_mean", "mc_se", "z"])
-        for label in cfg.models:
-            spec = ModelSpec.parse(label)
-            for K in cfg.setup_costs:
-                kt = kernels_with_K(base, K)
-                for x0 in cfg.x0:
-                    res = solve(spec, kt, x0)
-                    est = sim.evaluate_policy(res.policy, kt.params, kt.model, x0,
-                                              paths=cfg.paths, seed=cfg.seed)
-                    z = (est.mean - res.total_cost) / est.std_error if est.std_error else 0.0
-                    w.writerow([label, K, x0, f"{res.total_cost:.4f}",
-                                f"{est.mean:.4f}", f"{est.std_error:.4f}", f"{z:.3f}"])
-                    print(f"{label} K={K:g} x0={x0}: DP {res.total_cost:.1f}  "
-                          f"MC {est.mean:.1f} +- {est.std_error:.1f}  (z={z:.2f})")
-    _write_manifest(out_dir, "simulate", cfg, {"total": time.perf_counter() - t0})
-    return 0
+def _cmd_simulate(args, cfg, out_dir, timings):
+    rows = []
+    # a STATIC policy's switch epoch depends on x0, so every x0 is solved
+    for label, K, x0, kt, res, _ in _solve_each(cfg, cfg.models, cfg.x0):
+        est = sim.evaluate_policy(res.policy, kt.params, kt.model, x0,
+                                  paths=cfg.paths, seed=cfg.seed)
+        z = (est.mean - res.total_cost) / est.std_error if est.std_error else 0.0
+        rows.append([label, K, x0, f"{res.total_cost:.4f}", f"{est.mean:.4f}",
+                     f"{est.std_error:.4f}", f"{z:.3f}"])
+        print(f"{label} K={K:g} x0={x0}: DP {res.total_cost:.1f}  "
+              f"MC {est.mean:.1f} +- {est.std_error:.1f}  (z={z:.2f})")
+    _write_csv(out_dir / "simulate.csv", ["model", "K", "x0", "dp_value", "mc_mean", "mc_se", "z"],
+               rows)
 
 
-def _cmd_settings(args) -> int:
-    if args.action != "list":
-        raise ConfigError("only 'settings list' is supported")
+def _cmd_settings():
     print(" id  kind      T    c4     gamma    delta   c2_bar")
     for s in settings.iter_settings():
         print(f"{s.id:3d}  {s.kind:8s}{s.horizon:4d}  {s.c4:5g}  {s.gamma:8g} "
               f"{s.delta:8g}  {s.c2_bar:6g}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required, help="experiment config JSON")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--paths", type=int, default=None, help="override Monte Carlo path count")
-    p.add_argument("--convention", choices=["paper", "arrival"], default=None,
-                   help="lost-sales accounting convention override")
-    p.add_argument("--xmax", type=int, default=None, help="inventory cap override")
+_CONFIG_COMMANDS = [
+    ("solve", _cmd_solve, "solve configured models; write values/regions/taudist"),
+    ("compare", _cmd_compare, "percentage cost grid of model_a over model_b"),
+    ("sweep", _cmd_sweep, "aggregate a comparison over numbered settings"),
+    ("regions", _cmd_regions, "emit per-period stop/order/continue regions"),
+    ("taudist", _cmd_taudist, "stopping-time distribution of solved policies"),
+    ("bounds", _cmd_bounds, "switching-time bounds and brute-force argmin"),
+    ("simulate", _cmd_simulate, "Monte Carlo check of solved policies"),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eolstop",
                                  description="End-of-life inventory optimal stopping toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve configured models; write values/regions/taudist")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("compare", help="percentage cost grid of model_a over model_b")
-    _add_common(p)
-    p.add_argument("model_a")
-    p.add_argument("model_b")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("sweep", help="aggregate a comparison over numbered settings")
-    _add_common(p)
-    p.add_argument("model_a")
-    p.add_argument("model_b")
-    p.add_argument("--settings", required=True, help="ids like '1-128' or '1,24,125'")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("regions", help="emit per-period stop/order/continue regions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_regions)
-
-    p = sub.add_parser("taudist", help="stopping-time distribution of solved policies")
-    _add_common(p)
-    p.set_defaults(func=_cmd_taudist)
-
-    p = sub.add_parser("bounds", help="switching-time bounds and brute-force argmin")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("simulate", help="Monte Carlo check of solved policies")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    for name, func, text in _CONFIG_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--paths", type=int, default=None, help="override Monte Carlo path count")
+        p.add_argument("--convention", choices=["paper", "arrival"], default=None,
+                       help="lost-sales accounting convention override")
+        p.add_argument("--xmax", type=int, default=None, help="inventory cap override")
+        if name in ("compare", "sweep"):
+            p.add_argument("model_a")
+            p.add_argument("model_b")
+        if name == "sweep":
+            p.add_argument("--settings", required=True, help="ids like '1-128' or '1,24,125'")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("settings", help="inspect the numbered parameter settings")
     p.add_argument("action", choices=["list"])
-    p.set_defaults(func=_cmd_settings)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+        if args.command == "settings":  # the one command that reads no config
+            _cmd_settings()
+            return 0
+        cfg = _load_config(args)
+        out_dir, timings = Path(args.out), {}
+        t0 = time.perf_counter()
+        extra = args.func(args, cfg, out_dir, timings)
+        timings["total"] = time.perf_counter() - t0
+        _write_manifest(out_dir, args.command, cfg, timings, extra)
+        return 0
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .costs import CostParameters, LostSalesConvention
 from .demand import NAMED_KINDS, IntensityModel, build_named_intensity, load_rates_table
-from .errors import ConfigError
+from .errors import BudgetMisuse, ConfigError
 from .kernels import KernelTable, build_kernel_table
 from .solver import ModelSpec
 
@@ -147,18 +147,11 @@ class ExperimentConfig:
             raise ConfigError("paths must be >= 2")
         try:
             LostSalesConvention.parse(self.convention)
-            for label in self.models:
-                ModelSpec.parse(label)
             if kind in NAMED_KINDS:
                 horizon = self.intensity["horizon"]
                 if int(horizon) != float(horizon):
                     raise ValueError(f"intensity.horizon must be an integer, got {horizon!r}")
-            cells = ((self.build_model().horizon + 1) * (self.x_max + 1)
-                     * max(ModelSpec.parse(label).layers for label in self.models))
-            if cells > MAX_GRID_CELLS:
-                raise ConfigError(
-                    f"(T+1)(x_max+1)Z = {cells} value-grid cells exceeds the limit of "
-                    f"{MAX_GRID_CELLS}; lower x_max or the order budget")
+            check_grid(self.build_model().horizon, self.x_max, self.models)
             self.build_params(self.setup_costs[0])
         except ConfigError:
             raise
@@ -185,17 +178,14 @@ class ExperimentConfig:
     def build_params(self, K: float) -> CostParameters:
         return CostParameters(K=float(K), horizon=self.build_model().horizon, **self.costs)
 
-    def build_kernels(self, K: float | None = None) -> KernelTable:
-        K = self.setup_costs[0] if K is None else K
+    def build_kernels(self) -> KernelTable:
+        """Kernels at the first setup cost; ``kernels_with_K`` serves the others."""
         return build_kernel_table(
-            self.build_params(K),
+            self.build_params(self.setup_costs[0]),
             self.build_model(),
             LostSalesConvention.parse(self.convention),
             x_max=self.x_max,
         )
-
-    def parsed_models(self) -> list[ModelSpec]:
-        return [ModelSpec.parse(m) for m in self.models]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -209,6 +199,20 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()
         ).hexdigest()[:16]
+
+
+def check_grid(horizon: int, x_max: int, labels) -> None:
+    """Reject a bad model label, or a value grid of more than MAX_GRID_CELLS
+    cells: (T+1)(x_max+1) times the largest model's budget layers."""
+    try:
+        layers = max(ModelSpec.parse(label).layers for label in labels)
+    except BudgetMisuse as exc:
+        raise ConfigError(str(exc)) from exc
+    cells = (horizon + 1) * (x_max + 1) * layers
+    if cells > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"(T+1)(x_max+1)Z = {cells} value-grid cells exceeds the limit of "
+            f"{MAX_GRID_CELLS}; lower x_max or the order budget")
 
 
 def kernels_with_K(kernels: KernelTable, K: float) -> KernelTable:

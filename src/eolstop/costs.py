@@ -61,17 +61,6 @@ class CostParameters:
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
 
-    def c3(self, u):
-        return self.c3_bar * math.exp(-self.gamma * u) if isinstance(u, float) else self._c3_arr(u)
-
-    def _c3_arr(self, u):
-        import numpy as np
-
-        return self.c3_bar * np.exp(-self.gamma * np.asarray(u, dtype=float))
-
-    def c2(self, u):
-        return self.c2_bar + self.c3(u)
-
     def c2_tilde(self, u=0.0):
         """Lost-sales premium c2 - c3; constant for the exponential family."""
         return self.c2_bar

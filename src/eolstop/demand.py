@@ -57,12 +57,6 @@ class IntensityModel:
     def total_demand(self) -> float:
         return float(self._cum[-1])
 
-    def rate_at(self, t: float) -> float:
-        """lambda(t); right-continuous, rate_at(T) = last period's rate."""
-        if t < 0 or t > self.horizon:
-            raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
-        return float(self.rates[min(int(t), self.horizon - 1)])
-
     def mean_value(self, t) -> float | np.ndarray:
         """Cumulative expected demand Lambda(t) = integral of lambda over [0, t]."""
         t = np.asarray(t, dtype=np.float64)

@@ -231,10 +231,6 @@ class KernelTable:
     def horizon(self) -> int:
         return self.params.horizon
 
-    def check_state(self, k: int, x: int):
-        if not (0 <= k < self.horizon) or not (0 <= x <= self.x_max):
-            raise OutOfGrid(f"(k={k}, x={x}) outside table bounds")
-
 
 def build_kernel_table(
     params: CostParameters,

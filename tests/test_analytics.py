@@ -299,9 +299,9 @@ class TestStoppingTimeDistribution:
     @pytest.mark.parametrize("label", ["D/inf/F", "D/2/F"])
     def test_one_push_per_layer_and_period(self, label, monkeypatch):
         evs, pushes = [], []
-        real_ev, real_push = _backends.ev_clamped, analytics._push_demand
+        real_ev, real_push = _backends.ev_clamped, _backends.push_clamped
         monkeypatch.setattr(_backends, "ev_clamped", lambda *a: evs.append(1) or real_ev(*a))
-        monkeypatch.setattr(analytics, "_push_demand",
+        monkeypatch.setattr(_backends, "push_clamped",
                             lambda *a: pushes.append(1) or real_push(*a))
         model = build_named_intensity("convex", 12, 40.0)
         kt = build_kernel_table(base_params(K=200.0, T=12), model, ARR, x_max=90)

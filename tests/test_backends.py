@@ -47,3 +47,23 @@ class TestScalarKernelsAgree:
         b = solve(spec, kt, x0)
         assert a.total_cost == pytest.approx(b.total_cost, rel=1e-12)
         assert np.array_equal(a.policy.action, b.policy.action)
+
+
+@pytest.mark.parametrize("n", [5, 40])  # below and above the pmf's support 0..11
+def test_push_is_the_adjoint_of_ev(n):
+    # <P v, q> = <v, P^T q> for P v = ev_clamped(v), P^T q = push_clamped(q);
+    # P is stochastic, so P 1 = 1 and P^T keeps mass.  A truncated pmf leaves
+    # a residual tail (about 0.02 here) that the clamped tail index must carry.
+    from eolstop import _poisson
+
+    pmf = _poisson.pmf(np.arange(12), 6.0)
+    tail = 1.0 - np.cumsum(pmf)
+    assert tail[-1] > 0.01
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        v, q = rng.uniform(size=n), rng.uniform(size=n)
+        lhs = np.dot(_backends.ev_clamped(v, pmf, tail), q)
+        rhs = np.dot(v, _backends.push_clamped(q, pmf, tail))
+        assert abs(lhs - rhs) <= 1e-12 * lhs
+    np.testing.assert_allclose(_backends.ev_clamped(np.ones(n), pmf, tail), 1.0, rtol=1e-12)
+    assert _backends.push_clamped(q, pmf, tail).sum() == pytest.approx(q.sum(), rel=1e-12)

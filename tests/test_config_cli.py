@@ -298,3 +298,156 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["convention"] == "paper"
+
+
+# Reports of the TINY config plus a static, finite-budget model, pinned by
+# sha256 so that a change to the CLI's plumbing cannot move a byte of them.
+PINNED_CFG = {**TINY, "models": [*TINY["models"], "S/2/F"]}
+PINNED_RUNS = {
+    "solve": [],
+    "regions": [],
+    "taudist": [],
+    "bounds": [],
+    "compare": ["S/2/F", "D/inf/F"],
+    "sweep": ["--settings", "1", "--xmax", "500", "D/1/Z", "D/inf/F"],
+}
+# command -> (sha256 of "name sha256\n" over its sorted CSVs, sha256 of stdout)
+PINNED_SHA256 = {
+    "bounds": ("fa6383649fc555db44a86ee227164cb7bf1f0aa20056d22c4484b790b973c6b5",
+              "42069fe184594eb6b51f64e5cb00e8eec6ffece331b6a07d93c292f1e05f98e3"),
+    "compare": ("134ccec65e82f41533b07d2d10bf636d7c4071d4adb235e3ad100d68080541ba",
+               "a2b00daaf232088de33bbecd17202872a0b981d6e305aad941cdd3c8e23bab79"),
+    "regions": ("98922f9aa5a9622b6806d1043e5bdba97b72b30d4e57a7d40cc2751233741389",
+               "1ad3667e80bea725ff078740af9d4e61ed49f6a01d0b68600e0d873abcdbddc6"),
+    "solve": ("7425948e5c8c165e0f50c86178d7159a199685be4bd4feaac50c1e77891c6601",
+             "538ad5a1c0d8e88e08cae6d0a09a6694152d1cc5446d08a0288fd730b36b6f09"),
+    "sweep": ("62a8019a052c417f817d57c274c9c960e2f4e9c220e353073c7afb9c76ae7ef4",
+             "4b08283042434d603513d28496ce3edae4f51c29967b18a21a7098e3b46fa090"),
+    "taudist": ("605f05d0598817029ad5643fb1fba71429a99b8ea65633c144538a8454265f08",
+               "30beac7ba58ca7f3e22681c724c6e700d3d5d601a08a61a54fdff7e8a242e86d"),
+}
+
+
+def _report_digests(out: Path, stdout: str):
+    import hashlib
+
+    def sha(b):
+        return hashlib.sha256(b).hexdigest()
+
+    listing = "".join(f"{p.name} {sha(p.read_bytes())}\n" for p in sorted(out.glob("*.csv")))
+    return sha(listing.encode()), sha(stdout.replace(str(out), "OUT").encode()), listing
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+def test_reports_are_pinned(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, **PINNED_CFG)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out), *PINNED_RUNS[command]]) == 0
+    csvs, stdout, listing = _report_digests(out, capsys.readouterr().out)
+    assert (csvs, stdout) == PINNED_SHA256[command], listing
+
+
+def test_simulate_matches_direct_calls(tmp_path):
+    # against the library calls with the same seed, not pinned bytes, so the
+    # check holds whatever RNG stream the installed numpy draws
+    from eolstop import ModelSpec, evaluate_policy, kernels_with_K, solve
+
+    cfg_path = write_cfg(tmp_path, **PINNED_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = ExperimentConfig.from_json(cfg_path)
+    base = cfg.build_kernels()
+    want = [["model", "K", "x0", "dp_value", "mc_mean", "mc_se", "z"]]
+    for label in cfg.models:
+        for K in cfg.setup_costs:
+            kt = kernels_with_K(base, K)
+            for x0 in cfg.x0:
+                res = solve(ModelSpec.parse(label), kt, x0)
+                est = evaluate_policy(res.policy, kt.params, kt.model, x0,
+                                      paths=cfg.paths, seed=cfg.seed)
+                z = (est.mean - res.total_cost) / est.std_error if est.std_error else 0.0
+                want.append([label, str(K), str(x0), f"{res.total_cost:.4f}", f"{est.mean:.4f}",
+                             f"{est.std_error:.4f}", f"{z:.3f}"])
+    with (out / "simulate.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == want
+
+
+def _config_commands():
+    import argparse
+
+    from eolstop.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items()
+                  if any("--config" in a.option_strings for a in p._actions))
+
+
+@pytest.mark.parametrize("command", _config_commands())
+def test_every_config_command_writes_manifest(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_cfg(tmp_path)), "--out", str(out),
+                 *PINNED_RUNS.get(command, [])]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["config_digest"] == ExperimentConfig.from_dict(manifest["config"]).digest()
+    assert manifest["timings_s"]["total"] >= 0
+
+
+@pytest.fixture
+def no_kernel_build(monkeypatch):
+    """Replace every eolstop binding of the kernel builder with one that fails."""
+    import sys
+
+    import eolstop.kernels
+
+    real = eolstop.kernels.build_kernel_table
+
+    def no_build(*a, **kw):
+        raise AssertionError("a kernel table was built for invalid input")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "eolstop" and getattr(mod, "build_kernel_table", None) is real:
+            monkeypatch.setattr(mod, "build_kernel_table", no_build)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--xmax", "0"],
+    ["simulate", "--paths", "0"],
+    ["compare", "D/inf/Z", "D/inf/F"],
+    ["compare", "D/100000000/F", "D/inf/F"],
+    ["sweep", "--settings", "1", "D/inf/F", "D/inf/Z"],
+], ids=["xmax-0", "paths-0", "compare-label", "compare-budget-huge", "sweep-label"])
+def test_bad_command_line_value_exits_2(tmp_path, no_kernel_build, argv):
+    out = tmp_path / "x"
+    assert main([argv[0], "--config", str(write_cfg(tmp_path)), "--out", str(out),
+                 *argv[1:]]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+def test_compare_over_a_zero_cost_model_exits_2(tmp_path):
+    # with every cost coefficient 0 but c_bar, D/inf/F costs exactly 0
+    costs = {**TINY["costs"], "c1": 0.0, "c2_bar": 0.0, "c3_bar": 0.0, "c4": 0.0}
+    out = tmp_path / "x"
+    assert main(["compare", "--config", str(write_cfg(tmp_path, costs=costs)), "--out", str(out),
+                 "D/1/Z", "D/inf/F"]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+def test_sweep_grid_cap_uses_the_settings_horizon(tmp_path, no_kernel_build):
+    # 9 x 500001 x 2 cells pass at the config's T=8; setting 125 has T=100
+    cfg = write_cfg(tmp_path, x_max=500_000)
+    assert ExperimentConfig.from_json(cfg).x_max == 500_000
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--settings", "125",
+                 "D/1/Z", "D/inf/F"]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("ids", ["0", "129", "abc", "5-2", ",", "1-129", "2-x"])
+def test_bad_setting_ids_exit_2(tmp_path, capsys, ids):
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(out),
+                 "--settings", ids, "D/1/Z", "D/inf/F"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
