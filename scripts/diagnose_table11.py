@@ -101,11 +101,11 @@ def c3_held_kernels():
     real = kernel_module._period_integrals
 
     def held(params, rates, periods, imax):
-        P0, _, _, c3_full, prem_full = real(params, rates, periods, imax)
+        P0, _, _, prem_full = real(params, rates, periods, imax)
         d = params.delta
         B0 = rates * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
-        c2k = params.c2_bar + params.c3_bar * np.exp(-params.gamma * periods)
-        return P0, (c2k * rates)[:, None] * P0, c2k * B0, c3_full, prem_full
+        c2k = params.c2(periods)
+        return P0, (c2k * rates)[:, None] * P0, c2k * B0, prem_full
 
     with mock.patch.object(kernel_module, "_period_integrals", held):
         return build_kernel_table(PARAMS, MODEL, LostSalesConvention.ARRIVAL, x_max=X)

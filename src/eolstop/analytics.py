@@ -44,48 +44,29 @@ _X_BLOCK = 64  # x per Delta_x C block; its temporaries are 64 x 32*tau floats (
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Validation of the standing assumptions behind the switching analytics."""
+    """Validation of the standing assumptions behind the switching analytics
+    that ``CostParameters`` does not already enforce at construction (there,
+    c2 and c3 are non-negative and non-increasing and c_bar > -c4)."""
 
-    c3_non_increasing: bool
-    c2_tilde_non_increasing: bool
-    c3_non_negative: bool
-    c2_tilde_non_negative: bool
     c4_non_negative: bool
     holding_net_of_scrap_non_negative: bool  # c1 - delta*c4 >= 0
     lambda_non_increasing: bool
-    order_scrap_consistent: bool  # c_bar > -c4
-    c2_dominates_c3: bool
     failures: tuple = ()
 
     @property
-    def non_inc(self) -> bool:
-        return self.c3_non_increasing and self.c2_tilde_non_increasing
-
-    @property
     def pos(self) -> bool:
-        return (
-            self.c3_non_negative
-            and self.c2_tilde_non_negative
-            and self.c4_non_negative
-            and self.holding_net_of_scrap_non_negative
-        )
+        return self.c4_non_negative and self.holding_net_of_scrap_non_negative
 
     @property
     def ok(self) -> bool:
-        return self.non_inc and self.pos
+        return self.pos
 
 
 def validate_assumptions(params: CostParameters, model: IntensityModel) -> AssumptionReport:
     checks = {
-        "c3_non_increasing": params.gamma >= 0 or params.c3_bar == 0,
-        "c2_tilde_non_increasing": True,  # constant premium under the exponential family
-        "c3_non_negative": params.c3_bar >= 0,
-        "c2_tilde_non_negative": params.c2_bar >= 0,
         "c4_non_negative": params.c4 >= 0,
         "holding_net_of_scrap_non_negative": params.c1 - params.delta * params.c4 >= 0,
         "lambda_non_increasing": bool(np.all(np.diff(model.rates) <= 1e-12)),
-        "order_scrap_consistent": params.c_bar > -params.c4,
-        "c2_dominates_c3": params.c2_bar >= 0,
     }
     failures = tuple(name for name, ok in checks.items() if not ok)
     return AssumptionReport(**checks, failures=failures)
@@ -111,8 +92,7 @@ def _check_tau(model: IntensityModel, tau: float):
 
 def _model_at(params: CostParameters, model: IntensityModel, u):
     """mu(u), the discount factor e^{-delta u} and the lost-sales cost c2(u)."""
-    return (model.mean_value(u), np.exp(-params.delta * u),
-            params.c2_bar + params.c3_bar * np.exp(-params.gamma * u))
+    return model.mean_value(u), np.exp(-params.delta * u), params.c2(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,15 +263,13 @@ def switch_time_bounds(params: CostParameters, model: IntensityModel, x: int,
     grid = np.round(np.arange(0.0, T + step / 2, step), 12)
     grid = grid[grid <= T]
     mu = model.mean_value(grid)
-    c2g = params.c2_bar + params.c3_bar * np.exp(-params.gamma * grid)
-    stop_side = poisson.cdf(x - 1, mu) * (c2g + params.c4)
-    ct_T = params.c2_tilde()
+    stop_side = poisson.cdf(x - 1, mu) * (params.c2(grid) + params.c4)
 
-    ub_hits = np.flatnonzero(ct_T >= stop_side)
+    ub_hits = np.flatnonzero(params.c2_bar >= stop_side)  # the premium c2 - c3 is c2_bar
     ub = float(grid[ub_hits[0]]) if len(ub_hits) else float(T)
 
     lam_g = model.rates[np.minimum(grid.astype(int), T - 1)]
-    rhs = x * (params.c1 - params.delta * params.c4) + params.c2_tilde()
+    rhs = x * (params.c1 - params.delta * params.c4) + params.c2_bar
     lb_hits = np.flatnonzero((lam_g >= 1.0) & (stop_side >= rhs))
     lb = float(grid[lb_hits[-1]]) if len(lb_hits) else 0.0
     return SwitchBounds(lb=lb, ub=ub)

@@ -6,6 +6,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class LostSalesConvention(enum.Enum):
     """Upper index of the satisfied-demand sum in the replacement-cost kernel.
@@ -61,9 +63,13 @@ class CostParameters:
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
 
-    def c2_tilde(self, u=0.0):
-        """Lost-sales premium c2 - c3; constant for the exponential family."""
-        return self.c2_bar
+    def c3(self, u):
+        """Outside-source unit cost at time(s) u."""
+        return self.c3_bar * np.exp(-self.gamma * u)
+
+    def c2(self, u):
+        """Lost-sales unit cost at time(s) u."""
+        return self.c2_bar + self.c3(u)
 
 
 def order_cost(params: CostParameters, m: int) -> float:

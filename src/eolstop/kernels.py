@@ -6,9 +6,16 @@ integrals of the form
     int_0^1 e^{-a s} e^{-lam s} (lam s)^i / i! ds
         = (lam / b)^i * gammainc(i+1, b) / b,      b = a + lam,
 
-where gammainc is the regularized lower incomplete gamma function.  Closed
-form is the production path; fixed-order Gauss-Legendre quadrature of the
-same integrand is kept alongside as an independent cross-check.
+where gammainc is the regularized lower incomplete gamma function.  One row
+builder, ``_kernel_rows``, turns these into the holding, lost-sales and
+reformulated kernels with running sums over the inventory axis;
+``build_kernel_table`` calls it for every period at once, and each point
+kernel (``holding_cost``, ``replacement_cost``, ``one_period_cost``,
+``reformulated_cost``) reads one cell of period k's row.  The outside-source
+stream has one home too: ``_c3_period`` per period and ``_stop_tail``, its
+discounted tail.  The independent checks are fixed-order Gauss-Legendre
+quadrature of the same integrand (``unit_poisson_integrals_quadrature``) and
+the adaptive-quadrature oracles of the test suite.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ from .demand import IntensityModel
 from .errors import OutOfGrid
 
 PMF_TAIL_EPS = 1e-12  # one-period demand support truncated at this tail mass
+
+
+def _unit_integral(a: float):
+    """int_0^1 e^{-a s} ds."""
+    return (1.0 - np.exp(-a)) / a if a > 0 else 1.0
 
 
 def unit_poisson_integrals(lam: float, decay: float, imax: int) -> np.ndarray:
@@ -45,7 +57,7 @@ def _unit_poisson_rows(rates: np.ndarray, decay: float, imax: np.ndarray) -> np.
     # (lam/b)^i in log space; gammainc underflows cleanly to 0 in the far tail
     ratio = np.exp(i * (np.log(lam) - np.log(b)))
     out[pos] = np.where(i <= imax[pos, None], ratio * gammainc(i + 1, b) / b, 0.0)
-    out[~pos, 0] = (1.0 - np.exp(-decay)) / decay if decay > 0 else 1.0
+    out[~pos, 0] = _unit_integral(decay)
     return out
 
 
@@ -68,10 +80,6 @@ def _support_caps(rates: np.ndarray) -> np.ndarray:
     return caps
 
 
-def _support_cap(lam: float) -> int:
-    return int(_support_caps(np.array([lam]))[0])
-
-
 def period_pmfs(rates) -> tuple[list, list]:
     """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
     PMF_TAIL_EPS tail mass; one pmf and one sf evaluation for all periods."""
@@ -86,98 +94,111 @@ def period_pmfs(rates) -> tuple[list, list]:
             [row[: n + 1] for row, n in zip(tail, n_sup)])
 
 
+def _c3_period(params: CostParameters, rates: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """int_k^{k+1} e^{-delta(u-k)} c3(u) lam du for each period k of ``periods``."""
+    return params.c3(periods) * (rates * _unit_integral(params.delta + params.gamma))
+
+
+def _stop_tail(params: CostParameters, rates: np.ndarray) -> np.ndarray:
+    """Expected discounted outside-source cost from epoch k to T, k = 0..T."""
+    c3 = _c3_period(params, rates, np.arange(len(rates)))
+    tail = np.zeros(len(rates) + 1)
+    for k in range(len(rates) - 1, -1, -1):
+        tail[k] = c3[k] + np.exp(-params.delta) * tail[k + 1]
+    return tail
+
+
 def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
                       imax: np.ndarray):
     """Building blocks on [k, k+1) for each period k of ``periods`` (rates and
     imax aligned with it): P0 (weight e^{-delta s}) and the c2-weighted
     arrival integrals R_i as rows zero past imax[k], then per period the
-    plain c2/c3 arrival integrals and the premium integral."""
+    plain c2 arrival integral and the premium integral."""
     d, g = params.delta, params.gamma
     P0 = _unit_poisson_rows(rates, d, imax)
     Pg = _unit_poisson_rows(rates, d + g, imax)
-    B0 = rates * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
-    Bg = rates * ((1.0 - np.exp(-(d + g))) / (d + g) if d + g > 0 else 1.0)
-    c3k = params.c3_bar * np.exp(-g * periods)
     # int e^{-d s} c2 lam pmf_i
-    R_c2 = (params.c2_bar * rates)[:, None] * P0 + (c3k * rates)[:, None] * Pg
-    c2_full = params.c2_bar * B0 + c3k * Bg  # int e^{-d s} c2 lam
-    c3_full = c3k * Bg  # int e^{-d s} c3 lam
-    return P0, R_c2, c2_full, c3_full, params.c2_bar * B0
+    R_c2 = (params.c2_bar * rates)[:, None] * P0 + (params.c3(periods) * rates)[:, None] * Pg
+    prem_full = params.c2_bar * (rates * _unit_integral(d))  # int e^{-d s} (c2 - c3) lam
+    return P0, R_c2, prem_full + _c3_period(params, rates, periods), prem_full
 
 
-def _one_period(params: CostParameters, model: IntensityModel, k: int, imax: int):
-    """_period_integrals of period k alone."""
-    rows = _period_integrals(params, model.rates[k:k + 1], np.array([k]), np.array([imax]))
-    return [a[0] for a in rows]
+def _kernel_rows(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
+                 convention: LostSalesConvention, width: int):
+    """H, L and C_tilde at x = 0..width-1 for each period of ``periods``
+    (rates aligned with it), and the slope H(x+1) - H(x) at the last column.
+
+    The double sum in the holding kernel and the satisfied-demand sum in the
+    replacement kernel are running sums over i, so the rows cost
+    O(periods * width) beyond the per-period integral arrays, which are built
+    for all periods in one vectorised pass.  Once a row reaches past the
+    support cap, L and the satisfied-demand sum are flat and H grows by that
+    slope.
+    """
+    n = len(periods)
+    caps = np.minimum(_support_caps(rates), width - 1)
+    P0, R_c2, c2_full, prem_full = _period_integrals(params, rates, periods, caps)
+
+    def running_sum(rows):  # cumsum over i, held at its last value past the cap
+        out = np.zeros((n, width))
+        out[:, : rows.shape[1]] = rows
+        return np.cumsum(out, axis=1, out=out)
+
+    # in-place steps keep the peak near the four (n, width) arrays of the table
+    q = running_sum(P0)
+    slope = params.c1 * q[:, -1]
+    H = np.zeros((n, width))
+    np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
+    sub = running_sum(R_c2)  # sum_{i<=x}
+    if convention is LostSalesConvention.ARRIVAL:
+        sub[:, 1:] = sub[:, :-1]  # sum_{i<=x-1}, empty at x=0
+        sub[:, 0] = 0.0
+    L = np.subtract(c2_full[:, None], sub, out=q)
+    np.maximum(L, 0.0, out=L)  # the exact tail cancels to rounding noise
+    Ct = H + prem_full[:, None]
+    Ct -= sub
+    Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
+    return H, L, Ct, slope
 
 
-def _check_period(params: CostParameters, model: IntensityModel, k: int, upper: int | None = None):
-    hi = params.horizon - 1 if upper is None else upper
-    if not (0 <= k <= hi):
-        raise OutOfGrid(f"period k={k} outside 0..{hi}")
+def _checked(params: CostParameters, model: IntensityModel, k: int = 0, x: int = 0,
+             last: int | None = None):
+    """OutOfGrid unless 0 <= k <= last (default T-1) and x >= 0; ValueError
+    when the parameters and the model disagree on the horizon."""
+    last = params.horizon - 1 if last is None else last
+    if not 0 <= k <= last:
+        raise OutOfGrid(f"period k={k} outside 0..{last}")
     if params.horizon != model.horizon:
         raise ValueError("cost parameters and intensity model disagree on the horizon")
+    if x < 0:
+        raise OutOfGrid("inventory must be non-negative")
+
+
+def _cell(params, model, convention, k: int, x: int):
+    """H, L and C_tilde at (k, x) from period k's row, built to
+    min(x, cap + 1) so the cost stays O(support cap) in x."""
+    _checked(params, model, k, x)
+    rates = model.rates[k:k + 1]
+    xr = min(x, int(_support_caps(rates)[0]) + 1)
+    H, L, Ct, slope = _kernel_rows(params, rates, np.array([k]), convention, xr + 1)
+    extra = (x - xr) * slope[0]
+    return H[0, xr] + extra, L[0, xr], Ct[0, xr] + extra
 
 
 def holding_cost(params: CostParameters, model: IntensityModel, k: int, x: int) -> float:
     """Expected discounted holding cost over period k starting with x units."""
-    _check_period(params, model, k)
-    if x < 0:
-        raise OutOfGrid("inventory must be non-negative")
-    if x == 0:
-        return 0.0
-    lam = float(model.rates[k])
-    imax = min(x - 1, _support_cap(lam))
-    P0 = unit_poisson_integrals(lam, params.delta, imax)
-    q = np.cumsum(P0)  # q[n] = int e^{-delta s} P{N <= n} ds
-    full = np.sum(q[: min(x, len(q))])
-    if x > len(q):
-        full += (x - len(q)) * q[-1]
-    return params.c1 * float(full)
+    return float(_cell(params, model, LostSalesConvention.ARRIVAL, k, x)[0])
 
 
-def replacement_cost(
-    params: CostParameters,
-    model: IntensityModel,
-    convention: LostSalesConvention,
-    k: int,
-    x: int,
-) -> float:
+def replacement_cost(params: CostParameters, model: IntensityModel,
+                     convention: LostSalesConvention, k: int, x: int) -> float:
     """Expected discounted lost-sales cost over period k starting with x units."""
-    _check_period(params, model, k)
-    if x < 0:
-        raise OutOfGrid("inventory must be non-negative")
-    lam = float(model.rates[k])
-    upper = x if convention is LostSalesConvention.PAPER else x - 1
-    imax = min(upper, _support_cap(lam))
-    _, R_c2, c2_full, _, _ = _one_period(params, model, k, max(imax, 0))
-    sub = float(np.sum(R_c2[: imax + 1])) if upper >= 0 else 0.0
-    return max(c2_full - sub, 0.0)  # exact tail cancels to rounding noise
+    return float(_cell(params, model, convention, k, x)[1])
 
 
 def one_period_cost(params, model, convention, k: int, x: int) -> float:
-    return holding_cost(params, model, k, x) + replacement_cost(params, model, convention, k, x)
-
-
-def period_c3_term(params: CostParameters, model: IntensityModel, k: int) -> float:
-    """int_k^{k+1} e^{-delta(u-k)} c3(u) lam(u) du."""
-    _check_period(params, model, k)
-    lam = float(model.rates[k])
-    dg = params.delta + params.gamma
-    Bg = lam * ((1.0 - np.exp(-dg)) / dg if dg > 0 else 1.0)
-    return params.c3_bar * np.exp(-params.gamma * k) * Bg
-
-
-def stopping_cost(params: CostParameters, model: IntensityModel, k: int, x: int) -> float:
-    """Scrap plus the expected discounted outside-source stream from k to T."""
-    _check_period(params, model, k, upper=params.horizon)
-    if x < 0:
-        raise OutOfGrid("inventory must be non-negative")
-    tail = sum(
-        np.exp(-params.delta * (j - k)) * period_c3_term(params, model, j)
-        for j in range(k, params.horizon)
-    )
-    return params.c4 * x + float(tail)
+    H, L, _ = _cell(params, model, convention, k, x)
+    return float(H + L)
 
 
 def reformulated_cost(params, model, convention, k: int, x: int) -> float:
@@ -186,17 +207,19 @@ def reformulated_cost(params, model, convention, k: int, x: int) -> float:
     At x = 0 this is the lost-sales premium integral; for x >= 1 the final
     sum's upper index follows the active convention.
     """
-    _check_period(params, model, k)
-    if x < 0:
-        raise OutOfGrid("inventory must be non-negative")
-    lam = float(model.rates[k])
-    upper = x if convention is LostSalesConvention.PAPER else x - 1
-    imax = min(upper, _support_cap(lam))
-    _, R_c2, _, _, prem_full = _one_period(params, model, k, max(imax, 0))
-    if x == 0:
-        return float(prem_full)
-    sub = float(np.sum(R_c2[: imax + 1])) if upper >= 0 else 0.0
-    return holding_cost(params, model, k, x) + prem_full - sub
+    return float(_cell(params, model, convention, k, x)[2])
+
+
+def period_c3_term(params: CostParameters, model: IntensityModel, k: int) -> float:
+    """int_k^{k+1} e^{-delta(u-k)} c3(u) lam(u) du."""
+    _checked(params, model, k)
+    return float(_c3_period(params, model.rates[k:k + 1], np.array([k]))[0])
+
+
+def stopping_cost(params: CostParameters, model: IntensityModel, k: int, x: int) -> float:
+    """Scrap plus the expected discounted outside-source stream from k to T."""
+    _checked(params, model, k, x, last=params.horizon)
+    return params.c4 * x + float(_stop_tail(params, model.rates)[k])
 
 
 def constant_A(params: CostParameters, model: IntensityModel) -> float:
@@ -238,57 +261,24 @@ def build_kernel_table(
     convention: LostSalesConvention = LostSalesConvention.ARRIVAL,
     x_max: int = 1200,
 ) -> KernelTable:
-    """Build every kernel with cumulative-sum reuse in x.
-
-    The double sum in the holding kernel and the satisfied-demand sum in the
-    replacement kernel are running sums over i, so the whole table costs
-    O(T * x_max) beyond the per-period integral arrays, which are built for
-    all periods in one vectorised pass.
-    """
+    """Every kernel for all periods from one call of the row builder."""
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
-    if params.horizon != model.horizon:
-        raise ValueError("cost parameters and intensity model disagree on the horizon")
-    T, X = params.horizon, x_max
-    rates = np.asarray(model.rates, dtype=np.float64)
-    caps = np.minimum(_support_caps(rates), X)
-    P0, R_c2, c2_full, c3_period, prem_full = _period_integrals(params, rates, np.arange(T), caps)
-
-    def running_sum(rows):  # cumsum over i, held at its last value past the cap
-        out = np.zeros((T, X + 1))
-        out[:, : rows.shape[1]] = rows
-        return np.cumsum(out, axis=1, out=out)
-
-    # in-place steps keep the peak near the four (T, X+1) arrays returned
-    q = running_sum(P0)
-    H = np.zeros((T, X + 1))
-    np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
-    sub = running_sum(R_c2)  # sum_{i<=x}
-    if convention is LostSalesConvention.ARRIVAL:
-        sub[:, 1:] = sub[:, :-1]  # sum_{i<=x-1}, empty at x=0
-        sub[:, 0] = 0.0
-    L = np.subtract(c2_full[:, None], sub, out=q)
-    np.maximum(L, 0.0, out=L)
-    Ct = H + prem_full[:, None]
-    Ct -= sub
-    Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
-    del sub
-    pmfs, pmf_tails = period_pmfs(rates)
-
-    stop_tail = np.zeros(T + 1)
-    for k in range(T - 1, -1, -1):
-        stop_tail[k] = c3_period[k] + np.exp(-params.delta) * stop_tail[k + 1]
-
+    _checked(params, model)
+    periods = np.arange(params.horizon)
+    H, L, Ct, _ = _kernel_rows(params, model.rates, periods, convention, x_max + 1)
+    pmfs, pmf_tails = period_pmfs(model.rates)
+    stop_tail = _stop_tail(params, model.rates)
     return KernelTable(
         params=params,
         model=model,
         convention=convention,
-        x_max=X,
+        x_max=x_max,
         H=H,
         L=L,
         C=H + L,
         C_tilde=Ct,
-        c3_period=c3_period,
+        c3_period=_c3_period(params, model.rates, periods),
         stop_tail=stop_tail,
         A=float(stop_tail[0]),
         pmfs=pmfs,

@@ -41,10 +41,9 @@ class MartingaleReport:
 
 
 def _sorted_period_arrivals(rng, k: int, counts: np.ndarray):
-    """(paths, nmax) arrival times in [k, k+1), padded with k+1 and sorted."""
+    """(paths, nmax) arrival times in [k, k+1), padded with k+1 and sorted;
+    nmax is 0 when no path has an arrival, which draws nothing."""
     nmax = int(counts.max())
-    if nmax == 0:
-        return None
     u = rng.uniform(float(k), float(k + 1), size=(len(counts), nmax))
     u[np.arange(nmax)[None, :] >= counts[:, None]] = float(k + 1)
     u.sort(axis=1)
@@ -100,18 +99,10 @@ def evaluate_policy(
         if k == T:
             break
         u = _sorted_period_arrivals(rng, k, counts[:, k])
-        if u is None:  # no arrivals anywhere this period: holding only
-            live = ~stopped
-            if params.delta > 0:
-                seg = (np.exp(-params.delta * k) - np.exp(-params.delta * (k + 1))) / params.delta
-            else:
-                seg = 1.0
-            cost[live] += params.c1 * stock[live] * seg
-        else:
-            _backends.sim_period(
-                stock, stopped, cost, u, counts[:, k], k,
-                params.c1, params.c2_bar, params.c3_bar, params.gamma, params.delta,
-            )
+        _backends.sim_period(
+            stock, stopped, cost, u, counts[:, k], k,
+            params.c1, params.c2_bar, params.c3_bar, params.gamma, params.delta,
+        )
 
     mean = float(cost.mean())
     se = float(cost.std(ddof=1) / np.sqrt(paths))
@@ -176,13 +167,8 @@ def martingale_check(
     total = np.zeros(paths)
     for k in range(T):
         u = _sorted_period_arrivals(rng, k, counts[:, k])
-        if u is None:
-            continue
         real = np.arange(u.shape[1])[None, :] < counts[:, k][:, None]
-        total += np.sum(
-            np.where(real, np.exp(-params.delta * u) * params.c3_bar * np.exp(-params.gamma * u), 0.0),
-            axis=1,
-        )
+        total += np.sum(np.where(real, np.exp(-params.delta * u) * params.c3(u), 0.0), axis=1)
     analytic = constant_A(params, model)
     mean = float(total.mean())
     se = float(total.std(ddof=1) / np.sqrt(paths))

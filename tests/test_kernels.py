@@ -307,3 +307,133 @@ class TestTailSumIdentity:
                 direct = np.sum(np.maximum(x - grid, 0) * pmf)
                 tail_sum = sum(poisson.cdf(n, mu) for n in range(x))
                 assert direct == pytest.approx(tail_sum, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# values recorded before the point kernels became rows of the table builder
+# ---------------------------------------------------------------------------
+
+EDGE_MODEL = IntensityModel(horizon=4, rates=np.array([0.0, 3.0, 40.0, 0.5]))
+KT_FIELDS = ("H", "L", "C", "C_tilde", "c3_period", "stop_tail", "A", "pmfs", "pmf_tails")
+# "<setting id or edge>/<convention>" -> sha256 of "field sha256\n" over
+# KT_FIELDS, each field as float64 bytes (pmf rows each followed by "|");
+# settings at K = 0 and x_max 1200, the edge model at x_max 30
+PINNED_TABLES = {
+    "1/arrival": "c00ae73b73a4b8568c1c5785e0a1837fa9a61dd39bf95bb7c823070117cdcfab",
+    "1/paper": "19383dfd3b936b29a556242a6ce948cf9b84d1da673149fcd2d27ff5e17c309f",
+    "62/arrival": "b994bfa6d17245e65554da6b949083b6a2feec5bca80f7a391dd3baf7e0756f6",
+    "62/paper": "53d6fbb734d23e94503f9c1dd0fb5f17ff3b116d0db9f01c025d40a6c6172791",
+    "125/arrival": "89c70fdee41f9b83dca7e8127a4170f9cbd82ca077f11b162e31a222f5489b73",
+    "125/paper": "173c17130ab117e30bd4abef403e0eb7b31d0853599331e92c31ce05bddc1233",
+    "edge/arrival": "225734b9aa27d26d8b02baf41a4aa5ce5814e3334e6d7bbfe36f101e089aad2d",
+    "edge/paper": "58523297e6f9ce52d4488c6d30d739d759a5e929cebf5704011c446022b10458",
+}
+
+
+def _table_digest(kt):
+    import hashlib
+
+    def field_bytes(name):
+        v = getattr(kt, name)
+        if name in ("pmfs", "pmf_tails"):
+            return b"".join(np.asarray(r, dtype=np.float64).tobytes() + b"|" for r in v)
+        return np.asarray(v, dtype=np.float64).tobytes()
+
+    listing = "".join(f"{n} {hashlib.sha256(field_bytes(n)).hexdigest()}\n" for n in KT_FIELDS)
+    return hashlib.sha256(listing.encode()).hexdigest(), listing
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TABLES))
+def test_kernel_table_is_pinned(case):
+    from eolstop.settings import setting_cost_params, setting_from_id, setting_intensity
+
+    name, conv = case.split("/")
+    conv = LostSalesConvention(conv)
+    if name == "edge":
+        kt = build_kernel_table(base_params(T=4), EDGE_MODEL, conv, x_max=30)
+    else:
+        s = setting_from_id(int(name))
+        kt = build_kernel_table(setting_cost_params(s, 0.0), setting_intensity(s), conv, x_max=1200)
+    digest, listing = _table_digest(kt)
+    assert digest == PINNED_TABLES[case], listing
+
+
+# every point kernel as f(params, model, k, x)
+POINT_KERNELS = {
+    "H": holding_cost,
+    "L/arrival": lambda p, m, k, x: replacement_cost(p, m, ARR, k, x),
+    "L/paper": lambda p, m, k, x: replacement_cost(p, m, PAP, k, x),
+    "C/arrival": lambda p, m, k, x: one_period_cost(p, m, ARR, k, x),
+    "C/paper": lambda p, m, k, x: one_period_cost(p, m, PAP, k, x),
+    "Ct/arrival": lambda p, m, k, x: reformulated_cost(p, m, ARR, k, x),
+    "Ct/paper": lambda p, m, k, x: reformulated_cost(p, m, PAP, k, x),
+    "S": stopping_cost,
+}
+# (model, k) -> x -> POINT_KERNELS values in order
+HUGE_X = {
+    ("base", 0): {
+        10**6: (997479.1155598711, 0.0, 0.0, 997479.1155598711, 997479.1155598711,
+                987502.3238199952, 987502.3238199952, 25087765.15847341),
+        10**9: (997504136.4176334, 0.0, 0.0, 997504136.4176334, 997504136.4176334,
+                997494159.6258936, 997494159.6258936, 25000087765.158474),
+    },
+    ("base", 49): {
+        10**6: (997504.0180402512, 0.0, 0.0, 997504.0180402512, 997504.0180402512,
+                997469.0179170527, 997469.0179170527, 25000035.0001232),
+        10**9: (997504161.3201139, 0.0, 0.0, 997504161.3201139, 997504161.3201139,
+                997504126.3199906, 997504126.3199906, 25000000035.000122),
+    },
+    ("edge", 0): {
+        10**6: (997504.161463536, 0.0, 0.0, 997504.161463536, 997504.161463536,
+                997504.161463536, 997504.161463536, 25008387.170145392),
+        10**9: (997504161.463536, 0.0, 0.0, 997504161.463536, 997504161.463536,
+                997504161.463536, 997504161.463536, 25000008387.170147),
+    },
+    ("edge", 2): {
+        10**6: (997484.2280053657, 4.3655745685100555e-11, 4.3655745685100555e-11,
+                997484.2280053657, 997484.2280053657, 989701.1575791318, 989701.1575791318,
+                25007878.91037128),
+        10**9: (997504141.5300744, 4.3655745685100555e-11, 4.3655745685100555e-11,
+                997504141.5300744, 997504141.5300744, 997496358.4596481, 997496358.4596481,
+                25000007878.91037),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_X))
+def test_point_kernels_at_huge_inventory(case, base_model):
+    name, k = case
+    p, m = (base_params(), base_model) if name == "base" else (base_params(T=4), EDGE_MODEL)
+    # 1e-12 relative, or of the period's lost-sales scale where L is rounding noise
+    atol = 1e-12 * max(1.0, replacement_cost(p, m, ARR, k, 0))
+    for x, want in HUGE_X[case].items():
+        for (kernel, f), w in zip(POINT_KERNELS.items(), want):
+            assert f(p, m, k, x) == pytest.approx(w, rel=1e-12, abs=atol), (kernel, x)
+
+
+@pytest.mark.parametrize("kernel", sorted(POINT_KERNELS))
+def test_point_kernel_input_checks(kernel, base_model):
+    f = POINT_KERNELS[kernel]
+    p = base_params()
+    past = p.horizon + 1 if kernel == "S" else p.horizon  # S(k, x) is defined at k = T
+    for k, x in [(-1, 1), (past, 1), (0, -1)]:
+        with pytest.raises(OutOfGrid):
+            f(p, base_model, k, x)
+    with pytest.raises(ValueError):
+        f(base_params(T=4), base_model, 0, 1)
+
+
+def test_period_c3_term_input_checks(base_model):
+    for k in (-1, 50):
+        with pytest.raises(OutOfGrid):
+            period_c3_term(base_params(), base_model, k)
+    with pytest.raises(ValueError):
+        period_c3_term(base_params(T=4), base_model, 0)
+
+
+def test_cost_rates_follow_the_exponential_family():
+    p = base_params(c2_bar=7.0, c3_bar=50.0, gamma=0.1)
+    u = np.array([0.0, 2.5, 40.0])
+    assert np.array_equal(p.c3(u), 50.0 * np.exp(-0.1 * u))
+    assert np.array_equal(p.c2(u), 7.0 + p.c3(u))
+    assert p.c3(0.0) == 50.0

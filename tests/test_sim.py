@@ -148,3 +148,42 @@ class TestErrors:
         other = build_named_intensity("constant", 10, 10.0)
         with pytest.raises(UnreachableState):
             evaluate_policy(res.policy, base_kernels.params, other, 0, paths=10, seed=0)
+
+
+class TestZeroArrivalPeriod:
+    """Intensity [3, 0, 2]: no path sees an arrival in period 1, where some
+    paths have stopped and some still hold stock."""
+
+    MODEL = IntensityModel(horizon=3, rates=np.array([3.0, 0.0, 2.0]))
+
+    @staticmethod
+    def policy():
+        pol = manual_policy("D/inf/F", 3, 10)
+        pol.action[1, :2] = STOP  # stop at epoch 1 with fewer than two units left
+        return pol
+
+    def test_mix_of_stopped_and_holding_paths(self):
+        from eolstop.sim import sample_stopping_times
+
+        taus = sample_stopping_times(self.policy(), self.MODEL, 3, paths=400, seed=17)
+        assert set(taus.tolist()) == {1, 3}
+
+    def test_matches_scalar_oracle(self, monkeypatch):
+        p = base_params(T=3, c1=1.7)
+        args = (self.policy(), p, self.MODEL, 3)
+        a = evaluate_policy(*args, paths=400, seed=17)
+        monkeypatch.setattr(_backends, "sim_period", _sim_period_loop)
+        b = evaluate_policy(*args, paths=400, seed=17)
+        assert a.mean == pytest.approx(b.mean, rel=1e-12)
+        assert a.std_error == pytest.approx(b.std_error, rel=1e-12)
+
+    def test_martingale_check(self):
+        p = base_params(T=3)
+        rep = martingale_check(p, self.MODEL, paths=20_000, seed=18)
+        assert rep.analytic == constant_A(p, self.MODEL)
+        assert abs(rep.z_score) <= 3
+
+    def test_martingale_check_without_arrivals(self):
+        model = IntensityModel(horizon=2, rates=np.zeros(2))
+        rep = martingale_check(base_params(T=2), model, paths=50, seed=1)
+        assert (rep.analytic, rep.mc_mean, rep.std_error, rep.z_score) == (0.0, 0.0, 0.0, 0.0)
