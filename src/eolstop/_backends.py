@@ -4,6 +4,7 @@
   * push_clamped - its transpose, the law of (y - D)^+ for y drawn from q
   * suffix_min - suffix minimum along the last axis with smallest-index argmin
                  (order-up-to search)
+  * period_tables - conditional expected period costs given the arrival count
   * sim_period - one period of the Monte Carlo sweep across all paths
 
 Callers reach these by module attribute (``_backends.ev_clamped``), so a test
@@ -13,6 +14,7 @@ can swap in the scalar oracles of ``tests/scalar_kernels.py``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import hyp1f1
 
 
 def active_backend() -> str:
@@ -57,45 +59,49 @@ def suffix_min(W):
     return run[..., ::-1].copy(), args[..., ::-1].copy()
 
 
-def sim_period(stock, stopped, cost, u, counts, k, c1, c2b, c3b, gamma, delta):
-    """Advance all paths through [k, k+1); mutates stock and cost in place.
+def period_tables(counts, x_max, delta, gamma):
+    """Expected discounted costs of one unit period given its arrival count.
 
-    u is (paths, nmax) with row p holding counts[p] sorted arrival times and
-    k+1 in the padding slots.
+    Given n arrivals in [0, 1), they are uniform order statistics and the
+    j-th is U_j ~ Beta(j, n - j + 1), so E[e^{-a U_j}] = 1F1(j; n+1; -a).
+    The segment from arrival j to arrival j+1 (arrival 0 at 0, arrival n+1
+    at 1) has expected discounted length 1F1(j+1; n+2; -delta) / (n+1).
+    Returns ``(ns, hold, hold_j, lost_d, lost_dg)``: row r is for the r-th
+    distinct value n = ns[r] of ``counts``, and for m = min(stock, n) in
+    0..min(max n, x_max)
+      hold[r, m], hold_j[r, m]  sum over segments j <= m of E[seg_j], j E[seg_j]
+      lost_a[r, m]  sum over arrivals j = m+1..n of E[e^{-a U_j}], for
+                    a = delta and a = delta + gamma
+    The lost sums are the row total n 1F1(1; 2; -a) minus a prefix, so
+    columns past min(n, x_max) are never needed.
     """
-    nmax = u.shape[1]
-    j = np.arange(nmax)
-    real = j[None, :] < counts[:, None]
-    disc_u = np.exp(-delta * u)
-    c2_u = c2b + c3b * np.exp(-gamma * u)
-    c3_u = c3b * np.exp(-gamma * u)
+    ns = np.unique(counts)
+    n = ns[:, None].astype(float)
+    j = np.arange(min(int(ns[-1]), x_max) + 1)
+    seg = np.where(j <= n, hyp1f1(j + 1, n + 2, -delta) / (n + 1), 0.0)
 
-    stopped_paths = stopped & (counts > 0)
-    if stopped_paths.any():
-        cost[stopped_paths] += np.sum(
-            np.where(real[stopped_paths], disc_u[stopped_paths] * c3_u[stopped_paths], 0.0),
-            axis=1,
-        )
+    def lost(a):
+        arrivals = np.where((j >= 1) & (j <= n), hyp1f1(j, n + 1, -a), 0.0)
+        return n * hyp1f1(1, 2, -a) - np.cumsum(arrivals, axis=1)
 
-    act = ~stopped
-    if not act.any():
-        return
-    y = stock[act]
-    ua = u[act]
-    na = counts[act]
-    # event grid k = e_0 < arrivals < e_{nmax+1} = k+1; padding collapses to
-    # zero-length segments at k+1
-    events = np.concatenate(
-        (np.full((ua.shape[0], 1), float(k)), ua, np.full((ua.shape[0], 1), k + 1.0)), axis=1
-    )
-    if delta > 0:
-        d = np.exp(-delta * events)
-        seg = (d[:, :-1] - d[:, 1:]) / delta
-    else:
-        seg = events[:, 1:] - events[:, :-1]
-    lvl = np.maximum(y[:, None] - np.arange(nmax + 1)[None, :], 0)  # stock during segment j
-    cost[act] += c1 * np.sum(lvl * seg, axis=1)
+    return (ns, np.cumsum(seg, axis=1), np.cumsum(j * seg, axis=1),
+            lost(delta), lost(delta + gamma))
 
-    lost = (j[None, :] >= y[:, None]) & (j[None, :] < na[:, None])
-    cost[act] += np.sum(np.where(lost, disc_u[act] * c2_u[act], 0.0), axis=1)
-    stock[act] = np.maximum(y - na, 0)
+
+def sim_period(cost, stock, stopped, counts, tables, k, params):
+    """Add each path's expected cost over [k, k+1) given its arrival count.
+
+    ``stock`` is the stock after epoch k's decisions (0 on stopped paths) and
+    ``tables`` come from ``period_tables`` over counts that include these,
+    at ``params.delta`` and ``params.gamma``.  Holding costs c1 per unit and
+    time, a lost arrival at u costs c2(u), and a stopped path pays c3(u) for
+    every arrival.  Period k enters only through e^{-delta k} and
+    e^{-(delta+gamma) k}.
+    """
+    ns, hold, hold_j, lost_d, lost_dg = tables
+    row = np.searchsorted(ns, counts)
+    m = np.minimum(stock, counts)
+    cost += np.exp(-params.delta * k) * (
+        params.c1 * (stock * hold[row, m] - hold_j[row, m])
+        + params.c2_bar * np.where(stopped, 0.0, lost_d[row, m]))
+    cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg[row, m]

@@ -61,20 +61,17 @@ class ExperimentConfig:
             if req not in raw:
                 raise ConfigError(f"missing required config key: {req!r}")
         try:
-            x0 = tuple(int(x) for x in raw["x0"])
-            if any(x != float(r) for x, r in zip(x0, raw["x0"])):
-                raise ValueError(f"x0 values must be integers, got {raw['x0']}")
             cfg = cls(
                 intensity=dict(raw["intensity"]),
                 costs=dict(raw["costs"]),
                 setup_costs=tuple(float(k) for k in raw["setup_costs"]),
-                x0=x0,
+                x0=tuple(_integer("x0", x) for x in raw["x0"]),
                 models=tuple(raw["models"]),
-                x_max=int(raw.get("x_max", 1200)),
+                x_max=_integer("x_max", raw.get("x_max", 1200)),
                 convention=str(raw.get("convention", "arrival")),
                 tau_step=float(raw.get("tau_step", 0.01)),
-                seed=int(raw.get("seed", 0)),
-                paths=int(raw.get("paths", 100_000)),
+                seed=_integer("seed", raw.get("seed", 0)),
+                paths=_integer("paths", raw.get("paths", 100_000)),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
@@ -145,12 +142,12 @@ class ExperimentConfig:
             raise ConfigError("tau_step must be positive")
         if self.paths < 2:
             raise ConfigError("paths must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         try:
             LostSalesConvention.parse(self.convention)
             if kind in NAMED_KINDS:
-                horizon = self.intensity["horizon"]
-                if int(horizon) != float(horizon):
-                    raise ValueError(f"intensity.horizon must be an integer, got {horizon!r}")
+                _integer("intensity.horizon", self.intensity["horizon"])
             check_grid(self.build_model().horizon, self.x_max, self.models)
             self.build_params(self.setup_costs[0])
         except ConfigError:
@@ -199,6 +196,14 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()
         ).hexdigest()[:16]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or ValueError when that would truncate it."""
+    out = int(value)
+    if out != float(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def check_grid(horizon: int, x_max: int, labels) -> None:

@@ -1,11 +1,17 @@
-"""Monte Carlo policy evaluation with exact continuous-time cost accrual.
+"""Monte Carlo policy evaluation by conditional (Rao-Blackwellised) accrual.
 
-Paths execute a solved policy at integer review epochs; between epochs the
-inventory is a step function decremented at arrivals.  Holding cost
-integrates in closed form over each constant segment, a lost arrival pays the
-lost-sales cost at its arrival instant, and everything after the stop epoch
-pays the outside-source cost.  An arrival consuming the last unit is
-satisfied; the next one is lost (arrival-consistent accounting).
+Paths execute a solved policy at integer review epochs and draw only their
+Poisson demand count in each period.  Between epochs the inventory is a
+step function decremented at arrivals; an arrival consuming the last unit is
+satisfied, the next one is lost (arrival-consistent accounting), and every
+arrival after the stop epoch pays the outside-source cost.  Given a period's
+count, the arrivals are uniform order statistics, so the period's expected
+discounted cost given (count, stock) is a sum of Beta moments
+(``_backends.period_tables``); each path adds that expectation in place of
+sampled arrival times.  The estimate keeps its mean, and its variance can
+only fall.  Exact accrual over sampled arrivals is the tests' oracle.
+``martingale_check`` keeps sampled arrival times, because its conditional
+version would reduce to E[N] and test nothing.
 """
 
 from __future__ import annotations
@@ -50,6 +56,47 @@ def _sorted_period_arrivals(rng, k: int, counts: np.ndarray):
     return u
 
 
+def _draw_counts(policy: PolicyTable, model: IntensityModel, x0: int, paths: int, seed: int):
+    """(paths, T) Poisson period demand counts, after checking that x0 and
+    the horizon fit ``policy``."""
+    if policy.horizon != model.horizon:
+        raise UnreachableState("policy and intensity disagree on the horizon")
+    if not 0 <= x0 <= policy.x_max:
+        raise UnreachableState(f"x0={x0} outside the policy grid 0..{policy.x_max}")
+    return np.random.default_rng(seed).poisson(model.rates, size=(paths, model.horizon))
+
+
+def _walk(policy: PolicyTable, x0: int, counts: np.ndarray):
+    """Step every path through ``policy`` from stock x0, period k taking
+    ``counts[:, k]`` units of demand (lost once stock runs out).
+
+    At each epoch k = 0..T, after the epoch's decisions and before its
+    period's demand, yields ``(k, stop_now, scrap, qty, stock, stopped)``:
+    the paths stopping at k and the stock they scrap, each path's order
+    quantity (0 for no order), and the state after the decisions.
+    """
+    paths, T = counts.shape
+    stock = np.full(paths, x0, dtype=np.int64)
+    zvec = np.full(paths, policy.z0, dtype=np.int64)
+    stopped = np.zeros(paths, dtype=bool)
+    for k in range(T + 1):
+        act = policy.action[k][stock, zvec]
+        tgt = policy.target[k][stock, zvec]
+        stop_now = ~stopped & (act == STOP)
+        scrap = np.where(stop_now, stock, 0)
+        stopped = stopped | stop_now
+        order_now = ~stopped & (act == ORDER)
+        qty = np.where(order_now, tgt - stock, 0)
+        if np.any(qty[order_now] <= 0):
+            raise UnreachableState("policy order target does not exceed current stock")
+        stock = np.where(stopped, 0, stock + qty)
+        if policy.spec.order_budget is not None:
+            zvec -= order_now
+        yield k, stop_now, scrap, qty, stock, stopped
+        if k < T:
+            stock = np.maximum(stock - counts[:, k], 0)
+
+
 def evaluate_policy(
     policy: PolicyTable,
     params: CostParameters,
@@ -58,51 +105,24 @@ def evaluate_policy(
     paths: int = 100_000,
     seed: int = 0,
 ) -> SimEstimate:
-    """Estimate the expected discounted total cost of following ``policy``."""
-    T = model.horizon
-    if params.horizon != T or policy.horizon != T:
+    """Estimate the expected discounted total cost of following ``policy``.
+
+    Each path draws its period demand counts; a period then adds its
+    expected cost given the count and the stock (``_backends.sim_period``).
+    """
+    if params.horizon != model.horizon:
         raise UnreachableState("policy, parameters and intensity disagree on the horizon")
-    if not 0 <= x0 <= policy.x_max:
-        raise UnreachableState(f"x0={x0} outside the policy grid 0..{policy.x_max}")
     if paths < 2:
         raise ValueError("need at least two paths for a standard error")
+    counts = _draw_counts(policy, model, x0, paths, seed)
+    tables = _backends.period_tables(counts, policy.x_max, params.delta, params.gamma)
 
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(model.rates, size=(paths, T))
-
-    stock = np.full(paths, x0, dtype=np.int64)
-    zvec = np.full(paths, policy.z0, dtype=np.int64)
-    stopped = np.zeros(paths, dtype=bool)
     cost = np.zeros(paths)
-
-    for k in range(T + 1):
-        disc_k = np.exp(-params.delta * k)
-        act = policy.action[k][stock, zvec]
-        tgt = policy.target[k][stock, zvec]
-
-        stop_now = (~stopped) & (act == STOP)
-        if stop_now.any():
-            cost[stop_now] += disc_k * params.c4 * stock[stop_now]
-            stock[stop_now] = 0
-            stopped[stop_now] = True
-
-        order_now = (~stopped) & (act == ORDER)
-        if order_now.any():
-            m = tgt[order_now] - stock[order_now]
-            if np.any(m <= 0):
-                raise UnreachableState("policy order target does not exceed current stock")
-            cost[order_now] += disc_k * (params.K + params.c_bar * m)
-            stock[order_now] = tgt[order_now]
-            if policy.spec.order_budget is not None:
-                zvec[order_now] -= 1
-
-        if k == T:
-            break
-        u = _sorted_period_arrivals(rng, k, counts[:, k])
-        _backends.sim_period(
-            stock, stopped, cost, u, counts[:, k], k,
-            params.c1, params.c2_bar, params.c3_bar, params.gamma, params.delta,
-        )
+    for k, _, scrap, qty, stock, stopped in _walk(policy, x0, counts):
+        cost += np.exp(-params.delta * k) * (
+            params.c4 * scrap + np.where(qty > 0, params.K + params.c_bar * qty, 0.0))
+        if k < model.horizon:
+            _backends.sim_period(cost, stock, stopped, counts[:, k], tables, k, params)
 
     mean = float(cost.mean())
     se = float(cost.std(ddof=1) / np.sqrt(paths))
@@ -119,34 +139,13 @@ def sample_stopping_times(
     """Epoch at which each simulated path stops under ``policy``.
 
     Stopping decisions only read integer-epoch states, so period demand
-    counts are all the randomness needed.
+    counts are all the randomness needed; ``evaluate_policy`` with the same
+    seed draws the same counts.
     """
-    T = model.horizon
-    if policy.horizon != T:
-        raise UnreachableState("policy and intensity disagree on the horizon")
-    if not 0 <= x0 <= policy.x_max:
-        raise UnreachableState(f"x0={x0} outside the policy grid 0..{policy.x_max}")
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(model.rates, size=(paths, T))
-    stock = np.full(paths, x0, dtype=np.int64)
-    zvec = np.full(paths, policy.z0, dtype=np.int64)
-    stopped = np.zeros(paths, dtype=bool)
-    tau = np.full(paths, T, dtype=np.int64)
-    for k in range(T + 1):
-        act = policy.action[k][stock, zvec]
-        tgt = policy.target[k][stock, zvec]
-        stop_now = (~stopped) & (act == STOP)
+    counts = _draw_counts(policy, model, x0, paths, seed)
+    tau = np.full(paths, model.horizon, dtype=np.int64)
+    for k, stop_now, *_ in _walk(policy, x0, counts):
         tau[stop_now] = k
-        stopped |= stop_now
-        if k == T:
-            break
-        order_now = (~stopped) & (act == ORDER)
-        if order_now.any():
-            stock[order_now] = tgt[order_now]
-            if policy.spec.order_budget is not None:
-                zvec[order_now] -= 1
-        live = ~stopped
-        stock[live] = np.maximum(stock[live] - counts[live, k], 0)
     return tau
 
 

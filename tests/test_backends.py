@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +72,21 @@ def test_push_is_the_adjoint_of_ev(n):
         assert abs(lhs - rhs) <= 1e-12 * lhs
     np.testing.assert_allclose(_backends.ev_clamped(np.ones(n), pmf, tail), 1.0, rtol=1e-12)
     assert _backends.push_clamped(q, pmf, tail).sum() == pytest.approx(q.sum(), rel=1e-12)
+
+
+def test_benchmark_layer_bindings_resolve(monkeypatch):
+    # perfbench/child.py times each layer by wrapping the (module, attribute)
+    # pairs of its LAYERS table; a pair that no longer resolves turns that
+    # layer's metrics into null, so every pair must name a callable.
+    # machine_info also calls eolstop.active_backend().
+    import eolstop
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, child)
+    spec.loader.exec_module(child)  # the standard library only, at import
+    assert child.LAYERS
+    for name, module, attr, *_ in child.LAYERS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
+    assert eolstop.active_backend() == "numpy"

@@ -231,9 +231,14 @@ class TestCli:
         {"intensity": {**TINY["intensity"], "horizon": 10.5}},
         {"x_max": 10**9},
         {"models": ["D/100000000/F"]},
+        {"seed": -1},
+        {"seed": 1.7},
+        {"paths": 2.5},
+        {"x_max": 40.5},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
-            "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge"])
+            "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge",
+            "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional"])
     def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
         # each is a config error: exit 2 before anything is solved or written,
         # so no kernel table (the first large allocation) is ever built
@@ -414,10 +419,12 @@ def no_kernel_build(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["solve", "--xmax", "0"],
     ["simulate", "--paths", "0"],
+    ["simulate", "--seed=-3"],
     ["compare", "D/inf/Z", "D/inf/F"],
     ["compare", "D/100000000/F", "D/inf/F"],
     ["sweep", "--settings", "1", "D/inf/F", "D/inf/Z"],
-], ids=["xmax-0", "paths-0", "compare-label", "compare-budget-huge", "sweep-label"])
+], ids=["xmax-0", "paths-0", "seed-negative", "compare-label", "compare-budget-huge",
+        "sweep-label"])
 def test_bad_command_line_value_exits_2(tmp_path, no_kernel_build, argv):
     out = tmp_path / "x"
     assert main([argv[0], "--config", str(write_cfg(tmp_path)), "--out", str(out),

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betaln, xlog1py, xlogy
 
 from eolstop import (
     IntensityModel,
@@ -17,10 +20,11 @@ from eolstop import (
     switch_cost,
 )
 from eolstop import _backends
+from eolstop.sim import _sorted_period_arrivals, sample_stopping_times
 from eolstop.solver import CONTINUE, STOP, PolicyTable
 
 from conftest import base_params
-from scalar_kernels import _sim_period_loop
+from scalar_kernels import _sim_period_exact, _sim_period_loop, exact_accrual
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -87,8 +91,6 @@ class TestStatisticalAgreement:
         assert abs(est.mean - res.total_cost) < 3 * est.std_error, label
 
     def test_stopping_time_histogram_matches_distribution(self):
-        from eolstop.sim import sample_stopping_times
-
         model = build_named_intensity("convex", 12, 40.0)
         p = base_params(K=200.0, T=12)
         kt = build_kernel_table(p, model, ARR, x_max=90)
@@ -111,12 +113,46 @@ class TestDeterminism:
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_backends_agree(self, base_kernels, monkeypatch):
+        # the two exact-accrual oracles, vectorised and scalar, on the same arrivals
         res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0)
         args = (res.policy, base_kernels.params, base_kernels.model, 0)
+        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 13))
         a = evaluate_policy(*args, paths=2_000, seed=13)
-        monkeypatch.setattr(_backends, "sim_period", _sim_period_loop)
+        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_loop, 13))
         b = evaluate_policy(*args, paths=2_000, seed=13)
         assert a.mean == pytest.approx(b.mean, rel=1e-10)
+
+    def test_conditional_tracks_exact_accrual(self, base_kernels, monkeypatch):
+        # same counts: the conditional estimate differs from exact accrual only
+        # by the arrival-time noise, far below the count noise in the SE
+        res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 100)
+        args = (res.policy, base_kernels.params, base_kernels.model, 100)
+        a = evaluate_policy(*args, paths=2_000, seed=13)
+        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 13))
+        b = evaluate_policy(*args, paths=2_000, seed=13)
+        assert abs(a.mean - b.mean) < 0.1 * b.std_error
+        assert a.std_error == pytest.approx(b.std_error, rel=1e-2)
+
+    # sha256 of the stopping epochs drawn before the simulator shared one path
+    # stepper, on the instances of the histogram and zero-arrival tests
+    TAU_SHA256 = {
+        ("convex", 5): "21c163f19312c9336c8c2727f62362f90f78479876eb5d85761cf35c2dae5d16",
+        ("convex", 17): "f559321768a062df32a7c9b799009be03a348ab6f734a624ba75379743542959",
+        ("zero", 5): "162e234e3449fd503ae34675cf41694d170bdd10ce24b2d26e93b4797c44c475",
+        ("zero", 17): "74443db5b5a2ccb0fd7c0dafa9269835c52053fffc8479798d4a598239d3f0cb",
+    }
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_stopping_times_are_pinned(self, seed):
+        model = build_named_intensity("convex", 12, 40.0)
+        kt = build_kernel_table(base_params(K=200.0, T=12), model, ARR, x_max=90)
+        res = solve(ModelSpec.parse("D/inf/F"), kt, 0)
+        runs = {"convex": sample_stopping_times(res.policy, model, 0, paths=30_000, seed=seed),
+                "zero": sample_stopping_times(TestZeroArrivalPeriod.policy(),
+                                              TestZeroArrivalPeriod.MODEL, 3, paths=400,
+                                              seed=seed)}
+        for name, tau in runs.items():
+            assert hashlib.sha256(tau.tobytes()).hexdigest() == self.TAU_SHA256[name, seed]
 
 
 class TestMartingale:
@@ -163,16 +199,15 @@ class TestZeroArrivalPeriod:
         return pol
 
     def test_mix_of_stopped_and_holding_paths(self):
-        from eolstop.sim import sample_stopping_times
-
         taus = sample_stopping_times(self.policy(), self.MODEL, 3, paths=400, seed=17)
         assert set(taus.tolist()) == {1, 3}
 
     def test_matches_scalar_oracle(self, monkeypatch):
         p = base_params(T=3, c1=1.7)
         args = (self.policy(), p, self.MODEL, 3)
+        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 17))
         a = evaluate_policy(*args, paths=400, seed=17)
-        monkeypatch.setattr(_backends, "sim_period", _sim_period_loop)
+        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_loop, 17))
         b = evaluate_policy(*args, paths=400, seed=17)
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
         assert a.std_error == pytest.approx(b.std_error, rel=1e-12)
@@ -187,3 +222,98 @@ class TestZeroArrivalPeriod:
         model = IntensityModel(horizon=2, rates=np.zeros(2))
         rep = martingale_check(base_params(T=2), model, paths=50, seed=1)
         assert (rep.analytic, rep.mc_mean, rep.std_error, rep.z_score) == (0.0, 0.0, 0.0, 0.0)
+
+
+def _beta_moment(j, n, a):
+    """E[e^{-a B}] for B ~ Beta(j, n - j + 1), by adaptive quadrature."""
+    def pdf(s):
+        return np.exp(xlogy(j - 1, s) + xlog1py(n - j, -s) - betaln(j, n - j + 1) - a * s)
+
+    mode = (j - 1) / (n - 1) if n > 1 else 0.5
+    return quad(pdf, 0.0, 1.0, points=[mode], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+class TestConditionalPeriod:
+    """``_backends.period_tables`` and ``sim_period``: a period's expected
+    cost given its arrival count, against Beta integrals and exact accrual."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.005, 0.015, 0.02])
+    def test_tables_match_beta_integrals(self, a):
+        ns = np.array([0, 1, 2, 5, 17, 60, 160])
+        got, hold, hold_j, lost, lost_g = _backends.period_tables(ns, 200, a, 0.0)
+        assert np.array_equal(got, ns)
+        np.testing.assert_array_equal(lost, lost_g)
+        for r, n in enumerate(ns):
+            seg = np.diff(hold[r, :n + 1], prepend=0.0)  # E[seg_j], j = 0..n
+            arr = -np.diff(lost[r, :n + 1])  # E[e^{-a U_j}], j = 1..n
+            assert hold[r, n:] == pytest.approx(hold[r, n], rel=1e-15)
+            np.testing.assert_allclose(np.diff(hold_j[r, :n + 1], prepend=0.0),
+                                       np.arange(n + 1) * seg, rtol=1e-12, atol=1e-15)
+            js = range(1, n + 1) if n <= 17 else (1, 2, n // 3, n // 2, n - 1, n)
+            for j in js:
+                assert arr[j - 1] == pytest.approx(_beta_moment(j, n, a), rel=1e-12), (n, j)
+            # E[seg_j] = int e^{-as} P{U_j <= s < U_j+1} ds = E[e^{-aB}] / (n+1),
+            # B ~ Beta(j+1, n-j+1)
+            for j in [0, *js]:
+                want = _beta_moment(j + 1, n + 1, a) / (n + 1)
+                assert seg[j] == pytest.approx(want, rel=1e-12), (n, j)
+            assert lost[r, 0] == pytest.approx(n * _beta_moment(1, 1, a), rel=1e-13)
+            assert lost[r, n] == pytest.approx(0.0, abs=1e-12 * max(n, 1))
+
+    # columns: stock after the decisions, stopped, arrivals
+    PATHS = {
+        "mixed": ([0, 3, 5, 5, 12, 0, 0, 40], [0, 0, 0, 0, 0, 1, 1, 0], [4, 0, 5, 9, 6, 8, 0, 30]),
+        "all-stopped": ([0, 0, 0], [1, 1, 1], [0, 3, 11]),
+        "zero-arrival": ([0, 4, 0, 9], [0, 0, 1, 0], [0, 0, 0, 0]),
+    }
+
+    @pytest.mark.parametrize("paths, costs", [
+        ("mixed", {}),
+        ("mixed", {"delta": 0.0}),
+        ("mixed", {"gamma": 0.0}),
+        ("mixed", {"c1": 1.7}),
+        ("all-stopped", {}),
+        ("zero-arrival", {"c1": 2.5}),
+    ], ids=["base", "delta-0", "gamma-0", "c1-1.7", "all-stopped", "zero-arrival"])
+    def test_matches_exact_accrual_on_fixed_counts(self, paths, costs):
+        # many uniform draws per fixed (stock, stopped, counts) path; k = 30
+        # makes e^{-delta k} and e^{-(delta+gamma) k} differ by 26%
+        stock, stopped, counts = (np.array(v) for v in self.PATHS[paths])
+        stopped = stopped.astype(bool)
+        p, k, reps = base_params(**costs), 30, 4_000
+        tables = _backends.period_tables(counts, 40, p.delta, p.gamma)
+        cond = np.zeros(len(stock))
+        _backends.sim_period(cond, stock, stopped, counts, tables, k, p)
+
+        rep = np.repeat(counts, reps)
+        u = _sorted_period_arrivals(np.random.default_rng(3), k, rep)
+        exact = np.zeros(len(rep))
+        _sim_period_exact(np.repeat(stock, reps), np.repeat(stopped, reps), exact, u, rep, k,
+                          p.c1, p.c2_bar, p.c3_bar, p.gamma, p.delta)
+        exact = exact.reshape(len(stock), reps)
+        mean, se = exact.mean(axis=1), exact.std(axis=1, ddof=1) / np.sqrt(reps)
+        # a path without arrivals has no randomness left: exact agreement
+        assert np.all(np.abs(cond - mean) <= 4 * se + 1e-12 * np.abs(mean)), (cond, mean, se)
+
+    def test_high_rate_tables_stay_small(self, monkeypatch):
+        # 3,000 expected arrivals against x_max 200: one row per distinct
+        # count and at most x_max + 2 columns, not one per arrival
+        model = IntensityModel(horizon=1, rates=np.array([3000.0]))
+        p = base_params(T=1)
+        pol = manual_policy("T/inf/F", 1, 200)
+        seen = []
+        real = _backends.period_tables
+
+        def spy(counts, *args):
+            seen.append((counts, real(counts, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(_backends, "period_tables", spy)
+        est = evaluate_policy(pol, p, model, 200, paths=200, seed=3)
+        (counts, (ns, *tables)), = seen
+        assert np.array_equal(ns, np.unique(counts))
+        for t in tables:
+            assert t.shape[0] == len(ns) and t.shape[1] <= 202
+        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 3))
+        exact = evaluate_policy(pol, p, model, 200, paths=200, seed=3)
+        assert abs(est.mean - exact.mean) < 0.1 * exact.std_error
