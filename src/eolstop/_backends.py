@@ -67,7 +67,9 @@ def period_tables(counts, x_max, delta, gamma):
     The segment from arrival j to arrival j+1 (arrival 0 at 0, arrival n+1
     at 1) has expected discounted length 1F1(j+1; n+2; -delta) / (n+1).
     Returns ``(ns, hold, hold_j, lost_d, lost_dg)``: row r is for the r-th
-    distinct value n = ns[r] of ``counts``, and for m = min(stock, n) in
+    distinct value n = ns[r] of ``counts`` (ascending; found by a bincount
+    from the smallest count, so a high rate allocates no row from 0), and
+    for m = min(stock, n) in
     0..min(max n, x_max)
       hold[r, m], hold_j[r, m]  sum over segments j <= m of E[seg_j], j E[seg_j]
       lost_a[r, m]  sum over arrivals j = m+1..n of E[e^{-a U_j}], for
@@ -75,7 +77,8 @@ def period_tables(counts, x_max, delta, gamma):
     The lost sums are the row total n 1F1(1; 2; -a) minus a prefix, so
     columns past min(n, x_max) are never needed.
     """
-    ns = np.unique(counts)
+    lo = counts.min()
+    ns = np.flatnonzero(np.bincount((counts - lo).ravel())) + lo
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
     seg = np.where(j <= n, hyp1f1(j + 1, n + 2, -delta) / (n + 1), 0.0)
@@ -97,11 +100,15 @@ def sim_period(cost, stock, stopped, counts, tables, k, params):
     time, a lost arrival at u costs c2(u), and a stopped path pays c3(u) for
     every arrival.  Period k enters only through e^{-delta k} and
     e^{-(delta+gamma) k}.
+
+    Cell (row of n, m) of every table sits at one flat index: a lookup over
+    ns[0]..ns[-1] gives row * width for a count, and m adds the column.
     """
     ns, hold, hold_j, lost_d, lost_dg = tables
-    row = np.searchsorted(ns, counts)
-    m = np.minimum(stock, counts)
+    row_start = np.zeros(ns[-1] - ns[0] + 1, dtype=np.intp)
+    row_start[ns - ns[0]] = np.arange(len(ns)) * hold.shape[1]
+    cell = row_start[counts - ns[0]] + np.minimum(stock, counts)
     cost += np.exp(-params.delta * k) * (
-        params.c1 * (stock * hold[row, m] - hold_j[row, m])
-        + params.c2_bar * np.where(stopped, 0.0, lost_d[row, m]))
-    cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg[row, m]
+        params.c1 * (stock * hold.ravel()[cell] - hold_j.ravel()[cell])
+        + params.c2_bar * np.where(stopped, 0.0, lost_d.ravel()[cell]))
+    cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg.ravel()[cell]

@@ -128,16 +128,19 @@ def _solve_each(cfg: ExperimentConfig, labels, x0s):
 
 def _write_regions_csv(path: Path, policy):
     """One row per (t, x) at the starting budget layer, in the bytes
-    ``csv.writer`` would write; each epoch's block is built as one string."""
+    ``csv.writer`` would write.  Each epoch's block joins cached ",x," cells
+    with an action suffix; only ORDER rows format their target."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = {CONTINUE: "continue", STOP: "stop", ORDER: "order"}
-    xs = range(policy.x_max + 1)
+    x_cells = np.array([f",{x}," for x in range(policy.x_max + 1)], dtype=object)
+    suffix = np.empty(3, dtype=object)  # by action code
+    suffix[[CONTINUE, STOP, ORDER]] = "continue,\r\n", "stop,\r\n", "order,"
     blocks = ["t,x,action,order_up_to\r\n"]
     for t in range(policy.horizon + 1):
-        act = policy.action[t, :, policy.z0].tolist()
-        tgt = policy.target[t, :, policy.z0].tolist()
-        blocks.append("".join(f"{t},{x},{names[a]},{g if a == ORDER else ''}\r\n"
-                              for x, a, g in zip(xs, act, tgt)))
+        act = policy.action[t, :, policy.z0]
+        rows = x_cells + suffix[act]
+        order = np.flatnonzero(act == ORDER)
+        rows[order] += [f"{g}\r\n" for g in policy.target[t, order, policy.z0].tolist()]
+        blocks.append(f"{t}" + f"{t}".join(rows))  # every row starts with ",x,"
     path.write_text("".join(blocks), newline="")
 
 

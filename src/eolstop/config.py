@@ -24,6 +24,12 @@ SCHEMA_VERSION = 1
 # setting (T=100, x_max=1200, Z=4) has under 0.5 M, and each cell costs some
 # tens of bytes across the solver's arrays
 MAX_GRID_CELLS = 10_000_000
+# cap on paths * T, the Poisson counts one Monte Carlo cell draws at once
+# (int64, held about twice over); the README's 100k paths at T=100 are 10 M
+MAX_MC_DRAWS = 20_000_000
+# cap on T / tau_step, the nodes of the switch-time grid; a node costs about
+# 470 bytes across the bounds command's arrays, so the cap is under 100 MB
+MAX_TAU_NODES = 200_000
 
 _TOP_KEYS = {
     "schema_version", "intensity", "costs", "setup_costs", "x0", "models",
@@ -148,7 +154,16 @@ class ExperimentConfig:
             LostSalesConvention.parse(self.convention)
             if kind in NAMED_KINDS:
                 _integer("intensity.horizon", self.intensity["horizon"])
-            check_grid(self.build_model().horizon, self.x_max, self.models)
+            horizon = self.build_model().horizon
+            check_grid(horizon, self.x_max, self.models)
+            if self.paths * horizon > MAX_MC_DRAWS:
+                raise ConfigError(
+                    f"paths * T = {self.paths * horizon} Monte Carlo draws exceeds the "
+                    f"limit of {MAX_MC_DRAWS}; lower paths")
+            if horizon / self.tau_step > MAX_TAU_NODES:
+                raise ConfigError(
+                    f"T / tau_step = {horizon / self.tau_step:.6g} switch-time nodes exceeds "
+                    f"the limit of {MAX_TAU_NODES}; raise tau_step")
             self.build_params(self.setup_costs[0])
         except ConfigError:
             raise

@@ -246,7 +246,13 @@ def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
 def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float:
     """Un-reformulated recursion: one-period cost C and stopping cost with its
     outside-source integral.  Intended for small instances and equivalence
-    tests against ``solve``."""
+    tests against ``solve``.
+
+    Its total equals ``solve``'s V + A (the identity V = V~ + A) under
+    ``LostSalesConvention.ARRIVAL`` only.  Under PAPER the reformulated cost
+    C~ at x = 0 keeps the arrival accounting while C follows the printed sum,
+    so the two disagree: on the base case at K=1000, x0=0 this form is lower
+    by 134 for D/inf/F, 37 for D/1/Z and 788 for T/inf/F (1.4%)."""
     res = _solve_with(spec, kernels, x0, stop_tail=kernels.stop_tail, add_A=False,
                       cost=kernels.C)
     return res.total_cost

@@ -109,6 +109,33 @@ def test_regions_writer_matches_csv_writer(tmp_path, seed, label):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+# (T, x_max, Z, z0) of a random policy, and the actions it draws from
+REGION_POLICIES = {
+    "budget-z0": (6, 40, 3, 2, [0, 1, 2]),
+    "tiny-x_max": (5, 1, 1, 0, [0, 1, 2]),
+    "no-order": (6, 30, 1, 0, [0, 1]),
+    "all-order": (6, 30, 2, 1, [1, 2]),  # every row that does not stop orders
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGION_POLICIES))
+def test_regions_writer_on_random_policies(tmp_path, case):
+    from eolstop import ModelSpec
+    from eolstop.cli import _write_regions_csv
+    from eolstop.solver import PolicyTable
+
+    T, x_max, Z, z0, actions = REGION_POLICIES[case]
+    rng = np.random.default_rng(len(case))
+    action = rng.choice(actions, size=(T + 1, x_max + 1, Z)).astype(np.int8)
+    target = np.where(action == 2, rng.integers(1, 20_000, size=action.shape), -1)
+    policy = PolicyTable(spec=ModelSpec.parse("D/inf/F" if Z == 1 else f"D/{Z - 1}/F"),
+                         x_max=x_max, horizon=T, action=action,
+                         target=target.astype(np.int32), z0=z0)
+    _regions_csv_oracle(tmp_path / "want.csv", policy)
+    _write_regions_csv(tmp_path / "got.csv", policy)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestCli:
     def test_compare_writes_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -235,10 +262,13 @@ class TestCli:
         {"seed": 1.7},
         {"paths": 2.5},
         {"x_max": 40.5},
+        {"paths": 10**13},
+        {"tau_step": 1e-12},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
             "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge",
-            "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional"])
+            "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional",
+            "paths-huge", "tau_step-tiny"])
     def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
         # each is a config error: exit 2 before anything is solved or written,
         # so no kernel table (the first large allocation) is ever built
@@ -448,6 +478,25 @@ def test_sweep_grid_cap_uses_the_settings_horizon(tmp_path, no_kernel_build):
     out = tmp_path / "x"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--settings", "125",
                  "D/1/Z", "D/inf/F"]) == 2
+    assert not list(out.glob("*.csv"))
+
+
+def test_draw_and_tau_node_caps_sit_at_their_limits(tmp_path, no_kernel_build):
+    # validation only: nothing is drawn or gridded.  The README's 100k paths
+    # at T=100 pass, and one path or node more than each cap exits 2.
+    from eolstop.config import MAX_MC_DRAWS, MAX_TAU_NODES
+
+    long_run = {"intensity": {"kind": "convex", "horizon": 100, "total_demand": 500.0}}
+    ExperimentConfig.from_dict({**TINY, **long_run, "paths": 100_000})
+    T = TINY["intensity"]["horizon"]
+    ExperimentConfig.from_dict({**TINY, "paths": MAX_MC_DRAWS // T,
+                                "tau_step": T / MAX_TAU_NODES})
+    for over in ({"paths": MAX_MC_DRAWS // T + 1}, {"tau_step": T / (MAX_TAU_NODES + 1)}):
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            ExperimentConfig.from_dict({**TINY, **over})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(out),
+                 "--paths", str(MAX_MC_DRAWS // T + 1)]) == 2
     assert not list(out.glob("*.csv"))
 
 

@@ -317,3 +317,42 @@ class TestConditionalPeriod:
         monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 3))
         exact = evaluate_policy(pol, p, model, 200, paths=200, seed=3)
         assert abs(est.mean - exact.mean) < 0.1 * exact.std_error
+
+    # period rates per case; "one-count" draws no randomness, every count is 7
+    LOOKUP_RATES = {
+        "random": [3.0, 12.0, 0.5, 40.0],
+        "zero-period": [0.0, 6.0, 0.0],
+        "all-zero": [0.0, 0.0],
+        "one-count": None,
+        "rate-3000": [3000.0, 2900.0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOOKUP_RATES))
+    def test_flat_lookup_is_bit_identical(self, case):
+        # sim_period finds each path's table cell through a count lookup and
+        # one flat index; the costs must equal, bit for bit, those of rows
+        # found by np.unique + np.searchsorted and cells read as table[row, m]
+        def searchsorted_period(cost, stock, stopped, counts, tables, k, params):
+            ns, hold, hold_j, lost_d, lost_dg = tables
+            row = np.searchsorted(ns, counts)
+            m = np.minimum(stock, counts)
+            cost += np.exp(-params.delta * k) * (
+                params.c1 * (stock * hold[row, m] - hold_j[row, m])
+                + params.c2_bar * np.where(stopped, 0.0, lost_d[row, m]))
+            cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg[row, m]
+
+        rng = np.random.default_rng(5)
+        paths, x_max, p = 3_000, 120, base_params()
+        rates = self.LOOKUP_RATES[case]
+        counts = (np.full((paths, 3), 7) if rates is None
+                  else rng.poisson(rates, size=(paths, len(rates))))
+        tables = _backends.period_tables(counts, x_max, p.delta, p.gamma)
+        assert np.array_equal(tables[0], np.unique(counts))
+        for k in range(counts.shape[1]):
+            stopped = rng.uniform(size=paths) < 0.2
+            # stock runs past the count on most low-rate paths, never at rate 3000
+            stock = np.where(stopped, 0, rng.integers(0, x_max + 1, size=paths))
+            got, want = (np.full(paths, 10.0) for _ in range(2))
+            _backends.sim_period(got, stock, stopped, counts[:, k], tables, 3 * k, p)
+            searchsorted_period(want, stock, stopped, counts[:, k], tables, 3 * k, p)
+            assert np.array_equal(got, want), (case, k)

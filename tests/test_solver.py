@@ -3,6 +3,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from eolstop import (
@@ -154,6 +156,18 @@ class TestReformulationEquivalence:
                 tilde = solve(ModelSpec.parse(label), kt, x0).total_cost
                 orig = solve_original_form(ModelSpec.parse(label), kt, x0)
                 assert orig == pytest.approx(tilde, rel=1e-6), (seed, label)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           label=st.sampled_from(["D/inf/F", "D/1/Z", "D/2/F", "T/inf/F", "T/1/Z", "S/1/Z"]))
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_identity_holds_under_arrival(self, seed, label):
+        # V = V~ + A is the arrival convention's identity; under PAPER the
+        # x = 0 kernels break it (see solve_original_form)
+        params, model, x0, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        spec = ModelSpec.parse(label)
+        assert solve_original_form(spec, kt, x0) == pytest.approx(
+            solve(spec, kt, x0).total_cost, rel=1e-6), (seed, label)
 
     def test_no_outside_source_means_identical(self):
         params, model, x0, x_max = small_instance(3)
