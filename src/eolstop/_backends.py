@@ -1,9 +1,10 @@
 """Inner loops of the solver and the simulator, vectorised with numpy.
 
-  * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)]
+  * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)],
+                 for every row of V at once
   * push_clamped - its transpose, the law of (y - D)^+ for y drawn from q
-  * suffix_min - suffix minimum along the last axis with smallest-index argmin
-                 (order-up-to search)
+  * suffix_min - suffix minimum along the last axis (order-up-to search)
+  * suffix_argmin - the smallest index attaining it (the order-up-to level)
   * period_tables - conditional expected period costs given the arrival count
   * sim_period - one period of the Monte Carlo sweep across all paths
 
@@ -29,10 +30,17 @@ def _clamped_tail(pmf, tail, n):
 
 
 def ev_clamped(V, pmf, tail):
-    # tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and truncated residual
-    # mass) lands on inventory 0.
-    n = len(V)
-    return np.convolve(V, pmf)[:n] + V[0] * _clamped_tail(pmf, tail, n)
+    """E[V((y - D)^+)] for every row of V (the last axis; a 1-D V is one row).
+
+    tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and the truncated
+    residual mass) lands on inventory 0.  One ``np.convolve`` per row, and
+    the tail term for all rows at once."""
+    n = V.shape[-1]
+    out = np.empty(V.shape)
+    for v, o in zip(V.reshape(-1, n), out.reshape(-1, n)):
+        o[:] = np.convolve(v, pmf)[:n]
+    out += V[..., :1] * _clamped_tail(pmf, tail, n)
+    return out
 
 
 def push_clamped(q, pmf, tail):
@@ -46,17 +54,17 @@ def push_clamped(q, pmf, tail):
 
 
 def suffix_min(W):
-    """Suffix minimum along the last axis and, on ties, the smallest index
-    attaining it."""
+    """Suffix minimum along the last axis: out[..., y] = min(W[..., y:])."""
+    return np.minimum.accumulate(W[..., ::-1], axis=-1)[..., ::-1]
+
+
+def suffix_argmin(W, mins):
+    """The smallest index y' >= y with W[..., y'] = mins[..., y], for
+    ``mins = suffix_min(W)``: the first y' >= y where W meets its own suffix
+    minimum."""
     n = W.shape[-1]
-    rev = W[..., ::-1]
-    run = np.minimum.accumulate(rev, axis=-1)
-    prev = np.concatenate((np.full(W.shape[:-1] + (1,), np.inf), run[..., :-1]), axis=-1)
-    upd = rev <= prev  # ties update, so the scan prefers smaller y
-    pos = np.where(upd, np.arange(n), 0)
-    last = np.maximum.accumulate(pos, axis=-1)
-    args = (n - 1) - last
-    return run[..., ::-1].copy(), args[..., ::-1].copy()
+    first = np.where(W == mins, np.arange(n), n)
+    return np.minimum.accumulate(first[..., ::-1], axis=-1)[..., ::-1]
 
 
 def period_tables(counts, x_max, delta, gamma):

@@ -139,10 +139,12 @@ def _kernel_rows(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
     caps = np.minimum(_support_caps(rates), width - 1)
     P0, R_c2, c2_full, prem_full = _period_integrals(params, rates, periods, caps)
 
-    def running_sum(rows):  # cumsum over i, held at its last value past the cap
-        out = np.zeros((n, width))
-        out[:, : rows.shape[1]] = rows
-        return np.cumsum(out, axis=1, out=out)
+    def running_sum(rows):  # cumsum over the support columns, then held at its last value
+        out = np.empty((n, width))
+        m = rows.shape[1]
+        np.cumsum(rows, axis=1, out=out[:, :m])
+        out[:, m:] = out[:, m - 1:m]
+        return out
 
     # in-place steps keep the peak near the four (n, width) arrays of the table
     q = running_sum(P0)

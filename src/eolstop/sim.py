@@ -76,12 +76,18 @@ def _walk(policy: PolicyTable, x0: int, counts: np.ndarray):
     quantity (0 for no order), and the state after the decisions.
     """
     paths, T = counts.shape
+    # epoch k's (x, z) table as one row, cell z * (X+1) + x; for the solver's
+    # tables, which are (t, z, x) arrays seen as (t, x, z), this is a view
+    width = policy.action.shape[1]
+    actions, targets = (np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(T + 1, -1)
+                        for g in (policy.action, policy.target))
     stock = np.full(paths, x0, dtype=np.int64)
     zvec = np.full(paths, policy.z0, dtype=np.int64)
     stopped = np.zeros(paths, dtype=bool)
     for k in range(T + 1):
-        act = policy.action[k][stock, zvec]
-        tgt = policy.target[k][stock, zvec]
+        cell = zvec * width + stock
+        act = actions[k][cell]
+        tgt = targets[k][cell]
         stop_now = ~stopped & (act == STOP)
         scrap = np.where(stop_now, stock, 0)
         stopped = stopped | stop_now

@@ -20,6 +20,13 @@ array of shape (k*, K, layer, x) and takes one Bellman step on all of it per
 epoch; rows with k* <= t hold the forced stop.  The K and layer axes keep
 size 1 until some layer may order (epoch T-1 for ``.../F``, 0 for
 ``.../Z``), so the no-order chain they all share is computed once.
+
+A step computes values first: one ``_backends.ev_clamped`` call on every
+row gives the continuation G, the suffix minimum of c*y + G gives the best
+order J, and the value is min(G, J) and then min(that, stop).  The stop and
+order masks and the order-up-to levels (the smallest-index argmin) are
+built only when the policy is kept.  The CapSaturated test needs no argmin:
+see ``_check_cap``.
 """
 
 from __future__ import annotations
@@ -133,6 +140,28 @@ class SolveResult:
         return self.value_grid.V[0, :, self.policy.z0] + self.value_grid.A
 
 
+def _check_cap(f, J, G, stop_vec, t):
+    """Raise CapSaturated if an order taken at some x < X targets X = x_max.
+
+    ``f`` is each column's order objective, J[..., x] = K + min f[x+1:] -
+    cy[x] its best order and G its continuation.  With smallest-index ties
+    the order from x targets X exactly when x >= m, m the last y < X with
+    f[y] <= f[X] (0 if there is none), so only x in [min m, X) are read.
+    An order is taken where J is strictly below G and, given ``stop_vec``,
+    strictly below stopping too: ties continue or stop."""
+    X = f.shape[-1] - 1
+    le = f[..., :-1] <= f[..., -1:]
+    le[..., 0] = True  # m = 0 stands for "none": every x then targets X
+    m = X - 1 - np.argmax(le[..., ::-1], axis=-1)
+    lo = int(m.min())
+    Jx = J[..., lo:]
+    taken = (np.arange(lo, X) >= m[..., None]) & (Jx < G[..., lo:X])
+    if stop_vec is not None:
+        taken &= Jx < stop_vec[lo:X]
+    if taken.any():
+        raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
+
+
 def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
                    stop_tail: np.ndarray, setup_costs, switch_epochs, *, stops: bool,
                    grids: bool):
@@ -169,36 +198,38 @@ def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
     first_live = np.searchsorted(epochs, np.arange(T), side="right")  # first row with k* > t
     for t in range(epochs[-1] - 1, -1, -1):
         live = first_live[t]
-        pmf, tail = kernels.pmfs[t], kernels.pmf_tails[t]
-        ev = [_backends.ev_clamped(v, pmf, tail) for v in W[live:].reshape(-1, X + 1)]
-        G = (cost[t] + disc * np.array(ev)).reshape(W[live:].shape)
+        G = _backends.ev_clamped(W[live:], kernels.pmfs[t], kernels.pmf_tails[t])
+        G *= disc
+        G += cost[t]
+        stop_vec = scrap + stop_tail[t]
+        val = G
         orders = t == 0 or spec.first_order is FirstOrder.FREE
         if orders:  # from here on each (K, layer) column is its own
-            mins, args = _backends.suffix_min(cy + G[:, :, :Z - lo])
-            J = np.full((len(G),) + full[1:], np.inf)  # layers below lo have no order left
-            J[:, :, lo:, :-1] = Ks + mins[..., 1:] - cy[:-1]
-            ordering = J < G  # strict: order only when it beats doing nothing
-            val = np.where(ordering, J, G)
-        else:
-            val, ordering = G, np.zeros(G.shape, dtype=bool)
-        stop_vec = scrap + stop_tail[t]
+            f = cy + G[:, :, :Z - lo]  # ordering up to y from layer z goes on at z - lo
+            mins = _backends.suffix_min(f)
+            J = Ks + mins[..., 1:]
+            J -= cy[:-1]  # best order from x < X, layers z >= lo
+            val = np.empty((len(G),) + full[1:])
+            val[...] = G
+            _check_cap(f, J, val[:, :, lo:], stop_vec if stops else None, t)
+            np.minimum(val[:, :, lo:, :-1], J, out=val[:, :, lo:, :-1])  # ties continue
+        if grids:  # one row and one setup cost
+            G_all[t] = G[0, 0]
+            stopping = stop_vec <= val[0, 0] if stops else np.zeros((Z, X + 1), dtype=bool)
+            ordering = np.zeros((Z, X + 1), dtype=bool)
+            if orders:
+                J_all[t, lo:, :-1] = J[0, 0]  # layers below lo have no order left
+                ordering = (J_all[t] < G_all[t]) & ~stopping  # strict: ties continue
+                args = _backends.suffix_argmin(f[0, 0], mins[0, 0])
+                target[t, lo:, :-1] = np.where(ordering[lo:, :-1], args[:, 1:], -1)
+            action[t] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
         if stops:
-            stopping = stop_vec <= val  # ties stop
-            val = np.where(stopping, stop_vec, val)
-            ordering &= ~stopping
-        else:
-            stopping = np.zeros(val.shape, dtype=bool)
-        if orders and np.any(ordering[:, :, lo:, :-1] & (args[..., 1:] >= X)):
-            raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
+            np.minimum(val, stop_vec, out=val)  # ties stop
+        if grids:
+            V[t] = val[0, 0]
         W = val
         if live:  # rows with k* <= t hold the forced stop
             W = np.concatenate((np.broadcast_to(stop_vec, (live,) + val.shape[1:]), val))
-        if grids:  # one row and one setup cost
-            V[t], G_all[t] = val[0, 0], G[0, 0]
-            action[t] = np.select([stopping[0, 0], ordering[0, 0]], [STOP, ORDER], CONTINUE)
-            if orders:
-                J_all[t] = J[0, 0]
-                target[t, lo:, :-1] = np.where(ordering[0, 0, lo:, :-1], args[0, 0, :, 1:], -1)
 
     V0 = np.broadcast_to(W, full)
     if not grids:
@@ -287,12 +318,19 @@ def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs) -> np.ndarr
     return V0[0, :, spec.layers - 1] + kernels.A
 
 
+def _layer(policy: PolicyTable, z: int | None) -> int:
+    """Budget layer z, by default the policy's own; ValueError off the table."""
+    z = policy.z0 if z is None else z
+    if not 0 <= z < policy.action.shape[2]:
+        raise ValueError(f"z must lie in 0..{policy.action.shape[2] - 1}")
+    return z
+
+
 def extract_regions(policy: PolicyTable, t: int, z: int | None = None):
     """Disjoint (stop, order, continue) inventory sets at epoch t."""
     if not 0 <= t <= policy.horizon:
         raise ValueError(f"t must lie in 0..{policy.horizon}")
-    z = policy.z0 if z is None else z
-    act = policy.action[t, :, z]
+    act = policy.action[t, :, _layer(policy, z)]
     stop = np.flatnonzero(act == STOP)
     order = np.flatnonzero(act == ORDER)
     cont = np.flatnonzero(act == CONTINUE)
@@ -301,7 +339,7 @@ def extract_regions(policy: PolicyTable, t: int, z: int | None = None):
 
 def order_up_to_profile(policy: PolicyTable, z: int | None = None) -> list[dict[int, int]]:
     """Per epoch, the map x -> order-up-to level on the ordering set."""
-    z = policy.z0 if z is None else z
+    z = _layer(policy, z)
     out = []
     for t in range(policy.horizon + 1):
         xs = np.flatnonzero(policy.action[t, :, z] == ORDER)

@@ -12,11 +12,23 @@ from conftest import small_instance
 from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
 
 
+def _rows(W):
+    return W.reshape(-1, W.shape[-1])
+
+
+def _ev_clamped_rows(V, pmf, tail):
+    """``_ev_clamped_loop`` on every row of V (the last axis)."""
+    return np.array([_ev_clamped_loop(v, pmf, tail) for v in _rows(V)]).reshape(V.shape)
+
+
 def _suffix_min_rows(W):
-    """``_suffix_min_loop`` on every row of W (the last axis)."""
-    rows = [_suffix_min_loop(w) for w in W.reshape(-1, W.shape[-1])]
-    return (np.array([v for v, _ in rows]).reshape(W.shape),
-            np.array([a for _, a in rows]).reshape(W.shape))
+    """The suffix minima of ``_suffix_min_loop`` on every row of W."""
+    return np.array([_suffix_min_loop(w)[0] for w in _rows(W)]).reshape(W.shape)
+
+
+def _suffix_argmin_rows(W, mins):
+    """The smallest-index argmins of ``_suffix_min_loop`` on every row of W."""
+    return np.array([_suffix_min_loop(w)[1] for w in _rows(W)]).reshape(W.shape)
 
 
 class TestScalarKernelsAgree:
@@ -29,14 +41,26 @@ class TestScalarKernelsAgree:
             b = _ev_clamped_loop(V, pmf, tail)
             assert np.allclose(a, b, rtol=1e-13, atol=1e-12)
 
+    def test_ev_clamped_rows_match_one_row_calls(self, base_kernels):
+        # a batch of rows gives, bit for bit, what each row gives alone
+        rng = np.random.default_rng(2)
+        V = rng.normal(size=(2, 3, 1, 300)).cumsum(axis=-1)
+        pmf, tail = base_kernels.pmfs[25], base_kernels.pmf_tails[25]
+        got = _backends.ev_clamped(V, pmf, tail)
+        assert got.shape == V.shape
+        for v, g in zip(_rows(V), _rows(got)):
+            assert np.array_equal(g, _backends.ev_clamped(v, pmf, tail))
+
     def test_suffix_min_with_ties(self):
         rng = np.random.default_rng(1)
         W = rng.integers(0, 20, size=400).astype(float)  # many ties
-        va, ia = _backends.suffix_min(W)
         vb, ib = _suffix_min_loop(W)
-        assert np.array_equal(va, vb) and np.array_equal(ia, ib)
+        va = _backends.suffix_min(W)
+        assert np.array_equal(va, vb)
+        assert np.array_equal(_backends.suffix_argmin(W, va), ib)
         W2 = rng.integers(0, 5, size=(6, 50)).astype(float)  # a batch, scanned row by row
-        va, ia = _backends.suffix_min(W2)
+        va = _backends.suffix_min(W2)
+        ia = _backends.suffix_argmin(W2, va)
         for w, v, i in zip(W2, va, ia):
             vb, ib = _suffix_min_loop(w)
             assert np.array_equal(v, vb) and np.array_equal(i, ib)
@@ -47,11 +71,16 @@ class TestScalarKernelsAgree:
         kt = build_kernel_table(params, model, LostSalesConvention.ARRIVAL, x_max=x_max)
         spec = ModelSpec.parse(("D/inf/F", "D/1/Z", "T/2/F", "S/2/F")[seed % 4])
         a = solve(spec, kt, x0)
-        monkeypatch.setattr(_backends, "ev_clamped", _ev_clamped_loop)
-        monkeypatch.setattr(_backends, "suffix_min", _suffix_min_rows)
+        swapped = set()
+        for name, oracle in (("ev_clamped", _ev_clamped_rows), ("suffix_min", _suffix_min_rows),
+                             ("suffix_argmin", _suffix_argmin_rows)):
+            monkeypatch.setattr(_backends, name,
+                                lambda *a, name=name, f=oracle: swapped.add(name) or f(*a))
         b = solve(spec, kt, x0)
+        assert swapped == {"ev_clamped", "suffix_min", "suffix_argmin"}
         assert a.total_cost == pytest.approx(b.total_cost, rel=1e-12)
         assert np.array_equal(a.policy.action, b.policy.action)
+        assert np.array_equal(a.policy.target, b.policy.target)
 
 
 @pytest.mark.parametrize("n", [5, 40])  # below and above the pmf's support 0..11

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -26,9 +27,10 @@ from eolstop import (
 )
 from eolstop import _backends
 from eolstop.solver import (CONTINUE, ORDER, STOP, FirstOrder, StopMode, _backward_pass,
-                            _static_sweep)
+                            _check_cap, _static_sweep)
 
 from conftest import base_params, small_instance
+from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -240,6 +242,15 @@ class TestStructure:
             assert len(all_x) == X + 1
             assert len(np.unique(all_x)) == X + 1
 
+    @pytest.mark.parametrize("z", [-1, 3])
+    def test_layer_outside_the_table_is_rejected(self, z):
+        # D/2/F has layers 0..2; a negative z must not wrap to the last one
+        res = solve(ModelSpec.parse("D/2/F"), tiny_kernels(seed=2, T=3, x_max=10), 0)
+        with pytest.raises(ValueError, match="z must lie in 0..2"):
+            extract_regions(res.policy, 0, z)
+        with pytest.raises(ValueError, match="z must lie in 0..2"):
+            order_up_to_profile(res.policy, z)
+
     def test_regions_match_value_comparisons(self):
         # recompute the three costs directly from the stored grids
         kt = tiny_kernels(seed=11, T=4, x_max=12)
@@ -315,6 +326,53 @@ class TestSpecValidation:
         v3 = solve(ModelSpec.parse("D/3/F"), kt, 2).total_cost
         assert v3 <= v2 + 1e-9 and v2 <= v1 + 1e-9
 
+    @given(seed=st.integers(0, 2**32 - 1), X=st.integers(1, 8), rows=st.integers(1, 4),
+           stops=st.booleans())
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_cap_check_matches_the_argmin(self, seed, X, rows, stops):
+        # small integers make ties in f, J, G and the stop vector common; the
+        # check must fire exactly when a taken order's smallest-index argmin
+        # (the scalar scan) is X
+        rng = np.random.default_rng(seed)
+        f = rng.integers(0, 4, size=(rows, X + 1)).astype(float)
+        cy = rng.integers(0, 2) * np.arange(X + 1.0)
+        J = rng.integers(0, 3) + _backends.suffix_min(f)[:, 1:] - cy[:-1]
+        G = rng.integers(0, 8, size=(rows, X + 1)).astype(float)
+        stop = rng.integers(0, 8, size=X + 1).astype(float) if stops else None
+        want = False
+        for fr, Jr, Gr in zip(f, J, G):
+            args = _suffix_min_loop(fr)[1]
+            for x in range(X):
+                taken = Jr[x] < Gr[x] and (stop is None or Jr[x] < stop[x])
+                want |= taken and args[x + 1] == X
+        try:
+            _check_cap(f, J, G, stop, 0)
+            got = False
+        except CapSaturated:
+            got = True
+        assert got == want
+
+    @given(seed=st.integers(0, 2**32 - 1), x_max=st.integers(1, 6),
+           idle=st.lists(st.booleans(), min_size=6, max_size=6))
+    @hyp_settings(max_examples=25, deadline=None)
+    def test_cap_saturated_exactly_when_an_order_targets_the_cap(self, seed, x_max, idle):
+        params, model, _, _ = small_instance(seed, T_max=6)
+        params = dataclasses.replace(params, **{f: float(round(getattr(params, f))) for f in
+                                                ("c_bar", "K", "c1", "c2_bar", "c3_bar", "c4")})
+        rates = np.where(idle[:model.horizon], 0.0, np.round(model.rates))
+        kt = build_kernel_table(params, IntensityModel(horizon=model.horizon, rates=rates), ARR,
+                                x_max=x_max)
+        for label in ("D/inf/F", "D/2/F", "D/1/Z", "S/1/Z", "T/inf/F"):
+            spec = ModelSpec.parse(label)
+            want = _order_reaches_cap(spec, kt)
+            for run in (lambda: solve(spec, kt, 0), lambda: solve_values(spec, kt, [params.K])):
+                try:
+                    run()
+                    got = False
+                except CapSaturated:
+                    got = True
+                assert got == want, label
+
     def test_cap_saturated(self):
         # strong penalty, demand far above the cap: optimum wants the cap
         model = IntensityModel(horizon=3, rates=np.array([6.0, 6.0, 6.0]))
@@ -324,6 +382,35 @@ class TestSpecValidation:
             solve(ModelSpec.parse("T/inf/F"), kt, 0)
         with pytest.raises(CapSaturated):  # the value-only pass checks the cap too
             solve_values(ModelSpec.parse("T/inf/F"), kt, [0.0, 1000.0])
+
+
+def _order_reaches_cap(spec, kt):
+    """Reference for CapSaturated: run the recursion of ``solve`` one layer
+    and one inventory level at a time (every switch epoch of an S model) and
+    report whether some taken order goes up to x_max, its target the
+    smallest-index argmin of ``_suffix_min_loop``."""
+    p, T, X = kt.params, kt.horizon, kt.x_max
+    y = np.arange(X + 1.0)
+    scrap, cy = p.c4 * y, p.c_bar * y
+    Z, lo = spec.layers, (0 if spec.order_budget is None else 1)
+    stops = spec.stop_mode is StopMode.DYNAMIC
+    for k in (range(T + 1) if spec.stop_mode is StopMode.STATIC else [T]):
+        V = np.tile(scrap, (Z, 1))
+        for t in range(k - 1, -1, -1):
+            G = kt.C_tilde[t] + np.exp(-p.delta) * np.array(
+                [_ev_clamped_loop(v, kt.pmfs[t], kt.pmf_tails[t]) for v in V])
+            V = G.copy()
+            for z in range(lo, Z if t == 0 or spec.first_order is FirstOrder.FREE else lo):
+                mins, args = _suffix_min_loop(cy + G[z - lo])
+                for x in range(X):
+                    J = p.K + mins[x + 1] - cy[x]
+                    if J < G[z, x] and not (stops and scrap[x] <= J):
+                        if args[x + 1] == X:
+                            return True
+                        V[z, x] = J
+            if stops:
+                V = np.minimum(V, scrap)
+    return False
 
 
 class TestStaticModels:
@@ -436,10 +523,48 @@ class TestSolveValues:
     def test_no_order_chain_computed_once(self, label, steps, monkeypatch):
         # layers that cannot order yet share one column for every K; the
         # first step of an .../F model is still shared, as all layers hold
-        # the seed
-        calls = []
+        # the seed.  One expectation call per epoch, on all its rows.
+        rows = []
         real = _backends.ev_clamped
-        monkeypatch.setattr(_backends, "ev_clamped", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(_backends, "ev_clamped",
+                            lambda V, *a: rows.append(V.size // V.shape[-1]) or real(V, *a))
         kt = tiny_kernels(seed=3, T=6, x_max=20)
         solve_values(ModelSpec.parse(label), kt, [0.0, 20.0, 200.0])
-        assert len(calls) == steps(6)
+        assert len(rows) == 6
+        assert sum(rows) == steps(6)
+
+    # "<setting id>/<label>" -> sha256 of the solve_values array at K {0,
+    # 1000, 5000} and x_max 1200, as float64 bytes
+    PINNED_VALUES = {
+        "1/D/1/Z": "53eec70a7ae197927a798b82bf733d887b80312fa27ca18c41bfc677d98f25c4",
+        "1/D/inf/F": "b11c4f511bfadf29a5edca4d6e29c2c92d1c8dd773ac24f63adbaa0574c3b258",
+        "1/D/2/F": "fd062b58e68692e9e7a46a8f3bd185683eb6160d3efcaaa5e5fc438adde82889",
+        "1/S/1/Z": "f0042843b5854678489f67e80f764e590dbd5bfcf0ed0e31e9cab83cb60b5bb3",
+        "1/T/inf/F": "d062252d35a3a3ff5a11c7c9b1e98a65b39b115ca046a92b63761b2b394435a4",
+        "62/D/1/Z": "5a24f5327c6f791106edf68b9e7146047a5346a6211464cdfec9b35cdc8d0422",
+        "62/D/inf/F": "13111a2e5876d1ba70621b9fd47531f8c293e2b4ac2f5beda11333bc380687f7",
+        "62/D/2/F": "e51be1cef2eef1a18146755d1aae076e0f92aa0d632dc8be8da6c61c1ca8dd50",
+        "62/S/1/Z": "8205b21b1f2ebe89ecad2efbb6bec0e04b42fde69aef7e757f176b77e46443ef",
+        "62/T/inf/F": "b58a02a17bf7a45f76bd064b371f70b948989616d3aaa30258583ac7cbfdaa15",
+        "125/D/1/Z": "dc93b8e6f3ff1e75a28642f58053e8f848fa7fd0a0a643ecb68bfe9cf6798fc4",
+        "125/D/inf/F": "9e6a6bf65c970417cb6dccfc17c005687fecc8d56e9290386705230ee767b2ba",
+        "125/D/2/F": "bbe2f7287345234e805038d331afe6be918b14ae5a19f6916d4dc63dae3fb97b",
+        "125/S/1/Z": "d9346028a3266c5d91ad3b5b1e1324a4d4d5f2786a76b1df918299d051fcf5e9",
+        "125/T/inf/F": "540f0974981b823ef349aa1fbf45b6efcb374476057175405da742a6ee1fd4f2",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_VALUES))
+    def test_values_are_pinned(self, case):
+        import hashlib
+
+        sid, label = case.split("/", 1)
+        got = solve_values(ModelSpec.parse(label), _setting_kernels(int(sid)), [0.0, 1000.0, 5000.0])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINNED_VALUES[case]
+
+
+@lru_cache(maxsize=None)
+def _setting_kernels(sid):
+    from eolstop.settings import setting_cost_params, setting_from_id, setting_intensity
+
+    s = setting_from_id(sid)
+    return build_kernel_table(setting_cost_params(s, 0.0), setting_intensity(s), ARR, x_max=1200)
