@@ -79,9 +79,8 @@ def switch_at(k_star):
     """Chain forced to stop at k_star < T instead of at the horizon."""
     def run(kt, label):
         spec = ModelSpec.parse(label)
-        V0, _ = _backward_pass(spec, kt, kt.C_tilde, np.zeros(T + 1), [kt.params.K], [k_star],
-                               stops=False, grids=False)
-        return V0[0, 0, spec.layers - 1] + kt.A
+        V0, _ = _backward_pass(spec, kt, [kt.params.K], [k_star])
+        return V0[0, 0] + kt.A
     return run
 
 
@@ -90,9 +89,8 @@ def original_form(kt_cost):
     def run(kt, label):
         k = kernels_with_K(kt_cost, kt.params.K)
         spec = ModelSpec.parse(label)
-        V0, _ = _backward_pass(spec, k, k.C, k.stop_tail, [k.params.K], [T],
-                               stops=False, grids=False)
-        return V0[0, 0, spec.layers - 1]
+        V0, _ = _backward_pass(spec, k, [k.params.K], [T], original=True)
+        return V0[0, 0]
     return run
 
 

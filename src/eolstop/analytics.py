@@ -6,11 +6,14 @@ and lower bounds on the best switching time, assumption validation, and the
 exact distribution of the optimal stopping time induced by a solved dynamic
 policy.
 
-C(x, tau), Delta_x C and Delta^2_x C are each written once, over a set of
-nodes whose ``integrate`` either sums Gauss-Legendre weights up to one tau or
-accumulates per-step sums along a whole tau grid (the curve).  Delta_x C
-takes a block of x at once; the order-up-to search walks x in blocks of
-``_X_BLOCK`` and stops at the first block with a hit.
+C(x, tau), Delta_x C and Delta^2_x C are each written once, over the
+Gauss-Legendre nodes ``_nodes`` places between given edges: 32 per unit
+period up to tau for the point functions, 5 per panel for the curve, whose
+panels are the steps of the one tau grid (``_tau_grid``, T / round(T / step)
+apart) split at the unit periods, so that none straddles a rate jump.  The
+curve, its argmin and both bounds read that grid.  Delta_x C takes a block
+of x at once; the order-up-to search walks x in blocks of ``_X_BLOCK`` and
+stops at the first block with a hit.
 
 The stopping-time law is one forward pass under the fixed policy: the law of
 (x, z) starts at (x0, z0); at each epoch the mass on stopping states is
@@ -33,12 +36,13 @@ from . import _backends
 from . import _poisson as poisson
 from .costs import CostParameters
 from .demand import IntensityModel
-from .errors import AssumptionViolated, NotFound, PolicyIncompatible
+from .errors import AssumptionViolated, NotFound, PolicyIncompatible, UnreachableState
 from .kernels import constant_A, period_pmfs
 from .solver import ORDER, STOP, PolicyTable, StopMode
 
 DEFAULT_TAU_STEP = 0.01
-_GL_ORDER = 32
+_GL_ORDER = 32  # Gauss-Legendre nodes per unit period of a point function
+_CURVE_ORDER = 5  # per panel of the curve
 _X_BLOCK = 64  # x per Delta_x C block; its temporaries are 64 x 32*tau floats (0.8 MB at 50)
 
 
@@ -65,7 +69,7 @@ class AssumptionReport:
 def validate_assumptions(params: CostParameters, model: IntensityModel) -> AssumptionReport:
     checks = {
         "c4_non_negative": params.c4 >= 0,
-        "holding_net_of_scrap_non_negative": params.c1 - params.delta * params.c4 >= 0,
+        "holding_net_of_scrap_non_negative": params.holding_net_of_scrap >= 0,
         "lambda_non_increasing": bool(np.all(np.diff(model.rates) <= 1e-12)),
     }
     failures = tuple(name for name, ok in checks.items() if not ok)
@@ -78,16 +82,21 @@ def _require_assumptions(params, model, need_lambda_mono=False):
         raise AssumptionViolated(f"POS/NON-INC violated: {', '.join(rep.failures)}")
     if need_lambda_mono and not rep.lambda_non_increasing:
         raise AssumptionViolated("lambda must be non-increasing for the lower bound")
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # switching-time cost curve
 # ---------------------------------------------------------------------------
 
-def _check_tau(model: IntensityModel, tau: float):
-    if not 0 <= tau <= model.horizon:  # also rejects NaN
-        raise ValueError(f"tau must lie in [0, {model.horizon}], got {tau!r}")
+def _tau_grid(model: IntensityModel, step: float) -> np.ndarray:
+    """The switch-time grid: T / round(T / step) apart, both ends included."""
+    T = model.horizon
+    return np.linspace(0.0, T, int(round(T / step)) + 1)
+
+
+def _rate(model: IntensityModel, u):
+    """lambda(u), the rate of the unit period holding u (the last one at T)."""
+    return model.rates[np.minimum(np.asarray(u).astype(int), model.horizon - 1)]
 
 
 def _model_at(params: CostParameters, model: IntensityModel, u):
@@ -97,8 +106,8 @@ def _model_at(params: CostParameters, model: IntensityModel, u):
 
 @dataclass(frozen=True, eq=False)
 class _Nodes:
-    """Points u in [0, tau], the model at them, and ``integrate``, which maps
-    integrand values at the points (last axis) to integrals up to tau."""
+    """Quadrature points u, the model at them, and ``integrate``, which maps
+    integrand values at the points (last axis) to integrals from 0."""
 
     u: np.ndarray
     lam: np.ndarray
@@ -108,23 +117,32 @@ class _Nodes:
     integrate: Callable[[np.ndarray], np.ndarray]
 
 
-def _gl_nodes(params: CostParameters, model: IntensityModel, tau: float, order: int) -> _Nodes:
-    """Gauss-Legendre nodes/weights over [0, tau], composite per unit interval."""
+def _nodes(params: CostParameters, model: IntensityModel, edges: np.ndarray, order: int,
+           at=None) -> _Nodes:
+    """Gauss-Legendre nodes of ``order`` on each interval between ``edges``,
+    none of which may straddle a unit period.  ``integrate`` sums up to the
+    last edge or, given edge indices ``at``, gives the integrals up to those."""
     base_x, base_w = leggauss(order)
-    nodes, weights, lams = [np.empty(0)], [np.empty(0)], [np.empty(0)]
-    lo = 0.0
-    while lo < tau - 1e-15:
-        hi = min(math.floor(lo) + 1.0, tau)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid + half * base_x
-        nodes.append(u)
-        weights.append(half * base_w)
-        lams.append(np.full(order, model.rates[int(lo)]))
-        lo = hi
-    w = np.concatenate(weights)
-    u = np.concatenate(nodes)
-    return _Nodes(u, np.concatenate(lams), *_model_at(params, model, u),
-                  lambda f: np.sum(w * f, axis=-1))
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * base_x).ravel()
+    w = (half[:, None] * base_w).ravel()
+    if at is None:
+        def integrate(f):
+            return np.sum(w * f, axis=-1)
+    else:
+        def integrate(f):
+            panels = (w * f).reshape(-1, order).sum(axis=1)
+            return np.concatenate(([0.0], np.cumsum(panels)))[at]
+    return _Nodes(u, np.repeat(_rate(model, edges[:-1]), order), *_model_at(params, model, u),
+                  integrate)
+
+
+def _point_nodes(params: CostParameters, model: IntensityModel, tau) -> _Nodes:
+    """Nodes over [0, tau], one block per unit period, after the standing checks."""
+    _require_assumptions(params, model)
+    if not 0 <= tau <= model.horizon:  # also rejects NaN
+        raise ValueError(f"tau must lie in [0, {model.horizon}], got {tau!r}")
+    return _nodes(params, model, np.append(np.arange(math.ceil(tau)), float(tau)), _GL_ORDER)
 
 
 def _expected_surplus(x: int, mu) -> np.ndarray:
@@ -140,15 +158,14 @@ def _cost(params: CostParameters, x: int, n: _Nodes):
     return (params.c4 * x
             + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * poisson.cdf(x - 1, n.mu))
             + params.c2_bar * n.integrate(n.disc * n.lam)
-            + (params.c1 - params.delta * params.c4)
-            * n.integrate(n.disc * _expected_surplus(x, n.mu)))
+            + params.holding_net_of_scrap * n.integrate(n.disc * _expected_surplus(x, n.mu)))
 
 
 def _delta_x(params: CostParameters, x, n: _Nodes):
     """Delta_x C(x, tau); ``x`` may be a column of inventory levels."""
     return (params.c4
             + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * poisson.pmf(x, n.mu))
-            + (params.c1 - params.delta * params.c4) * n.integrate(n.disc * poisson.cdf(x, n.mu)))
+            + params.holding_net_of_scrap * n.integrate(n.disc * poisson.cdf(x, n.mu)))
 
 
 def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _Nodes):
@@ -160,34 +177,26 @@ def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _No
             + n.integrate(n.disc * (params.c1 - c2p + params.delta * n.c2) * poisson.pmf(j, n.mu)))
 
 
-def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
-                order: int = _GL_ORDER) -> float:
+def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float) -> float:
     """Total discounted cost of operating without orders until the committed
     switch epoch tau, then scrapping and outsourcing the remainder."""
-    _require_assumptions(params, model)
-    _check_tau(model, tau)
-    return float(_cost(params, x, _gl_nodes(params, model, tau, order))
-                 + constant_A(params, model))
+    return float(_cost(params, x, _point_nodes(params, model, tau)) + constant_A(params, model))
 
 
-def delta_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
-                        order: int = _GL_ORDER) -> float:
+def delta_x_switch_cost(params: CostParameters, model: IntensityModel, x: int,
+                        tau: float) -> float:
     """First difference in inventory of the switch-cost curve, closed form."""
-    _require_assumptions(params, model)
-    _check_tau(model, tau)
-    return float(_delta_x(params, x, _gl_nodes(params, model, tau, order)))
+    return float(_delta_x(params, x, _point_nodes(params, model, tau)))
 
 
 def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
-                         order: int = _GL_ORDER, c2_jumps=()) -> float:
+                         c2_jumps=()) -> float:
     """Second difference Delta^2 C(x, tau) = Delta C(x+1, tau) - Delta C(x, tau).
 
     ``c2_jumps`` lists (location, drop) pairs for a piecewise lost-sales cost;
     it is empty for the smooth exponential family used throughout.
     """
-    _require_assumptions(params, model)
-    _check_tau(model, tau)
-    out = _delta2_x(params, model, x, tau, _gl_nodes(params, model, tau, order))
+    out = _delta2_x(params, model, x, tau, _point_nodes(params, model, tau))
     for loc, drop in c2_jumps:
         if loc <= tau:
             out -= math.exp(-params.delta * loc) * drop * poisson.pmf(x + 1, model.mean_value(loc))
@@ -205,24 +214,13 @@ class SwitchCostCurve:
 
 def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
                       step: float = DEFAULT_TAU_STEP) -> SwitchCostCurve:
-    """Evaluate the switch-cost curve and its inventory differences on a
-    uniform tau grid via cumulative per-step quadrature."""
+    """Evaluate the switch-cost curve and its inventory differences on the
+    tau grid via cumulative per-panel quadrature, the panels split at unit
+    periods."""
     _require_assumptions(params, model)
-    T = model.horizon
-    n = int(round(T / step))
-    grid = np.linspace(0.0, T, n + 1)
-    base_x, base_w = leggauss(5)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    half = 0.5 * step
-    u = (mid[:, None] + half * base_x[None, :]).ravel()
-    w = np.tile(half * base_w, n)
-    lam = model.rates[np.minimum(u.astype(int), T - 1)]
-
-    def cum(integrand):
-        steps = (integrand * w).reshape(n, -1).sum(axis=1)
-        return np.concatenate(([0.0], np.cumsum(steps)))
-
-    nodes = _Nodes(u, lam, *_model_at(params, model, u), cum)
+    grid = _tau_grid(model, step)
+    edges = np.union1d(grid, np.arange(1, model.horizon))
+    nodes = _nodes(params, model, edges, _CURVE_ORDER, at=np.searchsorted(edges, grid))
     vals = _cost(params, x, nodes) + constant_A(params, model)
     d1 = _delta_x(params, x, nodes)
     d2 = _delta2_x(params, model, x, grid, nodes)
@@ -232,9 +230,7 @@ def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
 def order_up_to_of_tau(params: CostParameters, model: IntensityModel, tau: float,
                        x_cap: int = 1200) -> int:
     """Smallest x with c_bar + Delta_x C(x, tau) >= 0 (the first-order condition)."""
-    _require_assumptions(params, model)
-    _check_tau(model, tau)
-    nodes = _gl_nodes(params, model, tau, _GL_ORDER)
+    nodes = _point_nodes(params, model, tau)
     for lo in range(0, x_cap + 1, _X_BLOCK):
         xs = np.arange(lo, min(lo + _X_BLOCK, x_cap + 1))
         hits = np.flatnonzero(params.c_bar + _delta_x(params, xs[:, None], nodes) >= 0)
@@ -258,19 +254,17 @@ def switch_time_bounds(params: CostParameters, model: IntensityModel, x: int,
     with lambda(tau) >= 1 where the stop-side term still dominates the linear
     holding bound; 0 when never satisfied.
     """
-    rep = _require_assumptions(params, model, need_lambda_mono=True)
+    _require_assumptions(params, model, need_lambda_mono=True)
     T = model.horizon
-    grid = np.round(np.arange(0.0, T + step / 2, step), 12)
-    grid = grid[grid <= T]
+    grid = _tau_grid(model, step)
     mu = model.mean_value(grid)
     stop_side = poisson.cdf(x - 1, mu) * (params.c2(grid) + params.c4)
 
     ub_hits = np.flatnonzero(params.c2_bar >= stop_side)  # the premium c2 - c3 is c2_bar
     ub = float(grid[ub_hits[0]]) if len(ub_hits) else float(T)
 
-    lam_g = model.rates[np.minimum(grid.astype(int), T - 1)]
-    rhs = x * (params.c1 - params.delta * params.c4) + params.c2_bar
-    lb_hits = np.flatnonzero((lam_g >= 1.0) & (stop_side >= rhs))
+    rhs = x * params.holding_net_of_scrap + params.c2_bar
+    lb_hits = np.flatnonzero((_rate(model, grid) >= 1.0) & (stop_side >= rhs))
     lb = float(grid[lb_hits[-1]]) if len(lb_hits) else 0.0
     return SwitchBounds(lb=lb, ub=ub)
 
@@ -309,6 +303,8 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
     """
     if policy.spec.stop_mode is not StopMode.DYNAMIC:
         raise PolicyIncompatible("stopping-time distribution needs a dynamic-stop policy")
+    if policy.horizon != model.horizon:
+        raise UnreachableState("policy and intensity disagree on the horizon")
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
     T, Z = policy.horizon, policy.action.shape[2]

@@ -71,6 +71,11 @@ class CostParameters:
         """Lost-sales unit cost at time(s) u."""
         return self.c2_bar + self.c3(u)
 
+    @property
+    def holding_net_of_scrap(self) -> float:
+        """c1 - delta*c4: the holding rate net of what deferring the scrap cost saves."""
+        return self.c1 - self.delta * self.c4
+
 
 def order_cost(params: CostParameters, m: int) -> float:
     """Fixed-plus-linear procurement cost; free when nothing is ordered."""

@@ -162,20 +162,24 @@ def _check_cap(f, J, G, stop_vec, t):
         raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
 
 
-def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
-                   stop_tail: np.ndarray, setup_costs, switch_epochs, *, stops: bool,
-                   grids: bool):
+def _backward_pass(spec: ModelSpec, kernels: KernelTable, setup_costs, switch_epochs, *,
+                   original: bool = False, grids: bool = False):
     """Run the recursion down to 0 for every switch epoch and setup cost at once.
 
     Row i is forced to stop at epoch ``switch_epochs[i]`` (ascending) and at
-    every later one; ``stops`` says whether stopping is admissible before it.
-    Returns V(0) as (len(switch_epochs), len(setup_costs), Z, X+1) and, with
-    ``grids`` (one epoch, one setup cost), the (V, G, J_order, action, target)
-    grids over every epoch; without, no policy is filled.  Either way a chosen
+    every later one; before it, stopping is admissible for DYNAMIC specs only.
+    ``original`` runs the un-reformulated form: one-period cost C and the
+    stopping cost's outside-source tail.  Returns V(0) at the full budget
+    layer as (len(switch_epochs), len(setup_costs), X+1) and, with ``grids``
+    (one epoch, one setup cost), the (V, G, J_order, action, target) grids
+    over every epoch; without, no policy is filled.  Either way a chosen
     order-up-to level at x_max raises CapSaturated.
     """
     p = kernels.params
     T, X, Z = kernels.horizon, kernels.x_max, spec.layers
+    stops = spec.stop_mode is StopMode.DYNAMIC
+    cost, stop_tail = ((kernels.C, kernels.stop_tail) if original
+                       else (kernels.C_tilde, np.zeros(T + 1)))
     y = np.arange(X + 1, dtype=np.float64)
     scrap, cy = p.c4 * y, p.c_bar * y
     disc = np.exp(-p.delta)
@@ -231,35 +235,37 @@ def _backward_pass(spec: ModelSpec, kernels: KernelTable, cost: np.ndarray,
         if live:  # rows with k* <= t hold the forced stop
             W = np.concatenate((np.broadcast_to(stop_vec, (live,) + val.shape[1:]), val))
 
-    V0 = np.broadcast_to(W, full)
+    V0 = np.broadcast_to(W, full)[:, :, Z - 1]
     if not grids:
         return V0, None
     return V0, tuple(g.transpose(0, 2, 1) for g in (V, G_all, J_all, action, target))
 
 
-def _static_sweep(spec, kernels, setup_costs, *, cost, stop_tail):
+def _best_epoch(spec, kernels, setup_costs, original=False):
     """Per setup cost (rows) and starting inventory: the value of the best
-    committed switch epoch and that epoch (the earliest on ties)."""
-    V0, _ = _backward_pass(spec, kernels, cost, stop_tail, setup_costs,
-                           range(kernels.horizon + 1), stops=False, grids=False)
-    v = V0[:, :, spec.layers - 1]
-    return v.min(axis=0), v.argmin(axis=0)
+    switch epoch the spec admits (each of 0..T for STATIC, T otherwise) and
+    that epoch, the earliest on ties."""
+    epochs = np.arange(kernels.horizon + 1)
+    if spec.stop_mode is not StopMode.STATIC:
+        epochs = epochs[-1:]
+    V0, _ = _backward_pass(spec, kernels, setup_costs, epochs, original=original)
+    if len(epochs) == 1:  # nothing to choose, and numpy's argmin over axis 0 is slow
+        return V0[0], np.full(V0.shape[1:], epochs[0])
+    return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 
-def _solve_with(spec, kernels, x0, *, stop_tail, add_A, cost=None):
+def _solve_with(spec, kernels, x0, original=False):
     T, Ks = kernels.horizon, [kernels.params.K]
     if not 0 <= x0 <= kernels.x_max:
         raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
-    cost = kernels.C_tilde if cost is None else cost
-    A = kernels.A if add_A else 0.0
+    A = 0.0 if original else kernels.A
     switch_epoch = switch_values = None
     if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
-        best, best_k = _static_sweep(spec, kernels, Ks, cost=cost, stop_tail=stop_tail)
+        best, best_k = _best_epoch(spec, kernels, Ks, original)
         switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
     _, (V, G, J, action, target) = _backward_pass(
-        spec, kernels, cost, stop_tail, Ks, [T if switch_epoch is None else switch_epoch],
-        stops=spec.stop_mode is StopMode.DYNAMIC, grids=True,
-    )
+        spec, kernels, Ks, [T if switch_epoch is None else switch_epoch], original=original,
+        grids=True)
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
                          target=target, z0=z0, switch_epoch=switch_epoch)
@@ -270,8 +276,7 @@ def _solve_with(spec, kernels, x0, *, stop_tail, add_A, cost=None):
 
 def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
     """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
-    zero_tail = np.zeros(kernels.horizon + 1)
-    return _solve_with(spec, kernels, x0, stop_tail=zero_tail, add_A=True)
+    return _solve_with(spec, kernels, x0)
 
 
 def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float:
@@ -284,9 +289,7 @@ def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float
     C~ at x = 0 keeps the arrival accounting while C follows the printed sum,
     so the two disagree: on the base case at K=1000, x0=0 this form is lower
     by 134 for D/inf/F, 37 for D/1/Z and 788 for T/inf/F (1.4%)."""
-    res = _solve_with(spec, kernels, x0, stop_tail=kernels.stop_tail, add_A=False,
-                      cost=kernels.C)
-    return res.total_cost
+    return _solve_with(spec, kernels, x0, original=True).total_cost
 
 
 def static_switch_values(spec: ModelSpec,
@@ -295,8 +298,7 @@ def static_switch_values(spec: ModelSpec,
     epoch and its total cost (V + A)."""
     if spec.stop_mode is not StopMode.STATIC:
         raise BudgetMisuse("static_switch_values requires a STATIC spec")
-    best, best_k = _static_sweep(spec, kernels, [kernels.params.K], cost=kernels.C_tilde,
-                                 stop_tail=np.zeros(kernels.horizon + 1))
+    best, best_k = _best_epoch(spec, kernels, [kernels.params.K])
     return best[0] + kernels.A, best_k[0]
 
 
@@ -308,14 +310,8 @@ def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs) -> np.ndarr
     for STATIC specs each x takes its own best switch epoch, as in
     ``static_switch_values``.
     """
-    Ks = [float(K) for K in setup_costs]
-    zero_tail = np.zeros(kernels.horizon + 1)
-    if spec.stop_mode is StopMode.STATIC:
-        best, _ = _static_sweep(spec, kernels, Ks, cost=kernels.C_tilde, stop_tail=zero_tail)
-        return best + kernels.A
-    V0, _ = _backward_pass(spec, kernels, kernels.C_tilde, zero_tail, Ks, [kernels.horizon],
-                           stops=spec.stop_mode is StopMode.DYNAMIC, grids=False)
-    return V0[0, :, spec.layers - 1] + kernels.A
+    best, _ = _best_epoch(spec, kernels, [float(K) for K in setup_costs])
+    return best + kernels.A
 
 
 def _layer(policy: PolicyTable, z: int | None) -> int:

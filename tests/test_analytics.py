@@ -13,6 +13,7 @@ from eolstop import (
     ModelSpec,
     NotFound,
     PolicyIncompatible,
+    UnreachableState,
     brute_force_switch_argmin,
     build_kernel_table,
     build_named_intensity,
@@ -143,13 +144,15 @@ class TestDifferences:
 class TestCurve:
     def test_matches_pointwise_evaluation(self, base_model):
         p = base_params()
-        curve = switch_cost_curve(p, base_model, 25, step=0.01)
-        for tau in (0.0, 2.0, 17.0, 50.0):
-            i = int(round(tau / 0.01))
-            assert curve.values[i] == pytest.approx(
-                switch_cost(p, base_model, 25, tau), rel=1e-8)
-            assert curve.delta_x[i] == pytest.approx(
-                delta_x_switch_cost(p, base_model, 25, tau), rel=1e-8, abs=1e-10)
+        for step in (0.01, 0.03, 0.07):  # 0.03 and 0.07 do not divide T
+            curve = switch_cost_curve(p, base_model, 25, step=step)
+            for tau in (0.0, 2.0, 17.0, 50.0):
+                i = int(round(tau / curve.tau_grid[1]))  # the grid point nearest tau
+                t = float(curve.tau_grid[i])
+                assert curve.values[i] == pytest.approx(
+                    switch_cost(p, base_model, 25, t), rel=1e-12), (step, t)
+                assert curve.delta_x[i] == pytest.approx(
+                    delta_x_switch_cost(p, base_model, 25, t), rel=1e-12, abs=1e-10), (step, t)
 
     def test_grid_and_shapes(self, base_model):
         curve = switch_cost_curve(base_params(), base_model, 3, step=0.5)
@@ -240,6 +243,17 @@ class TestBounds:
             assert b.lb <= tau_star + 1e-9 <= b.ub + 1e-9
         assert switch_time_bounds(p, base_model, 100).ub < 50.0  # informative, not trivial
 
+    @pytest.mark.parametrize("step", [0.01, 0.03, 0.07, 0.5])
+    @pytest.mark.parametrize("x", [0, 25, 100, 250])
+    def test_sandwich_on_the_curve_grid(self, base_model, step, x):
+        # the bounds and the argmin read one grid, whether or not step divides T
+        p = base_params()
+        b = switch_time_bounds(p, base_model, x, step=step)
+        tau_star, _ = brute_force_switch_argmin(p, base_model, x, step=step)
+        grid = switch_cost_curve(p, base_model, x, step=step).tau_grid
+        assert b.lb <= tau_star <= b.ub
+        assert b.lb in grid and b.ub in grid
+
     def test_lower_bound_needs_monotone_intensity(self):
         m = IntensityModel(horizon=3, rates=np.array([1.0, 2.0, 1.0]))
         with pytest.raises(AssumptionViolated):
@@ -276,6 +290,15 @@ class TestStoppingTimeDistribution:
         res = solve(ModelSpec.parse("T/inf/F"), base_kernels, 0)
         with pytest.raises(PolicyIncompatible):
             stopping_time_distribution(res.policy, base_kernels.model, 0)
+
+    @pytest.mark.parametrize("horizon", [40, 60])
+    def test_rejects_model_of_another_horizon(self, base_kernels, horizon):
+        # a longer model would run the T=50 policy on the wrong rates, a
+        # shorter one would index past its own periods
+        res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 100)
+        with pytest.raises(UnreachableState, match="horizon"):
+            stopping_time_distribution(res.policy, build_named_intensity("convex", horizon, 500.0),
+                                       100)
 
     @pytest.mark.parametrize("conv", list(LostSalesConvention))
     @pytest.mark.parametrize("label", ["D/inf/F", "D/1/F", "D/1/Z", "D/2/F"])

@@ -180,8 +180,8 @@ class TestCli:
         from eolstop import solver
 
         sweeps = []
-        real = solver._static_sweep
-        monkeypatch.setattr(solver, "_static_sweep",
+        real = solver._best_epoch
+        monkeypatch.setattr(solver, "_best_epoch",
                             lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
         Ks, x0s = [200.0, 2000.0], [9, 0, 20]  # at K=2000 the best epochs are 1, 0, 3
         cfg = write_cfg(tmp_path, models=["S/1/Z"], setup_costs=Ks, x0=x0s)
@@ -222,6 +222,27 @@ class TestCli:
                      "--paths", "300"]) == 0
         rows = list(csv.reader((out / "simulate.csv").open()))
         assert len(rows) == 1 + 2 * 2 * 2
+
+    def test_bounds_on_a_step_that_does_not_divide_T(self, tmp_path):
+        # T=8 and tau_step 0.07: bounds, argmin and its cost all come from
+        # the one grid of 114 steps, and the cost is the point function's
+        from eolstop import switch_cost
+
+        cfg = write_cfg(tmp_path, x0=[0, 4, 10, 20], tau_step=0.07)
+        out = tmp_path / "o8"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "bounds.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        ec = ExperimentConfig.from_json(cfg)
+        params, model = ec.build_params(ec.setup_costs[0]), ec.build_model()
+        grid = np.linspace(0.0, 8.0, 115)
+        on_grid = {f"{g:.4f}": g for g in grid}
+        assert [int(r["x"]) for r in rows] == [0, 4, 10, 20]
+        for r in rows:
+            lb, tau, ub = (on_grid[r[k]] for k in ("tau_lb", "tau_argmin", "tau_ub"))
+            assert lb <= tau <= ub
+            assert r["cost_at_argmin"] == f"{switch_cost(params, model, int(r['x']), tau):.4f}"
+        assert any(0.0 < on_grid[r["tau_ub"]] < 8.0 for r in rows)  # some bound is informative
 
     def test_sweep_single_setting(self, tmp_path):
         cfg = write_cfg(tmp_path, x0=[0], setup_costs=[0.0], x_max=1200)
@@ -264,11 +285,12 @@ class TestCli:
         {"x_max": 40.5},
         {"paths": 10**13},
         {"tau_step": 1e-12},
+        {"tau_step": 20.0},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
             "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge",
             "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional",
-            "paths-huge", "tau_step-tiny"])
+            "paths-huge", "tau_step-tiny", "tau_step-over-T"])
     def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
         # each is a config error: exit 2 before anything is solved or written,
         # so no kernel table (the first large allocation) is ever built

@@ -27,7 +27,7 @@ from eolstop import (
 )
 from eolstop import _backends
 from eolstop.solver import (CONTINUE, ORDER, STOP, FirstOrder, StopMode, _backward_pass,
-                            _check_cap, _static_sweep)
+                            _best_epoch, _check_cap)
 
 from conftest import base_params, small_instance
 from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
@@ -448,18 +448,17 @@ class TestStaticModels:
             params, model, _, x_max = small_instance(seed)
         kt = build_kernel_table(params, model, ARR, x_max=x_max)
         spec, T = ModelSpec.parse(label), kt.horizon
-        for cost, tail in ((kt.C_tilde, np.zeros(T + 1)), (kt.C, kt.stop_tail)):
+        for original in (False, True):
             best = np.full(x_max + 1, np.inf)
             best_k = np.zeros(x_max + 1, dtype=np.int64)
             for k in range(T + 1):
-                V0, _ = _backward_pass(spec, kt, cost, tail, [params.K], [k], stops=False,
-                                       grids=False)
-                v = V0[0, 0, spec.layers - 1]
+                V0, _ = _backward_pass(spec, kt, [params.K], [k], original=original)
+                v = V0[0, 0]
                 better = v < best
                 best[better], best_k[better] = v[better], k
-            got, got_k = _static_sweep(spec, kt, [params.K], cost=cost, stop_tail=tail)
+            got, got_k = _best_epoch(spec, kt, [params.K], original)
             assert np.array_equal(got[0], best) and np.array_equal(got_k[0], best_k)
-            if cost is kt.C_tilde:
+            if not original:
                 vals, epochs = static_switch_values(spec, kt)
                 assert np.array_equal(vals, best + kt.A) and np.array_equal(epochs, best_k)
 
@@ -568,3 +567,20 @@ def _setting_kernels(sid):
 
     s = setting_from_id(sid)
     return build_kernel_table(setting_cost_params(s, 0.0), setting_intensity(s), ARR, x_max=1200)
+
+
+def test_table11_diagnosis_is_pinned():
+    # scripts/diagnose_table11.py reaches into ``_backward_pass``; its whole
+    # report (every candidate row and the implied gaps) must not move
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, str(root / "scripts" / "diagnose_table11.py")],
+                         env=env, capture_output=True, check=True)
+    assert hashlib.sha256(run.stdout).hexdigest() == (
+        "ebca2f4014c47ef137c624b2931f3dc03ed395d3b03e4ce5f4bfe5bc12cd5ce0")
