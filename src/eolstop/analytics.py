@@ -89,9 +89,10 @@ def _require_assumptions(params, model, need_lambda_mono=False):
 # ---------------------------------------------------------------------------
 
 def _tau_grid(model: IntensityModel, step: float) -> np.ndarray:
-    """The switch-time grid: T / round(T / step) apart, both ends included."""
+    """The switch-time grid: T / round(T / step) apart, both ends included
+    (just {0, T} for a step above 2T)."""
     T = model.horizon
-    return np.linspace(0.0, T, int(round(T / step)) + 1)
+    return np.linspace(0.0, T, max(1, int(round(T / step))) + 1)
 
 
 def _rate(model: IntensityModel, u):

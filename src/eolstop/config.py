@@ -160,8 +160,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"paths * T = {self.paths * horizon} Monte Carlo draws exceeds the "
                     f"limit of {MAX_MC_DRAWS}; lower paths")
-            if self.tau_step > horizon:  # the switch-time grid would be {0} or {0, T}
-                raise ConfigError(f"tau_step {self.tau_step:g} exceeds the horizon {horizon}")
             if horizon / self.tau_step > MAX_TAU_NODES:
                 raise ConfigError(
                     f"T / tau_step = {horizon / self.tau_step:.6g} switch-time nodes exceeds "

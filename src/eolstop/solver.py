@@ -249,8 +249,6 @@ def _best_epoch(spec, kernels, setup_costs, original=False):
     if spec.stop_mode is not StopMode.STATIC:
         epochs = epochs[-1:]
     V0, _ = _backward_pass(spec, kernels, setup_costs, epochs, original=original)
-    if len(epochs) == 1:  # nothing to choose, and numpy's argmin over axis 0 is slow
-        return V0[0], np.full(V0.shape[1:], epochs[0])
     return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 

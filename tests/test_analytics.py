@@ -243,16 +243,19 @@ class TestBounds:
             assert b.lb <= tau_star + 1e-9 <= b.ub + 1e-9
         assert switch_time_bounds(p, base_model, 100).ub < 50.0  # informative, not trivial
 
-    @pytest.mark.parametrize("step", [0.01, 0.03, 0.07, 0.5])
+    @pytest.mark.parametrize("step", [0.01, 0.03, 0.07, 0.5, 60.0, 120.0])
     @pytest.mark.parametrize("x", [0, 25, 100, 250])
     def test_sandwich_on_the_curve_grid(self, base_model, step, x):
-        # the bounds and the argmin read one grid, whether or not step divides T
+        # the bounds and the argmin read one grid, whether or not step divides
+        # T; a step above T (60) or above 2T (120) still gives the grid {0, T}
         p = base_params()
         b = switch_time_bounds(p, base_model, x, step=step)
         tau_star, _ = brute_force_switch_argmin(p, base_model, x, step=step)
         grid = switch_cost_curve(p, base_model, x, step=step).tau_grid
         assert b.lb <= tau_star <= b.ub
         assert b.lb in grid and b.ub in grid
+        if step > 50.0:
+            assert list(grid) == [0.0, 50.0]
 
     def test_lower_bound_needs_monotone_intensity(self):
         m = IntensityModel(horizon=3, rates=np.array([1.0, 2.0, 1.0]))

@@ -244,6 +244,18 @@ class TestCli:
             assert r["cost_at_argmin"] == f"{switch_cost(params, model, int(r['x']), tau):.4f}"
         assert any(0.0 < on_grid[r["tau_ub"]] < 8.0 for r in rows)  # some bound is informative
 
+    def test_bounds_on_a_step_above_the_horizon(self, tmp_path):
+        # T=8 and tau_step 20: the grid is {0, 8}, and bounds and argmin lie on it
+        cfg = write_cfg(tmp_path, x0=[0, 4, 10, 20], tau_step=20.0)
+        out = tmp_path / "o9"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "bounds.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for r in rows:
+            lb, tau, ub = (float(r[k]) for k in ("tau_lb", "tau_argmin", "tau_ub"))
+            assert {lb, tau, ub} <= {0.0, 8.0} and lb <= tau <= ub
+
     def test_sweep_single_setting(self, tmp_path):
         cfg = write_cfg(tmp_path, x0=[0], setup_costs=[0.0], x_max=1200)
         out = tmp_path / "o6"
@@ -285,12 +297,11 @@ class TestCli:
         {"x_max": 40.5},
         {"paths": 10**13},
         {"tau_step": 1e-12},
-        {"tau_step": 20.0},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
             "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge",
             "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional",
-            "paths-huge", "tau_step-tiny", "tau_step-over-T"])
+            "paths-huge", "tau_step-tiny"])
     def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
         # each is a config error: exit 2 before anything is solved or written,
         # so no kernel table (the first large allocation) is ever built
