@@ -9,9 +9,9 @@ policy.
 C(x, tau), Delta_x C and Delta^2_x C are each written once, over the
 Gauss-Legendre nodes ``_nodes`` places between given edges: 32 per unit
 period up to tau for the point functions, 5 per panel for the curve, whose
-panels are the steps of the one tau grid (``_tau_grid``, T / round(T / step)
-apart) split at the unit periods, so that none straddles a rate jump.  The
-curve, its argmin and both bounds read that grid.  Delta_x C takes a block
+panels are the steps of the one tau grid (``_tau_grid``,
+T / max(1, round(T / step)) apart) split at the unit periods, so that none
+straddles a rate jump.  The curve, its argmin and both bounds read that grid.  Delta_x C takes a block
 of x at once; the order-up-to search walks x in blocks of ``_X_BLOCK`` and
 stops at the first block with a hit.
 
@@ -89,8 +89,8 @@ def _require_assumptions(params, model, need_lambda_mono=False):
 # ---------------------------------------------------------------------------
 
 def _tau_grid(model: IntensityModel, step: float) -> np.ndarray:
-    """The switch-time grid: T / round(T / step) apart, both ends included
-    (just {0, T} for a step above 2T)."""
+    """The switch-time grid: T / max(1, round(T / step)) apart, both ends
+    included, so a step above 2T gives {0, T}."""
     T = model.horizon
     return np.linspace(0.0, T, max(1, int(round(T / step))) + 1)
 
