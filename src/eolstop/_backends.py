@@ -2,7 +2,8 @@
 
   * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)],
                  for every row of V at once
-  * push_clamped - its transpose, the law of (y - D)^+ for y drawn from q
+  * push_clamped - its transpose, the law of (y - D)^+ for y drawn from each
+                   row of q
   * suffix_min - suffix minimum along the last axis (order-up-to search)
   * suffix_argmin - the smallest index attaining it (the order-up-to level)
   * period_tables - conditional expected period costs given the arrival count
@@ -44,12 +45,16 @@ def ev_clamped(V, pmf, tail):
 
 
 def push_clamped(q, pmf, tail):
-    """Law of (y - D)^+ for y ~ q, the transpose of ``ev_clamped``: mass at y
-    moves to y - d with pmf[d], and demand beyond y (with the truncated
-    residual) lands on 0."""
-    n, s = len(q), len(pmf) - 1
-    out = np.correlate(q, pmf, "full")[s:s + n]
-    out[0] += np.dot(q, _clamped_tail(pmf, tail, n))
+    """Law of (y - D)^+ for y ~ q, for every row of q (the last axis; a 1-D q
+    is one row), the transpose of ``ev_clamped``: mass at y moves to y - d
+    with pmf[d], and demand beyond y (with the truncated residual) lands on 0.
+    One ``np.correlate`` and one ``np.dot`` per row."""
+    n, s = q.shape[-1], len(pmf) - 1
+    reach = _clamped_tail(pmf, tail, n)
+    out = np.empty(q.shape)
+    for r, o in zip(q.reshape(-1, n), out.reshape(-1, n)):
+        o[:] = np.correlate(r, pmf, "full")[s:s + n]
+        o[0] += np.dot(r, reach)
     return out
 
 

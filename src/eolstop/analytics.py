@@ -11,20 +11,20 @@ Gauss-Legendre nodes ``_nodes`` places between given edges: 32 per unit
 period up to tau for the point functions, 5 per panel for the curve, whose
 panels are the steps of the one tau grid (``_tau_grid``,
 T / max(1, round(T / step)) apart) split at the unit periods, so that none
-straddles a rate jump.  The curve, its argmin and both bounds read that grid.  Delta_x C takes a block
-of x at once; the order-up-to search walks x in blocks of ``_X_BLOCK`` and
-stops at the first block with a hit.
+straddles a rate jump.  The curve, its argmin and both bounds read that grid.
 
 The stopping-time law is one forward pass under the fixed policy: the law of
 (x, z) starts at (x0, z0); at each epoch the mass on stopping states is
 P{tau* = t} and leaves, ordering states hand their mass to the order-up-to
 level one budget layer down, and the post-decision law is pushed through the
 period's demand, (y - D)^+, by ``_backends.push_clamped``.
-That is T*Z pushes per law, against one backward pass per target epoch.
+That is one push per period, every budget layer at once, against one backward
+pass per target epoch.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ from .solver import ORDER, STOP, PolicyTable, StopMode
 DEFAULT_TAU_STEP = 0.01
 _GL_ORDER = 32  # Gauss-Legendre nodes per unit period of a point function
 _CURVE_ORDER = 5  # per panel of the curve
-_X_BLOCK = 64  # x per Delta_x C block; its temporaries are 64 x 32*tau floats (0.8 MB at 50)
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def _cost(params: CostParameters, x: int, n: _Nodes):
 
 
 def _delta_x(params: CostParameters, x, n: _Nodes):
-    """Delta_x C(x, tau); ``x`` may be a column of inventory levels."""
+    """Delta_x C(x, tau)."""
     return (params.c4
             + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * poisson.pmf(x, n.mu))
             + params.holding_net_of_scrap * n.integrate(n.disc * poisson.cdf(x, n.mu)))
@@ -190,18 +189,10 @@ def delta_x_switch_cost(params: CostParameters, model: IntensityModel, x: int,
     return float(_delta_x(params, x, _point_nodes(params, model, tau)))
 
 
-def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float,
-                         c2_jumps=()) -> float:
-    """Second difference Delta^2 C(x, tau) = Delta C(x+1, tau) - Delta C(x, tau).
-
-    ``c2_jumps`` lists (location, drop) pairs for a piecewise lost-sales cost;
-    it is empty for the smooth exponential family used throughout.
-    """
-    out = _delta2_x(params, model, x, tau, _point_nodes(params, model, tau))
-    for loc, drop in c2_jumps:
-        if loc <= tau:
-            out -= math.exp(-params.delta * loc) * drop * poisson.pmf(x + 1, model.mean_value(loc))
-    return float(out)
+def delta2_x_switch_cost(params: CostParameters, model: IntensityModel, x: int,
+                         tau: float) -> float:
+    """Second difference Delta^2 C(x, tau) = Delta C(x+1, tau) - Delta C(x, tau)."""
+    return float(_delta2_x(params, model, x, tau, _point_nodes(params, model, tau)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +221,21 @@ def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
 
 def order_up_to_of_tau(params: CostParameters, model: IntensityModel, tau: float,
                        x_cap: int = 1200) -> int:
-    """Smallest x with c_bar + Delta_x C(x, tau) >= 0 (the first-order condition)."""
+    """Smallest x <= x_cap with c_bar + Delta_x C(x, tau) >= 0 (the first-order
+    condition), found by bisection.
+
+    The bisection is exact because the condition is monotone in x: every
+    term of Delta^2_x C (``_delta2_x``) is non-negative, since
+    ``CostParameters`` makes c2 and delta non-negative and c2 non-increasing,
+    and ``_point_nodes`` checks c4 >= 0 and c1 - delta*c4 >= 0 (so c1 >= 0).
+    Hence c_bar + Delta_x C never falls as x rises.
+    """
     nodes = _point_nodes(params, model, tau)
-    for lo in range(0, x_cap + 1, _X_BLOCK):
-        xs = np.arange(lo, min(lo + _X_BLOCK, x_cap + 1))
-        hits = np.flatnonzero(params.c_bar + _delta_x(params, xs[:, None], nodes) >= 0)
-        if len(hits):
-            return int(xs[hits[0]])
-    raise NotFound(f"first-order condition unmet for every x <= {x_cap}")
+    s = bisect.bisect_left(range(x_cap + 1), True,
+                           key=lambda x: bool(params.c_bar + _delta_x(params, x, nodes) >= 0))
+    if s > x_cap:
+        raise NotFound(f"first-order condition unmet for every x <= {x_cap}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -325,5 +323,5 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
         moved = q[xs, zs]
         q[xs, zs] = 0.0
         np.add.at(q, (policy.target[t, xs, zs], src[zs]), moved)
-        q = np.stack([_backends.push_clamped(q[:, z], pmfs[t], tails[t]) for z in range(Z)], 1)
+        q = _backends.push_clamped(q.T, pmfs[t], tails[t]).T
     return StoppingTimeDistribution(mass=mass, x0=x0)

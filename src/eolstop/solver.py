@@ -252,29 +252,23 @@ def _best_epoch(spec, kernels, setup_costs, original=False):
     return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 
-def _solve_with(spec, kernels, x0, original=False):
-    T, Ks = kernels.horizon, [kernels.params.K]
+def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
+    """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
     if not 0 <= x0 <= kernels.x_max:
         raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
-    A = 0.0 if original else kernels.A
+    T, Ks, A = kernels.horizon, [kernels.params.K], kernels.A
     switch_epoch = switch_values = None
     if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
-        best, best_k = _best_epoch(spec, kernels, Ks, original)
+        best, best_k = _best_epoch(spec, kernels, Ks)
         switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
     _, (V, G, J, action, target) = _backward_pass(
-        spec, kernels, Ks, [T if switch_epoch is None else switch_epoch], original=original,
-        grids=True)
+        spec, kernels, Ks, [T if switch_epoch is None else switch_epoch], grids=True)
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
                          target=target, z0=z0, switch_epoch=switch_epoch)
     return SolveResult(spec=spec, value_grid=ValueGrid(V=V, G=G, J_order=J, A=A),
                        policy=policy, total_cost=float(V[0, x0, z0] + A),
                        switch_values=switch_values)
-
-
-def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
-    """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
-    return _solve_with(spec, kernels, x0)
 
 
 def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float:
@@ -287,7 +281,9 @@ def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float
     C~ at x = 0 keeps the arrival accounting while C follows the printed sum,
     so the two disagree: on the base case at K=1000, x0=0 this form is lower
     by 134 for D/inf/F, 37 for D/1/Z and 788 for T/inf/F (1.4%)."""
-    return _solve_with(spec, kernels, x0, original=True).total_cost
+    if not 0 <= x0 <= kernels.x_max:
+        raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
+    return float(_best_epoch(spec, kernels, [kernels.params.K], original=True)[0][0, x0])
 
 
 def static_switch_values(spec: ModelSpec,

@@ -101,6 +101,12 @@ def test_push_is_the_adjoint_of_ev(n):
         assert abs(lhs - rhs) <= 1e-12 * lhs
     np.testing.assert_allclose(_backends.ev_clamped(np.ones(n), pmf, tail), 1.0, rtol=1e-12)
     assert _backends.push_clamped(q, pmf, tail).sum() == pytest.approx(q.sum(), rel=1e-12)
+    # a 2-D q is pushed row by row: the identity and the mass hold per row
+    V, Q = rng.uniform(size=(2, 3, n))
+    pushed = _backends.push_clamped(Q, pmf, tail)
+    np.testing.assert_allclose(np.sum(_backends.ev_clamped(V, pmf, tail) * Q, axis=1),
+                               np.sum(V * pushed, axis=1), rtol=1e-12)
+    np.testing.assert_allclose(pushed.sum(axis=1), Q.sum(axis=1), rtol=1e-12)
 
 
 def test_benchmark_layer_bindings_resolve(monkeypatch):
