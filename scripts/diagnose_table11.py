@@ -79,7 +79,7 @@ def switch_at(k_star):
     """Chain forced to stop at k_star < T instead of at the horizon."""
     def run(kt, label):
         spec = ModelSpec.parse(label)
-        V0, _ = _backward_pass(spec, kt, [kt.params.K], [k_star])
+        (V0,), _ = _backward_pass(spec, [kt], [kt.params.K], [k_star])
         return V0[0, 0] + kt.A
     return run
 
@@ -89,7 +89,7 @@ def original_form(kt_cost):
     def run(kt, label):
         k = kernels_with_K(kt_cost, kt.params.K)
         spec = ModelSpec.parse(label)
-        V0, _ = _backward_pass(spec, k, [k.params.K], [T], original=True)
+        (V0,), _ = _backward_pass(spec, [k], [k.params.K], [T], original=True)
         return V0[0, 0]
     return run
 
@@ -106,7 +106,9 @@ def c3_held_kernels():
         return P0, (c2k * rates)[:, None] * P0, c2k * B0, prem_full
 
     with mock.patch.object(kernel_module, "_period_integrals", held):
-        return build_kernel_table(PARAMS, MODEL, LostSalesConvention.ARRIVAL, x_max=X)
+        kt = build_kernel_table(PARAMS, MODEL, LostSalesConvention.ARRIVAL, x_max=X)
+        kt.C  # noqa: B018  (the table derives C on first use: do it under the patch)
+        return kt
 
 
 def a_variant(disc_start, disc_in_period, gamma_in_period):

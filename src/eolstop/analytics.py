@@ -37,7 +37,7 @@ from . import _poisson as poisson
 from .costs import CostParameters
 from .demand import IntensityModel
 from .errors import AssumptionViolated, NotFound, PolicyIncompatible, UnreachableState
-from .kernels import constant_A, period_pmfs
+from .kernels import constant_A
 from .solver import ORDER, STOP, PolicyTable, StopMode
 
 DEFAULT_TAU_STEP = 0.01
@@ -307,7 +307,7 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
     T, Z = policy.horizon, policy.action.shape[2]
-    pmfs, tails = period_pmfs(model.rates)
+    pmfs, tails = model.demand_pmfs
     src = np.arange(Z) if policy.spec.order_budget is None else np.arange(Z) - 1
     mass = np.zeros(T + 1)
     q = np.zeros((policy.x_max + 1, Z))

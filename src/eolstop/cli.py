@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -54,9 +55,11 @@ _OVERRIDES = {"convention": "convention", "xmax": "x_max", "seed": "seed", "path
 # ---------------------------------------------------------------------------
 
 def _git_revision() -> str:
+    """Short hash of the checkout this package was loaded from, whatever the
+    working directory; ``unknown`` outside a git checkout."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "rev-parse", "--short", "HEAD"], cwd=Path(__file__).resolve().parent,
             capture_output=True, text=True, timeout=5, check=False,
         )
         return out.stdout.strip() or "unknown"
@@ -103,11 +106,18 @@ def _pair_csv(args) -> str:
     return f"{args.command}_{_tag(args.model_a)}_vs_{_tag(args.model_b)}.csv"
 
 
-def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str) -> np.ndarray:
+def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str, where: str = "") -> np.ndarray:
     """% increase of model a's total cost V(0, x0) + A over model b's, per
-    (K, x0); one backward pass per label covers every K."""
-    va, vb = (solve_values(ModelSpec.parse(m), kernels, cfg.setup_costs)[:, list(cfg.x0)]
-              for m in (a, b))
+    (K, x0), or per (table, K, x0) for a list of tables sharing an intensity;
+    one backward pass per label covers every K and table.  A CapSaturated
+    message gains the label and ``where``."""
+    def values(label):
+        try:
+            return solve_values(ModelSpec.parse(label), kernels, cfg.setup_costs)[..., list(cfg.x0)]
+        except CapSaturated as exc:
+            raise CapSaturated(f"{label}{where}: {exc}") from None
+
+    va, vb = values(a), values(b)
     if not vb.all():
         raise ConfigError(f"{b} costs 0 at some (K, x0), so a % increase over it is undefined")
     return 100.0 * (va - vb) / vb
@@ -168,6 +178,13 @@ def _parse_setting_ids(spec: str) -> list[int]:
     return sorted(ids)
 
 
+def _format_setting_ids(ids) -> str:
+    """Ascending ids in the ``--settings`` form, runs as ranges: '1-4,9'."""
+    runs = [[sid for _, sid in run]
+            for _, run in itertools.groupby(enumerate(ids), lambda p: p[1] - p[0])]
+    return ",".join(f"{r[0]}-{r[-1]}" if len(r) > 1 else f"{r[0]}" for r in runs)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -207,11 +224,17 @@ def _cmd_sweep(args, cfg, out_dir, timings):
     chosen = [settings.setting_from_id(sid) for sid in ids]
     check_grid(max(s.horizon for s in chosen), cfg.x_max, (args.model_a, args.model_b))
     conv = LostSalesConvention.parse(cfg.convention)
-    pct = np.array([  # (setting, K, x0)
-        _pct_grid(build_kernel_table(settings.setting_cost_params(s, cfg.setup_costs[0]),
-                                     settings.setting_intensity(s), conv, x_max=cfg.x_max),
-                  cfg, args.model_a, args.model_b)
-        for s in chosen])
+    groups = {}  # settings that share an intensity (kind, horizon) share one pass
+    for i, s in enumerate(chosen):
+        groups.setdefault((s.kind, s.horizon), []).append(i)
+    pct = np.empty((len(chosen), len(cfg.setup_costs), len(cfg.x0)))  # (setting, K, x0)
+    for members in groups.values():
+        model = settings.setting_intensity(chosen[members[0]])
+        pct[members] = _pct_grid(
+            [build_kernel_table(settings.setting_cost_params(chosen[i], cfg.setup_costs[0]),
+                                model, conv, x_max=cfg.x_max) for i in members],
+            cfg, args.model_a, args.model_b,
+            f" on settings {_format_setting_ids([ids[i] for i in members])}")
     rows = []
     for i, K in enumerate(cfg.setup_costs):
         for j, x0 in enumerate(cfg.x0):

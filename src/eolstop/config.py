@@ -236,7 +236,10 @@ def check_grid(horizon: int, x_max: int, labels) -> None:
 
 
 def kernels_with_K(kernels: KernelTable, K: float) -> KernelTable:
-    """Kernel arrays are K-independent; swap the scalar without rebuilding."""
+    """Kernel arrays are K-independent; swap the scalar without rebuilding.
+    Rows the table has already derived on first use (H, L, C) come along."""
     if K == kernels.params.K:
         return kernels
-    return dataclasses.replace(kernels, params=dataclasses.replace(kernels.params, K=float(K)))
+    out = dataclasses.replace(kernels, params=dataclasses.replace(kernels.params, K=float(K)))
+    vars(out).update({k: v for k, v in vars(kernels).items() if k not in vars(out)})
+    return out

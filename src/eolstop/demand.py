@@ -5,11 +5,16 @@ downstream cost integral in exponential-polynomial form and therefore exactly
 integrable.  Arbitrary profiles enter through a custom rates table; the four
 named shapes (convex, concave, linear, constant) are normalized so the
 expected total demand over the horizon hits a requested value.
+
+A model owns its per-period demand pmfs (``IntensityModel.demand_pmfs``),
+built once on first use, so every kernel table and stopping-time law on the
+same model reads the same read-only rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +23,7 @@ from . import _poisson as poisson
 from .errors import NonNormalizable, OutOfHorizon
 
 NAMED_KINDS = ("convex", "concave", "linear", "constant")
+PMF_TAIL_EPS = 1e-12  # one-period demand support truncated at this tail mass
 
 # Shape coefficients at the two reference horizons.  Other horizons rescale
 # the coefficient so the total drop over the horizon matches the nearest
@@ -64,6 +70,28 @@ class IntensityModel:
             raise OutOfHorizon(f"t outside [0, {self.horizon}]")
         out = np.interp(t, np.arange(self.horizon + 1), self._cum)
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def demand_pmfs(self) -> tuple[list, list]:
+        """``period_pmfs`` of the rates, built on first use and kept."""
+        return period_pmfs(self.rates)
+
+
+def period_pmfs(rates) -> tuple[list, list]:
+    """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
+    PMF_TAIL_EPS tail mass; one pmf and one sf evaluation for all periods.
+    The rows are read-only views."""
+    rates = np.asarray(rates, dtype=np.float64)
+    n_sup = np.zeros(len(rates), dtype=np.int64)
+    pos = rates > 0
+    n_sup[pos] = poisson.ppf(1.0 - PMF_TAIL_EPS, rates[pos]).astype(np.int64) + 1
+    grid = np.arange(n_sup.max() + 1)
+    pmf = poisson.pmf(grid, rates[:, None])
+    tail = np.maximum(poisson.sf(grid, rates[:, None]), 0.0)
+    pmf.setflags(write=False)
+    tail.setflags(write=False)
+    return ([row[: n + 1] for row, n in zip(pmf, n_sup)],
+            [row[: n + 1] for row, n in zip(tail, n_sup)])
 
 
 def build_named_intensity(kind: str, horizon: int, total_demand: float) -> IntensityModel:

@@ -16,11 +16,17 @@ stream has one home too: ``_c3_period`` per period and ``_stop_tail``, its
 discounted tail.  The independent checks are fixed-order Gauss-Legendre
 quadrature of the same integrand (``unit_poisson_integrals_quadrature``) and
 the adaptive-quadrature oracles of the test suite.
+
+A ``KernelTable`` keeps only what the reformulated recursion reads: C_tilde,
+the stopping-cost tail and the intensity model, whose demand pmfs it shares
+with every other table on that model.  H, L and C (the original form and the
+tests) come from one more ``_kernel_rows`` call on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,10 +34,8 @@ from scipy.special import gammainc
 
 from . import _poisson as poisson
 from .costs import CostParameters, LostSalesConvention
-from .demand import IntensityModel
+from .demand import PMF_TAIL_EPS, IntensityModel, period_pmfs  # noqa: F401  (re-exported)
 from .errors import OutOfGrid
-
-PMF_TAIL_EPS = 1e-12  # one-period demand support truncated at this tail mass
 
 
 def _unit_integral(a: float):
@@ -78,20 +82,6 @@ def _support_caps(rates: np.ndarray) -> np.ndarray:
     pos = rates > 0
     caps[pos] = poisson.ppf(1.0 - 1e-15, rates[pos]).astype(np.int64) + 10
     return caps
-
-
-def period_pmfs(rates) -> tuple[list, list]:
-    """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
-    PMF_TAIL_EPS tail mass; one pmf and one sf evaluation for all periods."""
-    rates = np.asarray(rates, dtype=np.float64)
-    n_sup = np.zeros(len(rates), dtype=np.int64)
-    pos = rates > 0
-    n_sup[pos] = poisson.ppf(1.0 - PMF_TAIL_EPS, rates[pos]).astype(np.int64) + 1
-    grid = np.arange(n_sup.max() + 1)
-    pmf = poisson.pmf(grid, rates[:, None])
-    tail = np.maximum(poisson.sf(grid, rates[:, None]), 0.0)
-    return ([row[: n + 1] for row, n in zip(pmf, n_sup)],
-            [row[: n + 1] for row, n in zip(tail, n_sup)])
 
 
 def _c3_period(params: CostParameters, rates: np.ndarray, periods: np.ndarray) -> np.ndarray:
@@ -231,30 +221,52 @@ def constant_A(params: CostParameters, model: IntensityModel) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """All per-(period, inventory) kernels plus solver-ready demand pmfs.
+    """The reformulated kernel per (period, inventory), the stopping-cost
+    tail and the model's demand pmfs.
 
     Arrays are (T, x_max+1); ``stop_tail[k]`` is the integral part of the
     stopping cost from epoch k, so S(k, x) = c4*x + stop_tail[k] and
-    A = stop_tail[0].
+    A = stop_tail[0].  H, L and C = H + L are built on first use.
     """
 
     params: CostParameters
     model: IntensityModel
     convention: LostSalesConvention
     x_max: int
-    H: np.ndarray
-    L: np.ndarray
-    C: np.ndarray
     C_tilde: np.ndarray
     c3_period: np.ndarray
     stop_tail: np.ndarray
     A: float
-    pmfs: list
-    pmf_tails: list
 
     @property
     def horizon(self) -> int:
         return self.params.horizon
+
+    @property
+    def pmfs(self) -> list:
+        return self.model.demand_pmfs[0]
+
+    @property
+    def pmf_tails(self) -> list:
+        return self.model.demand_pmfs[1]
+
+    @cached_property
+    def _original_rows(self):
+        H, L, _, _ = _kernel_rows(self.params, self.model.rates, np.arange(self.horizon),
+                                  self.convention, self.x_max + 1)
+        return H, L, H + L
+
+    @property
+    def H(self) -> np.ndarray:
+        return self._original_rows[0]
+
+    @property
+    def L(self) -> np.ndarray:
+        return self._original_rows[1]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self._original_rows[2]
 
 
 def build_kernel_table(
@@ -263,26 +275,21 @@ def build_kernel_table(
     convention: LostSalesConvention = LostSalesConvention.ARRIVAL,
     x_max: int = 1200,
 ) -> KernelTable:
-    """Every kernel for all periods from one call of the row builder."""
+    """Every kernel the reformulated recursion reads, from one call of the
+    row builder."""
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     _checked(params, model)
     periods = np.arange(params.horizon)
-    H, L, Ct, _ = _kernel_rows(params, model.rates, periods, convention, x_max + 1)
-    pmfs, pmf_tails = period_pmfs(model.rates)
+    _, _, Ct, _ = _kernel_rows(params, model.rates, periods, convention, x_max + 1)
     stop_tail = _stop_tail(params, model.rates)
     return KernelTable(
         params=params,
         model=model,
         convention=convention,
         x_max=x_max,
-        H=H,
-        L=L,
-        C=H + L,
         C_tilde=Ct,
         c3_period=_c3_period(params, model.rates, periods),
         stop_tail=stop_tail,
         A=float(stop_tail[0]),
-        pmfs=pmfs,
-        pmf_tails=pmf_tails,
     )

@@ -15,11 +15,16 @@ reformulation identity V = V_tilde + A.
 
 After the reformulation the setup cost K enters only the order search, so
 one backward pass serves several K, and the switch epochs k* a STATIC model
-may commit to ride along as one more batch axis.  The pass carries one value
-array of shape (k*, K, layer, x) and takes one Bellman step on all of it per
-epoch; rows with k* <= t hold the forced stop.  The K and layer axes keep
-size 1 until some layer may order (epoch T-1 for ``.../F``, 0 for
-``.../Z``), so the no-order chain they all share is computed once.
+may commit to ride along as one more batch axis.  So do kernel tables that
+share the horizon, x_max and demand rates (the settings of one intensity):
+their cost rows, scrap, order cost, discount and stopping tail broadcast
+along a leading table axis.  The pass carries one value array of shape
+(table, k*, K, layer, x) and takes one Bellman step on all of it per epoch;
+rows with k* <= t hold the forced stop.  The K and layer axes keep size 1
+until some layer may order (epoch T-1 for ``.../F``, 0 for ``.../Z``), so
+the no-order chain they all share is computed once.  ``solve_values`` takes
+a list of tables; STATIC specs, and ``solve`` with its policy grids, keep
+one table per pass.
 
 A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
@@ -157,43 +162,52 @@ def _check_cap(f, J, G, stop_vec, t):
     Jx = J[..., lo:]
     taken = (np.arange(lo, X) >= m[..., None]) & (Jx < G[..., lo:X])
     if stop_vec is not None:
-        taken &= Jx < stop_vec[lo:X]
+        taken &= Jx < stop_vec[..., lo:X]
     if taken.any():
         raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
 
 
-def _backward_pass(spec: ModelSpec, kernels: KernelTable, setup_costs, switch_epochs, *,
+def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
                    original: bool = False, grids: bool = False):
-    """Run the recursion down to 0 for every switch epoch and setup cost at once.
+    """Run the recursion down to 0 for every table, switch epoch and setup
+    cost at once.
 
-    Row i is forced to stop at epoch ``switch_epochs[i]`` (ascending) and at
-    every later one; before it, stopping is admissible for DYNAMIC specs only.
-    ``original`` runs the un-reformulated form: one-period cost C and the
-    stopping cost's outside-source tail.  Returns V(0) at the full budget
-    layer as (len(switch_epochs), len(setup_costs), X+1) and, with ``grids``
-    (one epoch, one setup cost), the (V, G, J_order, action, target) grids
-    over every epoch; without, no policy is filled.  Either way a chosen
-    order-up-to level at x_max raises CapSaturated.
+    ``tables`` is a sequence of kernel tables that share the horizon, x_max
+    and demand rates (``solve_values`` checks this); their cost rows, scrap,
+    order and discount terms and stopping tails enter along the leading
+    table axis.  Row i is forced to stop at epoch ``switch_epochs[i]``
+    (ascending) and at every later one; before it, stopping is admissible
+    for DYNAMIC specs only.  ``original`` runs the un-reformulated form:
+    one-period cost C and the stopping cost's outside-source tail.  Returns
+    V(0) at the full budget layer as (len(tables), len(switch_epochs),
+    len(setup_costs), X+1) and, with ``grids`` (one table, one epoch, one
+    setup cost), the (V, G, J_order, action, target) grids over every epoch;
+    without, no policy is filled.  Either way a chosen order-up-to level at
+    x_max raises CapSaturated.
     """
-    p = kernels.params
-    T, X, Z = kernels.horizon, kernels.x_max, spec.layers
+    kt0 = tables[0]
+    T, X, Z = kt0.horizon, kt0.x_max, spec.layers
+    pmfs, tails = kt0.pmfs, kt0.pmf_tails
     stops = spec.stop_mode is StopMode.DYNAMIC
-    cost, stop_tail = ((kernels.C, kernels.stop_tail) if original
-                       else (kernels.C_tilde, np.zeros(T + 1)))
+    costs = [kt.C if original else kt.C_tilde for kt in tables]
     y = np.arange(X + 1, dtype=np.float64)
-    scrap, cy = p.c4 * y, p.c_bar * y
-    disc = np.exp(-p.delta)
+    col = (len(tables), 1, 1, 1, -1)  # a per-table term along (epoch, K, layer, x)
+    scrap = np.stack([kt.params.c4 * y for kt in tables]).reshape(col)
+    cy = np.stack([kt.params.c_bar * y for kt in tables]).reshape(col)
+    disc = np.array([np.exp(-kt.params.delta) for kt in tables]).reshape(col)
+    stop_tail = (np.stack([kt.stop_tail for kt in tables], axis=1) if original
+                 else np.zeros((T + 1, len(tables)))).reshape((T + 1,) + col)
     Ks = np.asarray(setup_costs, dtype=np.float64)[:, None, None]
     epochs = np.asarray(switch_epochs)
-    full = (len(epochs), len(Ks), Z, X + 1)
+    full = (len(tables), len(epochs), len(Ks), Z, X + 1)
     # an order at layer z >= lo continues at layer z - lo (lo = 0: unlimited)
     lo = 0 if spec.order_budget is None else 1
-    # W[i, k, z] is the value column at t+1; the K and layer axes stay of size
-    # 1 until some layer may order, so the no-order chain is expected once
-    W = np.broadcast_to(scrap + stop_tail[epochs[-1]], (len(epochs), 1, 1, X + 1))
+    # W[s, i, k, z] is table s's value column at t+1; the K and layer axes stay
+    # of size 1 until some layer may order, so the no-order chain is expected once
+    W = np.broadcast_to(scrap + stop_tail[epochs[-1]], full[:2] + (1, 1, X + 1))
     if grids:  # filled as (t, z, x), returned as (t, x, z) views
         V = np.empty((T + 1, Z, X + 1))
-        V[epochs[0]:] = (scrap + stop_tail[epochs[0]:, None])[:, None, :]
+        V[epochs[0]:] = (scrap + stop_tail[epochs[0]:]).reshape(-1, 1, X + 1)
         G_all = np.full((T, Z, X + 1), np.nan)
         J_all = np.full((T, Z, X + 1), np.inf)
         action = np.full((T + 1, Z, X + 1), STOP, dtype=np.int8)
@@ -202,40 +216,42 @@ def _backward_pass(spec: ModelSpec, kernels: KernelTable, setup_costs, switch_ep
     first_live = np.searchsorted(epochs, np.arange(T), side="right")  # first row with k* > t
     for t in range(epochs[-1] - 1, -1, -1):
         live = first_live[t]
-        G = _backends.ev_clamped(W[live:], kernels.pmfs[t], kernels.pmf_tails[t])
+        G = _backends.ev_clamped(W[:, live:], pmfs[t], tails[t])
         G *= disc
-        G += cost[t]
+        G += np.stack([c[t] for c in costs]).reshape(col)
         stop_vec = scrap + stop_tail[t]
         val = G
         orders = t == 0 or spec.first_order is FirstOrder.FREE
         if orders:  # from here on each (K, layer) column is its own
-            f = cy + G[:, :, :Z - lo]  # ordering up to y from layer z goes on at z - lo
+            f = cy + G[..., :Z - lo, :]  # ordering up to y from layer z goes on at z - lo
             mins = _backends.suffix_min(f)
             J = Ks + mins[..., 1:]
-            J -= cy[:-1]  # best order from x < X, layers z >= lo
-            val = np.empty((len(G),) + full[1:])
+            J -= cy[..., :-1]  # best order from x < X, layers z >= lo
+            val = np.empty(G.shape[:2] + full[2:])
             val[...] = G
-            _check_cap(f, J, val[:, :, lo:], stop_vec if stops else None, t)
-            np.minimum(val[:, :, lo:, :-1], J, out=val[:, :, lo:, :-1])  # ties continue
-        if grids:  # one row and one setup cost
-            G_all[t] = G[0, 0]
-            stopping = stop_vec <= val[0, 0] if stops else np.zeros((Z, X + 1), dtype=bool)
+            _check_cap(f, J, val[..., lo:, :], stop_vec if stops else None, t)
+            np.minimum(val[..., lo:, :-1], J, out=val[..., lo:, :-1])  # ties continue
+        if grids:  # one table, one row and one setup cost
+            G_all[t] = G[0, 0, 0]
+            stopping = (stop_vec[0, 0, 0] <= val[0, 0, 0] if stops
+                        else np.zeros((Z, X + 1), dtype=bool))
             ordering = np.zeros((Z, X + 1), dtype=bool)
             if orders:
-                J_all[t, lo:, :-1] = J[0, 0]  # layers below lo have no order left
+                J_all[t, lo:, :-1] = J[0, 0, 0]  # layers below lo have no order left
                 ordering = (J_all[t] < G_all[t]) & ~stopping  # strict: ties continue
-                args = _backends.suffix_argmin(f[0, 0], mins[0, 0])
+                args = _backends.suffix_argmin(f[0, 0, 0], mins[0, 0, 0])
                 target[t, lo:, :-1] = np.where(ordering[lo:, :-1], args[:, 1:], -1)
             action[t] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
         if stops:
             np.minimum(val, stop_vec, out=val)  # ties stop
         if grids:
-            V[t] = val[0, 0]
+            V[t] = val[0, 0, 0]
         W = val
         if live:  # rows with k* <= t hold the forced stop
-            W = np.concatenate((np.broadcast_to(stop_vec, (live,) + val.shape[1:]), val))
+            W = np.concatenate((np.broadcast_to(stop_vec, val.shape[:1] + (live,) + val.shape[2:]),
+                                val), axis=1)
 
-    V0 = np.broadcast_to(W, full)[:, :, Z - 1]
+    V0 = np.broadcast_to(W, full)[..., Z - 1, :]
     if not grids:
         return V0, None
     return V0, tuple(g.transpose(0, 2, 1) for g in (V, G_all, J_all, action, target))
@@ -248,7 +264,7 @@ def _best_epoch(spec, kernels, setup_costs, original=False):
     epochs = np.arange(kernels.horizon + 1)
     if spec.stop_mode is not StopMode.STATIC:
         epochs = epochs[-1:]
-    V0, _ = _backward_pass(spec, kernels, setup_costs, epochs, original=original)
+    (V0,), _ = _backward_pass(spec, [kernels], setup_costs, epochs, original=original)
     return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 
@@ -262,7 +278,7 @@ def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
         best, best_k = _best_epoch(spec, kernels, Ks)
         switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
     _, (V, G, J, action, target) = _backward_pass(
-        spec, kernels, Ks, [T if switch_epoch is None else switch_epoch], grids=True)
+        spec, [kernels], Ks, [T if switch_epoch is None else switch_epoch], grids=True)
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
                          target=target, z0=z0, switch_epoch=switch_epoch)
@@ -296,16 +312,37 @@ def static_switch_values(spec: ModelSpec,
     return best[0] + kernels.A, best_k[0]
 
 
-def solve_values(spec: ModelSpec, kernels: KernelTable, setup_costs) -> np.ndarray:
+def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
     """Total cost V(0, x) + A per setup cost (rows) and starting inventory.
 
     One backward pass serves every K, since the kernels do not depend on
     it.  Rows equal ``solve(spec, kernels_with_K(kernels, K), x0).values_at_zero``;
     for STATIC specs each x takes its own best switch epoch, as in
     ``static_switch_values``.
+
+    ``kernels`` may also be a list of tables that share the horizon, x_max
+    and demand rates (ValueError otherwise); the result is then (table, K,
+    x), equal to the single-table results stacked.  Non-STATIC specs run
+    one pass for all the tables; STATIC specs keep one pass per table, whose
+    switch-epoch axis already carries T+1 rows.
     """
-    best, _ = _best_epoch(spec, kernels, [float(K) for K in setup_costs])
-    return best + kernels.A
+    Ks = [float(K) for K in setup_costs]
+    single = isinstance(kernels, KernelTable)
+    tables = [kernels] if single else list(kernels)
+    if not tables:
+        raise ValueError("solve_values needs at least one kernel table")
+    kt0 = tables[0]
+    for kt in tables[1:]:
+        if (kt.horizon, kt.x_max) != (kt0.horizon, kt0.x_max):
+            raise ValueError("kernel tables solved together must share horizon and x_max")
+        if not np.array_equal(kt.model.rates, kt0.model.rates):
+            raise ValueError("kernel tables solved together must share the demand rates")
+    if spec.stop_mode is StopMode.STATIC:
+        values = np.stack([_best_epoch(spec, kt, Ks)[0] + kt.A for kt in tables])
+    else:
+        V0, _ = _backward_pass(spec, tables, Ks, [kt0.horizon])
+        values = V0[:, 0] + np.array([kt.A for kt in tables])[:, None, None]
+    return values[0] if single else values
 
 
 def _layer(policy: PolicyTable, z: int | None) -> int:

@@ -540,3 +540,28 @@ def test_bad_setting_ids_exit_2(tmp_path, capsys, ids):
                  "--settings", ids, "D/1/Z", "D/inf/F"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_sweep_cap_failure_names_the_model_and_settings(tmp_path, capsys):
+    # at x_max 300, D/1/Z orders past the cap at t = 0 on the base-case settings
+    rc = main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "o"),
+               "--settings", "1-16", "--xmax", "300", "D/1/Z", "D/inf/F"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: D/1/Z on settings 1-16: order-up-to reached "
+                          "x_max=300 at epoch 0")
+
+
+def test_manifest_records_the_package_revision_from_any_cwd(tmp_path, monkeypatch):
+    import shutil
+
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    cfg = write_cfg(tmp_path, models=["D/1/Z"], setup_costs=[0.0], x0=[0])
+    revisions = []
+    for cwd in (Path(__file__).resolve().parents[1], tmp_path):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"o{len(revisions)}"
+        assert main(["compare", "--config", str(cfg), "--out", str(out), "D/1/Z", "D/1/Z"]) == 0
+        revisions.append(json.loads((out / "manifest.json").read_text())["git_revision"])
+    assert revisions[0] == revisions[1]

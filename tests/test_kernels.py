@@ -437,3 +437,27 @@ def test_cost_rates_follow_the_exponential_family():
     assert np.array_equal(p.c3(u), 50.0 * np.exp(-0.1 * u))
     assert np.array_equal(p.c2(u), 7.0 + p.c3(u))
     assert p.c3(0.0) == 50.0
+
+
+def test_tables_on_one_model_share_read_only_pmf_rows():
+    model = build_named_intensity("convex", 50, 500.0)
+    a = build_kernel_table(base_params(), model, ARR, x_max=300)
+    b = build_kernel_table(base_params(c4=-25.0, delta=1e-6), model, PAP, x_max=600)
+    for rows_a, rows_b in ((a.pmfs, b.pmfs), (a.pmf_tails, b.pmf_tails)):
+        assert len(rows_a) == 50 and all(ra is rb for ra, rb in zip(rows_a, rows_b))
+        assert not any(r.flags.writeable for r in rows_a)
+    with pytest.raises(ValueError):
+        a.pmfs[3][0] = 0.0
+
+
+def test_original_form_rows_are_derived_on_first_use(base_model):
+    from eolstop import kernels_with_K, solve_values
+    from eolstop.solver import ModelSpec
+
+    kt = build_kernel_table(base_params(), base_model, ARR, x_max=300)
+    solve_values(ModelSpec.parse("D/inf/F"), [kt], [0.0, 1000.0])
+    assert "_original_rows" not in vars(kt)  # the reformulated pass reads only C_tilde
+    H, L, C = kt.H, kt.L, kt.C
+    assert kt.H is H and np.array_equal(C, H + L)
+    other = kernels_with_K(kt, 1000.0)  # K-free rows come along with the table
+    assert other.params.K == 1000.0 and other.C is C and other.L is L

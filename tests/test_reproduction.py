@@ -3,7 +3,8 @@
 Beyond the acceptance gate (which only pins the (x=0, K=0) maximum cell):
 every max/avg/min value of the 384-run D/1/Z-vs-D/inf/F grid matches the
 reference at its printed precision, as do the settings attaining the unique
-extremes.  Runs the whole sweep, two ``solve_values`` calls per setting, in a few seconds.
+extremes.  Runs the whole sweep in a few seconds: the 16 settings of each
+intensity (kind and horizon) share one ``solve_values`` call per model.
 """
 
 import numpy as np
@@ -32,15 +33,17 @@ REFERENCE = {
 @pytest.fixture(scope="module")
 def full_sweep():
     pct = {}
-    for sid in range(1, 129):
-        s = setting_from_id(sid)
-        base = build_kernel_table(setting_cost_params(s, K=0.0), setting_intensity(s),
-                                  LostSalesConvention.ARRIVAL, x_max=1200)
-        rows_a = solve_values(ModelSpec.parse("D/1/Z"), base, KS)
-        rows_b = solve_values(ModelSpec.parse("D/inf/F"), base, KS)
-        for K, va, vb in zip(KS, rows_a, rows_b):
-            for x in XS:
-                pct[(sid, K, x)] = float(100.0 * (va[x] - vb[x]) / vb[x])
+    for first in range(1, 129, 16):  # ids first..first+15 share kind and horizon
+        ids = range(first, first + 16)
+        model = setting_intensity(setting_from_id(first))
+        tables = [build_kernel_table(setting_cost_params(setting_from_id(sid), K=0.0), model,
+                                     LostSalesConvention.ARRIVAL, x_max=1200) for sid in ids]
+        values_a = solve_values(ModelSpec.parse("D/1/Z"), tables, KS)
+        values_b = solve_values(ModelSpec.parse("D/inf/F"), tables, KS)
+        for sid, rows_a, rows_b in zip(ids, values_a, values_b):
+            for K, va, vb in zip(KS, rows_a, rows_b):
+                for x in XS:
+                    pct[(sid, K, x)] = float(100.0 * (va[x] - vb[x]) / vb[x])
     return pct
 
 

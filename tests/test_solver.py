@@ -452,7 +452,7 @@ class TestStaticModels:
             best = np.full(x_max + 1, np.inf)
             best_k = np.zeros(x_max + 1, dtype=np.int64)
             for k in range(T + 1):
-                V0, _ = _backward_pass(spec, kt, [params.K], [k], original=original)
+                (V0,), _ = _backward_pass(spec, [kt], [params.K], [k], original=original)
                 v = V0[0, 0]
                 better = v < best
                 best[better], best_k[better] = v[better], k
@@ -559,6 +559,75 @@ class TestSolveValues:
         sid, label = case.split("/", 1)
         got = solve_values(ModelSpec.parse(label), _setting_kernels(int(sid)), [0.0, 1000.0, 5000.0])
         assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINNED_VALUES[case]
+
+
+def _shared_intensity_tables(ids, x_max=1200):
+    """Kernel tables of the given settings, all on the first one's intensity
+    (setting ids that share kind and horizon share it)."""
+    from eolstop.settings import setting_cost_params, setting_from_id, setting_intensity
+
+    model = setting_intensity(setting_from_id(ids[0]))
+    return [build_kernel_table(setting_cost_params(setting_from_id(sid), 0.0), model, ARR,
+                               x_max=x_max) for sid in ids]
+
+
+class TestTableBatch:
+    """Tables that share an intensity go through one backward pass."""
+
+    KS = [0.0, 1000.0, 5000.0]
+
+    @pytest.mark.parametrize("label", ["D/1/Z", "D/inf/F", "D/2/F", "T/1/Z", "S/1/Z"])
+    @pytest.mark.parametrize("first", [1, 113])
+    def test_batch_equals_per_table(self, first, label):
+        # settings first..first+15 share kind and horizon: solve_values at
+        # three K, and the pass itself at one K for the forms solve_values
+        # does not batch; an S model's switch-epoch axis rides along as two
+        # epochs
+        tables = _shared_intensity_tables(range(first, first + 16))
+        spec, T = ModelSpec.parse(label), tables[0].horizon
+        static = spec.stop_mode is StopMode.STATIC
+        if not static:  # solve_values runs STATIC specs one table at a time
+            got = solve_values(spec, tables, self.KS)
+            assert got.shape == (16, 3, 1201)
+            for kt, rows in zip(tables, got):
+                assert np.array_equal(rows, solve_values(spec, kt, self.KS))
+        epochs = [T // 2, T] if static else [T]
+        for original in (False, True) if static else (True,):
+            V0, _ = _backward_pass(spec, tables, [1000.0], epochs, original=original)
+            for kt, v in zip(tables, V0):
+                (want,), _ = _backward_pass(spec, [kt], [1000.0], epochs, original=original)
+                assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize("label", ["S/1/Z", "S/2/F", "D/2/F"])
+    def test_list_of_small_tables(self, label):
+        params, model, _, x_max = small_instance(7)
+        tables = [build_kernel_table(dataclasses.replace(params, c4=c4, c_bar=c_bar, delta=d),
+                                     model, conv, x_max=x_max)
+                  for c4, c_bar, d, conv in [(25.0, 80.0, 0.0, ARR), (-25.0, 120.0, 0.02, ARR),
+                                             (0.0, 100.0, 0.005, LostSalesConvention.PAPER)]]
+        spec = ModelSpec.parse(label)
+        got = solve_values(spec, tables, self.KS)
+        assert got.shape == (3, len(self.KS), x_max + 1)
+        for kt, rows in zip(tables, got):
+            assert np.array_equal(rows, solve_values(spec, kt, self.KS))
+
+    @pytest.mark.parametrize("ids, x_maxes", [([1, 17], [300, 300]), ([1, 1], [300, 200]),
+                                              ([1, 33], [300, 300])],
+                             ids=["horizon", "x_max", "rates"])  # 33: concave, 1: convex
+    def test_tables_must_share_the_intensity_and_grid(self, ids, x_maxes):
+        tables = [_shared_intensity_tables([sid], x_max=x)[0] for sid, x in zip(ids, x_maxes)]
+        with pytest.raises(ValueError, match="share"):
+            solve_values(ModelSpec.parse("D/inf/F"), tables, self.KS)
+        with pytest.raises(ValueError):
+            solve_values(ModelSpec.parse("D/inf/F"), [], self.KS)
+
+    def test_cap_checked_on_every_table(self):
+        # D/1/Z orders up to 470 on setting 1 and up to 490 on setting 8 at t = 0
+        fits, capped = _shared_intensity_tables([1, 8], x_max=480)
+        spec = ModelSpec.parse("D/1/Z")
+        solve_values(spec, [fits], self.KS)
+        with pytest.raises(CapSaturated, match="epoch 0"):
+            solve_values(spec, [fits, capped], self.KS)
 
 
 @lru_cache(maxsize=None)
