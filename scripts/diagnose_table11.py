@@ -98,8 +98,8 @@ def c3_held_kernels():
     """Kernel table whose lost-sales cost uses c3 at the period-start epoch."""
     real = kernel_module._period_integrals
 
-    def held(params, rates, periods, imax):
-        P0, _, _, prem_full = real(params, rates, periods, imax)
+    def held(params, rates, periods, rows):
+        P0, _, _, prem_full = real(params, rates, periods, rows)
         d = params.delta
         B0 = rates * ((1.0 - np.exp(-d)) / d if d > 0 else 1.0)
         c2k = params.c2(periods)

@@ -47,6 +47,7 @@ from .errors import (
 from .kernels import (
     KernelTable,
     build_kernel_table,
+    build_kernel_tables,
     constant_A,
     holding_cost,
     one_period_cost,

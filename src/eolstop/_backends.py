@@ -94,10 +94,16 @@ def period_tables(counts, x_max, delta, gamma):
     ns = np.flatnonzero(np.bincount((counts - lo).ravel())) + lo
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
-    seg = np.where(j <= n, hyp1f1(j + 1, n + 2, -delta) / (n + 1), 0.0)
+    # hyp1f1 runs only on the cells read: j <= n, and j >= 1 for the arrivals
+    r, c = np.nonzero(j <= n)
+    nr, jc = n[r, 0], j[c]
+    seg = np.zeros((len(ns), len(j)))
+    seg[r, c] = hyp1f1(jc + 1, nr + 2, -delta) / (nr + 1)
+    arr = jc >= 1
 
     def lost(a):
-        arrivals = np.where((j >= 1) & (j <= n), hyp1f1(j, n + 1, -a), 0.0)
+        arrivals = np.zeros(seg.shape)
+        arrivals[r[arr], c[arr]] = hyp1f1(jc[arr], nr[arr] + 1, -a)
         return n * hyp1f1(1, 2, -a) - np.cumsum(arrivals, axis=1)
 
     return (ns, np.cumsum(seg, axis=1), np.cumsum(j * seg, axis=1),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import subprocess
@@ -33,7 +34,7 @@ from .errors import (
     EolstopError,
     NotFound,
 )
-from .kernels import build_kernel_table
+from .kernels import build_kernel_tables
 from .solver import (
     CONTINUE,
     ORDER,
@@ -54,9 +55,11 @@ _OVERRIDES = {"convention": "convention", "xmax": "x_max", "seed": "seed", "path
 # helpers
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _git_revision() -> str:
     """Short hash of the checkout this package was loaded from, whatever the
-    working directory; ``unknown`` outside a git checkout."""
+    working directory; ``unknown`` outside a git checkout.  Looked up once per
+    process, since the loaded code cannot change while it runs."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"], cwd=Path(__file__).resolve().parent,
@@ -106,15 +109,18 @@ def _pair_csv(args) -> str:
     return f"{args.command}_{_tag(args.model_a)}_vs_{_tag(args.model_b)}.csv"
 
 
-def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str, where: str = "") -> np.ndarray:
+def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str, ids=None) -> np.ndarray:
     """% increase of model a's total cost V(0, x0) + A over model b's, per
     (K, x0), or per (table, K, x0) for a list of tables sharing an intensity;
     one backward pass per label covers every K and table.  A CapSaturated
-    message gains the label and ``where``."""
+    message gains the label and, given the tables' setting ``ids``, the ids
+    of the tables that hit the cap."""
     def values(label):
         try:
             return solve_values(ModelSpec.parse(label), kernels, cfg.setup_costs)[..., list(cfg.x0)]
         except CapSaturated as exc:
+            where = (f" on settings {_format_setting_ids([ids[i] for i in exc.tables])}"
+                     if ids else "")
             raise CapSaturated(f"{label}{where}: {exc}") from None
 
     va, vb = values(a), values(b)
@@ -224,17 +230,16 @@ def _cmd_sweep(args, cfg, out_dir, timings):
     chosen = [settings.setting_from_id(sid) for sid in ids]
     check_grid(max(s.horizon for s in chosen), cfg.x_max, (args.model_a, args.model_b))
     conv = LostSalesConvention.parse(cfg.convention)
-    groups = {}  # settings that share an intensity (kind, horizon) share one pass
+    groups = {}  # settings that share an intensity (kind, horizon) share one build and pass
     for i, s in enumerate(chosen):
         groups.setdefault((s.kind, s.horizon), []).append(i)
     pct = np.empty((len(chosen), len(cfg.setup_costs), len(cfg.x0)))  # (setting, K, x0)
     for members in groups.values():
-        model = settings.setting_intensity(chosen[members[0]])
-        pct[members] = _pct_grid(
-            [build_kernel_table(settings.setting_cost_params(chosen[i], cfg.setup_costs[0]),
-                                model, conv, x_max=cfg.x_max) for i in members],
-            cfg, args.model_a, args.model_b,
-            f" on settings {_format_setting_ids([ids[i] for i in members])}")
+        tables = build_kernel_tables(
+            [settings.setting_cost_params(chosen[i], cfg.setup_costs[0]) for i in members],
+            settings.setting_intensity(chosen[members[0]]), conv, x_max=cfg.x_max)
+        pct[members] = _pct_grid(tables, cfg, args.model_a, args.model_b,
+                                 [ids[i] for i in members])
     rows = []
     for i, K in enumerate(cfg.setup_costs):
         for j, x0 in enumerate(cfg.x0):

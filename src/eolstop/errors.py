@@ -18,7 +18,14 @@ class OutOfGrid(EolstopError, IndexError):
 
 
 class CapSaturated(EolstopError):
-    """An optimal order-up-to search hit the inventory cap; results would be truncated."""
+    """An optimal order-up-to search hit the inventory cap; results would be truncated.
+
+    ``tables`` holds the positions, in a pass over several kernel tables, of
+    the tables that hit it."""
+
+    def __init__(self, message: str, tables=()):
+        super().__init__(message)
+        self.tables = tuple(tables)
 
 
 class BudgetMisuse(EolstopError, ValueError):

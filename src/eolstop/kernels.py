@@ -6,21 +6,28 @@ integrals of the form
     int_0^1 e^{-a s} e^{-lam s} (lam s)^i / i! ds
         = (lam / b)^i * gammainc(i+1, b) / b,      b = a + lam,
 
-where gammainc is the regularized lower incomplete gamma function.  One row
-builder, ``_kernel_rows``, turns these into the holding, lost-sales and
-reformulated kernels with running sums over the inventory axis;
-``build_kernel_table`` calls it for every period at once, and each point
-kernel (``holding_cost``, ``replacement_cost``, ``one_period_cost``,
-``reformulated_cost``) reads one cell of period k's row.  The outside-source
-stream has one home too: ``_c3_period`` per period and ``_stop_tail``, its
-discounted tail.  The independent checks are fixed-order Gauss-Legendre
-quadrature of the same integrand (``unit_poisson_integrals_quadrature``) and
-the adaptive-quadrature oracles of the test suite.
+where gammainc is the regularized lower incomplete gamma function, evaluated
+only for i up to each period's support cap.  One row builder,
+``_kernel_rows``, turns these into the holding, lost-sales and reformulated
+kernels with running sums over the inventory axis; ``build_kernel_tables``
+calls it for every period at once, and each point kernel (``holding_cost``,
+``replacement_cost``, ``one_period_cost``, ``reformulated_cost``) reads one
+cell of period k's row.  The outside-source stream has one home too:
+``_c3_period`` per period and ``_stop_tail``, its discounted tail.  The
+independent checks are fixed-order Gauss-Legendre quadrature of the same
+integrand (``unit_poisson_integrals_quadrature``) and the adaptive-quadrature
+oracles of the test suite.
+
+``build_kernel_tables`` builds the tables of several cost-parameter sets on
+one intensity model together, sharing the support caps, each decay's
+Poisson-integral rows (``_SharedRows``) and the holding block of each
+(delta, c1); ``build_kernel_table`` is that call on one set.
 
 A ``KernelTable`` keeps only what the reformulated recursion reads: C_tilde,
 the stopping-cost tail and the intensity model, whose demand pmfs it shares
-with every other table on that model.  H, L and C (the original form and the
-tests) come from one more ``_kernel_rows`` call on first use.
+with every other table on that model.  The build skips L; H, L and C (the
+original form and the tests) come from one more ``_kernel_rows`` call on
+first use.
 """
 
 from __future__ import annotations
@@ -52,15 +59,15 @@ def unit_poisson_integrals(lam: float, decay: float, imax: int) -> np.ndarray:
 
 def _unit_poisson_rows(rates: np.ndarray, decay: float, imax: np.ndarray) -> np.ndarray:
     """Row k holds unit_poisson_integrals(rates[k], decay, imax[k]), zero past
-    imax[k]; one gammainc evaluation for every row."""
-    i = np.arange(imax.max() + 1)
-    out = np.zeros((len(rates), len(i)))
+    imax[k]; one gammainc evaluation over the cells i <= imax[k] of every row."""
+    out = np.zeros((len(rates), imax.max() + 1))
     pos = rates > 0
-    lam = rates[pos, None]
+    lam = rates[pos]
     b = decay + lam
+    log_ratio = np.log(lam) - np.log(b)
+    r, i = np.nonzero(np.arange(out.shape[1]) <= imax[pos, None])
     # (lam/b)^i in log space; gammainc underflows cleanly to 0 in the far tail
-    ratio = np.exp(i * (np.log(lam) - np.log(b)))
-    out[pos] = np.where(i <= imax[pos, None], ratio * gammainc(i + 1, b) / b, 0.0)
+    out[np.flatnonzero(pos)[r], i] = np.exp(i * log_ratio[r]) * gammainc(i + 1, b[r]) / b[r]
     out[~pos, 0] = _unit_integral(decay)
     return out
 
@@ -98,36 +105,54 @@ def _stop_tail(params: CostParameters, rates: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
-                      imax: np.ndarray):
-    """Building blocks on [k, k+1) for each period k of ``periods`` (rates and
-    imax aligned with it): P0 (weight e^{-delta s}) and the c2-weighted
-    arrival integrals R_i as rows zero past imax[k], then per period the
-    plain c2 arrival integral and the premium integral."""
+class _SharedRows:
+    """What the kernel rows of every cost-parameter set on one rate vector and
+    width share: the support caps (clipped to the width) and the
+    Poisson-integral rows of each decay, built on first request.  Called
+    with a decay, it returns that decay's rows."""
+
+    def __init__(self, rates: np.ndarray, width: int):
+        self.rates, self.width = rates, width
+        self.caps = np.minimum(_support_caps(rates), width - 1)
+        self._by_decay = {}
+
+    def __call__(self, decay: float) -> np.ndarray:
+        if decay not in self._by_decay:
+            self._by_decay[decay] = _unit_poisson_rows(self.rates, decay, self.caps)
+        return self._by_decay[decay]
+
+
+def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.ndarray, rows):
+    """Building blocks on [k, k+1) for each period k of ``periods`` (rates
+    aligned with it), from ``rows(decay)``, the Poisson-integral rows of a
+    decay: P0 (weight e^{-delta s}) and the c2-weighted arrival integrals
+    R_i, both zero past each period's cap, then per period the plain c2
+    arrival integral and the premium integral."""
     d, g = params.delta, params.gamma
-    P0 = _unit_poisson_rows(rates, d, imax)
-    Pg = _unit_poisson_rows(rates, d + g, imax)
+    P0, Pg = rows(d), rows(d + g)
     # int e^{-d s} c2 lam pmf_i
     R_c2 = (params.c2_bar * rates)[:, None] * P0 + (params.c3(periods) * rates)[:, None] * Pg
     prem_full = params.c2_bar * (rates * _unit_integral(d))  # int e^{-d s} (c2 - c3) lam
     return P0, R_c2, prem_full + _c3_period(params, rates, periods), prem_full
 
 
-def _kernel_rows(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
-                 convention: LostSalesConvention, width: int):
+def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSalesConvention,
+                 shared: _SharedRows, holding=None, lost: bool = True):
     """H, L and C_tilde at x = 0..width-1 for each period of ``periods``
-    (rates aligned with it), and the slope H(x+1) - H(x) at the last column.
+    (``shared.rates`` aligned with it), as ((H, slope), L, C_tilde), where
+    slope is H(x+1) - H(x) at the last column.
 
     The double sum in the holding kernel and the satisfied-demand sum in the
     replacement kernel are running sums over i, so the rows cost
     O(periods * width) beyond the per-period integral arrays, which are built
     for all periods in one vectorised pass.  Once a row reaches past the
     support cap, L and the satisfied-demand sum are flat and H grows by that
-    slope.
+    slope.  H depends on delta and c1 only: ``holding``, an (H, slope) pair
+    built on ``shared`` with the same two, is used as it is.  With ``lost``
+    false, L is not built (None).
     """
-    n = len(periods)
-    caps = np.minimum(_support_caps(rates), width - 1)
-    P0, R_c2, c2_full, prem_full = _period_integrals(params, rates, periods, caps)
+    n, width = len(periods), shared.width
+    P0, R_c2, c2_full, prem_full = _period_integrals(params, shared.rates, periods, shared)
 
     def running_sum(rows):  # cumsum over the support columns, then held at its last value
         out = np.empty((n, width))
@@ -137,20 +162,24 @@ def _kernel_rows(params: CostParameters, rates: np.ndarray, periods: np.ndarray,
         return out
 
     # in-place steps keep the peak near the four (n, width) arrays of the table
-    q = running_sum(P0)
-    slope = params.c1 * q[:, -1]
-    H = np.zeros((n, width))
-    np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
+    if holding is None:
+        q = running_sum(P0)
+        H = np.zeros((n, width))
+        holding = H, params.c1 * q[:, -1]
+        np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
+        del q
     sub = running_sum(R_c2)  # sum_{i<=x}
     if convention is LostSalesConvention.ARRIVAL:
         sub[:, 1:] = sub[:, :-1]  # sum_{i<=x-1}, empty at x=0
         sub[:, 0] = 0.0
-    L = np.subtract(c2_full[:, None], sub, out=q)
-    np.maximum(L, 0.0, out=L)  # the exact tail cancels to rounding noise
-    Ct = H + prem_full[:, None]
+    Ct = holding[0] + prem_full[:, None]
     Ct -= sub
     Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
-    return H, L, Ct, slope
+    L = None
+    if lost:
+        L = np.subtract(c2_full[:, None], sub, out=sub)
+        np.maximum(L, 0.0, out=L)  # the exact tail cancels to rounding noise
+    return holding, L, Ct
 
 
 def _checked(params: CostParameters, model: IntensityModel, k: int = 0, x: int = 0,
@@ -172,7 +201,8 @@ def _cell(params, model, convention, k: int, x: int):
     _checked(params, model, k, x)
     rates = model.rates[k:k + 1]
     xr = min(x, int(_support_caps(rates)[0]) + 1)
-    H, L, Ct, slope = _kernel_rows(params, rates, np.array([k]), convention, xr + 1)
+    (H, slope), L, Ct = _kernel_rows(params, np.array([k]), convention,
+                                     _SharedRows(rates, xr + 1))
     extra = (x - xr) * slope[0]
     return H[0, xr] + extra, L[0, xr], Ct[0, xr] + extra
 
@@ -200,12 +230,6 @@ def reformulated_cost(params, model, convention, k: int, x: int) -> float:
     sum's upper index follows the active convention.
     """
     return float(_cell(params, model, convention, k, x)[2])
-
-
-def period_c3_term(params: CostParameters, model: IntensityModel, k: int) -> float:
-    """int_k^{k+1} e^{-delta(u-k)} c3(u) lam(u) du."""
-    _checked(params, model, k)
-    return float(_c3_period(params, model.rates[k:k + 1], np.array([k]))[0])
 
 
 def stopping_cost(params: CostParameters, model: IntensityModel, k: int, x: int) -> float:
@@ -252,8 +276,8 @@ class KernelTable:
 
     @cached_property
     def _original_rows(self):
-        H, L, _, _ = _kernel_rows(self.params, self.model.rates, np.arange(self.horizon),
-                                  self.convention, self.x_max + 1)
+        (H, _), L, _ = _kernel_rows(self.params, np.arange(self.horizon), self.convention,
+                                    _SharedRows(self.model.rates, self.x_max + 1))
         return H, L, H + L
 
     @property
@@ -277,19 +301,43 @@ def build_kernel_table(
 ) -> KernelTable:
     """Every kernel the reformulated recursion reads, from one call of the
     row builder."""
+    return build_kernel_tables([params], model, convention, x_max)[0]
+
+
+def build_kernel_tables(params_list, model: IntensityModel,
+                        convention: LostSalesConvention = LostSalesConvention.ARRIVAL,
+                        x_max: int = 1200) -> list[KernelTable]:
+    """``build_kernel_table`` for each parameter set of ``params_list`` on one
+    intensity model, in input order and equal to it bit for bit.
+
+    The support caps are computed once, the Poisson-integral rows once per
+    distinct decay (delta and delta + gamma), and the holding block H once
+    per distinct (delta, c1): the tables are built in (delta, c1) order, so
+    one H block is alive at a time.  L is not built.
+    """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
-    _checked(params, model)
-    periods = np.arange(params.horizon)
-    _, _, Ct, _ = _kernel_rows(params, model.rates, periods, convention, x_max + 1)
-    stop_tail = _stop_tail(params, model.rates)
-    return KernelTable(
-        params=params,
-        model=model,
-        convention=convention,
-        x_max=x_max,
-        C_tilde=Ct,
-        c3_period=_c3_period(params, model.rates, periods),
-        stop_tail=stop_tail,
-        A=float(stop_tail[0]),
-    )
+    for params in params_list:
+        _checked(params, model)
+    periods = np.arange(model.horizon)
+    shared = _SharedRows(model.rates, x_max + 1)
+    tables = [None] * len(params_list)
+    key = holding = None
+    for i in sorted(range(len(params_list)),
+                    key=lambda j: (params_list[j].delta, params_list[j].c1)):
+        params = params_list[i]
+        if (params.delta, params.c1) != key:
+            key, holding = (params.delta, params.c1), None  # drop the last block first
+        holding, _, Ct = _kernel_rows(params, periods, convention, shared, holding, lost=False)
+        stop_tail = _stop_tail(params, model.rates)
+        tables[i] = KernelTable(
+            params=params,
+            model=model,
+            convention=convention,
+            x_max=x_max,
+            C_tilde=Ct,
+            c3_period=_c3_period(params, model.rates, periods),
+            stop_tail=stop_tail,
+            A=float(stop_tail[0]),
+        )
+    return tables

@@ -153,7 +153,8 @@ def _check_cap(f, J, G, stop_vec, t):
     the order from x targets X exactly when x >= m, m the last y < X with
     f[y] <= f[X] (0 if there is none), so only x in [min m, X) are read.
     An order is taken where J is strictly below G and, given ``stop_vec``,
-    strictly below stopping too: ties continue or stop."""
+    strictly below stopping too: ties continue or stop.  The error lists
+    the tables (entries of the leading axis) that take such an order."""
     X = f.shape[-1] - 1
     le = f[..., :-1] <= f[..., -1:]
     le[..., 0] = True  # m = 0 stands for "none": every x then targets X
@@ -163,8 +164,10 @@ def _check_cap(f, J, G, stop_vec, t):
     taken = (np.arange(lo, X) >= m[..., None]) & (Jx < G[..., lo:X])
     if stop_vec is not None:
         taken &= Jx < stop_vec[..., lo:X]
-    if taken.any():
-        raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap")
+    hit = taken.reshape(len(taken), -1).any(axis=1)  # per entry of the leading table axis
+    if hit.any():
+        raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap",
+                           tables=np.flatnonzero(hit).tolist())
 
 
 def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
@@ -324,7 +327,8 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
     and demand rates (ValueError otherwise); the result is then (table, K,
     x), equal to the single-table results stacked.  Non-STATIC specs run
     one pass for all the tables; STATIC specs keep one pass per table, whose
-    switch-epoch axis already carries T+1 rows.
+    switch-epoch axis already carries T+1 rows.  A CapSaturated lists the
+    positions of the tables that hit the cap in its ``tables``.
     """
     Ks = [float(K) for K in setup_costs]
     single = isinstance(kernels, KernelTable)
@@ -338,7 +342,13 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
         if not np.array_equal(kt.model.rates, kt0.model.rates):
             raise ValueError("kernel tables solved together must share the demand rates")
     if spec.stop_mode is StopMode.STATIC:
-        values = np.stack([_best_epoch(spec, kt, Ks)[0] + kt.A for kt in tables])
+        values = []
+        for s, kt in enumerate(tables):
+            try:
+                values.append(_best_epoch(spec, kt, Ks)[0] + kt.A)
+            except CapSaturated as exc:  # name the table in the list, not in its own pass
+                raise CapSaturated(str(exc), tables=[s]) from None
+        values = np.stack(values)
     else:
         V0, _ = _backward_pass(spec, tables, Ks, [kt0.horizon])
         values = V0[:, 0] + np.array([kt.A for kt in tables])[:, None, None]

@@ -10,6 +10,9 @@ arrivals: ``_sim_period_exact`` (vectorised) and ``_sim_period_loop``
 (scalar) accrue one period on the same sorted arrival times, and
 ``exact_accrual`` fits either into ``evaluate_policy`` in place of
 ``_backends.sim_period``.
+
+``period_c3_term`` is one period's outside-source integral, the oracle of
+the kernel table's ``c3_period`` row.
 """
 
 import math
@@ -30,6 +33,14 @@ def _ev_clamped_loop(V, pmf, tail):
             acc += pmf[d] * V[y - d]
         out[y] = acc
     return out
+
+
+def period_c3_term(params, model, k):
+    """int_k^{k+1} e^{-delta(u-k)} c3(u) lam(u) du
+    = c3(k) lam_k int_0^1 e^{-(delta+gamma) s} ds, one scalar at a time."""
+    a = params.delta + params.gamma
+    unit = (1.0 - math.exp(-a)) / a if a > 0 else 1.0
+    return float(params.c3_bar * math.exp(-params.gamma * k) * model.rates[k] * unit)
 
 
 def _suffix_min_loop(W):

@@ -5,8 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import hyp1f1
 
-from eolstop import LostSalesConvention, ModelSpec, _backends, build_kernel_table, solve
+from eolstop import (
+    KernelTable,
+    LostSalesConvention,
+    ModelSpec,
+    _backends,
+    build_kernel_table,
+    kernels_with_K,
+    solve,
+)
 
 from conftest import small_instance
 from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
@@ -125,3 +134,64 @@ def test_benchmark_layer_bindings_resolve(monkeypatch):
     for name, module, attr, *_ in child.LAYERS:
         assert callable(getattr(importlib.import_module(module), attr, None)), name
     assert eolstop.active_backend() == "numpy"
+
+
+def _perfbench_child():
+    """``perfbench/child.py`` as a module; it imports the standard library only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = child  # dataclasses look their module up while it executes
+    try:
+        spec.loader.exec_module(child)
+    finally:
+        del sys.modules[spec.name]
+    return child
+
+
+# a layer of perfbench/child.py with a work counter -> one call of it on a kernel table
+_COUNTED_LAYER_CALLS = {
+    "kernels.build_kernel_table": lambda f, kt: f(kt.params, kt.model, kt.convention,
+                                                  x_max=kt.x_max),
+    "solver.solve": lambda f, kt: f(ModelSpec.parse("D/inf/F"), kt, 100),
+    "sim.evaluate_policy": lambda f, kt: f(solve(ModelSpec.parse("D/inf/F"), kt, 100).policy,
+                                           kt.params, kt.model, 100, paths=200, seed=1),
+}
+
+
+@pytest.mark.parametrize("layer", [layer for layer in _perfbench_child().LAYERS if layer[-1]],
+                         ids=lambda layer: layer[0])
+def test_benchmark_work_counters_read_the_layer_results(layer, base_kernels):
+    # the traced benchmark adds counter(result) over every call of a layer; a
+    # result that lost the fields read, or a count that is no int, would turn
+    # the metric into null or break its record
+    name, module, attr, _, (counter, size) = layer
+    assert name in _COUNTED_LAYER_CALLS, f"no test call for the counted layer {name}"
+    result = _COUNTED_LAYER_CALLS[name](getattr(importlib.import_module(module), attr),
+                                        kernels_with_K(base_kernels, 1000.0))
+    assert type(size(result)) is int, counter
+    if name == "kernels.build_kernel_table":
+        assert isinstance(result, KernelTable)
+
+
+def test_period_tables_equal_the_full_rectangle_formula():
+    # hyp1f1 runs only on the cells read; the full-rectangle formula, zeroed
+    # where a cell is never read, must come out bit for bit the same.  The
+    # counts include 0 and one above x_max.
+    x_max, delta, gamma = 30, 0.005, 0.01
+    counts = np.array([[0, 3, 7], [12, 3, 41], [29, 30, 0]])
+    ns = np.unique(counts)
+    n = ns[:, None].astype(float)
+    j = np.arange(min(int(ns[-1]), x_max) + 1)
+    seg = np.where(j <= n, hyp1f1(j + 1, n + 2, -delta) / (n + 1), 0.0)
+
+    def lost(a):
+        arrivals = np.where((j >= 1) & (j <= n), hyp1f1(j, n + 1, -a), 0.0)
+        return n * hyp1f1(1, 2, -a) - np.cumsum(arrivals, axis=1)
+
+    want = (ns, np.cumsum(seg, axis=1), np.cumsum(j * seg, axis=1), lost(delta),
+            lost(delta + gamma))
+    got = _backends.period_tables(counts, x_max, delta, gamma)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

@@ -464,19 +464,19 @@ def test_every_config_command_writes_manifest(tmp_path, command):
 
 @pytest.fixture
 def no_kernel_build(monkeypatch):
-    """Replace every eolstop binding of the kernel builder with one that fails."""
+    """Replace every eolstop binding of the kernel builders with one that fails."""
     import sys
 
     import eolstop.kernels
 
-    real = eolstop.kernels.build_kernel_table
-
     def no_build(*a, **kw):
         raise AssertionError("a kernel table was built for invalid input")
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "eolstop" and getattr(mod, "build_kernel_table", None) is real:
-            monkeypatch.setattr(mod, "build_kernel_table", no_build)
+    for attr in ("build_kernel_table", "build_kernel_tables"):
+        real = getattr(eolstop.kernels, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "eolstop" and getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, no_build)
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,6 +550,38 @@ def test_sweep_cap_failure_names_the_model_and_settings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: D/1/Z on settings 1-16: order-up-to reached "
                           "x_max=300 at epoch 0")
+
+
+def test_sweep_cap_failure_names_only_the_settings_that_hit_it(tmp_path, capsys):
+    # at x_max 480, D/1/Z orders up to 470 on setting 1 (which fits alone) and
+    # up to 490 on setting 8; the pass over both names setting 8 alone
+    cfg = write_cfg(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--xmax", "480",
+            "D/1/Z", "D/inf/F"]
+    assert main([*argv, "--settings", "1"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--settings", "1,8"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: D/1/Z on settings 8: order-up-to reached x_max=480 at epoch 0")
+
+
+def test_git_revision_is_looked_up_once_per_process(tmp_path, monkeypatch):
+    import subprocess
+
+    from eolstop import cli
+
+    calls = []
+    real = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cli._git_revision.cache_clear()
+    cfg = write_cfg(tmp_path, models=["D/1/Z"], setup_costs=[0.0], x0=[0])
+    for out in ("o1", "o2"):
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / out),
+                     "D/1/Z", "D/1/Z"]) == 0
+    assert len(calls) == 1
+    revisions = {json.loads((tmp_path / out / "manifest.json").read_text())["git_revision"]
+                 for out in ("o1", "o2")}
+    assert len(revisions) == 1
 
 
 def test_manifest_records_the_package_revision_from_any_cwd(tmp_path, monkeypatch):

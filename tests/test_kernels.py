@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 from scipy.stats import poisson
 
 from eolstop import (
@@ -19,12 +20,14 @@ from eolstop import (
     stopping_cost,
 )
 from eolstop.kernels import (
-    period_c3_term,
+    _unit_poisson_rows,
+    build_kernel_tables,
     unit_poisson_integrals,
     unit_poisson_integrals_quadrature,
 )
 
 from conftest import base_params
+from scalar_kernels import period_c3_term
 
 ARR = LostSalesConvention.ARRIVAL
 PAP = LostSalesConvention.PAPER
@@ -423,14 +426,6 @@ def test_point_kernel_input_checks(kernel, base_model):
         f(base_params(T=4), base_model, 0, 1)
 
 
-def test_period_c3_term_input_checks(base_model):
-    for k in (-1, 50):
-        with pytest.raises(OutOfGrid):
-            period_c3_term(base_params(), base_model, k)
-    with pytest.raises(ValueError):
-        period_c3_term(base_params(T=4), base_model, 0)
-
-
 def test_cost_rates_follow_the_exponential_family():
     p = base_params(c2_bar=7.0, c3_bar=50.0, gamma=0.1)
     u = np.array([0.0, 2.5, 40.0])
@@ -461,3 +456,63 @@ def test_original_form_rows_are_derived_on_first_use(base_model):
     assert kt.H is H and np.array_equal(C, H + L)
     other = kernels_with_K(kt, 1000.0)  # K-free rows come along with the table
     assert other.params.K == 1000.0 and other.C is C and other.L is L
+
+
+def test_unit_poisson_rows_equal_the_full_rectangle_formula():
+    # the rows evaluate gammainc only on i <= imax[k]; the full-rectangle
+    # formula, zeroed past each cap, must come out bit for bit the same
+    rng = np.random.default_rng(3)
+    for decay in (0.0, 0.005, 0.015):
+        rates = np.append(rng.uniform(0.0, 60.0, size=30), 0.0)
+        rng.shuffle(rates)
+        imax = rng.integers(0, 120, size=len(rates))
+        i = np.arange(imax.max() + 1)
+        want = np.zeros((len(rates), len(i)))
+        pos = rates > 0
+        lam = rates[pos, None]
+        b = decay + lam
+        ratio = np.exp(i * (np.log(lam) - np.log(b)))
+        want[pos] = np.where(i <= imax[pos, None], ratio * gammainc(i + 1, b) / b, 0.0)
+        want[~pos, 0] = (1.0 - np.exp(-decay)) / decay if decay > 0 else 1.0
+        assert np.array_equal(_unit_poisson_rows(rates, decay, imax), want)
+
+
+class TestKernelTables:
+    """``build_kernel_tables`` against one ``build_kernel_table`` per set."""
+
+    def assert_tables_equal(self, got, want):
+        assert len(got) == len(want)
+        assert all("_original_rows" not in vars(kt) for kt in got)  # H, L, C wait for first use
+        for g, w in zip(got, want):
+            assert g.params == w.params and g.x_max == w.x_max and g.convention is w.convention
+            for f in ("C_tilde", "c3_period", "stop_tail", "A", "H", "L", "C"):
+                assert np.array_equal(getattr(g, f), getattr(w, f)), f
+
+    @pytest.mark.parametrize("conv", [ARR, PAP])
+    @pytest.mark.parametrize("first, last", [(1, 8), (9, 16), (113, 128)])
+    def test_equal_to_one_build_per_setting(self, first, last, conv):
+        from eolstop.settings import setting_cost_params, setting_from_id, setting_intensity
+
+        chosen = [setting_from_id(sid) for sid in range(first, last + 1)]
+        model = setting_intensity(chosen[0])
+        params = [setting_cost_params(s, 0.0) for s in chosen]
+        got = build_kernel_tables(params, model, conv, x_max=1200)
+        want = [build_kernel_table(p, model, conv, x_max=1200) for p in params]
+        self.assert_tables_equal(got, want)
+
+    @pytest.mark.parametrize("conv", [ARR, PAP])
+    def test_mixed_holding_rates_in_input_order(self, conv):
+        # (delta, c1) runs interleaved, a repeated set, and a zero-rate period
+        params = [base_params(T=4, **kw) for kw in (
+            dict(c1=1.0), dict(c1=3.0, gamma=0.0), dict(c1=1.0, delta=0.02),
+            dict(c1=1.0, c2_bar=900.0), dict(c1=3.0), dict(c1=1.0))]
+        got = build_kernel_tables(params, EDGE_MODEL, conv, x_max=30)
+        want = [build_kernel_table(p, EDGE_MODEL, conv, x_max=30) for p in params]
+        self.assert_tables_equal(got, want)
+
+    def test_input_checks(self, base_model):
+        with pytest.raises(ValueError, match="horizon"):
+            build_kernel_tables([base_params(), base_params(T=4)], base_model)
+        with pytest.raises(ValueError):
+            build_kernel_tables([base_params()], base_model, x_max=0)
+        assert build_kernel_tables([], base_model) == []

@@ -4,13 +4,14 @@ Beyond the acceptance gate (which only pins the (x=0, K=0) maximum cell):
 every max/avg/min value of the 384-run D/1/Z-vs-D/inf/F grid matches the
 reference at its printed precision, as do the settings attaining the unique
 extremes.  Runs the whole sweep in a few seconds: the 16 settings of each
-intensity (kind and horizon) share one ``solve_values`` call per model.
+intensity (kind and horizon) share one ``build_kernel_tables`` call and one
+``solve_values`` call per model.
 """
 
 import numpy as np
 import pytest
 
-from eolstop import LostSalesConvention, ModelSpec, build_kernel_table, solve_values
+from eolstop import LostSalesConvention, ModelSpec, build_kernel_tables, solve_values
 from eolstop.settings import setting_cost_params, setting_from_id, setting_intensity
 
 KS = (0.0, 1000.0, 5000.0)
@@ -35,9 +36,9 @@ def full_sweep():
     pct = {}
     for first in range(1, 129, 16):  # ids first..first+15 share kind and horizon
         ids = range(first, first + 16)
-        model = setting_intensity(setting_from_id(first))
-        tables = [build_kernel_table(setting_cost_params(setting_from_id(sid), K=0.0), model,
-                                     LostSalesConvention.ARRIVAL, x_max=1200) for sid in ids]
+        tables = build_kernel_tables(
+            [setting_cost_params(setting_from_id(sid), K=0.0) for sid in ids],
+            setting_intensity(setting_from_id(first)), LostSalesConvention.ARRIVAL, x_max=1200)
         values_a = solve_values(ModelSpec.parse("D/1/Z"), tables, KS)
         values_b = solve_values(ModelSpec.parse("D/inf/F"), tables, KS)
         for sid, rows_a, rows_b in zip(ids, values_a, values_b):

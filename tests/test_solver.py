@@ -629,6 +629,19 @@ class TestTableBatch:
         with pytest.raises(CapSaturated, match="epoch 0"):
             solve_values(spec, [fits, capped], self.KS)
 
+    @pytest.mark.parametrize("label, x_max", [("D/1/Z", 480), ("S/1/Z", 520)])
+    def test_cap_error_lists_the_tables_that_hit_it(self, label, x_max):
+        # setting 1 fits at this x_max and setting 8 does not; S specs run one
+        # pass per table and name the first that hits, by its place in the list
+        fits, capped = _shared_intensity_tables([1, 8], x_max=x_max)
+        spec = ModelSpec.parse(label)
+        solve_values(spec, [fits], self.KS)
+        for tables, hit in [([fits, capped], (1,)),
+                            ([capped, fits, capped], (0,) if label == "S/1/Z" else (0, 2))]:
+            with pytest.raises(CapSaturated) as info:
+                solve_values(spec, tables, self.KS)
+            assert info.value.tables == hit
+
 
 @lru_cache(maxsize=None)
 def _setting_kernels(sid):
