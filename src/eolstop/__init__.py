@@ -22,15 +22,8 @@ from .analytics import (
     validate_assumptions,
 )
 from .config import ExperimentConfig, kernels_with_K
-from .costs import CostParameters, LostSalesConvention, order_cost
-from .demand import (
-    IntensityModel,
-    PathSample,
-    build_named_intensity,
-    increment_pmf,
-    load_rates_table,
-    sample_path,
-)
+from .costs import CostParameters, LostSalesConvention
+from .demand import IntensityModel, build_named_intensity, load_rates_table
 from .errors import (
     AssumptionViolated,
     BudgetMisuse,
@@ -70,7 +63,6 @@ from .solver import (
     StopMode,
     ValueGrid,
     extract_regions,
-    order_up_to_profile,
     solve,
     solve_original_form,
     solve_values,

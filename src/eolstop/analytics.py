@@ -57,12 +57,8 @@ class AssumptionReport:
     failures: tuple = ()
 
     @property
-    def pos(self) -> bool:
-        return self.c4_non_negative and self.holding_net_of_scrap_non_negative
-
-    @property
     def ok(self) -> bool:
-        return self.pos
+        return self.c4_non_negative and self.holding_net_of_scrap_non_negative
 
 
 def validate_assumptions(params: CostParameters, model: IntensityModel) -> AssumptionReport:

@@ -10,9 +10,10 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .analytics import DEFAULT_TAU_STEP
 from .costs import CostParameters, LostSalesConvention
 from .demand import NAMED_KINDS, IntensityModel, build_named_intensity, load_rates_table
 from .errors import BudgetMisuse, ConfigError
@@ -48,7 +49,7 @@ class ExperimentConfig:
     models: tuple
     x_max: int = 1200
     convention: str = "arrival"
-    tau_step: float = 0.01
+    tau_step: float = DEFAULT_TAU_STEP
     seed: int = 0
     paths: int = 100_000
     schema_version: int = SCHEMA_VERSION
@@ -73,11 +74,11 @@ class ExperimentConfig:
                 setup_costs=tuple(float(k) for k in raw["setup_costs"]),
                 x0=tuple(_integer("x0", x) for x in raw["x0"]),
                 models=tuple(raw["models"]),
-                x_max=_integer("x_max", raw.get("x_max", 1200)),
-                convention=str(raw.get("convention", "arrival")),
-                tau_step=float(raw.get("tau_step", 0.01)),
-                seed=_integer("seed", raw.get("seed", 0)),
-                paths=_integer("paths", raw.get("paths", 100_000)),
+                x_max=_integer("x_max", raw.get("x_max", cls.x_max)),
+                convention=str(raw.get("convention", cls.convention)),
+                tau_step=float(raw.get("tau_step", cls.tau_step)),
+                seed=_integer("seed", raw.get("seed", cls.seed)),
+                paths=_integer("paths", raw.get("paths", cls.paths)),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc

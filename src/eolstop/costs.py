@@ -76,9 +76,3 @@ class CostParameters:
         """c1 - delta*c4: the holding rate net of what deferring the scrap cost saves."""
         return self.c1 - self.delta * self.c4
 
-
-def order_cost(params: CostParameters, m: int) -> float:
-    """Fixed-plus-linear procurement cost; free when nothing is ordered."""
-    if m < 0 or m != int(m):
-        raise ValueError("order quantity must be a non-negative integer")
-    return 0.0 if m == 0 else params.K + params.c_bar * m

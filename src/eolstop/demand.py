@@ -159,40 +159,3 @@ def parse_rates_table(text: str) -> IntensityModel:
         raise ValueError("empty rates table")
     return IntensityModel(horizon=len(rates), rates=np.asarray(rates), kind="custom")
 
-
-def increment_pmf(model: IntensityModel, frm: float, to: float, i) -> float | np.ndarray:
-    """P{N_to - N_frm = i}: Poisson with mean Lambda(to) - Lambda(frm)."""
-    if frm < 0 or to > model.horizon or frm > to:
-        raise OutOfHorizon(f"need 0 <= from <= to <= {model.horizon}")
-    mu = model.mean_value(to) - model.mean_value(frm)
-    out = poisson.pmf(i, mu)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """One realization of the demand process: strictly increasing arrival
-    times in (0, T]."""
-
-    arrivals: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrivals", np.asarray(self.arrivals, dtype=np.float64))
-
-
-def sample_path(model: IntensityModel, seed: int | np.random.Generator) -> PathSample:
-    """Draw one demand path.
-
-    Per unit interval the count is Poisson(rates[t]) and, conditioned on the
-    count, arrivals are iid uniform on the interval (order statistics of a
-    Poisson process given its count).  Deterministic for a fixed seed.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    counts = rng.poisson(model.rates)
-    pieces = [
-        rng.uniform(t, t + 1.0, size=n) for t, n in enumerate(counts) if n > 0
-    ]
-    if not pieces:
-        return PathSample(arrivals=np.empty(0))
-    arrivals = np.sort(np.concatenate(pieces))
-    return PathSample(arrivals=arrivals)

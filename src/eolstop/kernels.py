@@ -41,7 +41,7 @@ from scipy.special import gammainc
 
 from . import _poisson as poisson
 from .costs import CostParameters, LostSalesConvention
-from .demand import PMF_TAIL_EPS, IntensityModel, period_pmfs  # noqa: F401  (re-exported)
+from .demand import IntensityModel
 from .errors import OutOfGrid
 
 

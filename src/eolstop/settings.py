@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import CostParameters
-from .demand import IntensityModel, build_named_intensity
+from .demand import NAMED_KINDS, IntensityModel, build_named_intensity
 
-KINDS = ("convex", "concave", "linear", "constant")
 HORIZONS = (50, 100)
 C4_VALUES = (25.0, -25.0)
 GAMMA_VALUES = (0.01, 1e-6)
@@ -25,7 +24,6 @@ TOTAL_DEMAND = 500.0
 C_BAR = 100.0
 
 N_SETTINGS = 128
-BASE_CASE_ID = 1
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def setting_from_id(sid: int) -> SettingSpec:
     i = sid - 1
     return SettingSpec(
         id=sid,
-        kind=KINDS[i // 32],
+        kind=NAMED_KINDS[i // 32],
         horizon=HORIZONS[(i % 32) // 16],
         c4=C4_VALUES[(i % 16) // 8],
         gamma=GAMMA_VALUES[(i % 8) // 4],
@@ -54,43 +52,21 @@ def setting_from_id(sid: int) -> SettingSpec:
     )
 
 
-def setting_to_id(kind: str, horizon: int, c4: float, gamma: float, delta: float,
-                  c2_bar: float) -> int:
-    def idx(seq, val, name):
-        for j, v in enumerate(seq):
-            if isinstance(v, float):
-                if abs(v - val) <= 1e-12 * max(1.0, abs(v)):
-                    return j
-            elif v == val:
-                return j
-        raise ValueError(f"{name}={val!r} is not a tabulated value")
-
-    return (
-        32 * idx(KINDS, kind, "kind")
-        + 16 * idx(HORIZONS, horizon, "horizon")
-        + 8 * idx(C4_VALUES, c4, "c4")
-        + 4 * idx(GAMMA_VALUES, gamma, "gamma")
-        + 2 * idx(DELTA_VALUES, delta, "delta")
-        + idx(C2_BAR_VALUES, c2_bar, "c2_bar")
-        + 1
-    )
-
-
 def iter_settings():
     return (setting_from_id(i) for i in range(1, N_SETTINGS + 1))
 
 
-def setting_intensity(s: SettingSpec, total_demand: float = TOTAL_DEMAND) -> IntensityModel:
-    return build_named_intensity(s.kind, s.horizon, total_demand)
+def setting_intensity(s: SettingSpec) -> IntensityModel:
+    return build_named_intensity(s.kind, s.horizon, TOTAL_DEMAND)
 
 
-def setting_cost_params(s: SettingSpec, K: float, c_bar: float = C_BAR) -> CostParameters:
+def setting_cost_params(s: SettingSpec, K: float) -> CostParameters:
     return CostParameters(
-        c_bar=c_bar,
+        c_bar=C_BAR,
         K=K,
-        c1=0.01 * c_bar,
+        c1=0.01 * C_BAR,
         c2_bar=s.c2_bar,
-        c3_bar=2.0 * c_bar,
+        c3_bar=2.0 * C_BAR,
         gamma=s.gamma,
         c4=s.c4,
         delta=s.delta,

@@ -145,16 +145,16 @@ class SolveResult:
         return self.value_grid.V[0, :, self.policy.z0] + self.value_grid.A
 
 
-def _check_cap(f, J, G, stop_vec, t):
-    """Raise CapSaturated if an order taken at some x < X targets X = x_max.
+def _check_cap(f, J, G, stop_vec):
+    """Per table (entry of the leading axis): whether an order taken at some
+    x < X targets X = x_max.
 
     ``f`` is each column's order objective, J[..., x] = K + min f[x+1:] -
     cy[x] its best order and G its continuation.  With smallest-index ties
     the order from x targets X exactly when x >= m, m the last y < X with
     f[y] <= f[X] (0 if there is none), so only x in [min m, X) are read.
     An order is taken where J is strictly below G and, given ``stop_vec``,
-    strictly below stopping too: ties continue or stop.  The error lists
-    the tables (entries of the leading axis) that take such an order."""
+    strictly below stopping too: ties continue or stop."""
     X = f.shape[-1] - 1
     le = f[..., :-1] <= f[..., -1:]
     le[..., 0] = True  # m = 0 stands for "none": every x then targets X
@@ -164,10 +164,7 @@ def _check_cap(f, J, G, stop_vec, t):
     taken = (np.arange(lo, X) >= m[..., None]) & (Jx < G[..., lo:X])
     if stop_vec is not None:
         taken &= Jx < stop_vec[..., lo:X]
-    hit = taken.reshape(len(taken), -1).any(axis=1)  # per entry of the leading table axis
-    if hit.any():
-        raise CapSaturated(f"order-up-to reached x_max={X} at epoch {t}; raise the cap",
-                           tables=np.flatnonzero(hit).tolist())
+    return taken.reshape(len(taken), -1).any(axis=1)
 
 
 def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
@@ -186,7 +183,8 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     len(setup_costs), X+1) and, with ``grids`` (one table, one epoch, one
     setup cost), the (V, G, J_order, action, target) grids over every epoch;
     without, no policy is filled.  Either way a chosen order-up-to level at
-    x_max raises CapSaturated.
+    x_max raises CapSaturated once the pass is done, naming every table
+    that hit it and the first epoch (counting down) where one did.
     """
     kt0 = tables[0]
     T, X, Z = kt0.horizon, kt0.x_max, spec.layers
@@ -216,6 +214,7 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         action = np.full((T + 1, Z, X + 1), STOP, dtype=np.int8)
         target = np.full((T + 1, Z, X + 1), -1, dtype=np.int32)
 
+    capped, cap_epoch = np.zeros(len(tables), dtype=bool), None
     first_live = np.searchsorted(epochs, np.arange(T), side="right")  # first row with k* > t
     for t in range(epochs[-1] - 1, -1, -1):
         live = first_live[t]
@@ -232,7 +231,10 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
             J -= cy[..., :-1]  # best order from x < X, layers z >= lo
             val = np.empty(G.shape[:2] + full[2:])
             val[...] = G
-            _check_cap(f, J, val[..., lo:, :], stop_vec if stops else None, t)
+            hit = _check_cap(f, J, val[..., lo:, :], stop_vec if stops else None)
+            if cap_epoch is None and hit.any():
+                cap_epoch = t
+            capped |= hit
             np.minimum(val[..., lo:, :-1], J, out=val[..., lo:, :-1])  # ties continue
         if grids:  # one table, one row and one setup cost
             G_all[t] = G[0, 0, 0]
@@ -254,6 +256,9 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
             W = np.concatenate((np.broadcast_to(stop_vec, val.shape[:1] + (live,) + val.shape[2:]),
                                 val), axis=1)
 
+    if cap_epoch is not None:
+        raise CapSaturated(f"order-up-to reached x_max={X} at epoch {cap_epoch}; raise the cap",
+                           tables=np.flatnonzero(capped).tolist())
     V0 = np.broadcast_to(W, full)[..., Z - 1, :]
     if not grids:
         return V0, None
@@ -328,7 +333,7 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
     x), equal to the single-table results stacked.  Non-STATIC specs run
     one pass for all the tables; STATIC specs keep one pass per table, whose
     switch-epoch axis already carries T+1 rows.  A CapSaturated lists the
-    positions of the tables that hit the cap in its ``tables``.
+    positions of every table that hits the cap in its ``tables``.
     """
     Ks = [float(K) for K in setup_costs]
     single = isinstance(kernels, KernelTable)
@@ -342,12 +347,14 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
         if not np.array_equal(kt.model.rates, kt0.model.rates):
             raise ValueError("kernel tables solved together must share the demand rates")
     if spec.stop_mode is StopMode.STATIC:
-        values = []
+        values, hits = [], []
         for s, kt in enumerate(tables):
             try:
                 values.append(_best_epoch(spec, kt, Ks)[0] + kt.A)
-            except CapSaturated as exc:  # name the table in the list, not in its own pass
-                raise CapSaturated(str(exc), tables=[s]) from None
+            except CapSaturated as exc:  # name the tables in the list, not in their own pass
+                hits.append((s, exc))
+        if hits:
+            raise CapSaturated(str(hits[0][1]), tables=[s for s, _ in hits])
         values = np.stack(values)
     else:
         V0, _ = _backward_pass(spec, tables, Ks, [kt0.horizon])
@@ -355,30 +362,16 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
     return values[0] if single else values
 
 
-def _layer(policy: PolicyTable, z: int | None) -> int:
-    """Budget layer z, by default the policy's own; ValueError off the table."""
-    z = policy.z0 if z is None else z
-    if not 0 <= z < policy.action.shape[2]:
-        raise ValueError(f"z must lie in 0..{policy.action.shape[2] - 1}")
-    return z
-
-
 def extract_regions(policy: PolicyTable, t: int, z: int | None = None):
-    """Disjoint (stop, order, continue) inventory sets at epoch t."""
+    """Disjoint (stop, order, continue) inventory sets at epoch t and budget
+    layer z, by default the policy's own."""
+    z = policy.z0 if z is None else z
     if not 0 <= t <= policy.horizon:
         raise ValueError(f"t must lie in 0..{policy.horizon}")
-    act = policy.action[t, :, _layer(policy, z)]
+    if not 0 <= z < policy.action.shape[2]:
+        raise ValueError(f"z must lie in 0..{policy.action.shape[2] - 1}")
+    act = policy.action[t, :, z]
     stop = np.flatnonzero(act == STOP)
     order = np.flatnonzero(act == ORDER)
     cont = np.flatnonzero(act == CONTINUE)
     return stop, order, cont
-
-
-def order_up_to_profile(policy: PolicyTable, z: int | None = None) -> list[dict[int, int]]:
-    """Per epoch, the map x -> order-up-to level on the ordering set."""
-    z = _layer(policy, z)
-    out = []
-    for t in range(policy.horizon + 1):
-        xs = np.flatnonzero(policy.action[t, :, z] == ORDER)
-        out.append({int(x): int(policy.target[t, x, z]) for x in xs})
-    return out

@@ -22,8 +22,10 @@ from eolstop import (
     constant_A,
     delta2_x_switch_cost,
     delta_x_switch_cost,
+    kernels_with_K,
     order_up_to_of_tau,
     solve,
+    static_switch_values,
     stopping_time_distribution,
     switch_cost,
     switch_cost_curve,
@@ -31,8 +33,8 @@ from eolstop import (
     validate_assumptions,
 )
 from eolstop import _backends, analytics
-from eolstop.kernels import period_pmfs
-from eolstop.solver import CONTINUE, ORDER, STOP
+from eolstop.demand import period_pmfs
+from eolstop.solver import CONTINUE, ORDER, STOP, _backward_pass
 
 from conftest import base_params, small_instance
 
@@ -47,12 +49,12 @@ class TestValidateAssumptions:
     def test_pos_fails_when_scrap_dominates_holding(self, base_model):
         # c1 - delta*c4 < 0 with c4 = 250, delta = 0.005, c1 = 1
         rep = validate_assumptions(base_params(c4=250.0), base_model)
-        assert not rep.pos
+        assert not rep.ok
         assert "holding_net_of_scrap_non_negative" in rep.failures
 
     def test_negative_scrap_fails_pos(self, base_model):
         rep = validate_assumptions(base_params(c4=-25.0), base_model)
-        assert not rep.pos and "c4_non_negative" in rep.failures
+        assert not rep.ok and "c4_non_negative" in rep.failures
 
     def test_increasing_outside_source_rejected_at_construction(self):
         # gamma < 0 would make c3 increasing; the parameter type forbids it
@@ -281,6 +283,42 @@ class TestBounds:
         m = IntensityModel(horizon=3, rates=np.array([1.0, 2.0, 1.0]))
         with pytest.raises(AssumptionViolated):
             switch_time_bounds(base_params(T=3), m, 5)
+
+
+class TestSolverAgreesWithAnalytics:
+    """The kernel tables (closed-form Poisson integrals) and the switching
+    analytics (Gauss-Legendre quadrature of Poisson cdfs) share no code; on
+    the base case under ARRIVAL they must give the same numbers."""
+
+    NO_ORDER = 1e12  # a setup cost no order can pay back
+    SPEC = ModelSpec.parse("S/1/Z")
+
+    def test_no_order_pass_equals_switch_cost(self, base_model, base_kernels):
+        # an S/1/Z pass committed to epoch k that never orders holds x until
+        # k, then scraps it and outsources: C(x, k)
+        epochs = [0, 1, 5, 10, 25, 40, 49, 50]
+        xs = [0, 1, 5, 25, 100, 250, 600]
+        (V0,), _ = _backward_pass(self.SPEC, [base_kernels], [self.NO_ORDER], epochs)
+        got = V0[:, 0, xs] + base_kernels.A
+        want = [[switch_cost(base_kernels.params, base_model, x, k) for x in xs] for k in epochs]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("k, level", [(5, 212), (10, 335), (25, 471), (40, 496), (50, 500)])
+    def test_order_up_to_level_at_zero_setup_cost(self, base_model, base_kernels, k, level):
+        # at K = 0 the epoch-k pass orders from x = 0 up to the level where the
+        # first-order condition c_bar + Delta_x C(x, k) >= 0 first holds
+        _, (_, _, _, action, target) = _backward_pass(self.SPEC, [base_kernels], [0.0], [k],
+                                                      grids=True)
+        z0 = self.SPEC.layers - 1
+        assert action[0, 0, z0] == ORDER
+        assert target[0, 0, z0] == order_up_to_of_tau(base_kernels.params, base_model, k) == level
+
+    def test_best_no_order_epoch_lies_within_the_bounds(self, base_model, base_kernels):
+        kt = kernels_with_K(base_kernels, self.NO_ORDER)
+        _, best_k = static_switch_values(self.SPEC, kt)
+        for x in range(0, 401, 25):
+            b = switch_time_bounds(kt.params, base_model, x)
+            assert math.floor(b.lb) <= best_k[x] <= math.ceil(b.ub), (x, b, best_k[x])
 
 
 class TestStoppingTimeDistribution:

@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -172,6 +174,21 @@ def test_benchmark_work_counters_read_the_layer_results(layer, base_kernels):
     assert type(size(result)) is int, counter
     if name == "kernels.build_kernel_table":
         assert isinstance(result, KernelTable)
+
+
+def test_benchmark_library_calls_resolve_and_match_the_goldens():
+    # besides its LAYERS, the benchmark calls the library in two places: the
+    # per-cell sweep check (settings, kernels, solve) and the run's machine
+    # record; a name either loses breaks every run of the benchmark
+    import eolstop
+
+    child = _perfbench_child()
+    got = child.sweep_cell_pcts(child.config_for("sweep384", 1, True), [1, 2])
+    ref = json.loads(child.GOLDENS.read_text())["sweep384"]["pct"]
+    assert len(got) == 18  # 2 settings x 3 setup costs x 3 starting stocks
+    for key, pct in got.items():
+        assert math.isclose(pct, ref[key], rel_tol=1e-9, abs_tol=1e-9), key
+    assert child.machine_info()["eolstop_file"] == eolstop.__file__
 
 
 def test_period_tables_equal_the_full_rectangle_formula():

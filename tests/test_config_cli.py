@@ -565,6 +565,28 @@ def test_sweep_cap_failure_names_only_the_settings_that_hit_it(tmp_path, capsys)
         "numerical failure: D/1/Z on settings 8: order-up-to reached x_max=480 at epoch 0")
 
 
+@pytest.mark.parametrize("ids, alone, xmax, labels", [
+    ("9-16", range(9, 17), "400", ("D/inf/F", "T/inf/F")),
+    ("1,8", (1, 8), "480", ("S/1/Z", "D/inf/F")),
+], ids=["batched-pass", "static-spec"])
+def test_sweep_cap_failure_names_every_setting_that_hits_it(tmp_path, capsys, ids, alone, xmax,
+                                                            labels):
+    # at the paper's three setup costs each setting exits 3 alone; the
+    # batched D pass (settings 9-15 hit at epoch 1, 16 first at epoch 2) and
+    # the S spec's per-table passes must name all of them, not those of the
+    # first hit
+    cfg = write_cfg(tmp_path, setup_costs=[0.0, 1000.0, 5000.0])
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--xmax", xmax,
+            *labels]
+    for sid in alone:
+        assert main([*argv, "--settings", str(sid)]) == 3
+    capsys.readouterr()
+    assert main([*argv, "--settings", ids]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"numerical failure: {labels[0]} on settings {ids}: order-up-to reached x_max={xmax} "
+        "at epoch ")
+
+
 def test_git_revision_is_looked_up_once_per_process(tmp_path, monkeypatch):
     import subprocess
 

@@ -9,9 +9,7 @@ from eolstop import (
     NonNormalizable,
     OutOfHorizon,
     build_named_intensity,
-    increment_pmf,
     load_rates_table,
-    sample_path,
 )
 from eolstop.demand import parse_rates_table
 
@@ -89,60 +87,6 @@ class TestMeanValue:
         vals = m.mean_value(ts)
         assert vals[0] == 0.0
         assert np.all(np.diff(vals) >= -1e-12)
-
-
-class TestIncrementPmf:
-    def test_degenerate_mean(self):
-        m = IntensityModel(horizon=2, rates=np.array([0.0, 5.0]))
-        assert increment_pmf(m, 0.0, 1.0, 0) == pytest.approx(1.0)
-        assert increment_pmf(m, 0.0, 1.0, 3) == 0.0
-
-    def test_closed_form(self):
-        m = IntensityModel(horizon=1, rates=np.array([2.0]))
-        assert increment_pmf(m, 0.0, 1.0, 0) == pytest.approx(np.exp(-2), rel=1e-12)
-
-    def test_mass_sums_to_one(self):
-        # direct summation oracle: mu = 10 over [0, 1)
-        m = IntensityModel(horizon=1, rates=np.array([10.0]))
-        total = sum(increment_pmf(m, 0.0, 1.0, i) for i in range(61))
-        assert abs(total - 1.0) < 1e-12
-
-    def test_precondition(self):
-        m = IntensityModel(horizon=2, rates=np.array([1.0, 1.0]))
-        with pytest.raises(OutOfHorizon):
-            increment_pmf(m, 1.5, 0.5, 0)
-
-
-class TestSamplePath:
-    def test_zero_rates_empty(self):
-        m = IntensityModel(horizon=5, rates=np.zeros(5))
-        assert len(sample_path(m, 3).arrivals) == 0
-
-    def test_deterministic_and_sorted(self):
-        m = build_named_intensity("convex", 20, 100.0)
-        a = sample_path(m, 42).arrivals
-        b = sample_path(m, 42).arrivals
-        assert np.array_equal(a, b)
-        assert np.all(np.diff(a) > 0)
-        assert a.min() > 0 and a.max() <= 20
-
-    def test_law_of_large_numbers(self):
-        m = build_named_intensity("constant", 50, 500.0)
-        n_paths = 3000
-        counts = [len(sample_path(m, 1000 + i).arrivals) for i in range(n_paths)]
-        tol = 3 * np.sqrt(500.0) / np.sqrt(n_paths)
-        assert abs(np.mean(counts) - 500.0) < tol
-
-    def test_per_period_counts_match_rates(self):
-        m = build_named_intensity("convex", 10, 60.0)
-        n_paths = 4000
-        bins = np.zeros(10)
-        for i in range(n_paths):
-            arr = sample_path(m, 7_000 + i).arrivals
-            bins += np.histogram(arr, bins=np.arange(11))[0]
-        emp = bins / n_paths
-        se = np.sqrt(m.rates / n_paths)
-        assert np.all(np.abs(emp - m.rates) < 4 * se)
 
 
 def test_load_rates_table(tmp_path):

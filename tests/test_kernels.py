@@ -14,7 +14,6 @@ from eolstop import (
     constant_A,
     holding_cost,
     one_period_cost,
-    order_cost,
     reformulated_cost,
     replacement_cost,
     stopping_cost,
@@ -74,21 +73,6 @@ class TestIntegralEngine:
         # sum_i P_i = int_0^1 e^{-decay s} ds once the Poisson mass is spent
         out = unit_poisson_integrals(3.0, 0.5, 200)
         assert out.sum() == pytest.approx((1 - np.exp(-0.5)) / 0.5, rel=1e-12)
-
-
-class TestOrderCost:
-    def test_zero_order_free(self):
-        assert order_cost(base_params(K=1000), 0) == 0.0
-
-    def test_fixed_plus_linear(self):
-        assert order_cost(base_params(K=1000), 5) == 1500.0
-
-    def test_unit_cost_only(self):
-        assert order_cost(base_params(K=0), 1) == 100.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            order_cost(base_params(), -1)
 
 
 class TestHoldingCost:

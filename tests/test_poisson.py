@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import poisson as ref
 
 from eolstop import _poisson
-from eolstop.kernels import PMF_TAIL_EPS
+from eolstop.demand import PMF_TAIL_EPS
 
 # integers -3..2000, plus off-integer k on both sides of 0
 K = np.concatenate((np.arange(-3, 2001), [-2.5, -0.5, 0.5, 2.5, 17.25]))[:, None]
