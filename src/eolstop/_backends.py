@@ -34,12 +34,21 @@ def ev_clamped(V, pmf, tail):
     """E[V((y - D)^+)] for every row of V (the last axis; a 1-D V is one row).
 
     tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and the truncated
-    residual mass) lands on inventory 0.  One ``np.convolve`` per row, and
-    the tail term for all rows at once."""
+    residual mass) lands on inventory 0.  Per row, the dot products of
+    ``np.convolve(v, pmf)``: its ``np.correlate`` against the pmf reversed
+    once per call, so no row copies the pmf (a pmf longer than the row makes
+    ``np.convolve`` swap its operands, so it runs as it is); then the tail
+    term for all rows at once."""
     n = V.shape[-1]
     out = np.empty(V.shape)
-    for v, o in zip(V.reshape(-1, n), out.reshape(-1, n)):
-        o[:] = np.convolve(v, pmf)[:n]
+    rows = zip(V.reshape(-1, n), out.reshape(-1, n))
+    if len(pmf) > n:
+        for v, o in rows:
+            o[:] = np.convolve(v, pmf)[:n]
+    else:
+        rev = pmf[::-1].copy()
+        for v, o in rows:
+            o[:] = np.correlate(v, rev, "full")[:n]
     out += V[..., :1] * _clamped_tail(pmf, tail, n)
     return out
 
@@ -59,8 +68,11 @@ def push_clamped(q, pmf, tail):
 
 
 def suffix_min(W):
-    """Suffix minimum along the last axis: out[..., y] = min(W[..., y:])."""
-    return np.minimum.accumulate(W[..., ::-1], axis=-1)[..., ::-1]
+    """Suffix minimum along the last axis: out[..., y] = min(W[..., y:]), as
+    a C-contiguous array (the scan writes the reversed view of its output)."""
+    out = np.empty(W.shape, W.dtype)
+    np.minimum.accumulate(W[..., ::-1], axis=-1, out=out[..., ::-1])
+    return out
 
 
 def suffix_argmin(W, mins):

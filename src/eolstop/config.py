@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .analytics import DEFAULT_TAU_STEP
 from .costs import CostParameters, LostSalesConvention
-from .demand import NAMED_KINDS, IntensityModel, build_named_intensity, load_rates_table
+from .demand import (NAMED_KINDS, IntensityModel, build_named_intensity, load_rates_table,
+                     pmf_supports)
 from .errors import BudgetMisuse, ConfigError
 from .kernels import KernelTable, build_kernel_table
 from .solver import ModelSpec
@@ -31,6 +32,9 @@ MAX_MC_DRAWS = 20_000_000
 # cap on T / tau_step, the nodes of the switch-time grid; a node costs about
 # 470 bytes across the bounds command's arrays, so the cap is under 100 MB
 MAX_TAU_NODES = 200_000
+# cap on T (n + 1), n the largest one-period demand support, the cells of the
+# pmf and tail grids the demand model builds for the solver
+MAX_PMF_CELLS = 10_000_000
 
 _TOP_KEYS = {
     "schema_version", "intensity", "costs", "setup_costs", "x0", "models",
@@ -62,21 +66,28 @@ class ExperimentConfig:
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if raw.get("schema_version") != SCHEMA_VERSION:
+        version = raw.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
         for req in ("intensity", "costs", "setup_costs", "x0", "models"):
             if req not in raw:
                 raise ConfigError(f"missing required config key: {req!r}")
+        for key, kind in (("intensity", dict), ("costs", dict), ("setup_costs", list),
+                          ("x0", list), ("models", list)):
+            if not isinstance(raw[key], kind):
+                raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'list'}")
+        if not all(isinstance(label, str) for label in raw["models"]):
+            raise ConfigError("models must list taxonomy labels as strings")
         try:
             cfg = cls(
                 intensity=dict(raw["intensity"]),
-                costs=dict(raw["costs"]),
-                setup_costs=tuple(float(k) for k in raw["setup_costs"]),
+                costs={k: _number(f"costs.{k}", v) for k, v in raw["costs"].items()},
+                setup_costs=tuple(_number("setup_costs", k) for k in raw["setup_costs"]),
                 x0=tuple(_integer("x0", x) for x in raw["x0"]),
                 models=tuple(raw["models"]),
                 x_max=_integer("x_max", raw.get("x_max", cls.x_max)),
                 convention=str(raw.get("convention", cls.convention)),
-                tau_step=float(raw.get("tau_step", cls.tau_step)),
+                tau_step=_number("tau_step", raw.get("tau_step", cls.tau_step)),
                 seed=_integer("seed", raw.get("seed", cls.seed)),
                 paths=_integer("paths", raw.get("paths", cls.paths)),
             )
@@ -145,17 +156,18 @@ class ExperimentConfig:
             raise ConfigError("x0 values must not exceed x_max")
         if self.x_max < 1:
             raise ConfigError("x_max must be >= 1")
-        if not self.tau_step > 0:
-            raise ConfigError("tau_step must be positive")
+        if not (math.isfinite(self.tau_step) and self.tau_step > 0):
+            raise ConfigError("tau_step must be finite and positive")
         if self.paths < 2:
             raise ConfigError("paths must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         try:
             LostSalesConvention.parse(self.convention)
-            if kind in NAMED_KINDS:
-                _integer("intensity.horizon", self.intensity["horizon"])
-            horizon = self.build_model().horizon
+            # a named model's horizon is checked before the model is built: its
+            # rates alone take 8 bytes a period
+            horizon = (_integer("intensity.horizon", self.intensity["horizon"])
+                       if kind in NAMED_KINDS else self.build_model().horizon)
             check_grid(horizon, self.x_max, self.models)
             if self.paths * horizon > MAX_MC_DRAWS:
                 raise ConfigError(
@@ -165,6 +177,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"T / tau_step = {horizon / self.tau_step:.6g} switch-time nodes exceeds "
                     f"the limit of {MAX_TAU_NODES}; raise tau_step")
+            # the support grows with the rate and exceeds it, so clipping the
+            # largest rate at the cap keeps the count exact up to the cap
+            rate = min(float(self.build_model().rates.max()), MAX_PMF_CELLS)
+            cells = horizon * (int(pmf_supports([rate])[0]) + 1)
+            if cells > MAX_PMF_CELLS:
+                raise ConfigError(
+                    f"T(n+1) = {cells} demand pmf cells exceeds the limit of {MAX_PMF_CELLS}, "
+                    f"n the largest one-period demand support; lower the demand")
             self.build_params(self.setup_costs[0])
         except ConfigError:
             raise
@@ -214,10 +234,21 @@ class ExperimentConfig:
         ).hexdigest()[:16]
 
 
+def _number(name: str, value) -> float:
+    """``value``, a JSON number, as a float; ValueError for anything else
+    (a string, a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(name: str, value) -> int:
-    """``value`` as an int, or ValueError when that would truncate it."""
+    """``value``, a JSON number, as an int; ValueError when it is not one or
+    when that would truncate it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     out = int(value)
-    if out != float(value):
+    if out != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return out
 

@@ -77,14 +77,22 @@ class IntensityModel:
         return period_pmfs(self.rates)
 
 
-def period_pmfs(rates) -> tuple[list, list]:
-    """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
-    PMF_TAIL_EPS tail mass; one pmf and one sf evaluation for all periods.
-    The rows are read-only views."""
+def pmf_supports(rates) -> np.ndarray:
+    """Per period, the largest demand count n_k its truncated pmf keeps: the
+    1 - PMF_TAIL_EPS quantile + 1 (0 at rate 0)."""
     rates = np.asarray(rates, dtype=np.float64)
     n_sup = np.zeros(len(rates), dtype=np.int64)
     pos = rates > 0
     n_sup[pos] = poisson.ppf(1.0 - PMF_TAIL_EPS, rates[pos]).astype(np.int64) + 1
+    return n_sup
+
+
+def period_pmfs(rates) -> tuple[list, list]:
+    """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
+    PMF_TAIL_EPS tail mass (n_k from ``pmf_supports``); one pmf and one sf
+    evaluation for all periods.  The rows are read-only views."""
+    rates = np.asarray(rates, dtype=np.float64)
+    n_sup = pmf_supports(rates)
     grid = np.arange(n_sup.max() + 1)
     pmf = poisson.pmf(grid, rates[:, None])
     tail = np.maximum(poisson.sf(grid, rates[:, None]), 0.0)

@@ -153,31 +153,30 @@ def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSa
     """
     n, width = len(periods), shared.width
     P0, R_c2, c2_full, prem_full = _period_integrals(params, shared.rates, periods, shared)
-
-    def running_sum(rows):  # cumsum over the support columns, then held at its last value
-        out = np.empty((n, width))
-        m = rows.shape[1]
-        np.cumsum(rows, axis=1, out=out[:, :m])
-        out[:, m:] = out[:, m - 1:m]
-        return out
+    m = P0.shape[1]  # the support columns; every running sum is flat past them
 
     # in-place steps keep the peak near the four (n, width) arrays of the table
     if holding is None:
-        q = running_sum(P0)
+        q = np.empty((n, width))
+        np.cumsum(P0, axis=1, out=q[:, :m])
+        q[:, m:] = q[:, m - 1:m]
         H = np.zeros((n, width))
         holding = H, params.c1 * q[:, -1]
         np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
         del q
-    sub = running_sum(R_c2)  # sum_{i<=x}
-    if convention is LostSalesConvention.ARRIVAL:
-        sub[:, 1:] = sub[:, :-1]  # sum_{i<=x-1}, empty at x=0
-        sub[:, 0] = 0.0
+    sub = np.cumsum(R_c2, axis=1)  # sum_{i<=x} at x < m, then flat
+    if convention is LostSalesConvention.ARRIVAL:  # sum_{i<=x-1}, empty at x=0
+        sub = np.concatenate((np.zeros((n, 1)), sub[:, :width - 1]), axis=1)
+    k = sub.shape[1]
     Ct = holding[0] + prem_full[:, None]
-    Ct -= sub
+    Ct[:, :k] -= sub
+    Ct[:, k:] -= sub[:, -1:]
     Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
     L = None
     if lost:
-        L = np.subtract(c2_full[:, None], sub, out=sub)
+        L = np.empty((n, width))
+        np.subtract(c2_full[:, None], sub, out=L[:, :k])
+        L[:, k:] = L[:, k - 1:k]
         np.maximum(L, 0.0, out=L)  # the exact tail cancels to rounding noise
     return holding, L, Ct
 

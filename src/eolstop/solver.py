@@ -28,10 +28,17 @@ one table per pass.
 
 A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
-order J, and the value is min(G, J) and then min(that, stop).  The stop and
-order masks and the order-up-to levels (the smallest-index argmin) are
-built only when the policy is kept.  The CapSaturated test needs no argmin:
-see ``_check_cap``.
+order J, and the value is min(G, J) and then min(that, stop).  The scrap,
+order-cost and discount columns, and the stopping cost of the reformulated
+pass, are built once per pass; each table's cost row is added into its
+slice of G, and once G has the full (K, layer) shape the minima are taken
+in G itself.  What is left is the floor, ``np.convolve``'s one BLAS dot
+product per output, which ``ev_clamped`` calls as ``np.correlate`` against
+the pmf reversed once.  The stop and order masks and the order-up-to levels
+(the smallest-index argmin) are built only when the policy is kept.  The
+CapSaturated test needs no argmin, and where the order cost at x_max - 1 is
+no higher than at x_max in every column it reads that one column: see
+``_check_cap``.
 """
 
 from __future__ import annotations
@@ -154,14 +161,19 @@ def _check_cap(f, J, G, stop_vec):
     the order from x targets X exactly when x >= m, m the last y < X with
     f[y] <= f[X] (0 if there is none), so only x in [min m, X) are read.
     An order is taken where J is strictly below G and, given ``stop_vec``,
-    strictly below stopping too: ties continue or stop."""
+    strictly below stopping too: ties continue or stop.  When every column
+    has f[X-1] <= f[X], every m is X-1 and only x = X-1 is read."""
     X = f.shape[-1] - 1
-    le = f[..., :-1] <= f[..., -1:]
-    le[..., 0] = True  # m = 0 stands for "none": every x then targets X
-    m = X - 1 - np.argmax(le[..., ::-1], axis=-1)
-    lo = int(m.min())
+    if (f[..., -2] <= f[..., -1]).all():
+        lo, at_m = X - 1, True
+    else:
+        le = f[..., :-1] <= f[..., -1:]
+        le[..., 0] = True  # m = 0 stands for "none": every x then targets X
+        m = X - 1 - np.argmax(le[..., ::-1], axis=-1)
+        lo = int(m.min())
+        at_m = np.arange(lo, X) >= m[..., None]
     Jx = J[..., lo:]
-    taken = (np.arange(lo, X) >= m[..., None]) & (Jx < G[..., lo:X])
+    taken = at_m & (Jx < G[..., lo:X])
     if stop_vec is not None:
         taken &= Jx < stop_vec[..., lo:X]
     return taken.reshape(len(taken), -1).any(axis=1)
@@ -198,6 +210,9 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     disc = np.array([np.exp(-kt.params.delta) for kt in tables]).reshape(col)
     stop_tail = (np.stack([kt.stop_tail for kt in tables], axis=1) if original
                  else np.zeros((T + 1, len(tables)))).reshape((T + 1,) + col)
+    # the stopping cost at every epoch unless ``original``; + 0.0 turns the
+    # -0.0 of c4 * 0 (c4 < 0) into +0.0, as adding the zero tail did
+    stop_vec = scrap + 0.0
     Ks = np.asarray(setup_costs, dtype=np.float64)[:, None, None]
     epochs = np.asarray(switch_epochs)
     full = (len(tables), len(epochs), len(Ks), Z, X + 1)
@@ -220,8 +235,12 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         live = first_live[t]
         G = _backends.ev_clamped(W[:, live:], pmfs[t], tails[t])
         G *= disc
-        G += np.stack([c[t] for c in costs]).reshape(col)
-        stop_vec = scrap + stop_tail[t]
+        for s, c in enumerate(costs):
+            G[s] += c[t]
+        if original:
+            stop_vec = scrap + stop_tail[t]
+        if grids:  # one table, one row and one setup cost
+            G_all[t] = G[0, 0, 0]
         val = G
         orders = t == 0 or spec.first_order is FirstOrder.FREE
         if orders:  # from here on each (K, layer) column is its own
@@ -229,15 +248,15 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
             mins = _backends.suffix_min(f)
             J = Ks + mins[..., 1:]
             J -= cy[..., :-1]  # best order from x < X, layers z >= lo
-            val = np.empty(G.shape[:2] + full[2:])
-            val[...] = G
+            if G.shape[2:] != full[2:]:  # G still holds the shared no-order chain
+                val = np.empty(G.shape[:2] + full[2:])
+                val[...] = G
             hit = _check_cap(f, J, val[..., lo:, :], stop_vec if stops else None)
             if cap_epoch is None and hit.any():
                 cap_epoch = t
             capped |= hit
             np.minimum(val[..., lo:, :-1], J, out=val[..., lo:, :-1])  # ties continue
-        if grids:  # one table, one row and one setup cost
-            G_all[t] = G[0, 0, 0]
+        if grids:
             stopping = (stop_vec[0, 0, 0] <= val[0, 0, 0] if stops
                         else np.zeros((Z, X + 1), dtype=bool))
             ordering = np.zeros((Z, X + 1), dtype=bool)

@@ -313,6 +313,36 @@ class TestSolverAgreesWithAnalytics:
         assert action[0, 0, z0] == ORDER
         assert target[0, 0, z0] == order_up_to_of_tau(base_kernels.params, base_model, k) == level
 
+    def test_order_pass_equals_the_best_order_over_switch_costs(self, base_model, base_kernels):
+        # at K = 1000 the epoch-k pass either keeps x or orders up to some
+        # y > x at time zero, paying K + c_bar (y - x), and then holds y until
+        # k: V(0, x) + A = min(C(x, k), min_y K + c_bar (y - x) + C(y, k)).
+        # The orders reach about 500 here, so y <= 700 covers them.
+        K, x, epochs = 1000.0, 100, [20, 30, 40]
+        p = kernels_with_K(base_kernels, K).params
+        (V0,), _ = _backward_pass(self.SPEC, [base_kernels], [K], epochs)
+        ys = np.arange(x + 1, 701)
+        for i, k in enumerate(epochs):
+            nodes = analytics._point_nodes(p, base_model, k)  # switch_cost's nodes, built once
+            cost = [float(analytics._cost(p, y, nodes)) + base_kernels.A for y in ys]
+            want = min(switch_cost(p, base_model, x, k),
+                       min(K + p.c_bar * (ys - x) + cost))
+            assert V0[i, 0, x] + base_kernels.A == pytest.approx(want, rel=1e-9, abs=0), k
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_no_order_identity_on_random_instances(self, seed):
+        # the no-order identity of the base case, on random models that meet
+        # the checks switch_cost runs (c4 >= 0, c1 >= delta c4); k = T is T/1/Z
+        params, model, _, x_max = small_instance(seed)
+        assume(validate_assumptions(params, model).ok)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        epochs = np.arange(model.horizon + 1)
+        (V0,), _ = _backward_pass(self.SPEC, [kt], [self.NO_ORDER], epochs)
+        xs = [0, 1, 3, 8, 20, x_max]
+        want = [[switch_cost(params, model, x, k) for x in xs] for k in epochs]
+        np.testing.assert_allclose(V0[:, 0, xs] + kt.A, want, rtol=1e-9, atol=0)
+
     def test_best_no_order_epoch_lies_within_the_bounds(self, base_model, base_kernels):
         kt = kernels_with_K(base_kernels, self.NO_ORDER)
         _, best_k = static_switch_values(self.SPEC, kt)

@@ -619,3 +619,98 @@ def test_manifest_records_the_package_revision_from_any_cwd(tmp_path, monkeypatc
         assert main(["compare", "--config", str(cfg), "--out", str(out), "D/1/Z", "D/1/Z"]) == 0
         revisions.append(json.loads((out / "manifest.json").read_text())["git_revision"])
     assert revisions[0] == revisions[1]
+
+
+@pytest.mark.parametrize("over, match", [
+    ({"x0": "12"}, "x0 must be a JSON list"),
+    ({"setup_costs": "05"}, "setup_costs must be a JSON list"),
+    ({"models": "D/1/Z"}, "models must be a JSON list"),
+    ({"models": [1]}, "as strings"),
+    ({"intensity": [["kind", "convex"]]}, "intensity must be a JSON object"),
+    ({"x_max": True}, "x_max must be an integer"),
+    ({"x0": [True]}, "x0 must be an integer"),
+    ({"x0": ["4"]}, "x0 must be an integer"),
+    ({"setup_costs": [False]}, "setup_costs must be a number"),
+    ({"schema_version": True}, "schema_version"),
+    ({"tau_step": float("inf")}, "tau_step must be finite"),
+], ids=["x0-str", "setup-str", "models-str", "models-int", "intensity-pairs", "xmax-bool",
+        "x0-bool", "x0-str-item", "setup-bool", "schema-bool", "tau-inf"])
+def test_malformed_values_are_rejected(over, match):
+    # "12" once parsed as x0 (1, 2), "05" as setup costs (0.0, 5.0), true as 1
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict({**TINY, **over})
+
+
+def _fail(*a, **kw):
+    raise AssertionError("built for an oversized config")
+
+
+def test_named_horizon_is_bounded_before_the_model_is_built(monkeypatch):
+    # at T = 10**9 the model's rates alone would take 8 GB
+    import eolstop.config
+
+    monkeypatch.setattr(eolstop.config, "build_named_intensity", _fail)
+    with pytest.raises(ConfigError, match="value-grid cells exceeds the limit"):
+        ExperimentConfig.from_dict(
+            {**TINY, "intensity": {"kind": "convex", "horizon": 10**9, "total_demand": 24.0}})
+
+
+@pytest.mark.parametrize("intensity", [
+    {"kind": "convex", "horizon": 8, "total_demand": 1e300},
+    {"kind": "convex", "horizon": 8, "total_demand": 1e8},
+    {"kind": "custom", "rates": [1e12] * 8},
+], ids=["named-1e300", "named-1e8", "custom-1e12"])
+def test_demand_is_bounded_before_a_pmf_is_built(monkeypatch, intensity):
+    import eolstop.demand
+
+    monkeypatch.setattr(eolstop.demand, "period_pmfs", _fail)
+    with pytest.raises(ConfigError, match="demand pmf cells exceeds the limit"):
+        ExperimentConfig.from_dict({**TINY, "intensity": intensity})
+
+
+_SMALL = {**TINY, "intensity": {"kind": "convex", "horizon": 6, "total_demand": 18.0},
+          "x_max": 40, "models": ["D/inf/F", "S/1/Z"], "paths": 50}
+# (top-level key,) or (section, key) of every value a config holds
+_FUZZ_KEYS = ([(k,) for k in sorted(ExperimentConfig.__dataclass_fields__)]
+              + [("intensity", k) for k in ("kind", "horizon", "total_demand", "rates")]
+              + [("costs", k) for k in sorted(TINY["costs"])])
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    scalars = st.one_of(
+        st.text(max_size=6), st.booleans(), st.none(),
+        st.integers(-3, 70), st.integers(10**9, 10**30), st.integers(-10**30, -10**9),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(["D/1/Z", "T/2/F", "S/1/F", "convex", "custom", "paper", "12", "05"]))
+    return st.one_of(scalars, st.lists(scalars, max_size=3),
+                     st.dictionaries(st.text(max_size=4), scalars, max_size=2))
+
+
+def test_fuzzed_config_is_accepted_or_rejected_cleanly():
+    # one value of a small valid config becomes a random JSON value: from_dict
+    # returns a config or raises ConfigError, ``solve`` exits 0, 2 or 3, and no
+    # CSV it writes holds a NaN
+    import tempfile
+
+    from hypothesis import HealthCheck, given, settings as hyp_settings
+    from hypothesis import strategies as st
+
+    @given(key=st.sampled_from(_FUZZ_KEYS), value=_json_values())
+    @hyp_settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def check(key, value):
+        raw = json.loads(json.dumps(_SMALL))
+        (raw[key[0]] if len(key) == 2 else raw)[key[-1]] = value
+        try:
+            ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            assert main(["solve", "--config", str(cfg), "--out", tmp]) in (0, 2, 3)
+            for path in Path(tmp).glob("*.csv"):
+                assert "nan" not in path.read_text().lower(), path.name
+
+    check()
