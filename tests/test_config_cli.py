@@ -1,9 +1,12 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from eolstop import ConfigError, ExperimentConfig
 from eolstop.cli import main
@@ -676,41 +679,30 @@ _FUZZ_KEYS = ([(k,) for k in sorted(ExperimentConfig.__dataclass_fields__)]
               + [("costs", k) for k in sorted(TINY["costs"])])
 
 
-def _json_values():
-    from hypothesis import strategies as st
-
-    scalars = st.one_of(
-        st.text(max_size=6), st.booleans(), st.none(),
-        st.integers(-3, 70), st.integers(10**9, 10**30), st.integers(-10**30, -10**9),
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.sampled_from(["D/1/Z", "T/2/F", "S/1/F", "convex", "custom", "paper", "12", "05"]))
-    return st.one_of(scalars, st.lists(scalars, max_size=3),
-                     st.dictionaries(st.text(max_size=4), scalars, max_size=2))
+_SCALARS = st.one_of(
+    st.text(max_size=6), st.booleans(), st.none(),
+    st.integers(-3, 70), st.integers(10**9, 10**30), st.integers(-10**30, -10**9),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["D/1/Z", "T/2/F", "S/1/F", "convex", "custom", "paper", "12", "05"]))
+_JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
 
 
-def test_fuzzed_config_is_accepted_or_rejected_cleanly():
+@given(key=st.sampled_from(_FUZZ_KEYS), value=_JSON_VALUES)
+@hyp_settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_config_is_accepted_or_rejected_cleanly(key, value):
     # one value of a small valid config becomes a random JSON value: from_dict
     # returns a config or raises ConfigError, ``solve`` exits 0, 2 or 3, and no
     # CSV it writes holds a NaN
-    import tempfile
-
-    from hypothesis import HealthCheck, given, settings as hyp_settings
-    from hypothesis import strategies as st
-
-    @given(key=st.sampled_from(_FUZZ_KEYS), value=_json_values())
-    @hyp_settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def check(key, value):
-        raw = json.loads(json.dumps(_SMALL))
-        (raw[key[0]] if len(key) == 2 else raw)[key[-1]] = value
-        try:
-            ExperimentConfig.from_dict(raw)
-        except ConfigError:
-            pass
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "cfg.json"
-            cfg.write_text(json.dumps(raw))
-            assert main(["solve", "--config", str(cfg), "--out", tmp]) in (0, 2, 3)
-            for path in Path(tmp).glob("*.csv"):
-                assert "nan" not in path.read_text().lower(), path.name
-
-    check()
+    raw = json.loads(json.dumps(_SMALL))
+    (raw[key[0]] if len(key) == 2 else raw)[key[-1]] = value
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg), "--out", tmp]) in (0, 2, 3)
+        for path in Path(tmp).glob("*.csv"):
+            assert "nan" not in path.read_text().lower(), path.name
