@@ -6,14 +6,17 @@
 ``python3 perfbench/run.py --trace 0`` has run; their run records are read
 from ``<checkout>/perfbench/results/*.json``.  Only full-size untraced
 records count (``tiny`` and ``--trace 1`` runs are skipped).  Runs of one
-workload pair up by seed, so run both sides with the same seeds, alternating
-which side runs first.
+workload pair up by seed, so run both sides with the same seeds and the same
+``--seconds``, alternating which side runs first; a seed only one side ran
+is left out.  The script exits 2 when no seed pairs, when a side's paired
+records come from more than one revision (stale records of an earlier
+commit), or when one workload's paired runs differ in ``--seconds``.
 
 The file records the machine (``nproc`` and the Python, numpy and scipy
-versions of each side's records) and, per workload and end-to-end metric of
-``BENCHMARK.json``: each side's median and quartiles over its runs, and how
-many seed pairs the change wins (strictly better in the metric's
-direction).  Standard library only.
+versions of each side's records), each side's revision and, per workload and
+end-to-end metric of ``BENCHMARK.json``: each side's median and quartiles
+over the paired runs, and how many pairs the change wins (strictly better in
+the metric's direction).  Standard library only.
 """
 
 from __future__ import annotations
@@ -55,31 +58,58 @@ def machine(records: list[dict]) -> dict:
     return seen[0] if len(seen) == 1 else {"mixed": seen}
 
 
-def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: both sides' summaries, the change's median
-    relative to the parent's, and its wins over the seed pairs."""
+def pair(parent: list[dict], change: list[dict]) -> dict:
+    """Per workload, the parent's and the change's records of the seeds both
+    sides ran, in seed order; records of a seed only one side ran are left
+    out."""
     out = {}
     for workload in sorted({r["workload"] for r in parent + change}):
         by_seed = [{r["seed"]: r for r in side if r["workload"] == workload}
                    for side in (parent, change)]
         seeds = sorted(set(by_seed[0]) & set(by_seed[1]))
+        if seeds:
+            out[workload] = tuple([side[s] for s in seeds] for side in by_seed)
+    return out
+
+
+def mismatch(pairs: dict) -> str | None:
+    """Why the paired records cannot be compared, or None: a side's records
+    come from more than one revision, or one workload's runs did not all
+    run for the same ``--seconds``."""
+    for i, side in enumerate(("parent", "change")):
+        revisions = {str(r.get("git_revision")) for recs in pairs.values() for r in recs[i]}
+        if len(revisions) > 1:
+            return f"the {side}'s paired records come from revisions {sorted(revisions)}"
+    for workload, recs in pairs.items():
+        seconds = {r.get("seconds") for side in recs for r in side}
+        if len(seconds) > 1:
+            return f"the {workload} runs ran for different --seconds: {sorted(map(str, seconds))}"
+    return None
+
+
+def compare(pairs: dict, metrics: list[dict]) -> dict:
+    """Per workload and metric, over the seed pairs that both report it: both
+    sides' summaries, the change's median relative to the parent's, and the
+    change's wins."""
+    out = {}
+    for workload, (parent, change) in pairs.items():
         rows = {}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
-            sides = [{s: rec["metrics"].get(name) for s, rec in recs.items()} for recs in by_seed]
-            values = [[v for v in side.values() if v is not None] for side in sides]
-            if not all(values):
+            both = [(p["metrics"].get(name), c["metrics"].get(name))
+                    for p, c in zip(parent, change)]
+            both = [(p, c) for p, c in both if p is not None and c is not None]
+            if not both:
                 continue
-            pairs = [(sides[0][s], sides[1][s]) for s in seeds
-                     if None not in (sides[0][s], sides[1][s])]
-            wins = sum((c < p) if lower else (c > p) for p, c in pairs)
-            p_sum, c_sum = summary(values[0]), summary(values[1])
+            wins = sum((c < p) if lower else (c > p) for p, c in both)
+            p_sum, c_sum = summary([p for p, _ in both]), summary([c for _, c in both])
             rows[name] = {"unit": metric["unit"], "better": metric["better"],
                           "parent": p_sum, "change": c_sum,
                           "median_change": c_sum["median"] / p_sum["median"] - 1.0,
-                          "wins": wins, "pairs": len(pairs)}
-        out[workload] = {"seeds": seeds, "metrics": rows,
-                         "failed": [sum(r["failed"] for r in recs.values()) for recs in by_seed]}
+                          "wins": wins, "pairs": len(both)}
+        out[workload] = {"seeds": [r["seed"] for r in parent], "seconds": parent[0].get("seconds"),
+                         "metrics": rows,
+                         "failed": [sum(r["failed"] for r in side) for side in (parent, change)]}
     return out
 
 
@@ -89,23 +119,22 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="change source checkout")
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<PR>.json")
     ap.add_argument("--out", type=Path, default=None, help="output path (default ./BENCH_<PR>.json)")
-    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json",
-                    help="benchmark declaration naming the end-to-end metrics")
     args = ap.parse_args(argv)
 
-    parent, change = load_records(args.parent), load_records(args.change)
-    if not parent or not change:
-        print("error: no untraced full-size run records under "
-              f"{args.parent if not parent else args.change}/perfbench/results",
-              file=sys.stderr)
+    pairs = pair(load_records(args.parent), load_records(args.change))
+    error = mismatch(pairs) if pairs else (
+        f"no seed-paired untraced full-size run records under {args.parent} and {args.change}")
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    metrics = json.loads(args.benchmark.read_text())["end_to_end"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = [[r for recs in pairs.values() for r in recs[i]] for i in (0, 1)]
     bench = {
         "pr": args.pr,
-        "machine": {"parent": machine(parent), "change": machine(change)},
-        "revisions": {"parent": sorted({r.get("git_revision") or "" for r in parent}),
-                      "change": sorted({r.get("git_revision") or "" for r in change})},
-        "workloads": compare(parent, change, metrics),
+        "machine": {"parent": machine(sides[0]), "change": machine(sides[1])},
+        "revisions": {"parent": sides[0][0].get("git_revision"),
+                      "change": sides[1][0].get("git_revision")},
+        "workloads": compare(pairs, metrics),
     }
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

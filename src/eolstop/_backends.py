@@ -34,21 +34,12 @@ def ev_clamped(V, pmf, tail):
     """E[V((y - D)^+)] for every row of V (the last axis; a 1-D V is one row).
 
     tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and the truncated
-    residual mass) lands on inventory 0.  Per row, the dot products of
-    ``np.convolve(v, pmf)``: its ``np.correlate`` against the pmf reversed
-    once per call, so no row copies the pmf (a pmf longer than the row makes
-    ``np.convolve`` swap its operands, so it runs as it is); then the tail
-    term for all rows at once."""
+    residual mass) lands on inventory 0.  One ``np.convolve`` per row, and
+    the tail term for all rows at once."""
     n = V.shape[-1]
     out = np.empty(V.shape)
-    rows = zip(V.reshape(-1, n), out.reshape(-1, n))
-    if len(pmf) > n:
-        for v, o in rows:
-            o[:] = np.convolve(v, pmf)[:n]
-    else:
-        rev = pmf[::-1].copy()
-        for v, o in rows:
-            o[:] = np.correlate(v, rev, "full")[:n]
+    for v, o in zip(V.reshape(-1, n), out.reshape(-1, n)):
+        o[:] = np.convolve(v, pmf)[:n]
     out += V[..., :1] * _clamped_tail(pmf, tail, n)
     return out
 

@@ -164,32 +164,39 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         try:
             LostSalesConvention.parse(self.convention)
-            # a named model's horizon is checked before the model is built: its
-            # rates alone take 8 bytes a period
-            horizon = (_integer("intensity.horizon", self.intensity["horizon"])
-                       if kind in NAMED_KINDS else self.build_model().horizon)
-            check_grid(horizon, self.x_max, self.models)
-            if self.paths * horizon > MAX_MC_DRAWS:
-                raise ConfigError(
-                    f"paths * T = {self.paths * horizon} Monte Carlo draws exceeds the "
-                    f"limit of {MAX_MC_DRAWS}; lower paths")
-            if horizon / self.tau_step > MAX_TAU_NODES:
-                raise ConfigError(
-                    f"T / tau_step = {horizon / self.tau_step:.6g} switch-time nodes exceeds "
-                    f"the limit of {MAX_TAU_NODES}; raise tau_step")
+            if kind in NAMED_KINDS:
+                # checked before the model is built: its rates alone take 8
+                # bytes a period
+                self._check_horizon(_integer("intensity.horizon", self.intensity["horizon"]))
+            model = self.build_model()
+            if kind == "custom":
+                self._check_horizon(model.horizon)
             # the support grows with the rate and exceeds it, so clipping the
             # largest rate at the cap keeps the count exact up to the cap
-            rate = min(float(self.build_model().rates.max()), MAX_PMF_CELLS)
-            cells = horizon * (int(pmf_supports([rate])[0]) + 1)
+            rate = min(float(model.rates.max()), MAX_PMF_CELLS)
+            cells = model.horizon * (int(pmf_supports([rate])[0]) + 1)
             if cells > MAX_PMF_CELLS:
                 raise ConfigError(
                     f"T(n+1) = {cells} demand pmf cells exceeds the limit of {MAX_PMF_CELLS}, "
                     f"n the largest one-period demand support; lower the demand")
-            self.build_params(self.setup_costs[0])
+            CostParameters(K=float(self.setup_costs[0]), horizon=model.horizon, **self.costs)
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _check_horizon(self, horizon: int):
+        """Reject a horizon whose value grid, Monte Carlo draws or switch-time
+        grid exceeds its cap."""
+        check_grid(horizon, self.x_max, self.models)
+        if self.paths * horizon > MAX_MC_DRAWS:
+            raise ConfigError(
+                f"paths * T = {self.paths * horizon} Monte Carlo draws exceeds the "
+                f"limit of {MAX_MC_DRAWS}; lower paths")
+        if horizon / self.tau_step > MAX_TAU_NODES:
+            raise ConfigError(
+                f"T / tau_step = {horizon / self.tau_step:.6g} switch-time nodes exceeds "
+                f"the limit of {MAX_TAU_NODES}; raise tau_step")
 
     # ------------------------------------------------------------------
     def build_model(self) -> IntensityModel:
@@ -198,15 +205,18 @@ class ExperimentConfig:
             if "rates" in self.intensity:
                 import numpy as np
 
+                rates = self.intensity["rates"]
+                if not isinstance(rates, list):
+                    raise ValueError(f"intensity.rates must be a JSON list, got {rates!r}")
                 return IntensityModel(
-                    horizon=len(self.intensity["rates"]),
-                    rates=np.asarray(self.intensity["rates"], dtype=float),
+                    horizon=len(rates),
+                    rates=np.array([_number("intensity.rates", r) for r in rates]),
                     kind="custom",
                 )
             return load_rates_table(self.intensity["rates_file"])
         return build_named_intensity(
-            kind, int(self.intensity["horizon"]), float(self.intensity["total_demand"])
-        )
+            kind, _integer("intensity.horizon", self.intensity["horizon"]),
+            _number("intensity.total_demand", self.intensity["total_demand"]))
 
     def build_params(self, K: float) -> CostParameters:
         return CostParameters(K=float(K), horizon=self.build_model().horizon, **self.costs)

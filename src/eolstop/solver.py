@@ -33,8 +33,7 @@ order-cost and discount columns, and the stopping cost of the reformulated
 pass, are built once per pass; each table's cost row is added into its
 slice of G, and once G has the full (K, layer) shape the minima are taken
 in G itself.  What is left is the floor, ``np.convolve``'s one BLAS dot
-product per output, which ``ev_clamped`` calls as ``np.correlate`` against
-the pmf reversed once.  The stop and order masks and the order-up-to levels
+product per output, one ``np.convolve`` per row in ``ev_clamped``.  The stop and order masks and the order-up-to levels
 (the smallest-index argmin) are built only when the policy is kept.  The
 CapSaturated test needs no argmin, and where the order cost at x_max - 1 is
 no higher than at x_max in every column it reads that one column: see

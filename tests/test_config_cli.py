@@ -636,10 +636,18 @@ def test_manifest_records_the_package_revision_from_any_cwd(tmp_path, monkeypatc
     ({"setup_costs": [False]}, "setup_costs must be a number"),
     ({"schema_version": True}, "schema_version"),
     ({"tau_step": float("inf")}, "tau_step must be finite"),
+    ({"intensity": {**TINY["intensity"], "total_demand": "24"}}, "total_demand must be a number"),
+    ({"intensity": {**TINY["intensity"], "total_demand": True}}, "total_demand must be a number"),
+    ({"intensity": {**TINY["intensity"], "horizon": True}}, "horizon must be an integer"),
+    ({"intensity": {"kind": "custom", "rates": ["4"] * 8}}, "rates must be a number"),
+    ({"intensity": {"kind": "custom", "rates": [True] * 8}}, "rates must be a number"),
+    ({"intensity": {"kind": "custom", "rates": "4444"}}, "rates must be a JSON list"),
 ], ids=["x0-str", "setup-str", "models-str", "models-int", "intensity-pairs", "xmax-bool",
-        "x0-bool", "x0-str-item", "setup-bool", "schema-bool", "tau-inf"])
+        "x0-bool", "x0-str-item", "setup-bool", "schema-bool", "tau-inf", "total-str",
+        "total-bool", "horizon-bool", "rates-str", "rates-bool", "rates-str-whole"])
 def test_malformed_values_are_rejected(over, match):
-    # "12" once parsed as x0 (1, 2), "05" as setup costs (0.0, 5.0), true as 1
+    # "12" once parsed as x0 (1, 2), "05" as setup costs (0.0, 5.0), true as
+    # 1, "24" as a total demand of 24.0 and ["4"] as a rate of 4.0
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict({**TINY, **over})
 
