@@ -175,7 +175,11 @@ def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _No
 
 def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float) -> float:
     """Total discounted cost of operating without orders until the committed
-    switch epoch tau, then scrapping and outsourcing the remainder."""
+    switch epoch tau, then scrapping and outsourcing the remainder.
+
+    It follows ``LostSalesConvention.ARRIVAL``: on the base case it equals
+    the no-order S/1/Z value V(0, x) + A to 2.6e-11 relative under ARRIVAL,
+    and is off by up to 1.27e-2 under PAPER (tau = 20, x = 400)."""
     return float(_cost(params, x, _point_nodes(params, model, tau)) + constant_A(params, model))
 
 

@@ -109,22 +109,6 @@ class ExperimentConfig:
             raw = {**raw, "intensity": {**intensity, "rates_file": rates_file}}
         return cls.from_dict(raw)
 
-    @classmethod
-    def base_case(cls, **overrides) -> "ExperimentConfig":
-        """Convex demand over 50 periods, the reference cost scalars, the
-        standard (K, x0) comparison grid."""
-        raw = {
-            "schema_version": SCHEMA_VERSION,
-            "intensity": {"kind": "convex", "horizon": 50, "total_demand": 500.0},
-            "costs": {"c_bar": 100.0, "c1": 1.0, "c2_bar": 200.0, "c3_bar": 200.0,
-                      "gamma": 0.01, "c4": 25.0, "delta": 0.005},
-            "setup_costs": [0.0, 1000.0, 5000.0],
-            "x0": [0, 100, 250],
-            "models": ["D/inf/F", "D/1/Z"],
-        }
-        raw.update(overrides)
-        return cls.from_dict(raw)
-
     # ------------------------------------------------------------------
     def validate(self):
         if set(self.intensity) - _INTENSITY_KEYS:

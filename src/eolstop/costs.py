@@ -56,6 +56,8 @@ class CostParameters:
         for name in ("c_bar", "K", "c1", "c2_bar", "c3_bar", "gamma", "c4", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            # a huge Python int would wrap in int64 inside numpy products
+            object.__setattr__(self, name, float(getattr(self, name)))
             if name != "c4" and getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.c_bar > -self.c4:

@@ -19,7 +19,6 @@ C4_VALUES = (25.0, -25.0)
 GAMMA_VALUES = (0.01, 1e-6)
 DELTA_VALUES = (0.005, 1e-6)
 C2_BAR_VALUES = (200.0, 1000.0)
-SETUP_COSTS = (0.0, 1000.0, 5000.0)
 TOTAL_DEMAND = 500.0
 C_BAR = 100.0
 

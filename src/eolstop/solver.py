@@ -19,21 +19,22 @@ may commit to ride along as one more batch axis.  So do kernel tables that
 share the horizon, x_max and demand rates (the settings of one intensity):
 their cost rows, scrap, order cost, discount and stopping tail broadcast
 along a leading table axis.  The pass carries one value array of shape
-(table, k*, K, layer, x) and takes one Bellman step on all of it per epoch;
-rows with k* <= t hold the forced stop.  The K and layer axes keep size 1
-until some layer may order (epoch T-1 for ``.../F``, 0 for ``.../Z``), so
-the no-order chain they all share is computed once.  ``solve_values`` takes
-a list of tables; STATIC specs, and ``solve`` with its policy grids, keep
-one table per pass.
+(table, k*, column, x) and takes one Bellman step on all of it per epoch;
+rows with k* <= t hold the forced stop.  A column is a (budget layer, K)
+pair that may order, and an order from it goes on one layer down at the
+same K (in itself when the budget is unlimited); a finite budget's last
+layer, which never orders, is one K-free column (K = inf).  The column axis
+keeps size 1 until some layer may order (epoch T-1 for ``.../F``, 0 for
+``.../Z``), so the no-order chain the columns share is computed once.
+``solve_values`` takes a list of tables; STATIC specs, and ``solve`` with
+its policy grids (one K, so one column per layer), keep one table per pass.
 
 A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
-order J, and the value is min(G, J) and then min(that, stop).  The scrap,
-order-cost and discount columns, and the stopping cost of the reformulated
-pass, are built once per pass; each table's cost row is added into its
-slice of G, and once G has the full (K, layer) shape the minima are taken
-in G itself.  What is left is the floor, ``np.convolve``'s one BLAS dot
-product per output, one ``np.convolve`` per row in ``ev_clamped``.  The stop and order masks and the order-up-to levels
+order J, and the value is min(G, J) and then min(that, stop), both taken in
+G.  The scrap, order-cost, discount and (reformulated) stopping terms are
+built once per pass.  What is left is the floor, one ``np.convolve`` per
+row in ``ev_clamped``.  The stop and order masks and the order-up-to levels
 (the smallest-index argmin) are built only when the policy is kept.  The
 CapSaturated test needs no argmin, and where the order cost at x_max - 1 is
 no higher than at x_max in every column it reads that one column: see
@@ -124,11 +125,9 @@ class PolicyTable:
 
 @dataclass(frozen=True, eq=False)
 class ValueGrid:
-    """Reformulated values plus the pieces the action comparison used."""
+    """Reformulated values V and the constant A that turns them into totals."""
 
     V: np.ndarray  # (T+1, X+1, Z)
-    G: np.ndarray  # (T, X+1, Z) continuation cost
-    J_order: np.ndarray  # (T, X+1, Z) best strictly-positive order, +inf if none
     A: float
 
 
@@ -192,18 +191,19 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     one-period cost C and the stopping cost's outside-source tail.  Returns
     V(0) at the full budget layer as (len(tables), len(switch_epochs),
     len(setup_costs), X+1) and, with ``grids`` (one table, one epoch, one
-    setup cost), the (V, G, J_order, action, target) grids over every epoch;
-    without, no policy is filled.  Either way a chosen order-up-to level at
-    x_max raises CapSaturated once the pass is done, naming every table
-    that hit it and the first epoch (counting down) where one did.
+    setup cost, so one column per layer), the (V, action, target) grids over
+    every epoch; without, no policy is filled.  Either way a chosen
+    order-up-to level at x_max raises CapSaturated once the pass is done,
+    naming every table that hit it and the first epoch (counting down) where
+    one did.
     """
     kt0 = tables[0]
-    T, X, Z = kt0.horizon, kt0.x_max, spec.layers
+    T, X = kt0.horizon, kt0.x_max
     pmfs, tails = kt0.pmfs, kt0.pmf_tails
     stops = spec.stop_mode is StopMode.DYNAMIC
     costs = [kt.C if original else kt.C_tilde for kt in tables]
     y = np.arange(X + 1, dtype=np.float64)
-    col = (len(tables), 1, 1, 1, -1)  # a per-table term along (epoch, K, layer, x)
+    col = (len(tables), 1, 1, -1)  # a per-table term along (epoch, column, x)
     scrap = np.stack([kt.params.c4 * y for kt in tables]).reshape(col)
     cy = np.stack([kt.params.c_bar * y for kt in tables]).reshape(col)
     disc = np.array([np.exp(-kt.params.delta) for kt in tables]).reshape(col)
@@ -212,21 +212,23 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     # the stopping cost at every epoch unless ``original``; + 0.0 turns the
     # -0.0 of c4 * 0 (c4 < 0) into +0.0, as adding the zero tail did
     stop_vec = scrap + 0.0
-    Ks = np.asarray(setup_costs, dtype=np.float64)[:, None, None]
+    # one column per (layer that may order, K), the top layer last; a finite
+    # budget's last layer is one K-free column in front (K = inf: no order)
+    Ks, b = np.asarray(setup_costs, dtype=np.float64), spec.order_budget
+    nK = len(Ks)
+    Kcol = (Ks if b is None else np.concatenate(([np.inf], np.tile(Ks, b))))[:, None]
+    # an order from column c goes on in below[c]: its own column when the
+    # budget is unlimited, else the same K one layer down
+    below = np.arange(nK) if b is None else np.maximum(np.arange(len(Kcol)) - nK, 0)
     epochs = np.asarray(switch_epochs)
-    full = (len(tables), len(epochs), len(Ks), Z, X + 1)
-    # an order at layer z >= lo continues at layer z - lo (lo = 0: unlimited)
-    lo = 0 if spec.order_budget is None else 1
-    # W[s, i, k, z] is table s's value column at t+1; the K and layer axes stay
-    # of size 1 until some layer may order, so the no-order chain is expected once
-    W = np.broadcast_to(scrap + stop_tail[epochs[-1]], full[:2] + (1, 1, X + 1))
-    if grids:  # filled as (t, z, x), returned as (t, x, z) views
-        V = np.empty((T + 1, Z, X + 1))
+    # W[s, i, c] is table s's value column c at t+1; one column until some
+    # layer may order, so the no-order chain they all share is expected once
+    W = np.broadcast_to(scrap + stop_tail[epochs[-1]], (len(tables), len(epochs), 1, X + 1))
+    if grids:  # filled as (t, column, x), returned as (t, x, column) views
+        V = np.empty((T + 1, len(Kcol), X + 1))
         V[epochs[0]:] = (scrap + stop_tail[epochs[0]:]).reshape(-1, 1, X + 1)
-        G_all = np.full((T, Z, X + 1), np.nan)
-        J_all = np.full((T, Z, X + 1), np.inf)
-        action = np.full((T + 1, Z, X + 1), STOP, dtype=np.int8)
-        target = np.full((T + 1, Z, X + 1), -1, dtype=np.int32)
+        action = np.full(V.shape, STOP, dtype=np.int8)
+        target = np.full(V.shape, -1, dtype=np.int32)
 
     capped, cap_epoch = np.zeros(len(tables), dtype=bool), None
     first_live = np.searchsorted(epochs, np.arange(T), side="right")  # first row with k* > t
@@ -238,49 +240,45 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
             G[s] += c[t]
         if original:
             stop_vec = scrap + stop_tail[t]
-        if grids:  # one table, one row and one setup cost
-            G_all[t] = G[0, 0, 0]
-        val = G
-        orders = t == 0 or spec.first_order is FirstOrder.FREE
-        if orders:  # from here on each (K, layer) column is its own
-            f = cy + G[..., :Z - lo, :]  # ordering up to y from layer z goes on at z - lo
+        if grids:  # one table, one row and one column per layer
+            ordering = np.zeros(V.shape[1:], dtype=bool)
+        if t == 0 or spec.first_order is FirstOrder.FREE:
+            if G.shape[2] < len(Kcol):  # the shared no-order chain splits into the columns
+                G = np.repeat(G, len(Kcol), axis=2)
+            f = G[:, :, below]
+            f += cy  # ordering up to y from column c goes on in below[c]
             mins = _backends.suffix_min(f)
-            J = Ks + mins[..., 1:]
-            J -= cy[..., :-1]  # best order from x < X, layers z >= lo
-            if G.shape[2:] != full[2:]:  # G still holds the shared no-order chain
-                val = np.empty(G.shape[:2] + full[2:])
-                val[...] = G
-            hit = _check_cap(f, J, val[..., lo:, :], stop_vec if stops else None)
+            J = mins[..., 1:] + Kcol
+            J -= cy[..., :-1]  # best order from x < X
+            hit = _check_cap(f, J, G, stop_vec if stops else None)
             if cap_epoch is None and hit.any():
                 cap_epoch = t
             capped |= hit
-            np.minimum(val[..., lo:, :-1], J, out=val[..., lo:, :-1])  # ties continue
+            if grids:  # strict: ties continue
+                ordering[:, :-1] = J[0, 0] < G[0, 0, :, :-1]
+                target[t, :, :-1] = _backends.suffix_argmin(f[0, 0], mins[0, 0])[:, 1:]
+            np.minimum(G[..., :-1], J, out=G[..., :-1])  # ties continue
         if grids:
-            stopping = (stop_vec[0, 0, 0] <= val[0, 0, 0] if stops
-                        else np.zeros((Z, X + 1), dtype=bool))
-            ordering = np.zeros((Z, X + 1), dtype=bool)
-            if orders:
-                J_all[t, lo:, :-1] = J[0, 0, 0]  # layers below lo have no order left
-                ordering = (J_all[t] < G_all[t]) & ~stopping  # strict: ties continue
-                args = _backends.suffix_argmin(f[0, 0, 0], mins[0, 0, 0])
-                target[t, lo:, :-1] = np.where(ordering[lo:, :-1], args[:, 1:], -1)
+            stopping = stop_vec[0, 0] <= G[0, 0] if stops else np.zeros_like(ordering)
+            ordering &= ~stopping
+            target[t][~ordering] = -1
             action[t] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
         if stops:
-            np.minimum(val, stop_vec, out=val)  # ties stop
+            np.minimum(G, stop_vec, out=G)  # ties stop
         if grids:
-            V[t] = val[0, 0, 0]
-        W = val
+            V[t] = G[0, 0]
+        W = G
         if live:  # rows with k* <= t hold the forced stop
-            W = np.concatenate((np.broadcast_to(stop_vec, val.shape[:1] + (live,) + val.shape[2:]),
-                                val), axis=1)
+            W = np.concatenate((np.broadcast_to(stop_vec, G.shape[:1] + (live,) + G.shape[2:]),
+                                G), axis=1)
 
     if cap_epoch is not None:
         raise CapSaturated(f"order-up-to reached x_max={X} at epoch {cap_epoch}; raise the cap",
                            tables=np.flatnonzero(capped).tolist())
-    V0 = np.broadcast_to(W, full)[..., Z - 1, :]
+    V0 = np.broadcast_to(W[:, :, -nK:], W.shape[:2] + (nK, X + 1))
     if not grids:
         return V0, None
-    return V0, tuple(g.transpose(0, 2, 1) for g in (V, G_all, J_all, action, target))
+    return V0, tuple(g.transpose(0, 2, 1) for g in (V, action, target))
 
 
 def _best_epoch(spec, kernels, setup_costs, original=False):
@@ -303,12 +301,12 @@ def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
     if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
         best, best_k = _best_epoch(spec, kernels, Ks)
         switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
-    _, (V, G, J, action, target) = _backward_pass(
+    _, (V, action, target) = _backward_pass(
         spec, [kernels], Ks, [T if switch_epoch is None else switch_epoch], grids=True)
     z0 = spec.layers - 1  # the whole budget is left at time zero
     policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
                          target=target, z0=z0, switch_epoch=switch_epoch)
-    return SolveResult(spec=spec, value_grid=ValueGrid(V=V, G=G, J_order=J, A=A),
+    return SolveResult(spec=spec, value_grid=ValueGrid(V=V, A=A),
                        policy=policy, total_cost=float(V[0, x0, z0] + A),
                        switch_values=switch_values)
 

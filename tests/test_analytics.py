@@ -9,6 +9,7 @@ from scipy.stats import poisson
 
 from eolstop import (
     AssumptionViolated,
+    CapSaturated,
     CostParameters,
     IntensityModel,
     LostSalesConvention,
@@ -22,6 +23,7 @@ from eolstop import (
     constant_A,
     delta2_x_switch_cost,
     delta_x_switch_cost,
+    extract_regions,
     kernels_with_K,
     order_up_to_of_tau,
     solve,
@@ -307,8 +309,7 @@ class TestSolverAgreesWithAnalytics:
     def test_order_up_to_level_at_zero_setup_cost(self, base_model, base_kernels, k, level):
         # at K = 0 the epoch-k pass orders from x = 0 up to the level where the
         # first-order condition c_bar + Delta_x C(x, k) >= 0 first holds
-        _, (_, _, _, action, target) = _backward_pass(self.SPEC, [base_kernels], [0.0], [k],
-                                                      grids=True)
+        _, (_, action, target) = _backward_pass(self.SPEC, [base_kernels], [0.0], [k], grids=True)
         z0 = self.SPEC.layers - 1
         assert action[0, 0, z0] == ORDER
         assert target[0, 0, z0] == order_up_to_of_tau(base_kernels.params, base_model, k) == level
@@ -343,6 +344,27 @@ class TestSolverAgreesWithAnalytics:
         want = [[switch_cost(params, model, x, k) for x in xs] for k in epochs]
         np.testing.assert_allclose(V0[:, 0, xs] + kt.A, want, rtol=1e-9, atol=0)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_order_up_to_level_on_random_instances(self, seed):
+        # the K = 0 order-up-to identity of the base case on random models
+        # that meet the checks: at x = 0 the epoch-k pass orders up to the
+        # first-order level, or keeps 0 when that level is 0, and a level at
+        # or past x_max is a cap hit
+        params, model, _, x_max = small_instance(seed)
+        assume(validate_assumptions(params, model).ok)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        z0 = self.SPEC.layers - 1
+        for k in range(1, model.horizon + 1):
+            level = order_up_to_of_tau(params, model, k)
+            if level >= x_max:
+                with pytest.raises(CapSaturated):
+                    _backward_pass(self.SPEC, [kt], [0.0], [k], grids=True)
+                continue
+            _, (_, action, target) = _backward_pass(self.SPEC, [kt], [0.0], [k], grids=True)
+            ordered = action[0, 0, z0] == ORDER
+            assert (target[0, 0, z0] if ordered else 0) == level, (k, action[0, 0, z0])
+
     def test_best_no_order_epoch_lies_within_the_bounds(self, base_model, base_kernels):
         kt = kernels_with_K(base_kernels, self.NO_ORDER)
         _, best_k = static_switch_values(self.SPEC, kt)
@@ -352,6 +374,22 @@ class TestSolverAgreesWithAnalytics:
 
 
 class TestStoppingTimeDistribution:
+    @given(seed=st.integers(0, 2**32 - 1), conv=st.sampled_from(LostSalesConvention))
+    @hyp_settings(max_examples=25, deadline=None)
+    def test_law_mass_and_region_partition_on_random_instances(self, seed, conv):
+        # every D policy's stopping-time law has mass 1, and its regions
+        # split 0..x_max at every epoch and budget layer
+        params, model, x0, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, conv, x_max=x_max)
+        for label in ("D/inf/F", "D/1/F", "D/1/Z", "D/2/F"):
+            res = solve(ModelSpec.parse(label), kt, x0)
+            mass = stopping_time_distribution(res.policy, model, x0).mass
+            assert abs(mass.sum() - 1.0) <= 1e-12, label
+            for t in range(model.horizon + 1):
+                for z in range(res.policy.action.shape[2]):
+                    regions = np.concatenate(extract_regions(res.policy, t, z))
+                    assert np.array_equal(np.sort(regions), np.arange(x_max + 1)), (label, t, z)
+
     def test_immediate_stop(self):
         # huge scrap revenue pull: stopping at t=0 optimal for x0 = 0
         model = IntensityModel(horizon=3, rates=np.array([0.5, 0.5, 0.5]))

@@ -77,11 +77,6 @@ class TestConfigValidation:
         assert model.horizon == 3
         assert np.allclose(model.rates, [2.0, 1.0, 0.5])
 
-    def test_base_case_helper(self):
-        cfg = ExperimentConfig.base_case()
-        assert cfg.intensity["kind"] == "convex"
-        assert cfg.setup_costs == (0.0, 1000.0, 5000.0)
-
 
 def _regions_csv_oracle(path, policy):
     """The former row-by-row ``csv.writer`` loop, kept as the byte oracle."""
@@ -148,7 +143,7 @@ class TestCli:
         assert rc == 0
         grid = out / "compare_D1Z_vs_DinfF.csv"
         assert grid.exists()
-        rows = list(csv.reader(grid.open()))
+        rows = list(csv.reader(grid.read_text().splitlines()))
         assert rows[0] == ["K\\x0", "0", "4"]
         assert len(rows) == 3
         vals = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
@@ -161,7 +156,7 @@ class TestCli:
         out = tmp_path / "o2"
         assert main(["compare", "--config", str(cfg), "--out", str(out),
                      "D/inf/F", "D/inf/F"]) == 0
-        rows = list(csv.reader((out / "compare_DinfF_vs_DinfF.csv").open()))
+        rows = list(csv.reader((out / "compare_DinfF_vs_DinfF.csv").read_text().splitlines()))
         vals = [float(v) for r in rows[1:] for v in r[1:]]
         assert all(v == 0.0 for v in vals)
 
@@ -212,7 +207,7 @@ class TestCli:
         cfg = write_cfg(tmp_path)
         out = tmp_path / "o4"
         assert main(["taudist", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = list(csv.reader((out / "taudist_DinfF_K0_x0.csv").open()))[1:]
+        rows = list(csv.reader((out / "taudist_DinfF_K0_x0.csv").read_text().splitlines()))[1:]
         total = sum(float(r[1]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -223,7 +218,7 @@ class TestCli:
         assert (out / "bounds.csv").exists()
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--paths", "300"]) == 0
-        rows = list(csv.reader((out / "simulate.csv").open()))
+        rows = list(csv.reader((out / "simulate.csv").read_text().splitlines()))
         assert len(rows) == 1 + 2 * 2 * 2
 
     def test_bounds_on_a_step_that_does_not_divide_T(self, tmp_path):
@@ -265,7 +260,7 @@ class TestCli:
         rc = main(["sweep", "--config", str(cfg), "--out", str(out),
                    "--settings", "1", "D/1/Z", "D/inf/F"])
         assert rc == 0
-        rows = list(csv.reader((out / "sweep_D1Z_vs_DinfF.csv").open()))
+        rows = list(csv.reader((out / "sweep_D1Z_vs_DinfF.csv").read_text().splitlines()))
         header, row = rows[0], rows[1]
         rec = dict(zip(header, row))
         assert rec["max_setting"] == rec["min_setting"] == "1"

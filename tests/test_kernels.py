@@ -283,6 +283,18 @@ class TestKernelTable:
             assert pmf.sum() + tail[-1] == pytest.approx(1.0, abs=1e-9)
             assert tail[-1] < 1e-11
 
+    def test_huge_int_cost_is_read_as_a_float(self):
+        # gamma as a Python int: kept as given, gamma * periods wrapped in
+        # int64, c3(5) came out inf and C_tilde and the total NaN
+        from eolstop import ModelSpec, solve
+
+        params = base_params(T=6, gamma=1844674407370955162)
+        assert type(params.gamma) is float
+        kt = build_kernel_table(params, build_named_intensity("convex", 6, 60.0),
+                                LostSalesConvention.ARRIVAL, x_max=60)
+        assert np.isfinite(kt.C_tilde).all()
+        assert np.isfinite(solve(ModelSpec.parse("D/inf/F"), kt, 0).total_cost)
+
 
 class TestTailSumIdentity:
     def test_expected_surplus_matches_direct_expectation(self):

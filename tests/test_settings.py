@@ -2,7 +2,6 @@ import pytest
 
 from eolstop.settings import (
     N_SETTINGS,
-    SETUP_COSTS,
     iter_settings,
     setting_cost_params,
     setting_from_id,
@@ -29,7 +28,7 @@ def test_setting_tuples_are_distinct():
 
 def test_full_grid_size():
     assert sum(1 for _ in iter_settings()) == N_SETTINGS
-    assert N_SETTINGS * len(SETUP_COSTS) == 384
+    assert N_SETTINGS == 128
 
 
 def test_out_of_range_rejected():

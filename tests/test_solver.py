@@ -264,18 +264,23 @@ class TestStructure:
             extract_regions(res.policy, 0, z)
 
     def test_regions_match_value_comparisons(self):
-        # recompute the three costs directly from the stored grids
+        # recompute each epoch's continuation G and best order J from V at
+        # t+1, one scalar at a time, and check the choice in every region
         kt = tiny_kernels(seed=11, T=4, x_max=12)
         res = solve(ModelSpec.parse("D/inf/F"), kt, 0)
-        vg, p = res.value_grid, kt.params
-        scrap = p.c4 * np.arange(kt.x_max + 1)
+        V, p, X = res.value_grid.V[:, :, 0], kt.params, kt.x_max
+        scrap = p.c4 * np.arange(X + 1)
         for t in range(kt.horizon):
+            G = (np.exp(-p.delta) * _ev_clamped_loop(V[t + 1], kt.pmfs[t], kt.pmf_tails[t])
+                 + kt.C_tilde[t])
+            J = np.array([min((p.K + p.c_bar * (y - x) + G[y] for y in range(x + 1, X + 1)),
+                              default=np.inf) for x in range(X + 1)])
+            tol = 1e-9 * np.abs(G).max()
             stop, order, cont = extract_regions(res.policy, t)
-            J = np.minimum(vg.G[t, :, 0], vg.J_order[t, :, 0])
-            assert np.all(scrap[stop] <= J[stop] + 1e-12)
-            assert np.all(vg.J_order[t, order, 0]
-                          < np.minimum(scrap[order], vg.G[t, order, 0]) + 1e-12)
-            assert np.all(vg.G[t, cont, 0] < scrap[cont] + 1e-12)
+            assert np.all(scrap[stop] <= np.minimum(G, J)[stop] + tol)
+            assert np.all(J[order] < np.minimum(scrap, G)[order] + tol)
+            assert np.all(G[cont] < np.minimum(scrap, J + tol)[cont] + tol)
+            np.testing.assert_allclose(V[t], np.minimum(np.minimum(G, J), scrap), rtol=0, atol=tol)
 
     def test_order_targets_exceed_state(self, base_kernels):
         from eolstop.config import kernels_with_K
@@ -518,17 +523,19 @@ class TestSolveValues:
         zero_only = solve(ModelSpec.parse("D/2/Z"), kt, 0)
         chain = solve(ModelSpec.parse("D/1/F"), kt, 0)
         for z in range(3):
-            for grid in ("V", "G"):
-                got = getattr(zero_only.value_grid, grid)[1:, :, z]
-                assert np.array_equal(got, getattr(chain.value_grid, grid)[1:, :, 0])
+            assert np.array_equal(zero_only.value_grid.V[1:, :, z], chain.value_grid.V[1:, :, 0])
             assert np.array_equal(zero_only.policy.action[1:, :, z], chain.policy.action[1:, :, 0])
 
     @pytest.mark.parametrize("label, steps", [("D/1/Z", lambda T: T),
-                                              ("D/inf/F", lambda T: 3 * T - 2)])
+                                              ("D/inf/F", lambda T: 3 * T - 2),
+                                              ("D/1/F", lambda T: 4 * T - 3),
+                                              ("D/2/F", lambda T: 7 * T - 6)])
     def test_no_order_chain_computed_once(self, label, steps, monkeypatch):
         # layers that cannot order yet share one column for every K; the
         # first step of an .../F model is still shared, as all layers hold
-        # the seed.  One expectation call per epoch, on all its rows.
+        # the seed.  After it a finite budget's last layer is one K-free
+        # column: 1 + 3 b columns at 3 K.  One expectation call per epoch,
+        # on all its rows.
         rows = []
         real = _backends.ev_clamped
         monkeypatch.setattr(_backends, "ev_clamped",
