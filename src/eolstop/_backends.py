@@ -16,7 +16,8 @@ can swap in the scalar oracles of ``tests/scalar_kernels.py``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import hyp1f1
+
+from ._poisson import hyp1f1_neg
 
 
 def active_backend() -> str:
@@ -79,7 +80,8 @@ def period_tables(counts, x_max, delta, gamma):
     """Expected discounted costs of one unit period given its arrival count.
 
     Given n arrivals in [0, 1), they are uniform order statistics and the
-    j-th is U_j ~ Beta(j, n - j + 1), so E[e^{-a U_j}] = 1F1(j; n+1; -a).
+    j-th is U_j ~ Beta(j, n - j + 1), so E[e^{-a U_j}] = 1F1(j; n+1; -a)
+    (``_poisson.hyp1f1_neg``, a Poisson(a) mixture of positive terms).
     The segment from arrival j to arrival j+1 (arrival 0 at 0, arrival n+1
     at 1) has expected discounted length 1F1(j+1; n+2; -delta) / (n+1).
     Returns ``(ns, hold, hold_j, lost_d, lost_dg)``: row r is for the r-th
@@ -97,17 +99,17 @@ def period_tables(counts, x_max, delta, gamma):
     ns = np.flatnonzero(np.bincount((counts - lo).ravel())) + lo
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
-    # hyp1f1 runs only on the cells read: j <= n, and j >= 1 for the arrivals
+    # 1F1 runs only on the cells read: j <= n, and j >= 1 for the arrivals
     r, c = np.nonzero(j <= n)
     nr, jc = n[r, 0], j[c]
     seg = np.zeros((len(ns), len(j)))
-    seg[r, c] = hyp1f1(jc + 1, nr + 2, -delta) / (nr + 1)
+    seg[r, c] = hyp1f1_neg(jc + 1, nr + 2, delta) / (nr + 1)
     arr = jc >= 1
 
     def lost(a):
         arrivals = np.zeros(seg.shape)
-        arrivals[r[arr], c[arr]] = hyp1f1(jc[arr], nr[arr] + 1, -a)
-        return n * hyp1f1(1, 2, -a) - np.cumsum(arrivals, axis=1)
+        arrivals[r[arr], c[arr]] = hyp1f1_neg(jc[arr], nr[arr] + 1, a)
+        return n * hyp1f1_neg(1, 2, a) - np.cumsum(arrivals, axis=1)
 
     return (ns, np.cumsum(seg, axis=1), np.cumsum(j * seg, axis=1),
             lost(delta), lost(delta + gamma))

@@ -1,33 +1,430 @@
-"""Poisson pmf, cdf, sf and ppf on ``scipy.special``.
+"""Poisson pmf, cdf, sf and upper quantiles, and the Poisson mixture that
+gives 1F1, on numpy and ``math`` alone.
 
-Each function reproduces ``scipy.stats.poisson`` bit for bit over the inputs
-the library uses (k any real, mu >= 0, 0 < q < 1 for ppf), without importing
-``scipy.stats``, which dominates the start-up time of a CLI call.  A scalar
-input returns a numpy scalar, as scipy does.
+No scipy module is imported: ``scipy.special`` alone took about 0.3 s of
+every CLI call's start.  ``scipy.stats.poisson`` and ``scipy.special`` stay
+the oracles of the tests.
+
+* ``pmf`` is exp(k log mu - log k! - mu) rounded as ``scipy.stats.poisson.pmf``
+  rounds it, so the demand pmfs are what they were bit for bit; its error
+  grows with the ulps of k log mu.  ``term`` is the pmf within a few ulps:
+  exp(-mu) mu^k / k! from factors rounded once each (exp(-mu) by a Cody-Waite
+  reduction, mu^k by ``pow`` on the mantissa of mu, k! from the exact
+  integer), and outside k <= _DIRECT_K, mu <= _DIRECT_MU the exp of Loader's
+  saddle-point log -stirlerr(k) - bd0(k, mu) - log(2 pi k)/2 (C. Loader,
+  "Fast and accurate computation of binomial probabilities", 2000) in long
+  double.  Every sum here adds terms of ``term``.
+* Below the median the cdf is summed and the sf is one minus it; at and
+  above it the sf is summed and the cdf is one minus it, so neither is a
+  difference of two numbers near 1.  ``cdf`` and ``sf`` take any k and mu
+  and sum from the term next to k away from the mean, its largest, by the
+  ratios of the terms, with no table: as many terms as a geometric or a
+  Gaussian bound says the rest needs, so the cost grows with sqrt(mu) only
+  where k is near mu.  ``tail_rows`` sums one pmf row per rate, the cdf from
+  k = 0 and the sf from the far end; ``ppf`` and ``tail_cutoff`` search a
+  window of one row per rate that a Bennett bound places.
+* ``hyp1f1_neg`` is 1F1(alpha; beta; -a) at integer 1 <= alpha < beta, as a
+  Poisson(a) mixture of positive terms.
+
+A scalar input returns a numpy scalar, as scipy does.
 """
 
+import functools
+import math
+
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
+
+# log 2 = _LN2_HI + _LN2_LO to 1e-26, _LN2_HI with 32 significant bits (fdlibm)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LN2 = math.log(2.0)
+_DIRECT_K, _DIRECT_MU = 4096, 2.0 ** 20  # n * _LN2_HI is exact for n < 2^21
+# stirlerr(n) = log n! - (n + 1/2) log n + n - log sqrt(2 pi), n = 0..15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+_STIRLING = tuple(np.longdouble(1) / d for d in (12, 360, 1260, 1680, 1188))
+# Cephes lgam: its rational approximation for 13 <= x < 1000, and log (x-1)!
+# of the exact integer below 13
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LOG_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
+_LOG_SQRT_2PI = 0.91893853320467274178
+_NEGLIGIBLE = 2.0 ** -64  # a remainder this far below its sum is dropped
+_KUMMER_MAX = 2048.0  # above this a, 1F1 starts near its largest term
+_CHUNK_CELLS = 1 << 18  # the ratio blocks of the sums are cut to this size
+
+
+@functools.lru_cache(maxsize=None)
+def _factorials(size: int):
+    """k! = m 2^e for k < size, from the exact integers: (m, e) arrays."""
+    m, e, f = np.empty(size), np.empty(size, dtype=np.int32), 1
+    for k in range(size):
+        f *= max(k, 1)
+        bits = f.bit_length()
+        shift = max(bits - 64, 0)
+        m[k], e[k] = math.ldexp(float(f >> shift), shift - bits), bits
+    return m, e
+
+
+def _product_term(k, mu):
+    """exp(-mu) mu^k / k! at integers 0 <= k <= _DIRECT_K and 0 <= mu <=
+    _DIRECT_MU (float arrays of one shape), as a mantissa carried through
+    frexp and one ldexp, so that nothing under- or overflows on the way."""
+    n = np.rint(mu / _LN2)  # exp(-mu) = 2^-n exp(-r)
+    r = (mu - n * _LN2_HI) - n * _LN2_LO
+    m, e = np.frexp(mu)
+    ki = k.astype(np.int32)
+    fm, fe = _factorials(1 << max(int(ki.max(initial=0)), 1).bit_length())
+    p = np.exp(-r) / fm[ki]
+    scale = e * ki - n.astype(np.int32) - fe[ki]
+    while True:  # m^1000 >= 2^-1000 stays normal
+        step = np.minimum(k, 1000.0)
+        p *= np.power(m, step)
+        k = k - step
+        if not k.any():
+            break
+        p, e2 = np.frexp(p)
+        scale += e2
+    return np.ldexp(p, scale)
+
+
+def _stirlerr(n):
+    """log n! - log(sqrt(2 pi n) (n/e)^n) at integers n >= 0 (a float array)."""
+    out = np.empty(n.shape, dtype=n.dtype)
+    small = n <= 15
+    out[small] = _STIRLERR[n[small].astype(np.intp)]
+    n = n[~small]
+    n2 = n * n
+    s0, s1, s2, s3, s4 = _STIRLING
+    out[~small] = (s0 - (s1 - (s2 - (s3 - s4 / n2) / n2) / n2) / n2) / n
+    return out
+
+
+def _bd0(x, m):
+    """x log(x/m) + m - x (long double arrays of one shape), by its series in
+    v = (x - m)/(x + m) where x is near m."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(x / m) + m - x
+    near = np.abs(x - m) < 0.1 * (x + m)
+    if near.any():
+        xn, mn = x[near], m[near]
+        v = (xn - mn) / (xn + mn)
+        s, ej, v2 = (xn - mn) * v, 2 * xn * v, v * v
+        for j in range(1, 64):  # |v| < 0.1: each step gains two digits
+            ej = ej * v2
+            s, last = s + ej / (2 * j + 1), s
+            if np.array_equal(s, last):
+                break
+        out[near] = s
+    return out
+
+
+def _log_term(k, mu):
+    """log pmf(k, mu) by Loader's saddle-point form, in long double, at
+    integers k >= 0 (k and mu broadcast; what depends on k alone is taken on
+    k's shape).  On x86-64 the 64-bit significand leaves an error of about
+    2^-64 (1 + |log p|), far below the rounding of the double it becomes."""
+    k, mu = np.asarray(k, dtype=np.longdouble), np.asarray(mu, dtype=np.longdouble)
+    kc = np.maximum(k, 1)
+    head = _stirlerr(kc) + np.log(2 * np.pi * kc) / 2
+    with np.errstate(invalid="ignore"):
+        out = -(head + _bd0(*np.broadcast_arrays(kc, mu)))
+    return np.where(k == 0, -mu, out)
+
+
+def term(k, mu):
+    """pmf(k, mu) within a few ulps, at integers k >= 0 (k and mu broadcast
+    to a new array); the terms of every sum here."""
+    k, mu = (np.array(a, dtype=float) for a in np.broadcast_arrays(k, mu))
+    direct = (k <= _DIRECT_K) & (mu <= _DIRECT_MU)
+    if direct.all():
+        return _product_term(k, mu)
+    out = np.empty(k.shape)
+    out[direct] = _product_term(k[direct], mu[direct])
+    with np.errstate(under="ignore"):
+        out[~direct] = np.exp(_log_term(k[~direct], mu[~direct])).astype(float)
+    return out
+
+
+def _log(x):
+    """Natural log by libm, element by element (numpy's vector log differs
+    from it in the last bit on a few inputs; scipy's xlogy calls libm)."""
+    x = np.asarray(x, dtype=float)
+    flat = [math.log(v) if v > 0 else (-math.inf if v == 0 else math.nan)
+            for v in x.ravel().tolist()]
+    return np.array(flat).reshape(x.shape)
+
+
+def _log_factorial(k):
+    """log k! at integers k >= 0 (a float array), as Cephes' lgam(k + 1)."""
+    x = k + 1.0
+    out = np.empty(x.shape)
+    small = x < 13.0
+    out[small] = _LOG_FACTORIAL_SMALL[k[small].astype(np.intp)]
+    x = x[~small]
+    q = (x - 0.5) * _log(x) - x + _LOG_SQRT_2PI
+    p = 1.0 / (x * x)
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    big = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
+        + 0.0833333333333333333333
+    out[~small] = np.where(x > 1e8, q, q + np.where(x >= 1000.0, big, poly) / x)
+    return out
 
 
 def pmf(k, mu):
-    k, mu = np.asarray(k), np.asarray(mu)
-    with np.errstate(invalid="ignore", over="ignore"):  # only off-support k overflow
-        p = np.clip(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 0, 1)
-        return np.where((k >= 0) & (np.floor(k) == k), p, 0.0)[()]
+    """exp(k log mu - log k! - mu), rounded as ``scipy.stats.poisson.pmf``
+    rounds it: the same order of operations, log k! from Stirling's series in
+    the form of Cephes' lgam and log mu from libm.  Its error grows with the
+    ulps of k log mu; ``term`` is the pmf within a few ulps, and faster on
+    long vectors of mu."""
+    k, mu = np.asarray(k, dtype=float), np.asarray(mu, dtype=float)
+    on = (k >= 0) & (np.floor(k) == k)
+    k = np.where(on, k, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 is taken as 0
+        logp = np.where(k == 0, 0.0, k * _log(mu)) - _log_factorial(k) - mu
+    return np.where(on, np.clip(np.exp(logp), 0, 1), 0.0)[()]
+
+
+def _below_median(k, mu):
+    """Where k < mu - log 2, so below the median and P{N <= k} < 1/2; at and
+    above it P{N > k} is the sum to take, and its terms fall from k + 1 on."""
+    return k < mu - _LN2
+
+
+def _steps(k, mu, below):
+    """Terms after the first that each sum of ``_near_sums`` takes, so that
+    what is left is below _NEGLIGIBLE of the first term.  The log-ratios fall
+    from the first one, b, at least linearly (by l/k below the mean, by
+    l/(k + 2 + J) above it, J the count a Gaussian bound gives), so j terms
+    leave at most exp(-(j b + j(j-1)/(2K))) of the first, and sqrt(mu) allows
+    for the geometric rest."""
+    L = -math.log(_NEGLIGIBLE) + 0.5 * np.log1p(mu)
+    J = L + np.sqrt(L * L + 2 * L * mu)
+    K = np.where(below, np.maximum(k, 1.0), k + 2.0 + J)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # mu = 0, the other side
+        b = np.where(below, np.log(mu / np.maximum(k, 1.0)), np.log((k + 2.0) / mu))
+        B = b - 0.5 / K
+        j = np.where(b < np.inf, K * (np.sqrt(B * B + 2 * L / K) - B), 0.0)
+    n = np.ceil(np.minimum(j, J)) + 1
+    return np.where(below, np.minimum(n, k), n).astype(np.intp)
+
+
+def _near_sums(k, mu):
+    """For integers k >= 0 and mu of one shape (1-D): below the median, P{N <=
+    k}, summed from the term at k down; elsewhere P{N > k}, from the term at
+    k + 1 up.  Each sum is its first term times 1 plus the running products of
+    the term ratios, taken in blocks of elements with like step counts (sorted
+    by ``_steps``).  Returns the mask of the first case and the sums."""
+    below = _below_median(k, mu)
+    first = np.where(below, k, k + 1.0)
+    out = term(first, mu)
+    steps = _steps(k, mu, below)
+    for side in (True, False):
+        idx = np.flatnonzero((below == side) & (steps > 0))
+        idx = idx[np.argsort(steps[idx], kind="stable")]
+        n, f, m = steps[idx], first[idx], mu[idx]
+        start = 0
+        while start < idx.size:  # a block: steps at most double, cells capped
+            cells = (np.arange(1, idx.size - start + 1)) * n[start:]
+            stop = start + max(1, min(np.searchsorted(cells, _CHUNK_CELLS, "right"),
+                                      np.searchsorted(n[start:], 2 * n[start], "right")))
+            j = np.arange(n[stop - 1])
+            if side:  # t_{i-1} / t_i = i / mu
+                ratios = np.subtract.outer(f[start:stop], j) * (1.0 / m[start:stop, None])
+            else:  # t_{i+1} / t_i = mu / (i + 1)
+                ratios = m[start:stop, None] / np.add.outer(f[start:stop] + 1.0, j)
+            np.cumprod(ratios, axis=1, out=ratios)
+            out[idx[start:stop]] *= 1.0 + ratios.sum(axis=1)
+            start = stop
+    return below, out
+
+
+def _tails(k, mu):
+    k, mu = np.broadcast_arrays(np.floor(np.asarray(k, dtype=float)),
+                                np.asarray(mu, dtype=float))
+    on = k >= 0
+    below, s = _near_sums(k[on], mu[on])
+    return on, below, s
 
 
 def cdf(k, mu):
-    k = np.asarray(k)
-    return np.where(k >= 0, np.clip(pdtr(np.floor(k), mu), 0, 1), 0.0)[()]
+    on, below, s = _tails(k, mu)
+    out = np.zeros(on.shape)
+    out[on] = np.where(below, s, 1.0 - s)
+    return np.clip(out, 0, 1)[()]
 
 
 def sf(k, mu):
-    k = np.asarray(k)
-    return np.where(k >= 0, np.clip(pdtrc(np.floor(k), mu), 0, 1), 1.0)[()]
+    on, below, s = _tails(k, mu)
+    out = np.ones(on.shape)
+    out[on] = np.where(below, 1.0 - s, s)
+    return np.clip(out, 0, 1)[()]
+
+
+def term_rows(mu, width, lo=0):
+    """pmf terms at k = lo..lo+width-1, one row per rate of mu (1-D; lo one
+    integer or one per row): ``term`` at each row's mode, clipped into the
+    row, and running products of the term ratios out from it.  The terms
+    fall away from the mode, so nothing overflows, and each step adds about
+    an ulp."""
+    mu = np.asarray(mu, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), mu.shape)
+    k = lo[:, None] + np.arange(width)
+    mode = np.clip(np.floor(mu), lo, lo + width - 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # ratios not taken
+        up = np.where(k > mode, mu[:, None] / k, 1.0)  # p_k / p_{k-1}
+        down = np.where(k < mode, (k + 1.0) / mu[:, None], 1.0)  # p_k / p_{k+1}
+    np.cumprod(up, axis=1, out=up)
+    down = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    return term(mode, mu[:, None]) * up * down
+
+
+def _far_pad(mu, top):
+    """Terms past k = top that the far-end sums of the rows need: the count
+    ``_steps`` gives a sum from the term at top + 1 up, over the rows whose
+    terms fall past top."""
+    far = mu < top + 1
+    if not far.any():
+        return 0
+    m, top = mu[far], np.broadcast_to(top, mu.shape)[far]
+    return int(_steps(top, m, np.zeros(m.shape, dtype=bool)).max()) + 1
+
+
+def _sf_window(mu, lo, width):
+    """P{N > k} at k = lo..lo+width-1 for each rate of mu (1-D), summed
+    from the far end."""
+    p = term_rows(mu, width + _far_pad(mu, np.asarray(lo) + width - 1), np.asarray(lo) + 1)
+    return np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, :width]
+
+
+def tail_rows(mu, n):
+    """P{N > k} at k = 0..n for each rate of mu (1-D): below the median one
+    minus the cdf summed along the row from k = 0, elsewhere summed from the
+    far end."""
+    mu = np.asarray(mu, dtype=float)
+    out = 1.0 - np.cumsum(term_rows(mu, n + 1), axis=1)
+    far = mu - _LN2 <= n
+    if far.any():
+        out[far] = np.where(_below_median(np.arange(n + 1), mu[far, None]), out[far],
+                            _sf_window(mu[far], 0, n + 1))
+    return np.clip(out, 0, 1)
+
+
+def _first_in_tail(mu, eps, hit):
+    """The smallest k >= 0 at which hit(P{N > k}) holds, for a condition met
+    once P{N > k} <= eps < 1/2, so above the median (>= mu - log 2) and, by
+    Bennett's inequality, by mu + t with t^2 = 2 L (mu + t/3), L > -log eps."""
+    mu = np.asarray(mu, dtype=float)
+    flat = mu.ravel()
+    if not flat.size:
+        return np.zeros(mu.shape)
+    L = 1.0 - math.log(eps)
+    lo = np.maximum(np.floor(flat) - 1.0, 0.0)
+    hi = np.ceil(flat + L / 3 + np.sqrt(L * L / 9 + 2 * L * flat))
+    width = int((hi - lo).max()) + 1
+    found = hit(_sf_window(flat, lo, width))
+    found[:, -1] = True
+    return (lo + np.argmax(found, axis=1)).reshape(mu.shape)[()]
 
 
 def ppf(q, mu):
-    vals = np.ceil(pdtrik(q, mu))
-    vals1 = np.maximum(vals - 1, 0)
-    return np.where(pdtr(vals1, mu) >= q, vals1, vals)[()]
+    """The smallest k with cdf(k, mu) >= q, for 1/2 <= q < 1."""
+    if not 0.5 <= q < 1.0:
+        raise ValueError("ppf takes 1/2 <= q < 1")
+    return _first_in_tail(mu, 1.0 - q, lambda s: 1.0 - s >= q)
+
+
+def tail_cutoff(mu, eps):
+    """The smallest k with P{N > k} <= eps, for 0 < eps < 1/2."""
+    return _first_in_tail(mu, eps, lambda s: s <= eps)
+
+
+def _log_factorial80(n):
+    """log n! in long double at integers n >= 0: Stirling's formula plus
+    ``_stirlerr``."""
+    n = np.asarray(n, dtype=np.longdouble)
+    nc = np.maximum(n, 1)
+    out = _stirlerr(nc) + (nc + 0.5) * np.log(nc) - nc + np.log(2 * np.pi) / 2
+    return np.where(n == 0, 0, out)
+
+
+def hyp1f1_neg(alpha, beta, a: float):
+    """1F1(alpha; beta; -a) at integers 1 <= alpha < beta (arrays that
+    broadcast) and a >= 0.
+
+    Kummer's transformation makes it e^-a 1F1(beta - alpha; beta; a) =
+    E[(A)_K / (B)_K], K ~ Poisson(a), A = beta - alpha, B = beta: the sum of
+    the positive terms t_k = e^-a a^k / k! (A)_k / (B)_k, with ratio
+    t_{k+1}/t_k = a (A + k) / ((k + 1)(B + k)), which falls in k.  The sum
+    runs from its start to past the largest term, until a geometric bound on
+    the rest is negligible.  It starts at k = 0 up to a = _KUMMER_MAX, where
+    e^-a enters as 2^p factors exp(-a/2^p) so that no partial sum under- or
+    overflows; the terms then carry a few ulps each.  Above that it starts
+    ten widths of the log-terms' peak below the peak, at a long double
+    anchor, and once a >= B^2 it is the terminating large-a expansion
+    Gamma(B)/Gamma(A) a^-alpha sum_s (-1)^s C(A-1, s) (alpha)_s a^-s, whose
+    terms fall by 4 or more each and whose exponentially small companion is
+    below the last bit; so no a costs more than about 30 B steps.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    A, B = (beta - alpha).ravel(), beta.ravel()
+    out = np.ones(A.shape)
+    if a > 0:
+        asym = (a > _KUMMER_MAX) & (a >= B * B)
+        if asym.any():
+            out[asym] = _large_a(alpha.ravel()[asym], A[asym], B[asym], a)
+        if not asym.all():
+            out[~asym] = _kummer(A[~asym], B[~asym], a)
+    return out.reshape(alpha.shape)[()]
+
+
+def _large_a(alpha, A, B, a):
+    u = s = np.ones(A.shape)
+    for j in range(int(A.max()) - 1):
+        u = -u * (A - 1 - j) * (alpha + j) / ((j + 1) * a)
+        s = s + u
+        if not (np.abs(u) > _NEGLIGIBLE * s).any():
+            break
+    lead = _log_factorial80(B - 1) - _log_factorial80(A - 1) - alpha * np.log(np.longdouble(a))
+    with np.errstate(under="ignore"):
+        return np.exp(lead).astype(float) * s
+
+
+def _kummer(A, B, a):
+    k = np.zeros(A.shape)
+    log_t = np.full(A.shape, -a)
+    if a > _KUMMER_MAX:  # start ten widths below the peak, where the ratio is 1
+        peak = 0.5 * (a - B - 1 + np.sqrt((a - B - 1) ** 2 + 4 * (a * A - B)))
+        width = 1 / np.sqrt(1 / (peak + 1) + 1 / (B + peak) - 1 / (A + peak))
+        k = np.maximum(np.floor(peak - 10 * width), 0.0)
+        start = k > 0
+        As, Bs, ks = A[start], B[start], k[start]
+        log_t[start] = (_log_term(ks, a) + _log_factorial80(As + ks - 1) - _log_factorial80(As - 1)
+                        - _log_factorial80(Bs + ks - 1) + _log_factorial80(Bs - 1))
+    pieces = 2.0 ** np.ceil(np.log2(np.maximum(-log_t / 512.0, 1.0)))
+    c = np.exp(log_t / pieces)  # each of `pieces` factors of t_k0, >= e^-512
+    left = pieces - 1
+    sums = c.copy()
+    idx = np.arange(A.size)
+    t, Ai, Bi, ki = c.copy(), A, B, k
+    while idx.size:
+        r = a * (Ai + ki) / ((ki + 1.0) * (Bi + ki))
+        go = (r >= 1.0) | (t * r > _NEGLIGIBLE * (1.0 - r) * sums[idx])
+        if not go.all():
+            idx, t, Ai, Bi, ki, r = idx[go], t[go], Ai[go], Bi[go], ki[go], r[go]
+        t = t * r
+        ki = ki + 1.0
+        sums[idx] += t
+        big = sums[idx] > 2.0 ** 600
+        if big.any():  # take out one more factor of t_k0
+            hit = idx[big]
+            t[big] *= c[hit]
+            sums[hit] *= c[hit]
+            left[hit] -= 1
+    with np.errstate(under="ignore"):
+        return sums * c ** left

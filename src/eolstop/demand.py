@@ -89,13 +89,13 @@ def pmf_supports(rates) -> np.ndarray:
 
 def period_pmfs(rates) -> tuple[list, list]:
     """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
-    PMF_TAIL_EPS tail mass (n_k from ``pmf_supports``); one pmf and one sf
-    evaluation for all periods.  The rows are read-only views."""
+    PMF_TAIL_EPS tail mass (n_k from ``pmf_supports``); one pmf and one tail
+    row per period.  The rows are read-only views."""
     rates = np.asarray(rates, dtype=np.float64)
     n_sup = pmf_supports(rates)
     grid = np.arange(n_sup.max() + 1)
     pmf = poisson.pmf(grid, rates[:, None])
-    tail = np.maximum(poisson.sf(grid, rates[:, None]), 0.0)
+    tail = poisson.tail_rows(rates, grid[-1])
     pmf.setflags(write=False)
     tail.setflags(write=False)
     return ([row[: n + 1] for row, n in zip(pmf, n_sup)],

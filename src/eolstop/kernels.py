@@ -6,8 +6,9 @@ integrals of the form
     int_0^1 e^{-a s} e^{-lam s} (lam s)^i / i! ds
         = (lam / b)^i * gammainc(i+1, b) / b,      b = a + lam,
 
-where gammainc is the regularized lower incomplete gamma function, evaluated
-only for i up to each period's support cap.  One row builder,
+where gammainc(i+1, b) is P{N_b > i} for N_b ~ Poisson(b), read off one
+Poisson tail row per period (``_poisson.tail_rows``) up to the period's
+support cap.  One row builder,
 ``_kernel_rows``, turns these into the holding, lost-sales and reformulated
 kernels with running sums over the inventory axis; ``build_kernel_tables``
 calls it for every period at once, and each point kernel (``holding_cost``,
@@ -37,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc
 
 from . import _poisson as poisson
 from .costs import CostParameters, LostSalesConvention
@@ -59,15 +59,16 @@ def unit_poisson_integrals(lam: float, decay: float, imax: int) -> np.ndarray:
 
 def _unit_poisson_rows(rates: np.ndarray, decay: float, imax: np.ndarray) -> np.ndarray:
     """Row k holds unit_poisson_integrals(rates[k], decay, imax[k]), zero past
-    imax[k]; one gammainc evaluation over the cells i <= imax[k] of every row."""
+    imax[k]; one Poisson tail row per positive rate."""
     out = np.zeros((len(rates), imax.max() + 1))
     pos = rates > 0
     lam = rates[pos]
     b = decay + lam
-    log_ratio = np.log(lam) - np.log(b)
-    r, i = np.nonzero(np.arange(out.shape[1]) <= imax[pos, None])
-    # (lam/b)^i in log space; gammainc underflows cleanly to 0 in the far tail
-    out[np.flatnonzero(pos)[r], i] = np.exp(i * log_ratio[r]) * gammainc(i + 1, b[r]) / b[r]
+    i = np.arange(out.shape[1])
+    # (lam/b)^i in log space; both factors underflow cleanly to 0 in the far tail
+    ratio = np.exp(i * (np.log(lam) - np.log(b))[:, None])
+    out[pos] = np.where(i <= imax[pos, None],
+                        ratio * poisson.tail_rows(b, out.shape[1] - 1) / b[:, None], 0.0)
     out[~pos, 0] = _unit_integral(decay)
     return out
 
@@ -84,10 +85,11 @@ def unit_poisson_integrals_quadrature(
 
 
 def _support_caps(rates: np.ndarray) -> np.ndarray:
-    """Per-period cap on the kernel sums: the 1 - 1e-15 demand quantile + 10."""
+    """Per-period cap on the kernel sums: the smallest k with P{N > k} <= 1e-15,
+    plus 10."""
     caps = np.ones(len(rates), dtype=np.int64)
     pos = rates > 0
-    caps[pos] = poisson.ppf(1.0 - 1e-15, rates[pos]).astype(np.int64) + 10
+    caps[pos] = poisson.tail_cutoff(rates[pos], 1e-15).astype(np.int64) + 10
     return caps
 
 

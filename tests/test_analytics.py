@@ -286,6 +286,30 @@ class TestBounds:
         with pytest.raises(AssumptionViolated):
             switch_time_bounds(base_params(T=3), m, 5)
 
+    def test_report_equals_one_call_per_x(self, base_model):
+        # the bounds command's report shares one grid's nodes over every x
+        p, xs = base_params(), [0, 60, 250]
+        want = [(switch_time_bounds(p, base_model, x, step=0.07),
+                 brute_force_switch_argmin(p, base_model, x, step=0.07)) for x in xs]
+        assert analytics.switch_report(p, base_model, xs, step=0.07) == want
+
+
+class TestCountLaw:
+    @pytest.mark.parametrize("rates", [None, [3.0, 2000.0, 0.0, 0.5]], ids=["base", "steep"])
+    def test_matches_the_poisson_values(self, base_model, rates):
+        # the thinned rows against the cdf and pmf of Lambda(u) taken one time
+        # at a time; the 2000 period's weights are too many, so it reads those
+        from eolstop import _poisson
+
+        model = base_model if rates is None else IntensityModel(horizon=4, rates=np.array(rates))
+        u = np.linspace(0.0, model.horizon, 149)
+        law, mu = analytics._CountLaw(model, u), model.mean_value(u)
+        assert any(w is None for _, w in law.blocks) == (rates is not None)
+        for k in (-1, 0, 1, 5, 37, 120, 500, 2100):
+            F, p = law.at(k)
+            np.testing.assert_allclose(F, _poisson.cdf(k, mu), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(p, _poisson.term(max(k, 0), mu) * (k >= 0), rtol=0, atol=1e-14)
+
 
 class TestSolverAgreesWithAnalytics:
     """The kernel tables (closed-form Poisson integrals) and the switching

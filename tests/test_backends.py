@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import hyp1f1
 
 from eolstop import (
     KernelTable,
@@ -192,19 +191,23 @@ def test_benchmark_library_calls_resolve_and_match_the_goldens():
 
 
 def test_period_tables_equal_the_full_rectangle_formula():
-    # hyp1f1 runs only on the cells read; the full-rectangle formula, zeroed
+    # 1F1 runs only on the cells read; the full-rectangle formula, zeroed
     # where a cell is never read, must come out bit for bit the same.  The
     # counts include 0 and one above x_max.
+    from eolstop._poisson import hyp1f1_neg
+
     x_max, delta, gamma = 30, 0.005, 0.01
     counts = np.array([[0, 3, 7], [12, 3, 41], [29, 30, 0]])
     ns = np.unique(counts)
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
-    seg = np.where(j <= n, hyp1f1(j + 1, n + 2, -delta) / (n + 1), 0.0)
+    read = j <= n  # and j >= 1 for the arrivals; elsewhere 1F1(1; 2; -a) stands in
+    seg = np.where(read, hyp1f1_neg(np.where(read, j + 1, 1), n + 2, delta) / (n + 1), 0.0)
 
     def lost(a):
-        arrivals = np.where((j >= 1) & (j <= n), hyp1f1(j, n + 1, -a), 0.0)
-        return n * hyp1f1(1, 2, -a) - np.cumsum(arrivals, axis=1)
+        arrivals = (j >= 1) & read
+        terms = np.where(arrivals, hyp1f1_neg(np.where(arrivals, j, 1), n + 1, a), 0.0)
+        return n * hyp1f1_neg(1, 2, a) - np.cumsum(terms, axis=1)
 
     want = (ns, np.cumsum(seg, axis=1), np.cumsum(j * seg, axis=1), lost(delta),
             lost(delta + gamma))

@@ -385,7 +385,7 @@ PINNED_SHA256 = {
                "a2b00daaf232088de33bbecd17202872a0b981d6e305aad941cdd3c8e23bab79"),
     "regions": ("98922f9aa5a9622b6806d1043e5bdba97b72b30d4e57a7d40cc2751233741389",
                "1ad3667e80bea725ff078740af9d4e61ed49f6a01d0b68600e0d873abcdbddc6"),
-    "solve": ("7425948e5c8c165e0f50c86178d7159a199685be4bd4feaac50c1e77891c6601",
+    "solve": ("be32711fd38132d4ad8e946fcb31426dbdb42e1cffad4510476c6b1607b15f40",
              "538ad5a1c0d8e88e08cae6d0a09a6694152d1cc5446d08a0288fd730b36b6f09"),
     "sweep": ("62a8019a052c417f817d57c274c9c960e2f4e9c220e353073c7afb9c76ae7ef4",
              "4b08283042434d603513d28496ce3edae4f51c29967b18a21a7098e3b46fa090"),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc
 from scipy.stats import poisson
 
 from eolstop import (
@@ -318,14 +317,14 @@ KT_FIELDS = ("H", "L", "C", "C_tilde", "c3_period", "stop_tail", "A", "pmfs", "p
 # KT_FIELDS, each field as float64 bytes (pmf rows each followed by "|");
 # settings at K = 0 and x_max 1200, the edge model at x_max 30
 PINNED_TABLES = {
-    "1/arrival": "c00ae73b73a4b8568c1c5785e0a1837fa9a61dd39bf95bb7c823070117cdcfab",
-    "1/paper": "19383dfd3b936b29a556242a6ce948cf9b84d1da673149fcd2d27ff5e17c309f",
-    "62/arrival": "b994bfa6d17245e65554da6b949083b6a2feec5bca80f7a391dd3baf7e0756f6",
-    "62/paper": "53d6fbb734d23e94503f9c1dd0fb5f17ff3b116d0db9f01c025d40a6c6172791",
-    "125/arrival": "89c70fdee41f9b83dca7e8127a4170f9cbd82ca077f11b162e31a222f5489b73",
-    "125/paper": "173c17130ab117e30bd4abef403e0eb7b31d0853599331e92c31ce05bddc1233",
-    "edge/arrival": "225734b9aa27d26d8b02baf41a4aa5ce5814e3334e6d7bbfe36f101e089aad2d",
-    "edge/paper": "58523297e6f9ce52d4488c6d30d739d759a5e929cebf5704011c446022b10458",
+    "1/arrival": "48be29434b8aabdd21ad5e6ecf9f34241f55c8442287103bea9a4427342fb729",
+    "1/paper": "36b8417c9a6da2471444d0efe24343edeb909dbef7a949f7700b7f15adf5f0ef",
+    "62/arrival": "11b98eaeaec296852fb130e28084a7c8b884d4660e823c3e09dd49802e560c09",
+    "62/paper": "c5dc98f86bc98115f5c79d0a36954f877ff4d6e1d8ccb93d17e46155c5dec8f7",
+    "125/arrival": "121c26949713e3719992c685585526b7f4cd3d1336b296eaf03b31eda1a024bb",
+    "125/paper": "86c716866a011e2c8e8a9f30f5d6d19bb1849821b49f19be8fc15827ccc0f436",
+    "edge/arrival": "f76455c9a4652b61707d8a7977132c73774368f270e95f5655faa5d9f7378905",
+    "edge/paper": "c96ddbad8592a97b6b6ed52a5bde9c69ef4489f10a68ac13a62f0a480b15dab2",
 }
 
 
@@ -455,8 +454,11 @@ def test_original_form_rows_are_derived_on_first_use(base_model):
 
 
 def test_unit_poisson_rows_equal_the_full_rectangle_formula():
-    # the rows evaluate gammainc only on i <= imax[k]; the full-rectangle
-    # formula, zeroed past each cap, must come out bit for bit the same
+    # the rows keep only the cells i <= imax[k]; the full-rectangle formula,
+    # one tail row per rate and zeroed past each cap, must come out bit for
+    # bit the same
+    from eolstop import _poisson
+
     rng = np.random.default_rng(3)
     for decay in (0.0, 0.005, 0.015):
         rates = np.append(rng.uniform(0.0, 60.0, size=30), 0.0)
@@ -468,7 +470,8 @@ def test_unit_poisson_rows_equal_the_full_rectangle_formula():
         lam = rates[pos, None]
         b = decay + lam
         ratio = np.exp(i * (np.log(lam) - np.log(b)))
-        want[pos] = np.where(i <= imax[pos, None], ratio * gammainc(i + 1, b) / b, 0.0)
+        tail = _poisson.tail_rows(b[:, 0], len(i) - 1)
+        want[pos] = np.where(i <= imax[pos, None], ratio * tail / b, 0.0)
         want[~pos, 0] = (1.0 - np.exp(-decay)) / decay if decay > 0 else 1.0
         assert np.array_equal(_unit_poisson_rows(rates, decay, imax), want)
 

@@ -548,21 +548,21 @@ class TestSolveValues:
     # "<setting id>/<label>" -> sha256 of the solve_values array at K {0,
     # 1000, 5000} and x_max 1200, as float64 bytes
     PINNED_VALUES = {
-        "1/D/1/Z": "53eec70a7ae197927a798b82bf733d887b80312fa27ca18c41bfc677d98f25c4",
-        "1/D/inf/F": "b11c4f511bfadf29a5edca4d6e29c2c92d1c8dd773ac24f63adbaa0574c3b258",
-        "1/D/2/F": "fd062b58e68692e9e7a46a8f3bd185683eb6160d3efcaaa5e5fc438adde82889",
-        "1/S/1/Z": "f0042843b5854678489f67e80f764e590dbd5bfcf0ed0e31e9cab83cb60b5bb3",
-        "1/T/inf/F": "d062252d35a3a3ff5a11c7c9b1e98a65b39b115ca046a92b63761b2b394435a4",
-        "62/D/1/Z": "5a24f5327c6f791106edf68b9e7146047a5346a6211464cdfec9b35cdc8d0422",
-        "62/D/inf/F": "13111a2e5876d1ba70621b9fd47531f8c293e2b4ac2f5beda11333bc380687f7",
-        "62/D/2/F": "e51be1cef2eef1a18146755d1aae076e0f92aa0d632dc8be8da6c61c1ca8dd50",
-        "62/S/1/Z": "8205b21b1f2ebe89ecad2efbb6bec0e04b42fde69aef7e757f176b77e46443ef",
-        "62/T/inf/F": "b58a02a17bf7a45f76bd064b371f70b948989616d3aaa30258583ac7cbfdaa15",
-        "125/D/1/Z": "dc93b8e6f3ff1e75a28642f58053e8f848fa7fd0a0a643ecb68bfe9cf6798fc4",
-        "125/D/inf/F": "9e6a6bf65c970417cb6dccfc17c005687fecc8d56e9290386705230ee767b2ba",
-        "125/D/2/F": "bbe2f7287345234e805038d331afe6be918b14ae5a19f6916d4dc63dae3fb97b",
-        "125/S/1/Z": "d9346028a3266c5d91ad3b5b1e1324a4d4d5f2786a76b1df918299d051fcf5e9",
-        "125/T/inf/F": "540f0974981b823ef349aa1fbf45b6efcb374476057175405da742a6ee1fd4f2",
+        "1/D/1/Z": "de68a8f017e2ce3c156b76eee2b50f2deb782ae0a41b2c4c40c29e2d9ebacf51",
+        "1/D/inf/F": "d507b8dd7ac1505bc45c1b694ff3751a901498cd87d0b01a7b5cde7df858a88e",
+        "1/D/2/F": "6e4477aa43c204ee7724dcca75a3be76b178e7265712edda0133fd59c867837e",
+        "1/S/1/Z": "6b8fe60195522b7db672396354364dc86d83393eaf7d40423ff0147d6d64c4a4",
+        "1/T/inf/F": "c4fb19b6c84d11fd151e8df9cd623661bcbcc29ed37fb1893368e64219c486dd",
+        "62/D/1/Z": "8e3334a2eacaf95bef8b89f36c086cd58a037ac41cc1f116779f9af9d4e9d1ab",
+        "62/D/inf/F": "19f6d460db8f8c9dbc9d05af8e98b8500b89a3fd8b4cdc377d594146e0e7a68c",
+        "62/D/2/F": "0ab749c908dc2c530ef9d2cee4cd7be37a213e59b205b74253df8f5c096afd66",
+        "62/S/1/Z": "c35ab6b55494cfa9d57cac7c6312bf56fa4df6e1aa10a80be5c4ea1bf9ad00df",
+        "62/T/inf/F": "f25dc78ea7bc5d47d193e896000617d8a751d5d8fd2d898ce0dfae5be319b327",
+        "125/D/1/Z": "be3a94fbc5b6ad17a601acf867b933b67c8718d6ee32feec8e2c1860411d5d4c",
+        "125/D/inf/F": "98f3c556e0c6f01517f0929c68814eec8932cd697aefe40dbdb258d8070ff646",
+        "125/D/2/F": "e64e917e04767a5ef4d320b8e1c16511c536287e39d51ab66edc5f67b7d95296",
+        "125/S/1/Z": "f0541641a5592b2e63149684ab85cbf371c3fa9b6db0d33d0867a4233265c1da",
+        "125/T/inf/F": "80e7325dc9b36326c8b5a3e8f890a6c764c0e18e19a2413ce990453e2c0be66b",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED_VALUES))
