@@ -268,37 +268,37 @@ def sf(k, mu):
 def term_rows(mu, width, lo=0):
     """pmf terms at k = lo..lo+width-1, one row per rate of mu (1-D; lo one
     integer or one per row): ``term`` at each row's mode, clipped into the
-    row, and running products of the term ratios out from it.  The terms
-    fall away from the mode, so nothing overflows, and each step adds about
-    an ulp."""
+    row, and running products of the term ratios out from it, each over the
+    columns some row needs.  The terms fall away from the mode, so nothing
+    overflows, and each step adds about an ulp."""
     mu = np.asarray(mu, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), mu.shape)
-    k = lo[:, None] + np.arange(width)
+    lo = np.asarray(lo, dtype=float)
+    k = (lo[:, None] if lo.ndim else lo) + np.arange(width)
     mode = np.clip(np.floor(mu), lo, lo + width - 1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # ratios not taken
-        up = np.where(k > mode, mu[:, None] / k, 1.0)  # p_k / p_{k-1}
-        down = np.where(k < mode, (k + 1.0) / mu[:, None], 1.0)  # p_k / p_{k+1}
-    np.cumprod(up, axis=1, out=up)
-    down = np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
-    return term(mode, mu[:, None]) * up * down
+    m, at = mu[:, None], (mode - np.asarray(lo).reshape(-1, 1)).astype(int)
+    out = np.ones((len(mu), width))
+    if len(mu):
+        first, last = at.min(), at.max() + 1
+        up = out[:, first:]  # p_k / p_{k-1} right of the mode
+        np.divide(m, k[..., first:], out=up, where=k[..., first:] > mode)
+        np.cumprod(up, axis=1, out=up)
+        down = np.ones((len(mu), last))  # p_k / p_{k+1} left of it
+        np.divide(k[..., :last] + 1.0, m, out=down, where=k[..., :last] < mode)
+        out[:, :last] *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+    out *= term(mode, m)
+    return out
 
 
-def _far_pad(mu, top):
-    """Terms past k = top that the far-end sums of the rows need: the count
-    ``_steps`` gives a sum from the term at top + 1 up, over the rows whose
-    terms fall past top."""
+def _window(mu, lo, width):
+    """The pmf terms at k = lo..lo+width-1 and P{N > k} there, summed from
+    the far end, for each rate of mu (1-D; lo one integer or one per row).
+    The terms run on past the window as far as ``_steps`` says a sum from
+    the top of the window needs, over the rows whose terms fall past it."""
+    top = np.broadcast_to(np.asarray(lo, dtype=float) + width - 1, mu.shape)
     far = mu < top + 1
-    if not far.any():
-        return 0
-    m, top = mu[far], np.broadcast_to(top, mu.shape)[far]
-    return int(_steps(top, m, np.zeros(m.shape, dtype=bool)).max()) + 1
-
-
-def _sf_window(mu, lo, width):
-    """P{N > k} at k = lo..lo+width-1 for each rate of mu (1-D), summed
-    from the far end."""
-    p = term_rows(mu, width + _far_pad(mu, np.asarray(lo) + width - 1), np.asarray(lo) + 1)
-    return np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, :width]
+    pad = int(_steps(top[far], mu[far], np.zeros(far.sum(), dtype=bool)).max(initial=0)) + 1
+    p = term_rows(mu, width + pad, lo)
+    return p[:, :width], np.cumsum(p[:, :0:-1], axis=1)[:, ::-1][:, :width]
 
 
 def tail_rows(mu, n):
@@ -306,12 +306,9 @@ def tail_rows(mu, n):
     minus the cdf summed along the row from k = 0, elsewhere summed from the
     far end."""
     mu = np.asarray(mu, dtype=float)
-    out = 1.0 - np.cumsum(term_rows(mu, n + 1), axis=1)
-    far = mu - _LN2 <= n
-    if far.any():
-        out[far] = np.where(_below_median(np.arange(n + 1), mu[far, None]), out[far],
-                            _sf_window(mu[far], 0, n + 1))
-    return np.clip(out, 0, 1)
+    p, sf = _window(mu, 0, n + 1)
+    below = _below_median(np.arange(n + 1), mu[:, None])
+    return np.clip(np.where(below, 1.0 - np.cumsum(p, axis=1), sf), 0, 1)
 
 
 def _first_in_tail(mu, eps, hit):
@@ -326,7 +323,7 @@ def _first_in_tail(mu, eps, hit):
     lo = np.maximum(np.floor(flat) - 1.0, 0.0)
     hi = np.ceil(flat + L / 3 + np.sqrt(L * L / 9 + 2 * L * flat))
     width = int((hi - lo).max()) + 1
-    found = hit(_sf_window(flat, lo, width))
+    found = hit(_window(flat, lo, width)[1])
     found[:, -1] = True
     return (lo + np.argmax(found, axis=1)).reshape(mu.shape)[()]
 

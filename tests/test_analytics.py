@@ -295,16 +295,19 @@ class TestBounds:
 
 
 class TestCountLaw:
-    @pytest.mark.parametrize("rates", [None, [3.0, 2000.0, 0.0, 0.5]], ids=["base", "steep"])
-    def test_matches_the_poisson_values(self, base_model, rates):
+    @pytest.mark.parametrize("rates, direct", [(None, 0), ([3.0, 2000.0, 0.0, 0.5], 1),
+                                               ([1e6, 1e6, 0.0, 0.5], 4)],
+                             ids=["base", "steep", "huge"])
+    def test_matches_the_poisson_values(self, base_model, rates, direct):
         # the thinned rows against the cdf and pmf of Lambda(u) taken one time
-        # at a time; the 2000 period's weights are too many, so it reads those
+        # at a time; a period with too many weights (2000) reads those itself,
+        # and so does every period when the rows would be too long (1e6)
         from eolstop import _poisson
 
         model = base_model if rates is None else IntensityModel(horizon=4, rates=np.array(rates))
         u = np.linspace(0.0, model.horizon, 149)
         law, mu = analytics._CountLaw(model, u), model.mean_value(u)
-        assert any(w is None for _, w in law.blocks) == (rates is not None)
+        assert sum(w is None for _, w in law.blocks) == direct
         for k in (-1, 0, 1, 5, 37, 120, 500, 2100):
             F, p = law.at(k)
             np.testing.assert_allclose(F, _poisson.cdf(k, mu), rtol=0, atol=1e-14)

@@ -201,7 +201,7 @@ def test_period_tables_equal_the_full_rectangle_formula():
     ns = np.unique(counts)
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
-    read = j <= n  # and j >= 1 for the arrivals; elsewhere 1F1(1; 2; -a) stands in
+    read = j <= n  # and j >= 1 for the arrivals; elsewhere alpha = 1 stands in
     seg = np.where(read, hyp1f1_neg(np.where(read, j + 1, 1), n + 2, delta) / (n + 1), 0.0)
 
     def lost(a):

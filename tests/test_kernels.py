@@ -317,8 +317,8 @@ KT_FIELDS = ("H", "L", "C", "C_tilde", "c3_period", "stop_tail", "A", "pmfs", "p
 # KT_FIELDS, each field as float64 bytes (pmf rows each followed by "|");
 # settings at K = 0 and x_max 1200, the edge model at x_max 30
 PINNED_TABLES = {
-    "1/arrival": "48be29434b8aabdd21ad5e6ecf9f34241f55c8442287103bea9a4427342fb729",
-    "1/paper": "36b8417c9a6da2471444d0efe24343edeb909dbef7a949f7700b7f15adf5f0ef",
+    "1/arrival": "0f115300d7fda4d0c3676fb2618e6c7d476a1c1fb771bccab9cf00d7af755216",
+    "1/paper": "79defecdd9a0896a461dc4181729ae6512c0758a42cfacd8c9d7429fb40d12a8",
     "62/arrival": "11b98eaeaec296852fb130e28084a7c8b884d4660e823c3e09dd49802e560c09",
     "62/paper": "c5dc98f86bc98115f5c79d0a36954f877ff4d6e1d8ccb93d17e46155c5dec8f7",
     "125/arrival": "121c26949713e3719992c685585526b7f4cd3d1336b296eaf03b31eda1a024bb",

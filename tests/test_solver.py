@@ -552,7 +552,7 @@ class TestSolveValues:
         "1/D/inf/F": "d507b8dd7ac1505bc45c1b694ff3751a901498cd87d0b01a7b5cde7df858a88e",
         "1/D/2/F": "6e4477aa43c204ee7724dcca75a3be76b178e7265712edda0133fd59c867837e",
         "1/S/1/Z": "6b8fe60195522b7db672396354364dc86d83393eaf7d40423ff0147d6d64c4a4",
-        "1/T/inf/F": "c4fb19b6c84d11fd151e8df9cd623661bcbcc29ed37fb1893368e64219c486dd",
+        "1/T/inf/F": "b5b2dbd79d7545c766ff63ce61b7ef7f96fdd2c532f266224a59e0494795ca38",
         "62/D/1/Z": "8e3334a2eacaf95bef8b89f36c086cd58a037ac41cc1f116779f9af9d4e9d1ab",
         "62/D/inf/F": "19f6d460db8f8c9dbc9d05af8e98b8500b89a3fd8b4cdc377d594146e0e7a68c",
         "62/D/2/F": "0ab749c908dc2c530ef9d2cee4cd7be37a213e59b205b74253df8f5c096afd66",
