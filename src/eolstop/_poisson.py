@@ -197,19 +197,14 @@ def _below_median(k, mu):
 
 def _steps(k, mu, below):
     """Terms after the first that each sum of ``_near_sums`` takes, so that
-    what is left is below _NEGLIGIBLE of the first term.  The log-ratios fall
-    from the first one, b, at least linearly (by l/k below the mean, by
-    l/(k + 2 + J) above it, J the count a Gaussian bound gives), so j terms
-    leave at most exp(-(j b + j(j-1)/(2K))) of the first, and sqrt(mu) allows
-    for the geometric rest."""
+    what is left is below _NEGLIGIBLE of the first term: the smaller of a
+    geometric count, from the first ratio, and a Gaussian one (the log-terms
+    fall at least as fast as those of a normal law of variance mu), with
+    sqrt(mu) allowed for the geometric rest."""
     L = -math.log(_NEGLIGIBLE) + 0.5 * np.log1p(mu)
-    J = L + np.sqrt(L * L + 2 * L * mu)
-    K = np.where(below, np.maximum(k, 1.0), k + 2.0 + J)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # mu = 0, the other side
-        b = np.where(below, np.log(mu / np.maximum(k, 1.0)), np.log((k + 2.0) / mu))
-        B = b - 0.5 / K
-        j = np.where(b < np.inf, K * (np.sqrt(B * B + 2 * L / K) - B), 0.0)
-    n = np.ceil(np.minimum(j, J)) + 1
+    with np.errstate(divide="ignore", over="ignore"):  # a first ratio of 0
+        geo = L / np.where(below, np.log(mu / np.maximum(k, 1.0)), np.log((k + 2.0) / mu))
+    n = np.ceil(np.minimum(geo, L + np.sqrt(L * L + 2 * L * mu))) + 1
     return np.where(below, np.minimum(n, k), n).astype(np.intp)
 
 
