@@ -52,6 +52,7 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404577
 _LOG_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 _LOG_SQRT_2PI = 0.91893853320467274178
 _NEGLIGIBLE = 2.0 ** -64  # a remainder this far below its sum is dropped
+_KUMMER_BLOCK = 32.0  # up to this a, 1F1 sums a fixed number of terms at once
 _KUMMER_MAX = 2048.0  # above this a, 1F1 starts near its largest term
 _CHUNK_CELLS = 1 << 18  # the ratio blocks of the sums are cut to this size
 
@@ -353,7 +354,9 @@ def hyp1f1_neg(alpha, beta, a: float):
     the positive terms t_k = e^-a a^k / k! (A)_k / (B)_k, with ratio
     t_{k+1}/t_k = a (A + k) / ((k + 1)(B + k)), which falls in k.  The sum
     runs from its start to past the largest term, until a geometric bound on
-    the rest is negligible.  It starts at k = 0 up to a = _KUMMER_MAX, where
+    the rest is negligible (up to a = _KUMMER_BLOCK, every cell takes the
+    count at which a^n / n!, a bound on the terms, is negligible, in one
+    block).  It starts at k = 0 up to a = _KUMMER_MAX, where
     e^-a enters as 2^p factors exp(-a/2^p) so that no partial sum under- or
     overflows; the terms then carry a few ulps each.  Above that it starts
     ten widths of the log-terms' peak below the peak, at a long double
@@ -388,6 +391,14 @@ def _large_a(alpha, A, B, a):
 
 
 def _kummer(A, B, a):
+    if a <= _KUMMER_BLOCK:  # every cell's terms in one block: a^n / n! bounds them
+        n, t = 0, 1.0
+        while t > _NEGLIGIBLE or n < 2 * a:
+            n += 1
+            t *= a / n
+        j = np.arange(n)
+        ratios = a * (A[:, None] + j) / ((j + 1.0) * (B[:, None] + j))
+        return np.exp(-a) * (1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
     k = np.zeros(A.shape)
     log_t = np.full(A.shape, -a)
     if a > _KUMMER_MAX:  # start ten widths below the peak, where the ratio is 1
