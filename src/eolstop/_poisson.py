@@ -20,13 +20,24 @@ the oracles of the tests.
   and sum from the term next to k away from the mean, its largest, by the
   ratios of the terms, with no table: as many terms as a geometric or a
   Gaussian bound says the rest needs, so the cost grows with sqrt(mu) only
-  where k is near mu.  ``tail_rows`` sums one pmf row per rate, the cdf from
+  where k is near mu.  At one k >= _THIN_TERMS over many mu, as the
+  analytics' quadrature nodes ask, ``cdf`` thins instead (``_thinned_cdf``):
+  _THIN_TERMS products per mu on the cdfs at even integers in the range of
+  mu, which are such sums plus terms, built in blocks of k and kept.
+  ``tail_rows`` sums one pmf row per rate, the cdf from
   k = 0 and the sf from the far end; ``ppf`` and ``tail_cutoff`` search a
   window of one row per rate that a Bennett bound places.
 * ``hyp1f1_neg`` is 1F1(alpha; beta; -a) at integer 1 <= alpha < beta, as a
   Poisson(a) mixture of positive terms.
 
 A scalar input returns a numpy scalar, as scipy does.
+
+Loader's form (past k = _DIRECT_K or mu = _DIRECT_MU) and 1F1 past a =
+_KUMMER_MAX work in ``np.longdouble``, and their error of a few ulps holds
+where that is the 80-bit x87 format (64-bit significand, as on x86-64
+Linux).  Where long double is plain double (Windows, macOS on arm64), the
+log-factorials near 1F1's a = 2048 lose about 2e-12 relative.
+``LONG_DOUBLE_IS_EXTENDED`` says which holds.
 """
 
 import functools
@@ -55,6 +66,12 @@ _NEGLIGIBLE = 2.0 ** -64  # a remainder this far below its sum is dropped
 _KUMMER_BLOCK = 32.0  # up to this a, 1F1 sums a fixed number of terms at once
 _KUMMER_MAX = 2048.0  # above this a, 1F1 starts near its largest term
 _CHUNK_CELLS = 1 << 18  # the ratio blocks of the sums are cut to this size
+# ``cdf`` thins from anchors _THIN_STEP apart: sum_{j >= 27} 2^j / j! < 2^-64
+_THIN_STEP, _THIN_TERMS = 2.0, 27
+_THIN_MIN = 256  # the least count of mu that ``cdf`` thins
+_THIN_BLOCK = 64  # columns of the anchors' cdfs built and kept together
+_THIN_ANCHORS = 1024  # the most anchors that ``cdf`` thins from
+LONG_DOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,6 +265,12 @@ def _tails(k, mu):
 
 
 def cdf(k, mu):
+    k, mu = np.floor(np.asarray(k, dtype=float)), np.asarray(mu, dtype=float)
+    if k.ndim == 0 and k >= _THIN_TERMS and mu.ndim == 1 and len(mu) >= _THIN_MIN:
+        a = _THIN_STEP * np.floor(mu / _THIN_STEP)
+        span = a.max() - a.min()
+        if a.min() >= 0 and span < _THIN_STEP * min(len(mu), _THIN_ANCHORS):  # not at NaN, inf
+            return _thinned_cdf(int(k), mu, a)
     on, below, s = _tails(k, mu)
     out = np.zeros(on.shape)
     out[on] = np.where(below, s, 1.0 - s)
@@ -283,6 +306,47 @@ def term_rows(mu, width, lo=0):
         out[:, :last] *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
     out *= term(mode, m)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _anchor_block(first: float, count: int, b: int) -> np.ndarray:
+    """P{N(a) <= c} at the anchors a = first + _THIN_STEP i, i < count, and
+    the columns c = b _THIN_BLOCK + i, i < _THIN_BLOCK: the cdf at the first
+    column plus the terms after it; read-only.  Kept, so that many k on one
+    set of anchors, as a scan over x in the analytics, share them."""
+    anchors = first + _THIN_STEP * np.arange(count)
+    lo = b * _THIN_BLOCK
+    rows = term_rows(anchors, _THIN_BLOCK, lo)
+    on, below, s = _tails(lo, anchors)
+    rows[:, 0] = np.where(below, s, 1.0 - s)
+    np.cumsum(rows, axis=1, out=rows)
+    rows.setflags(write=False)
+    return rows
+
+
+def _thinned_cdf(k: int, mu, a):
+    """P{N <= k} for one integer k >= _THIN_TERMS and many mu (1-D), each
+    mu an anchor a, a multiple of _THIN_STEP, plus d = mu - a in [0,
+    _THIN_STEP), with no sum as long as sqrt(mu).  N(mu) is N(a) plus an
+    independent M ~ Poisson(d), so P{N(mu) <= k} = sum_j P{M = j} P{N(a) <=
+    k - j}, a sum of positive terms.  It is at least e^-d P{N(a) <= k} and the
+    terms j >= _THIN_TERMS add at most P{M >= _THIN_TERMS} P{N(a) <= k}, below
+    2^-64 of it.  The anchors' cdfs come in blocks of columns
+    (``_anchor_block``)."""
+    first = float(a.min())
+    count = int((a.max() - first) / _THIN_STEP) + 1
+    lo = k - _THIN_TERMS + 1
+    b0, b1 = lo // _THIN_BLOCK, k // _THIN_BLOCK
+    rows = np.hstack([_anchor_block(first, count, b) for b in range(b0, b1 + 1)])
+    cols = rows[:, lo - b0 * _THIN_BLOCK:k - b0 * _THIN_BLOCK + 1]
+    g = cols[:, ::-1].T[:, ((a - first) / _THIN_STEP).astype(np.intp)]  # P{N(a) <= k - j}
+    d = mu - a
+    ratios = d / np.arange(1.0, _THIN_TERMS)[:, None]  # d / j in row j - 1
+    out = g[-1].copy()
+    for j in range(_THIN_TERMS - 1, 0, -1):  # the weights e^-d d^j / j!, by Horner
+        out *= ratios[j - 1]
+        out += g[j - 1]
+    return np.clip(np.exp(-d) * out, 0, 1)
 
 
 def _window(mu, lo, width):

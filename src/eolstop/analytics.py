@@ -25,7 +25,6 @@ pass per target epoch.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -44,8 +43,6 @@ from .solver import ORDER, STOP, PolicyTable, StopMode
 DEFAULT_TAU_STEP = 0.01
 _GL_ORDER = 32  # Gauss-Legendre nodes per unit period of a point function
 _CURVE_ORDER = 5  # per panel of the curve
-_MAX_SPREAD = 512  # most Poisson weights per time in _CountLaw
-_MAX_ROW_CELLS = 1 << 22  # most cells of its rows at the period starts
 
 
 @dataclass(frozen=True)
@@ -103,86 +100,10 @@ def _model_at(params: CostParameters, model: IntensityModel, u):
     return model.mean_value(u), np.exp(-params.delta * u), params.c2(u)
 
 
-def _spread(mu):
-    """A count J per entry of mu past which P{N > J} <= 2^-64, N ~ Poisson(mu),
-    by Bennett's inequality: J = mu + t with t^2 = 2 L (mu + t/3), L = 64 log 2."""
-    L = 64 * math.log(2.0)
-    return np.ceil(mu + L / 3 + np.sqrt(L * L / 9 + 2 * L * mu)).astype(int)
-
-
-@functools.lru_cache(maxsize=2)
-def _start_rows(model: IntensityModel) -> np.ndarray:
-    """The cdf and pmf of N(t) at each period start t = 0..T-1, as (2, T, n)
-    rows, up to the ``_spread`` of the largest; read-only."""
-    starts = model.mean_value(np.arange(model.horizon, dtype=float))
-    pmf = poisson.term_rows(starts, int(_spread(starts[-1])) + 1)
-    rows = np.stack((np.cumsum(pmf, axis=1), pmf))
-    rows.setflags(write=False)
-    return rows
-
-
-class _CountLaw:
-    """P{N(u) <= k} and P{N(u) = k} for the demand count N(u) at fixed times
-    u (ascending), for any k: what an integral over the times needs.
-
-    With t the unit period holding u, N(u) = N(t) + M, where M ~
-    Poisson(lambda_t (u - t)) is independent of N(t).  So each value is a
-    positive combination, with the weights P{M = j}, of one row per period
-    start (``_start_rows``): the pmf of N(t) and its running sum, up to where
-    P{N(t) > k} <= 2^-64 (past it they read 0 and the last sum).  The weights
-    stop where P{M > j} <= 2^-64 too; each is a running product of j ratios,
-    so within about j ulps.  Where the rows would pass _MAX_ROW_CELLS, or a
-    period's weights _MAX_SPREAD terms, the times read ``_poisson.cdf`` and
-    ``_poisson.term`` instead."""
-
-    def __init__(self, model: IntensityModel, u):
-        u = np.asarray(u, dtype=float)
-        t = np.minimum(u.astype(int), model.horizon - 1)
-        self.periods, first = np.unique(t, return_index=True)
-        self.mu = model.mean_value(u)
-        delta = model.rates[t] * (u - t)
-        spread = _spread(np.maximum.reduceat(delta, first)) if len(u) else []
-        self.rows = None
-        if model.horizon * _spread(model.mean_value(float(model.horizon - 1))) <= _MAX_ROW_CELLS:
-            self.rows = _start_rows(model)
-        self.blocks = []  # (times, weights P{M = j}: row j for j = 0..J, a column per time)
-        for a, b, J in zip(first, [*first[1:], len(u)], spread):
-            weights = None
-            if J <= _MAX_SPREAD and self.rows is not None:  # e^-delta delta^j / j!
-                weights = np.empty((J + 1, b - a))
-                weights[0] = np.exp(-delta[a:b])
-                np.multiply(1.0 / np.arange(1, J + 1)[:, None], delta[a:b], out=weights[1:])
-                np.cumprod(weights, axis=0, out=weights)
-            self.blocks.append((slice(a, b), weights))
-        self.spread = max((len(w) for _, w in self.blocks if w is not None), default=0)
-
-    def at(self, k: int):
-        """(cdf, pmf) of N(u) at k, one value per time."""
-        out = np.zeros((2, len(self.mu)))
-        if k < 0:
-            return out
-        if self.spread:
-            i = k - np.arange(min(k + 1, self.spread))  # k - j, j = 0, 1, ...
-            width = self.rows.shape[2]
-            rows = self.rows[:, self.periods[:, None], np.minimum(i, width - 1)]
-            rows[1, :, i >= width] = 0.0
-        for g, (nodes, weights) in enumerate(self.blocks):
-            if weights is None:
-                out[:, nodes] = poisson.cdf(k, self.mu[nodes]), poisson.term(k, self.mu[nodes])
-            else:
-                j = min(len(weights), len(i))
-                out[:, nodes] = rows[:, g, :j] @ weights[:j]
-        return out
-
-
-_leggauss = functools.lru_cache(maxsize=4)(leggauss)
-
-
 @dataclass(frozen=True, eq=False)
 class _Nodes:
-    """Quadrature points u, the model at them, ``integrate``, which maps
-    integrand values at the points (last axis) to integrals from 0, and the
-    law of the demand count at the points."""
+    """Quadrature points u, the model at them, and ``integrate``, which maps
+    integrand values at the points (last axis) to integrals from 0."""
 
     u: np.ndarray
     lam: np.ndarray
@@ -190,7 +111,6 @@ class _Nodes:
     disc: np.ndarray
     c2: np.ndarray
     integrate: Callable[[np.ndarray], np.ndarray]
-    count: _CountLaw
 
 
 def _nodes(params: CostParameters, model: IntensityModel, edges: np.ndarray, order: int,
@@ -198,7 +118,7 @@ def _nodes(params: CostParameters, model: IntensityModel, edges: np.ndarray, ord
     """Gauss-Legendre nodes of ``order`` on each interval between ``edges``,
     none of which may straddle a unit period.  ``integrate`` sums up to the
     last edge or, given edge indices ``at``, gives the integrals up to those."""
-    base_x, base_w = _leggauss(order)
+    base_x, base_w = leggauss(order)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * base_x).ravel()
     w = (half[:, None] * base_w).ravel()
@@ -210,23 +130,26 @@ def _nodes(params: CostParameters, model: IntensityModel, edges: np.ndarray, ord
             panels = (w * f).reshape(-1, order).sum(axis=1)
             return np.concatenate(([0.0], np.cumsum(panels)))[at]
     return _Nodes(u, np.repeat(_rate(model, edges[:-1]), order), *_model_at(params, model, u),
-                  integrate, _CountLaw(model, u))
+                  integrate)
 
 
-@functools.lru_cache(maxsize=4)
 def _point_nodes(params: CostParameters, model: IntensityModel, tau) -> _Nodes:
-    """Nodes over [0, tau], one block per unit period, after the standing
-    checks; the last few are kept, since a scan over x reads one tau's."""
+    """Nodes over [0, tau], one block per unit period, after the standing checks."""
     _require_assumptions(params, model)
     if not 0 <= tau <= model.horizon:  # also rejects NaN
         raise ValueError(f"tau must lie in [0, {model.horizon}], got {tau!r}")
     return _nodes(params, model, np.append(np.arange(math.ceil(tau)), float(tau)), _GL_ORDER)
 
 
+def _pmf(k: int, mu) -> np.ndarray:
+    """P{N = k} for Poisson(mu): ``term`` (within a few ulps), 0 at k < 0."""
+    return poisson.term(k, mu) if k >= 0 else np.zeros(np.shape(mu))
+
+
 def _cost(params: CostParameters, x: int, n: _Nodes):
     """C(x, tau) - A: run without orders until tau, then scrap and outsource.
     E[(x - N)^+] = x F(x-1) - mu F(x-2) for N ~ Poisson(mu)."""
-    F1, F2 = n.count.at(x - 1)[0], n.count.at(x - 2)[0]
+    F1, F2 = poisson.cdf(x - 1, n.mu), poisson.cdf(x - 2, n.mu)
     return (params.c4 * x
             + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * F1)
             + params.c2_bar * n.integrate(n.disc * n.lam)
@@ -235,10 +158,9 @@ def _cost(params: CostParameters, x: int, n: _Nodes):
 
 def _delta_x(params: CostParameters, x, n: _Nodes):
     """Delta_x C(x, tau)."""
-    F, p = n.count.at(x)
     return (params.c4
-            + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * p)
-            + params.holding_net_of_scrap * n.integrate(n.disc * F))
+            + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * _pmf(x, n.mu))
+            + params.holding_net_of_scrap * n.integrate(n.disc * poisson.cdf(x, n.mu)))
 
 
 def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _Nodes):
@@ -246,9 +168,8 @@ def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _No
     j = x + 1  # the closed form indexes the Poisson terms one level up
     mu_tau, disc_tau, c2_tau = _model_at(params, model, tau)
     c2p = -params.gamma * params.c3_bar * np.exp(-params.gamma * n.u)
-    p_tau = poisson.term(j, mu_tau) if j >= 0 else np.zeros(np.shape(mu_tau))
-    return (disc_tau * (c2_tau + params.c4) * p_tau
-            + n.integrate(n.disc * (params.c1 - c2p + params.delta * n.c2) * n.count.at(j)[1]))
+    return (disc_tau * (c2_tau + params.c4) * _pmf(j, mu_tau)
+            + n.integrate(n.disc * (params.c1 - c2p + params.delta * n.c2) * _pmf(j, n.mu)))
 
 
 def switch_cost(params: CostParameters, model: IntensityModel, x: int, tau: float) -> float:
@@ -282,40 +203,19 @@ class SwitchCostCurve:
     delta2_x: np.ndarray
 
 
-class _Curve:
-    """The tau grid of the curve and the bounds, with the curve's nodes and
-    the count law at the grid points built on first use, so that every x of
-    one report reads the same ones."""
-
-    def __init__(self, params: CostParameters, model: IntensityModel, step: float):
-        self.params, self.model, self.grid = params, model, _tau_grid(model, step)
-
-    @functools.cached_property
-    def nodes(self) -> _Nodes:
-        edges = np.union1d(self.grid, np.arange(1, self.model.horizon))
-        return _nodes(self.params, self.model, edges, _CURVE_ORDER,
-                      at=np.searchsorted(edges, self.grid))
-
-    @functools.cached_property
-    def at_grid(self) -> _CountLaw:
-        return _CountLaw(self.model, self.grid)
-
-
-def _curve_at(x: int, c: _Curve) -> SwitchCostCurve:
-    params, model, nodes = c.params, c.model, c.nodes
-    vals = _cost(params, x, nodes) + constant_A(params, model)
-    d1 = _delta_x(params, x, nodes)
-    d2 = _delta2_x(params, model, x, c.grid, nodes)
-    return SwitchCostCurve(x=x, tau_grid=c.grid, values=vals, delta_x=d1, delta2_x=d2)
-
-
 def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
                       step: float = DEFAULT_TAU_STEP) -> SwitchCostCurve:
     """Evaluate the switch-cost curve and its inventory differences on the
     tau grid via cumulative per-panel quadrature, the panels split at unit
     periods."""
     _require_assumptions(params, model)
-    return _curve_at(x, _Curve(params, model, step))
+    grid = _tau_grid(model, step)
+    edges = np.union1d(grid, np.arange(1, model.horizon))
+    nodes = _nodes(params, model, edges, _CURVE_ORDER, at=np.searchsorted(edges, grid))
+    vals = _cost(params, x, nodes) + constant_A(params, model)
+    d1 = _delta_x(params, x, nodes)
+    d2 = _delta2_x(params, model, x, grid, nodes)
+    return SwitchCostCurve(x=x, tau_grid=grid, values=vals, delta_x=d1, delta2_x=d2)
 
 
 def order_up_to_of_tau(params: CostParameters, model: IntensityModel, tau: float,
@@ -343,25 +243,6 @@ class SwitchBounds:
     ub: float
 
 
-def _bounds_at(x: int, c: _Curve) -> SwitchBounds:
-    params, model, grid = c.params, c.model, c.grid
-    stop_side = c.at_grid.at(x - 1)[0] * (params.c2(grid) + params.c4)
-
-    ub_hits = np.flatnonzero(params.c2_bar >= stop_side)  # the premium c2 - c3 is c2_bar
-    ub = float(grid[ub_hits[0]]) if len(ub_hits) else float(model.horizon)
-
-    rhs = x * params.holding_net_of_scrap + params.c2_bar
-    lb_hits = np.flatnonzero((_rate(model, grid) >= 1.0) & (stop_side >= rhs))
-    lb = float(grid[lb_hits[-1]]) if len(lb_hits) else 0.0
-    return SwitchBounds(lb=lb, ub=ub)
-
-
-def _argmin_at(x: int, c: _Curve):
-    curve = _curve_at(x, c)
-    i = int(np.argmin(curve.values))
-    return float(curve.tau_grid[i]), float(curve.values[i])
-
-
 def switch_time_bounds(params: CostParameters, model: IntensityModel, x: int,
                        step: float = DEFAULT_TAU_STEP) -> SwitchBounds:
     """Grid versions of the analytical bounds on the best switching time.
@@ -372,23 +253,26 @@ def switch_time_bounds(params: CostParameters, model: IntensityModel, x: int,
     holding bound; 0 when never satisfied.
     """
     _require_assumptions(params, model, need_lambda_mono=True)
-    return _bounds_at(x, _Curve(params, model, step))
+    T = model.horizon
+    grid = _tau_grid(model, step)
+    mu = model.mean_value(grid)
+    stop_side = poisson.cdf(x - 1, mu) * (params.c2(grid) + params.c4)
+
+    ub_hits = np.flatnonzero(params.c2_bar >= stop_side)  # the premium c2 - c3 is c2_bar
+    ub = float(grid[ub_hits[0]]) if len(ub_hits) else float(T)
+
+    rhs = x * params.holding_net_of_scrap + params.c2_bar
+    lb_hits = np.flatnonzero((_rate(model, grid) >= 1.0) & (stop_side >= rhs))
+    lb = float(grid[lb_hits[-1]]) if len(lb_hits) else 0.0
+    return SwitchBounds(lb=lb, ub=ub)
 
 
 def brute_force_switch_argmin(params: CostParameters, model: IntensityModel, x: int,
                               step: float = DEFAULT_TAU_STEP):
     """Grid argmin of the switch-cost curve; the oracle the bounds sandwich."""
-    _require_assumptions(params, model)
-    return _argmin_at(x, _Curve(params, model, step))
-
-
-def switch_report(params: CostParameters, model: IntensityModel, xs,
-                  step: float = DEFAULT_TAU_STEP) -> list:
-    """(switch_time_bounds, brute_force_switch_argmin) for each x of xs, all
-    on one grid and one set of curve nodes."""
-    _require_assumptions(params, model, need_lambda_mono=True)
-    c = _Curve(params, model, step)
-    return [(_bounds_at(x, c), _argmin_at(x, c)) for x in xs]
+    curve = switch_cost_curve(params, model, x, step=step)
+    i = int(np.argmin(curve.values))
+    return float(curve.tau_grid[i]), float(curve.values[i])
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,9 @@ def _cmd_taudist(args, cfg, out_dir, timings):
 def _cmd_bounds(args, cfg, out_dir, timings):
     model, params = cfg.build_model(), cfg.build_params(cfg.setup_costs[0])
     rows = []
-    report = analytics.switch_report(params, model, cfg.x0, step=cfg.tau_step)
-    for x0, (b, (tau_star, cost)) in zip(cfg.x0, report):
+    for x0 in cfg.x0:
+        b = analytics.switch_time_bounds(params, model, x0, step=cfg.tau_step)
+        tau_star, cost = analytics.brute_force_switch_argmin(params, model, x0, step=cfg.tau_step)
         rows.append([x0, f"{b.lb:.4f}", f"{b.ub:.4f}", f"{tau_star:.4f}", f"{cost:.4f}"])
         print(f"x={x0}: lb={b.lb:.2f} <= argmin={tau_star:.2f} <= ub={b.ub:.2f}")
     _write_csv(out_dir / "bounds.csv", ["x", "tau_lb", "tau_ub", "tau_argmin", "cost_at_argmin"],

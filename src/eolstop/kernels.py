@@ -113,9 +113,9 @@ class _SharedRows:
     Poisson-integral rows of each decay, built on first request.  Called
     with a decay, it returns that decay's rows."""
 
-    def __init__(self, rates: np.ndarray, width: int, caps=None):
+    def __init__(self, rates: np.ndarray, width: int):
         self.rates, self.width = rates, width
-        self.caps = np.minimum(_support_caps(rates) if caps is None else caps, width - 1)
+        self.caps = np.minimum(_support_caps(rates), width - 1)
         self._by_decay = {}
 
     def __call__(self, decay: float) -> np.ndarray:
@@ -201,10 +201,9 @@ def _cell(params, model, convention, k: int, x: int):
     min(x, cap + 1) so the cost stays O(support cap) in x."""
     _checked(params, model, k, x)
     rates = model.rates[k:k + 1]
-    caps = _support_caps(rates)
-    xr = min(x, int(caps[0]) + 1)
+    xr = min(x, int(_support_caps(rates)[0]) + 1)
     (H, slope), L, Ct = _kernel_rows(params, np.array([k]), convention,
-                                     _SharedRows(rates, xr + 1, caps))
+                                     _SharedRows(rates, xr + 1))
     extra = (x - xr) * slope[0]
     return H[0, xr] + extra, L[0, xr], Ct[0, xr] + extra
 

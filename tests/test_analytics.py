@@ -286,33 +286,6 @@ class TestBounds:
         with pytest.raises(AssumptionViolated):
             switch_time_bounds(base_params(T=3), m, 5)
 
-    def test_report_equals_one_call_per_x(self, base_model):
-        # the bounds command's report shares one grid's nodes over every x
-        p, xs = base_params(), [0, 60, 250]
-        want = [(switch_time_bounds(p, base_model, x, step=0.07),
-                 brute_force_switch_argmin(p, base_model, x, step=0.07)) for x in xs]
-        assert analytics.switch_report(p, base_model, xs, step=0.07) == want
-
-
-class TestCountLaw:
-    @pytest.mark.parametrize("rates, direct", [(None, 0), ([3.0, 2000.0, 0.0, 0.5], 1),
-                                               ([1e6, 1e6, 0.0, 0.5], 4)],
-                             ids=["base", "steep", "huge"])
-    def test_matches_the_poisson_values(self, base_model, rates, direct):
-        # the thinned rows against the cdf and pmf of Lambda(u) taken one time
-        # at a time; a period with too many weights (2000) reads those itself,
-        # and so does every period when the rows would be too long (1e6)
-        from eolstop import _poisson
-
-        model = base_model if rates is None else IntensityModel(horizon=4, rates=np.array(rates))
-        u = np.linspace(0.0, model.horizon, 149)
-        law, mu = analytics._CountLaw(model, u), model.mean_value(u)
-        assert sum(w is None for _, w in law.blocks) == direct
-        for k in (-1, 0, 1, 5, 37, 120, 500, 2100):
-            F, p = law.at(k)
-            np.testing.assert_allclose(F, _poisson.cdf(k, mu), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(p, _poisson.term(max(k, 0), mu) * (k >= 0), rtol=0, atol=1e-14)
-
 
 class TestSolverAgreesWithAnalytics:
     """The kernel tables (closed-form Poisson integrals) and the switching
