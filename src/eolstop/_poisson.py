@@ -339,7 +339,9 @@ def _thinned_cdf(k: int, mu, a):
     b0, b1 = lo // _THIN_BLOCK, k // _THIN_BLOCK
     rows = np.hstack([_anchor_block(first, count, b) for b in range(b0, b1 + 1)])
     cols = rows[:, lo - b0 * _THIN_BLOCK:k - b0 * _THIN_BLOCK + 1]
-    g = cols[:, ::-1].T[:, ((a - first) / _THIN_STEP).astype(np.intp)]  # P{N(a) <= k - j}
+    # P{N(a) <= k - j} in row j, contiguous so that each row is read at speed
+    g = np.take(np.ascontiguousarray(cols[:, ::-1].T), ((a - first) / _THIN_STEP).astype(np.intp),
+                axis=1)
     d = mu - a
     ratios = d / np.arange(1.0, _THIN_TERMS)[:, None]  # d / j in row j - 1
     out = g[-1].copy()

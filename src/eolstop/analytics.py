@@ -149,7 +149,8 @@ def _pmf(k: int, mu) -> np.ndarray:
 def _cost(params: CostParameters, x: int, n: _Nodes):
     """C(x, tau) - A: run without orders until tau, then scrap and outsource.
     E[(x - N)^+] = x F(x-1) - mu F(x-2) for N ~ Poisson(mu)."""
-    F1, F2 = poisson.cdf(x - 1, n.mu), poisson.cdf(x - 2, n.mu)
+    F2 = poisson.cdf(x - 2, n.mu)
+    F1 = F2 + _pmf(x - 1, n.mu)
     return (params.c4 * x
             + n.integrate(n.disc * n.lam * (-params.c4 - n.c2) * F1)
             + params.c2_bar * n.integrate(n.disc * n.lam)
