@@ -25,6 +25,7 @@ pass per target epoch.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -113,12 +114,22 @@ class _Nodes:
     integrate: Callable[[np.ndarray], np.ndarray]
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only; computed once
+    per order, since every point function builds its nodes anew."""
+    x, w = leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _nodes(params: CostParameters, model: IntensityModel, edges: np.ndarray, order: int,
            at=None) -> _Nodes:
     """Gauss-Legendre nodes of ``order`` on each interval between ``edges``,
     none of which may straddle a unit period.  ``integrate`` sums up to the
     last edge or, given edge indices ``at``, gives the integrals up to those."""
-    base_x, base_w = leggauss(order)
+    base_x, base_w = _gauss_legendre(order)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * base_x).ravel()
     w = (half[:, None] * base_w).ravel()
