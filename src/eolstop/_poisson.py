@@ -1,32 +1,31 @@
-"""Poisson pmf, cdf, sf and upper quantiles, and the Poisson mixture that
-gives 1F1, on numpy and ``math`` alone.
+"""Poisson pmf terms, cdf, tails and upper quantiles, and the Poisson mixture
+that gives 1F1, on numpy and ``math`` alone.
 
 No scipy module is imported: ``scipy.special`` alone took about 0.3 s of
 every CLI call's start.  ``scipy.stats.poisson`` and ``scipy.special`` stay
 the oracles of the tests.
 
-* ``pmf`` is exp(k log mu - log k! - mu) rounded as ``scipy.stats.poisson.pmf``
-  rounds it, so the demand pmfs are what they were bit for bit; its error
-  grows with the ulps of k log mu.  ``term`` is the pmf within a few ulps:
-  exp(-mu) mu^k / k! from factors rounded once each (exp(-mu) by a Cody-Waite
-  reduction, mu^k by ``pow`` on the mantissa of mu, k! from the exact
-  integer), and outside k <= _DIRECT_K, mu <= _DIRECT_MU the exp of Loader's
-  saddle-point log -stirlerr(k) - bd0(k, mu) - log(2 pi k)/2 (C. Loader,
-  "Fast and accurate computation of binomial probabilities", 2000) in long
-  double.  Every sum here adds terms of ``term``.
+* ``term`` is the pmf within a few ulps: exp(-mu) mu^k / k! from factors
+  rounded once each (exp(-mu) by a Cody-Waite reduction, mu^k by ``pow`` on
+  the mantissa of mu, k! from the exact integer), and outside k <= _DIRECT_K,
+  mu <= _DIRECT_MU the exp of Loader's saddle-point log -stirlerr(k) -
+  bd0(k, mu) - log(2 pi k)/2 (C. Loader, "Fast and accurate computation of
+  binomial probabilities", 2000) in long double.  It is the one pmf here:
+  every sum adds its terms, and the demand pmfs are its rows.
 * Below the median the cdf is summed and the sf is one minus it; at and
   above it the sf is summed and the cdf is one minus it, so neither is a
-  difference of two numbers near 1.  ``cdf`` and ``sf`` take any k and mu
-  and sum from the term next to k away from the mean, its largest, by the
-  ratios of the terms, with no table: as many terms as a geometric or a
-  Gaussian bound says the rest needs, so the cost grows with sqrt(mu) only
-  where k is near mu.  At one k >= _THIN_TERMS over many mu, as the
-  analytics' quadrature nodes ask, ``cdf`` thins instead (``_thinned_cdf``):
-  _THIN_TERMS products per mu on the cdfs at even integers in the range of
-  mu, which are such sums plus terms, built in blocks of k and kept.
-  ``tail_rows`` sums one pmf row per rate, the cdf from
-  k = 0 and the sf from the far end; ``ppf`` and ``tail_cutoff`` search a
-  window of one row per rate that a Bennett bound places.
+  difference of two numbers near 1.  ``cdf`` takes any k and mu and sums
+  from the term next to k away from the mean, its largest, by the ratios of
+  the terms, with no table: as many terms as a geometric or a Gaussian bound
+  says the rest needs, so the cost grows with sqrt(mu) only where k is near
+  mu.  At one k >= _THIN_TERMS over many mu, as the analytics' quadrature
+  nodes ask, ``cdf`` thins instead (``_thinned_cdf``): _THIN_TERMS products
+  per mu on the cdfs at even integers in the range of mu, which are such
+  sums plus terms, built in blocks of k and kept.  ``tail_rows`` gives one
+  row of pmf terms per rate and the tails P{N > k} summed from those same
+  terms, the cdf from k = 0 and the sf from the far end; ``ppf`` and
+  ``tail_cutoff`` search a window of one row per rate that a Bennett bound
+  places.
 * ``hyp1f1_neg`` is 1F1(alpha; beta; -a) at integer 1 <= alpha < beta, as a
   Poisson(a) mixture of positive terms.
 
@@ -56,12 +55,6 @@ _STIRLERR = np.array([
     0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 _STIRLING = tuple(np.longdouble(1) / d for d in (12, 360, 1260, 1680, 1188))
-# Cephes lgam: its rational approximation for 13 <= x < 1000, and log (x-1)!
-# of the exact integer below 13
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LOG_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
-_LOG_SQRT_2PI = 0.91893853320467274178
 _NEGLIGIBLE = 2.0 ** -64  # a remainder this far below its sum is dropped
 _KUMMER_BLOCK = 32.0  # up to this a, 1F1 sums a fixed number of terms at once
 _KUMMER_MAX = 2048.0  # above this a, 1F1 starts near its largest term
@@ -154,7 +147,7 @@ def _log_term(k, mu):
 
 def term(k, mu):
     """pmf(k, mu) within a few ulps, at integers k >= 0 (k and mu broadcast
-    to a new array); the terms of every sum here."""
+    to a new array, or a numpy scalar); the terms of every sum here."""
     k, mu = (np.array(a, dtype=float) for a in np.broadcast_arrays(k, mu))
     direct = (k <= _DIRECT_K) & (mu <= _DIRECT_MU)
     if direct.all():
@@ -163,48 +156,7 @@ def term(k, mu):
     out[direct] = _product_term(k[direct], mu[direct])
     with np.errstate(under="ignore"):
         out[~direct] = np.exp(_log_term(k[~direct], mu[~direct])).astype(float)
-    return out
-
-
-def _log(x):
-    """Natural log by libm, element by element (numpy's vector log differs
-    from it in the last bit on a few inputs; scipy's xlogy calls libm)."""
-    x = np.asarray(x, dtype=float)
-    flat = [math.log(v) if v > 0 else (-math.inf if v == 0 else math.nan)
-            for v in x.ravel().tolist()]
-    return np.array(flat).reshape(x.shape)
-
-
-def _log_factorial(k):
-    """log k! at integers k >= 0 (a float array), as Cephes' lgam(k + 1)."""
-    x = k + 1.0
-    out = np.empty(x.shape)
-    small = x < 13.0
-    out[small] = _LOG_FACTORIAL_SMALL[k[small].astype(np.intp)]
-    x = x[~small]
-    q = (x - 0.5) * _log(x) - x + _LOG_SQRT_2PI
-    p = 1.0 / (x * x)
-    poly = _LGAM_A[0]
-    for c in _LGAM_A[1:]:
-        poly = poly * p + c
-    big = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
-        + 0.0833333333333333333333
-    out[~small] = np.where(x > 1e8, q, q + np.where(x >= 1000.0, big, poly) / x)
-    return out
-
-
-def pmf(k, mu):
-    """exp(k log mu - log k! - mu), rounded as ``scipy.stats.poisson.pmf``
-    rounds it: the same order of operations, log k! from Stirling's series in
-    the form of Cephes' lgam and log mu from libm.  Its error grows with the
-    ulps of k log mu; ``term`` is the pmf within a few ulps, and faster on
-    long vectors of mu."""
-    k, mu = np.asarray(k, dtype=float), np.asarray(mu, dtype=float)
-    on = (k >= 0) & (np.floor(k) == k)
-    k = np.where(on, k, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 is taken as 0
-        logp = np.where(k == 0, 0.0, k * _log(mu)) - _log_factorial(k) - mu
-    return np.where(on, np.clip(np.exp(logp), 0, 1), 0.0)[()]
+    return out[()]
 
 
 def _below_median(k, mu):
@@ -274,13 +226,6 @@ def cdf(k, mu):
     on, below, s = _tails(k, mu)
     out = np.zeros(on.shape)
     out[on] = np.where(below, s, 1.0 - s)
-    return np.clip(out, 0, 1)[()]
-
-
-def sf(k, mu):
-    on, below, s = _tails(k, mu)
-    out = np.ones(on.shape)
-    out[on] = np.where(below, 1.0 - s, s)
     return np.clip(out, 0, 1)[()]
 
 
@@ -364,13 +309,14 @@ def _window(mu, lo, width):
 
 
 def tail_rows(mu, n):
-    """P{N > k} at k = 0..n for each rate of mu (1-D): below the median one
-    minus the cdf summed along the row from k = 0, elsewhere summed from the
-    far end."""
+    """The pmf terms and P{N > k} at k = 0..n for each rate of mu (1-D), as
+    two (len(mu), n + 1) arrays; the tails sum those terms: below the median
+    one minus the cdf summed along the row from k = 0, elsewhere from the far
+    end."""
     mu = np.asarray(mu, dtype=float)
     p, sf = _window(mu, 0, n + 1)
     below = _below_median(np.arange(n + 1), mu[:, None])
-    return np.clip(np.where(below, 1.0 - np.cumsum(p, axis=1), sf), 0, 1)
+    return p, np.clip(np.where(below, 1.0 - np.cumsum(p, axis=1), sf), 0, 1)
 
 
 def _first_in_tail(mu, eps, hit):

@@ -120,14 +120,19 @@ class ExperimentConfig:
                               f"missing {sorted(missing)}, unknown {sorted(extra)}")
         if not self.models:
             raise ConfigError("models must list at least one taxonomy label")
+        if not self.setup_costs:
+            raise ConfigError("setup_costs must list at least one setup cost")
         kind = self.intensity.get("kind")
+        sources = sorted({"rates_file", "rates"} & set(self.intensity))
         if kind in NAMED_KINDS:
             for req in ("horizon", "total_demand"):
                 if req not in self.intensity:
                     raise ConfigError(f"named intensity needs {req!r}")
+            if sources:
+                raise ConfigError(f"named intensity takes no {sources}")
         elif kind == "custom":
-            if not ("rates_file" in self.intensity or "rates" in self.intensity):
-                raise ConfigError("custom intensity needs 'rates_file' or 'rates'")
+            if len(sources) != 1:
+                raise ConfigError("custom intensity needs exactly one of 'rates_file' and 'rates'")
         else:
             raise ConfigError(f"intensity.kind must be one of {NAMED_KINDS + ('custom',)}")
         if not all(math.isfinite(k) and k >= 0 for k in self.setup_costs):

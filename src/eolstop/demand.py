@@ -90,12 +90,11 @@ def pmf_supports(rates) -> np.ndarray:
 def period_pmfs(rates) -> tuple[list, list]:
     """Per-period demand pmfs on 0..n_k and tails P{N > n}, truncated at
     PMF_TAIL_EPS tail mass (n_k from ``pmf_supports``); one pmf and one tail
-    row per period.  The rows are read-only views."""
+    row per period, the tails summed from the same pmf terms.  The rows are
+    read-only views."""
     rates = np.asarray(rates, dtype=np.float64)
     n_sup = pmf_supports(rates)
-    grid = np.arange(n_sup.max() + 1)
-    pmf = poisson.pmf(grid, rates[:, None])
-    tail = poisson.tail_rows(rates, grid[-1])
+    pmf, tail = poisson.tail_rows(rates, n_sup.max())
     pmf.setflags(write=False)
     tail.setflags(write=False)
     return ([row[: n + 1] for row, n in zip(pmf, n_sup)],

@@ -68,7 +68,7 @@ def _unit_poisson_rows(rates: np.ndarray, decay: float, imax: np.ndarray) -> np.
     # (lam/b)^i in log space; both factors underflow cleanly to 0 in the far tail
     ratio = np.exp(i * (np.log(lam) - np.log(b))[:, None])
     out[pos] = np.where(i <= imax[pos, None],
-                        ratio * poisson.tail_rows(b, out.shape[1] - 1) / b[:, None], 0.0)
+                        ratio * poisson.tail_rows(b, out.shape[1] - 1)[1] / b[:, None], 0.0)
     out[~pos, 0] = _unit_integral(decay)
     return out
 
@@ -80,7 +80,7 @@ def unit_poisson_integrals_quadrature(
     nodes, weights = leggauss(order)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
-    vals = poisson.pmf(np.arange(imax + 1)[:, None], lam * s[None, :])
+    vals = poisson.term(np.arange(imax + 1)[:, None], lam * s[None, :])
     return vals @ (w * np.exp(-decay * s))
 
 

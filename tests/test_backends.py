@@ -100,7 +100,7 @@ def test_push_is_the_adjoint_of_ev(n):
     # a residual tail (about 0.02 here) that the clamped tail index must carry.
     from eolstop import _poisson
 
-    pmf = _poisson.pmf(np.arange(12), 6.0)
+    pmf = _poisson.term(np.arange(12), 6.0)
     tail = 1.0 - np.cumsum(pmf)
     assert tail[-1] > 0.01
     rng = np.random.default_rng(n)

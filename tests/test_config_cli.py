@@ -385,7 +385,7 @@ PINNED_SHA256 = {
                "a2b00daaf232088de33bbecd17202872a0b981d6e305aad941cdd3c8e23bab79"),
     "regions": ("98922f9aa5a9622b6806d1043e5bdba97b72b30d4e57a7d40cc2751233741389",
                "1ad3667e80bea725ff078740af9d4e61ed49f6a01d0b68600e0d873abcdbddc6"),
-    "solve": ("be32711fd38132d4ad8e946fcb31426dbdb42e1cffad4510476c6b1607b15f40",
+    "solve": ("7f28244f454816af926e64b8ec984b1d768de81d7eb358d7e5de5ebe87929f7b",
              "538ad5a1c0d8e88e08cae6d0a09a6694152d1cc5446d08a0288fd730b36b6f09"),
     "sweep": ("62a8019a052c417f817d57c274c9c960e2f4e9c220e353073c7afb9c76ae7ef4",
              "4b08283042434d603513d28496ce3edae4f51c29967b18a21a7098e3b46fa090"),
@@ -637,12 +637,19 @@ def test_manifest_records_the_package_revision_from_any_cwd(tmp_path, monkeypatc
     ({"intensity": {"kind": "custom", "rates": ["4"] * 8}}, "rates must be a number"),
     ({"intensity": {"kind": "custom", "rates": [True] * 8}}, "rates must be a number"),
     ({"intensity": {"kind": "custom", "rates": "4444"}}, "rates must be a JSON list"),
+    ({"setup_costs": []}, "setup_costs must list at least one setup cost"),
+    ({"intensity": {"kind": "custom", "rates": [4.0] * 8, "rates_file": "missing.txt"}},
+     "exactly one of 'rates_file' and 'rates'"),
+    ({"intensity": {**TINY["intensity"], "rates": [4.0] * 8}}, r"named intensity takes no \['rates'\]"),
 ], ids=["x0-str", "setup-str", "models-str", "models-int", "intensity-pairs", "xmax-bool",
         "x0-bool", "x0-str-item", "setup-bool", "schema-bool", "tau-inf", "total-str",
-        "total-bool", "horizon-bool", "rates-str", "rates-bool", "rates-str-whole"])
+        "total-bool", "horizon-bool", "rates-str", "rates-bool", "rates-str-whole",
+        "setup-empty", "custom-both-sources", "named-with-rates"])
 def test_malformed_values_are_rejected(over, match):
     # "12" once parsed as x0 (1, 2), "05" as setup costs (0.0, 5.0), true as
-    # 1, "24" as a total demand of 24.0 and ["4"] as a rate of 4.0
+    # 1, "24" as a total demand of 24.0 and ["4"] as a rate of 4.0; an empty
+    # setup_costs once failed with "tuple index out of range", and a second
+    # rates source, even a missing file, was ignored
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict({**TINY, **over})
 

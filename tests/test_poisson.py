@@ -8,11 +8,11 @@ to 4.7e-13, 1F1 at a = 800 by up to 3.6e-13); where the two differ by more
 than REL, an independent reference decides, and this module must be within
 REL of it and closer to it than scipy: the definition e^-mu mu^k / k! summed
 in 80-bit long double for the Poisson values, mpmath for 1F1.  Measured with
-numpy 2.4 and scipy 1.17: pmf equals scipy bit for bit; cdf, sf and the tail
-rows are within 3.9e-15 of the long double reference (itself good to about
-1e-15), and the cdf of one k over many mu, which thins, within 7.3e-16; 1F1
-is within 3.7e-14 of scipy up to a = 50 and within 3.5e-15 of mpmath at
-a = 800.
+numpy 2.4 and scipy 1.17: the pmf terms, cdf and tail rows are within 3.9e-15
+of the long double reference (itself good to about 1e-15), and the cdf of one
+k over many mu, which thins, within 7.3e-16; 1F1 is within 3.7e-14 of scipy
+up to a = 50 and within 3.5e-15 of mpmath at a = 800.  The demand pmfs, rows
+of the same terms, are held to a bound 20 times tighter than REL.
 """
 
 import contextlib
@@ -30,7 +30,7 @@ from scipy.special import hyp1f1
 from scipy.stats import poisson as ref
 
 from eolstop import _poisson
-from eolstop.demand import NAMED_KINDS, PMF_TAIL_EPS, build_named_intensity
+from eolstop.demand import NAMED_KINDS, PMF_TAIL_EPS, build_named_intensity, period_pmfs
 from eolstop.errors import NonNormalizable
 from eolstop.kernels import _support_caps
 from eolstop.settings import iter_settings, setting_intensity
@@ -63,17 +63,19 @@ def _assert_close(got, want, truth, on):
 
 
 def _reference(mu, top):
-    """P{N <= k} and P{N > k} at k = 0..top for each mu, from the definition:
-    the terms e^-mu mu^k / k! as one running product and their sums from
-    either end, in 80-bit long double, as float64 (len(mu), top + 1) arrays."""
-    cdf, sf = np.empty((len(mu), top + 1)), np.empty((len(mu), top + 1))
+    """P{N = k}, P{N <= k} and P{N > k} at k = 0..top for each mu, from the
+    definition: the terms e^-mu mu^k / k! as one running product and their
+    sums from either end, in 80-bit long double, as float64 (len(mu), top + 1)
+    arrays."""
+    pmf, cdf, sf = (np.empty((len(mu), top + 1)) for _ in range(3))
     for r, m in enumerate(mu):
         n = int(max(top, m) + 40 * math.sqrt(max(top, m)) + 100)
         m = np.longdouble(m)
         terms = np.cumprod(np.concatenate(([np.exp(-m)], m / np.arange(1, n, dtype=np.longdouble))))
+        pmf[r] = terms[:top + 1]
         cdf[r] = np.cumsum(terms)[:top + 1]
         sf[r] = np.cumsum(terms[::-1])[::-1][1:top + 2]
-    return cdf, sf
+    return pmf, cdf, sf
 
 
 @functools.lru_cache(maxsize=1)
@@ -92,18 +94,20 @@ def _model_rates():
 
 
 @extended
-@pytest.mark.parametrize("name", ["pmf", "cdf", "sf"])
+@pytest.mark.parametrize("name", ["term", "cdf"])
 def test_matches_scipy(name):
-    got, want = getattr(_poisson, name)(K, MU), getattr(ref, name)(K, MU)
+    # ``term`` is the pmf at integers k >= 0, ``cdf`` takes any k
+    pmf, cdf, _ = _grid_reference()
+    k = np.arange(2001)[:, None] if name == "term" else K
+    if name == "term":
+        got, want, truth = _poisson.term(k, MU), ref.pmf(k, MU), pmf.T
+    else:
+        got, want = _poisson.cdf(k, MU), ref.cdf(k, MU)
+        ki = np.floor(k[:, 0]).astype(int)
+        truth = cdf.T[np.maximum(ki, 0)]
+        truth[ki < 0] = 0.0
     assert got.dtype == want.dtype
-    if name == "pmf":  # the same formula, rounded the same way
-        assert np.array_equal(got, want)
-        return
     on = want >= TINY
-    cdf, sf = _grid_reference()
-    k = np.floor(K[:, 0]).astype(int)
-    truth = (cdf if name == "cdf" else sf).T[np.maximum(k, 0)]
-    truth[k < 0] = 0.0 if name == "cdf" else 1.0
     _assert_close(got, want, truth, on)
     assert np.all(np.abs(got - want)[~on] < 1e-280)
 
@@ -114,11 +118,38 @@ def test_cdf_of_one_k_over_many_mu():
     # is thinned from anchors two apart: the same bound, in any order
     mu = np.random.default_rng(5).permutation(
         np.concatenate(([0.0, 1e-300, 7.25, 21.999], np.linspace(0.0, 600.0, 1501))))
-    cdf = _reference(mu, 1000)[0]
+    cdf = _reference(mu, 1000)[1]
     for k in (22, 23, 60, 250, 599, 1000):
         got, want = _poisson.cdf(k, mu), ref.cdf(k, mu)
         _assert_close(got, want, cdf[:, k], want >= TINY)
         assert np.all(np.abs(got - want)[want < TINY] < 1e-280)
+
+
+@functools.lru_cache(maxsize=1)
+def _demand_rows():
+    """The demand pmf and tail rows of every model rate, and the long double
+    pmf at the same cells."""
+    rates = _model_rates()
+    pmfs, tails = period_pmfs(rates)
+    truth = _reference(rates, max(len(row) for row in pmfs) - 1)[0]
+    return pmfs, tails, [want[:len(row)] for row, want in zip(pmfs, truth)]
+
+
+@extended
+def test_demand_pmfs_match_the_definition():
+    # one row of terms per rate: each pmf within 1e-14 of the definition
+    pmfs, _, truth = _demand_rows()
+    for pmf, want in zip(pmfs, truth):
+        assert np.all(_rel(pmf, want)[want >= TINY] <= 1e-14)
+
+
+@extended
+def test_demand_pmf_and_tail_sum_to_one():
+    # the tails sum the same terms as the pmf: the mass the pmf keeps up to k
+    # plus the tail beyond k is within 2e-15 of 1 at every k of the row
+    pmfs, tails, _ = _demand_rows()
+    for pmf, tail in zip(pmfs, tails):
+        assert np.all(np.abs(np.cumsum(pmf) + tail - 1.0) <= 2e-15)
 
 
 @pytest.mark.parametrize("q", [1.0 - PMF_TAIL_EPS, 0.5])
@@ -143,9 +174,20 @@ def test_support_cap_brackets_the_tail():
     assert np.all((k == 0) | (ref.sf(k - 1, rates) > 1e-15 * (1 - 1e-12)))
 
 
-@pytest.mark.parametrize("name,arg", [("pmf", 3), ("cdf", 3), ("sf", 3), ("pmf", 2.5),
-                                      ("cdf", -1), ("sf", -1), ("ppf", 0.5)])
+@pytest.mark.parametrize("name,arg", [("cdf", 3), ("term", 3), ("term", 5000),
+                                      ("cdf", -1), ("ppf", 0.5)])
 def test_scalar_in_scalar_out(name, arg):
+    if name == "term":  # k = 5000 is past _DIRECT_K, in Loader's form, where
+        # scipy's pmf is off by 7.8e-13, so mpmath decides
+        import mpmath
+
+        mu = 2.0 if arg == 3 else 4000.0
+        got, want = _poisson.term(arg, mu), ref.pmf(arg, mu)
+        with mpmath.workdps(40):
+            truth = float(mpmath.exp(-mu) * mpmath.mpf(mu) ** arg / mpmath.factorial(arg))
+        assert type(got) is type(want)
+        _assert_close(got, want, truth, True)
+        return
     got, want = getattr(_poisson, name)(arg, 2.0), getattr(ref, name)(arg, 2.0)
     assert type(got) is type(want) and got == want
 
@@ -159,10 +201,10 @@ def test_tail_rows_match_gammainc(decay):
 
     rng = np.random.default_rng(3)
     b = np.concatenate(([1e-9, 0.3], rng.uniform(0.0, 60.0, 30), [60.0])) + decay
-    got = _poisson.tail_rows(b, 240)
+    got = _poisson.tail_rows(b, 240)[1]
     want = gammainc(np.arange(241) + 1.0, b[:, None])
     on = want >= TINY
-    truth = _reference(b, 240)[1]
+    truth = _reference(b, 240)[2]
     _assert_close(got, want, truth, on)
 
 

@@ -548,21 +548,21 @@ class TestSolveValues:
     # "<setting id>/<label>" -> sha256 of the solve_values array at K {0,
     # 1000, 5000} and x_max 1200, as float64 bytes
     PINNED_VALUES = {
-        "1/D/1/Z": "de68a8f017e2ce3c156b76eee2b50f2deb782ae0a41b2c4c40c29e2d9ebacf51",
-        "1/D/inf/F": "d507b8dd7ac1505bc45c1b694ff3751a901498cd87d0b01a7b5cde7df858a88e",
-        "1/D/2/F": "6e4477aa43c204ee7724dcca75a3be76b178e7265712edda0133fd59c867837e",
-        "1/S/1/Z": "6b8fe60195522b7db672396354364dc86d83393eaf7d40423ff0147d6d64c4a4",
-        "1/T/inf/F": "b5b2dbd79d7545c766ff63ce61b7ef7f96fdd2c532f266224a59e0494795ca38",
-        "62/D/1/Z": "8e3334a2eacaf95bef8b89f36c086cd58a037ac41cc1f116779f9af9d4e9d1ab",
-        "62/D/inf/F": "19f6d460db8f8c9dbc9d05af8e98b8500b89a3fd8b4cdc377d594146e0e7a68c",
-        "62/D/2/F": "0ab749c908dc2c530ef9d2cee4cd7be37a213e59b205b74253df8f5c096afd66",
-        "62/S/1/Z": "c35ab6b55494cfa9d57cac7c6312bf56fa4df6e1aa10a80be5c4ea1bf9ad00df",
-        "62/T/inf/F": "f25dc78ea7bc5d47d193e896000617d8a751d5d8fd2d898ce0dfae5be319b327",
-        "125/D/1/Z": "be3a94fbc5b6ad17a601acf867b933b67c8718d6ee32feec8e2c1860411d5d4c",
-        "125/D/inf/F": "98f3c556e0c6f01517f0929c68814eec8932cd697aefe40dbdb258d8070ff646",
-        "125/D/2/F": "e64e917e04767a5ef4d320b8e1c16511c536287e39d51ab66edc5f67b7d95296",
-        "125/S/1/Z": "f0541641a5592b2e63149684ab85cbf371c3fa9b6db0d33d0867a4233265c1da",
-        "125/T/inf/F": "80e7325dc9b36326c8b5a3e8f890a6c764c0e18e19a2413ce990453e2c0be66b",
+        "1/D/1/Z": "c1d39d057a3349a12586b0e7d8294f2d54e65f7ef247e963eef2b8b663fa2953",
+        "1/D/inf/F": "731ccd8fcdd4b9af36c1eda8928c98d875b368fe527991b030b32f43e85a935a",
+        "1/D/2/F": "bfa1b9cb340e37fb94f797e8c8839424d9418eb75b572364587b7d69270d587b",
+        "1/S/1/Z": "70bb0cd44d23532b829eec205b8d7a63d4714b69ce8271ca33c8536bae58f082",
+        "1/T/inf/F": "f8224e305bd90db3f5a21af7d07b28cb7a6e89e5923236af63c955119c177c43",
+        "62/D/1/Z": "42836e6f0ed0afe19e61b3cfd1f2a370085cc860735fd3818d4c0de8faad99c2",
+        "62/D/inf/F": "f4b08f2a4c338f0c08af5d50e1bf4f638c055aeacdf51d64549279334c13dc59",
+        "62/D/2/F": "be9fa122352220095151a6923b2b47195c338e7c76ef788b6f923922f9da100a",
+        "62/S/1/Z": "4e9f99fc7c8527b5d1aff60d0bd5694996b9ad7676558e1d9cb85f532f4c9b31",
+        "62/T/inf/F": "bd3e423974c881d165a0aacde1bf9321f3c1d19adc27d637b930212dd36afdd0",
+        "125/D/1/Z": "d0eb6eaba47a48c8db289bdb40dcacef4b4dc4916ca2d110c3e23c81125a3e21",
+        "125/D/inf/F": "4a016c8b24e32dad8568b5427eaf3e8f95aa12a9919b5e0bbf3e03b259057f80",
+        "125/D/2/F": "72e1cb6dc91bc280fdf5fb82c3436b70b6ee55ff00ffcfa86bb89c8f1437c2c8",
+        "125/S/1/Z": "7d1c6e2288097b12a2027d7e635a6da9c0da662a8a2d43e3e3e0eb34434a77f0",
+        "125/T/inf/F": "fe8760cbacd5245873ff8b51b58f4353732732b36b1b36288c376425758fec1c",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED_VALUES))
