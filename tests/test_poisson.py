@@ -96,16 +96,15 @@ def _model_rates():
 @extended
 @pytest.mark.parametrize("name", ["term", "cdf"])
 def test_matches_scipy(name):
-    # ``term`` is the pmf at integers k >= 0, ``cdf`` takes any k
     pmf, cdf, _ = _grid_reference()
-    k = np.arange(2001)[:, None] if name == "term" else K
-    if name == "term":
+    if name == "term":  # the pmf, at integers k >= 0
+        k = np.arange(2001)[:, None]
         got, want, truth = _poisson.term(k, MU), ref.pmf(k, MU), pmf.T
-    else:
-        got, want = _poisson.cdf(k, MU), ref.cdf(k, MU)
-        ki = np.floor(k[:, 0]).astype(int)
-        truth = cdf.T[np.maximum(ki, 0)]
-        truth[ki < 0] = 0.0
+    else:  # at any k
+        got, want = _poisson.cdf(K, MU), ref.cdf(K, MU)
+        k = np.floor(K[:, 0]).astype(int)
+        truth = cdf.T[np.maximum(k, 0)]
+        truth[k < 0] = 0.0
     assert got.dtype == want.dtype
     on = want >= TINY
     _assert_close(got, want, truth, on)
