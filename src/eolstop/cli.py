@@ -42,7 +42,7 @@ from .solver import (
     ModelSpec,
     StopMode,
     extract_regions,
-    solve,
+    solve_policies,
     solve_values,
 )
 
@@ -130,16 +130,17 @@ def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str, ids=None) -> np.nd
 
 
 def _solve_each(cfg: ExperimentConfig, labels, x0s):
-    """Solve each model label at each setup cost and each start in ``x0s``;
-    yields (label, K, x0, kernels, result, file tag).  ``labels`` is read
-    lazily."""
+    """Solve each model label at every K at once, per start in ``x0s`` only for
+    STATIC specs, whose switch epoch depends on x0; yields (label, K, x0,
+    kernels, result, file tag) in that order.  ``labels`` is read lazily."""
     base = cfg.build_kernels()
     for label in labels:
         spec = ModelSpec.parse(label)
-        for K in cfg.setup_costs:
-            kt = kernels_with_K(base, K)
-            for x0 in x0s:
-                yield label, K, x0, kt, solve(spec, kt, x0), f"{_tag(label)}_K{K:g}"
+        starts = x0s if spec.stop_mode is StopMode.STATIC else x0s[:1]
+        solved = {x0: solve_policies(spec, base, cfg.setup_costs, x0) for x0 in starts}
+        for (i, K), x0 in itertools.product(enumerate(cfg.setup_costs), x0s):
+            res = solved.get(x0, solved[x0s[0]])[i]  # a D or T result serves every x0
+            yield label, K, x0, kernels_with_K(base, K), res, f"{_tag(label)}_K{K:g}"
 
 
 def _write_regions_csv(path: Path, policy):
@@ -291,14 +292,14 @@ def _cmd_bounds(args, cfg, out_dir, timings):
 
 def _cmd_simulate(args, cfg, out_dir, timings):
     rows = []
-    # a STATIC policy's switch epoch depends on x0, so every x0 is solved
     for label, K, x0, kt, res, _ in _solve_each(cfg, cfg.models, cfg.x0):
         est = sim.evaluate_policy(res.policy, kt.params, kt.model, x0,
                                   paths=cfg.paths, seed=cfg.seed)
-        z = (est.mean - res.total_cost) / est.std_error if est.std_error else 0.0
-        rows.append([label, K, x0, f"{res.total_cost:.4f}", f"{est.mean:.4f}",
+        dp = float(res.values_at_zero[x0])  # the total cost of a solve at this x0
+        z = (est.mean - dp) / est.std_error if est.std_error else 0.0
+        rows.append([label, K, x0, f"{dp:.4f}", f"{est.mean:.4f}",
                      f"{est.std_error:.4f}", f"{z:.3f}"])
-        print(f"{label} K={K:g} x0={x0}: DP {res.total_cost:.1f}  "
+        print(f"{label} K={K:g} x0={x0}: DP {dp:.1f}  "
               f"MC {est.mean:.1f} +- {est.std_error:.1f}  (z={z:.2f})")
     _write_csv(out_dir / "simulate.csv", ["model", "K", "x0", "dp_value", "mc_mean", "mc_se", "z"],
                rows)

@@ -133,6 +133,8 @@ class ExperimentConfig:
         elif kind == "custom":
             if len(sources) != 1:
                 raise ConfigError("custom intensity needs exactly one of 'rates_file' and 'rates'")
+            if named := sorted({"horizon", "total_demand"} & set(self.intensity)):
+                raise ConfigError(f"custom intensity takes no {named}; its rates set both")
         else:
             raise ConfigError(f"intensity.kind must be one of {NAMED_KINDS + ('custom',)}")
         if not all(math.isfinite(k) and k >= 0 for k in self.setup_costs):

@@ -26,8 +26,8 @@ same K (in itself when the budget is unlimited); a finite budget's last
 layer, which never orders, is one K-free column (K = inf).  The column axis
 keeps size 1 until some layer may order (epoch T-1 for ``.../F``, 0 for
 ``.../Z``), so the no-order chain the columns share is computed once.
-``solve_values`` takes a list of tables; STATIC specs, and ``solve`` with
-its policy grids (one K, so one column per layer), keep one table per pass.
+``solve_values`` takes a list of tables; STATIC specs, and
+``solve_policies`` with its policy grids over every K, keep one table per pass.
 
 A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
@@ -190,12 +190,11 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     for DYNAMIC specs only.  ``original`` runs the un-reformulated form:
     one-period cost C and the stopping cost's outside-source tail.  Returns
     V(0) at the full budget layer as (len(tables), len(switch_epochs),
-    len(setup_costs), X+1) and, with ``grids`` (one table, one epoch, one
-    setup cost, so one column per layer), the (V, action, target) grids over
-    every epoch; without, no policy is filled.  Either way a chosen
-    order-up-to level at x_max raises CapSaturated once the pass is done,
-    naming every table that hit it and the first epoch (counting down) where
-    one did.
+    len(setup_costs), X+1) and, with ``grids`` (one table, one epoch), the
+    (V, action, target) grids over every epoch as (t, x, column), columns
+    as below; else no policy is filled.  Either way a chosen order-up-to
+    level at x_max raises CapSaturated once the pass is done, naming every
+    table that hit it and the first epoch (counting down) where one did.
     """
     kt0 = tables[0]
     T, X = kt0.horizon, kt0.x_max
@@ -240,7 +239,7 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
             G[s] += c[t]
         if original:
             stop_vec = scrap + stop_tail[t]
-        if grids:  # one table, one row and one column per layer
+        if grids:  # one table and one row
             ordering = np.zeros(V.shape[1:], dtype=bool)
         if t == 0 or spec.first_order is FirstOrder.FREE:
             if G.shape[2] < len(Kcol):  # the shared no-order chain splits into the columns
@@ -292,23 +291,36 @@ def _best_epoch(spec, kernels, setup_costs, original=False):
     return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 
-def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
-    """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
+def solve_policies(spec: ModelSpec, kernels: KernelTable, setup_costs,
+                   x0: int) -> list[SolveResult]:
+    """Each K's ``solve(spec, kernels_with_K(kernels, K), x0)``, bit for bit,
+    from one grids pass per switch epoch the K choose; each K's grids are its
+    columns of the pass, copied only where a finite budget's pass has several K."""
     if not 0 <= x0 <= kernels.x_max:
         raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
-    T, Ks, A = kernels.horizon, [kernels.params.K], kernels.A
-    switch_epoch = switch_values = None
-    if spec.stop_mode is StopMode.STATIC:  # commit to the best switch epoch for x0
-        best, best_k = _best_epoch(spec, kernels, Ks)
-        switch_epoch, switch_values = int(best_k[0, x0]), best[0] + A
-    _, (V, action, target) = _backward_pass(
-        spec, [kernels], Ks, [T if switch_epoch is None else switch_epoch], grids=True)
-    z0 = spec.layers - 1  # the whole budget is left at time zero
-    policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
-                         target=target, z0=z0, switch_epoch=switch_epoch)
-    return SolveResult(spec=spec, value_grid=ValueGrid(V=V, A=A),
-                       policy=policy, total_cost=float(V[0, x0, z0] + A),
-                       switch_values=switch_values)
+    T, A, b = kernels.horizon, kernels.A, spec.order_budget
+    best, epochs = None, [T] * len(setup_costs)
+    if spec.stop_mode is StopMode.STATIC:  # each K commits to its best switch epoch for x0
+        best, best_k = _best_epoch(spec, kernels, setup_costs)
+        epochs = best_k[:, x0].tolist()
+    grids = {e: _backward_pass(spec, [kernels], [K for K, k in zip(setup_costs, epochs) if k == e],
+                               [e], grids=True)[1] for e in set(epochs)}
+    z0, results = spec.layers - 1, []  # the whole budget is left at time zero
+    for i, e in enumerate(epochs):  # K's columns of its epoch's pass: see _backward_pass
+        j, n = epochs[:i].count(e), epochs.count(e)
+        cols = slice(j, None, n) if b is None or n == 1 else np.r_[0, 1 + j:1 + n * b:n]
+        V, action, target = (g[..., cols] for g in grids[e])
+        policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
+                             target=target, z0=z0, switch_epoch=None if best is None else e)
+        results.append(SolveResult(spec=spec, value_grid=ValueGrid(V=V, A=A), policy=policy,
+                                   total_cost=float(V[0, x0, z0] + A),
+                                   switch_values=None if best is None else best[i] + A))
+    return results
+
+
+def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
+    """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
+    return solve_policies(spec, kernels, [kernels.params.K], x0)[0]
 
 
 def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float:
@@ -340,9 +352,9 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
     """Total cost V(0, x) + A per setup cost (rows) and starting inventory.
 
     One backward pass serves every K, since the kernels do not depend on
-    it.  Rows equal ``solve(spec, kernels_with_K(kernels, K), x0).values_at_zero``;
-    for STATIC specs each x takes its own best switch epoch, as in
-    ``static_switch_values``.
+    it.  Row i equals ``solve_policies(spec, kernels, setup_costs,
+    x0)[i].values_at_zero``, except that for STATIC specs each x takes its
+    own best switch epoch, as in ``static_switch_values``.
 
     ``kernels`` may also be a list of tables that share the horizon, x_max
     and demand rates (ValueError otherwise); the result is then (table, K,

@@ -185,7 +185,7 @@ class TestCli:
         cfg = write_cfg(tmp_path, models=["S/1/Z"], setup_costs=Ks, x0=x0s)
         out = tmp_path / "o5"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(sweeps) == len(Ks)
+        assert len(sweeps) == 1  # one per (label, x0); solve reads the first x0 only
         with (out / "values.csv").open() as fh:
             got = {(float(r["K"]), int(r["x0"])): float(r["total_cost"])
                    for r in csv.DictReader(fh)}
@@ -439,6 +439,51 @@ def test_simulate_matches_direct_calls(tmp_path):
         assert list(csv.reader(fh)) == want
 
 
+def test_simulate_solves_once_per_label_and_static_start(tmp_path, monkeypatch):
+    # a D policy serves every K and x0 from one grids pass; an S policy
+    # depends on x0, so its switch-epoch sweep runs once per x0 (for all K)
+    from eolstop import ModelSpec, kernels_with_K, solve, solver
+
+    passes, sweeps = [], []
+    real_pass, real_sweep = solver._backward_pass, solver._best_epoch
+
+    def counted_pass(spec, *a, **kw):
+        if kw.get("grids"):
+            passes.append(spec.label)
+        return real_pass(spec, *a, **kw)
+
+    monkeypatch.setattr(solver, "_backward_pass", counted_pass)
+    monkeypatch.setattr(solver, "_best_epoch",
+                        lambda spec, *a, **kw: sweeps.append(spec.label) or real_sweep(spec, *a, **kw))
+    labels, Ks, x0s = ["D/inf/F", "D/1/Z", "S/1/Z"], [200.0, 2000.0], [9, 0, 20]
+    cfg = write_cfg(tmp_path, models=labels, setup_costs=Ks, x0=x0s, paths=50)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert passes.count("D/inf/F") == passes.count("D/1/Z") == 1
+    assert sweeps == ["S/1/Z"] * len(x0s)
+    with (tmp_path / "out" / "simulate.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["model"], float(r["K"]), int(r["x0"])) for r in rows] == [
+        (label, K, x0) for label in labels for K in Ks for x0 in x0s]
+    base = ExperimentConfig.from_json(cfg).build_kernels()
+    for r in rows:  # at K = 2000 the S model commits to epochs 1, 0 and 3
+        res = solve(ModelSpec.parse(r["model"]), kernels_with_K(base, float(r["K"])), int(r["x0"]))
+        assert r["dp_value"] == f"{res.total_cost:.4f}"
+
+
+def test_one_K_at_the_cap_exits_3(tmp_path):
+    # the first K never orders and fits; the second orders up to the cap,
+    # and the one pass over both K reports it as a numerical failure
+    from eolstop import ModelSpec, kernels_with_K, solve
+
+    cfg = write_cfg(tmp_path, x_max=3, x0=[0], models=["T/inf/F"], setup_costs=[1e12, 0.0],
+                    intensity={"kind": "constant", "horizon": 6, "total_demand": 30.0},
+                    costs={**TINY["costs"], "c2_bar": 5000.0})
+    base = ExperimentConfig.from_json(cfg).build_kernels()
+    solve(ModelSpec.parse("T/inf/F"), base, 0)
+    for command in ("solve", "simulate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 3
+
+
 def _config_commands():
     import argparse
 
@@ -652,6 +697,19 @@ def test_malformed_values_are_rejected(over, match):
     # rates source, even a missing file, was ignored
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict({**TINY, **over})
+
+
+@pytest.mark.parametrize("named", [{"horizon": 100}, {"total_demand": 5000},
+                                   {"horizon": 100, "total_demand": 5000}],
+                         ids=["horizon", "total_demand", "both"])
+def test_custom_intensity_takes_no_named_keys(tmp_path, capsys, named):
+    # the rates alone make a 4-period model; a horizon or total demand beside
+    # them was once ignored, so a config that read as T = 100 ran T = 4
+    cfg = write_cfg(tmp_path, intensity={"kind": "custom", "rates": [3, 3, 2, 1], **named})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"custom intensity takes no {sorted(named)}" in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
 
 
 def _fail(*a, **kw):

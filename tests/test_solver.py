@@ -26,7 +26,7 @@ from eolstop import (
 )
 from eolstop import _backends
 from eolstop.solver import (CONTINUE, ORDER, STOP, FirstOrder, StopMode, _backward_pass,
-                            _best_epoch, _check_cap)
+                            _best_epoch, _check_cap, solve_policies)
 
 from conftest import base_params, small_instance
 from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
@@ -572,6 +572,81 @@ class TestSolveValues:
         sid, label = case.split("/", 1)
         got = solve_values(ModelSpec.parse(label), _setting_kernels(int(sid)), [0.0, 1000.0, 5000.0])
         assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINNED_VALUES[case]
+
+
+def _assert_same_result(got, want):
+    """Every array bit for bit, every scalar with ==."""
+    for a, b in [(got.value_grid.V, want.value_grid.V), (got.policy.action, want.policy.action),
+                 (got.policy.target, want.policy.target)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.total_cost == want.total_cost and got.value_grid.A == want.value_grid.A
+    assert (got.policy.switch_epoch, got.policy.z0) == (want.policy.switch_epoch, want.policy.z0)
+    if want.switch_values is None:
+        assert got.switch_values is None
+    else:
+        assert np.array_equal(got.switch_values, want.switch_values)
+
+
+class TestSolvePolicies:
+    """One policy pass serves every K: each K's result is its own solve's."""
+
+    LABELS = ["D/inf/F", "D/2/F", "D/1/Z", "T/1/Z", "S/1/Z", "S/2/F"]
+
+    @staticmethod
+    def _check(spec, kt, Ks, x0):
+        got = solve_policies(spec, kt, Ks, x0)
+        assert len(got) == len(Ks)
+        for K, res in zip(Ks, got):
+            _assert_same_result(res, solve(spec, kernels_with_K(kt, K), x0))
+        return got
+
+    @pytest.mark.parametrize("label", LABELS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_instances(self, label, seed):
+        params, model, _, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        self._check(ModelSpec.parse(label), kt, [0.0, 20.0, 200.0], seed * x_max // 4)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_base_case(self, label, base_kernels):
+        self._check(ModelSpec.parse(label), base_kernels, [0.0, 1000.0, 5000.0], 100)
+
+    def test_static_K_choose_different_epochs(self):
+        # the CLI tests' T = 8 model: at x0 = 20 the two K commit to
+        # different switch epochs, so each takes its grids from its own pass
+        model = build_named_intensity("convex", 8, 24.0)
+        kt = build_kernel_table(base_params(T=8), model, ARR, x_max=60)
+        spec, Ks, x0 = ModelSpec.parse("S/1/Z"), [200.0, 2000.0], 20
+        got = self._check(spec, kt, Ks, x0)
+        assert got[0].policy.switch_epoch != got[1].policy.switch_epoch
+
+    @pytest.mark.parametrize("label", ["D/2/F", "S/1/Z", "D/inf/F"])
+    def test_repeated_K(self, label):
+        params, model, _, x_max = small_instance(1)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        got = self._check(ModelSpec.parse(label), kt, [200.0, 0.0, 200.0], 3)
+        _assert_same_result(got[0], got[2])
+
+    def test_one_K_is_one_solve(self, base_kernels):
+        # solve is the one-K case, and its grids are views of the pass, not copies
+        spec = ModelSpec.parse("D/2/F")
+        res = solve(spec, base_kernels, 100)
+        _assert_same_result(solve_policies(spec, base_kernels, [base_kernels.params.K], 100)[0],
+                            res)
+        assert all(g.base is not None for g in (res.value_grid.V, res.policy.action,
+                                                res.policy.target))
+
+    def test_one_K_at_the_cap_raises(self):
+        # demand far above the cap: at K = 0 the optimum orders up to x_max,
+        # while a setup cost that dwarfs every other cost never orders
+        model = IntensityModel(horizon=3, rates=np.array([6.0, 6.0, 6.0]))
+        kt = build_kernel_table(base_params(K=0.0, T=3, c2_bar=5000.0), model, ARR, x_max=8)
+        spec = ModelSpec.parse("T/inf/F")
+        solve(spec, kernels_with_K(kt, 1e12), 0)
+        with pytest.raises(CapSaturated):
+            solve(spec, kt, 0)
+        with pytest.raises(CapSaturated):
+            solve_policies(spec, kt, [1e12, 0.0], 0)
 
 
 def _shared_intensity_tables(ids, x_max=1200):
