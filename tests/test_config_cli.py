@@ -295,11 +295,13 @@ class TestCli:
         {"x_max": 40.5},
         {"paths": 10**13},
         {"tau_step": 1e-12},
+        {"intensity": {"kind": "custom", "rates": [3, 3, 2, 1], "horizon": 100,
+                       "total_demand": 5000}},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
             "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge",
             "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional",
-            "paths-huge", "tau_step-tiny"])
+            "paths-huge", "tau_step-tiny", "custom-with-named-keys"])
     def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
         # each is a config error: exit 2 before anything is solved or written,
         # so no kernel table (the first large allocation) is ever built
@@ -686,30 +688,19 @@ def test_manifest_records_the_package_revision_from_any_cwd(tmp_path, monkeypatc
     ({"intensity": {"kind": "custom", "rates": [4.0] * 8, "rates_file": "missing.txt"}},
      "exactly one of 'rates_file' and 'rates'"),
     ({"intensity": {**TINY["intensity"], "rates": [4.0] * 8}}, r"named intensity takes no \['rates'\]"),
+    ({"intensity": {"kind": "custom", "rates": [4.0] * 8, "horizon": 100}},
+     r"custom intensity takes no \['horizon'\]"),
 ], ids=["x0-str", "setup-str", "models-str", "models-int", "intensity-pairs", "xmax-bool",
         "x0-bool", "x0-str-item", "setup-bool", "schema-bool", "tau-inf", "total-str",
         "total-bool", "horizon-bool", "rates-str", "rates-bool", "rates-str-whole",
-        "setup-empty", "custom-both-sources", "named-with-rates"])
+        "setup-empty", "custom-both-sources", "named-with-rates", "custom-with-horizon"])
 def test_malformed_values_are_rejected(over, match):
     # "12" once parsed as x0 (1, 2), "05" as setup costs (0.0, 5.0), true as
     # 1, "24" as a total demand of 24.0 and ["4"] as a rate of 4.0; an empty
     # setup_costs once failed with "tuple index out of range", and a second
-    # rates source, even a missing file, was ignored
+    # rates source, even a missing file, or a custom horizon was ignored
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict({**TINY, **over})
-
-
-@pytest.mark.parametrize("named", [{"horizon": 100}, {"total_demand": 5000},
-                                   {"horizon": 100, "total_demand": 5000}],
-                         ids=["horizon", "total_demand", "both"])
-def test_custom_intensity_takes_no_named_keys(tmp_path, capsys, named):
-    # the rates alone make a 4-period model; a horizon or total demand beside
-    # them was once ignored, so a config that read as T = 100 ran T = 4
-    cfg = write_cfg(tmp_path, intensity={"kind": "custom", "rates": [3, 3, 2, 1], **named})
-    out = tmp_path / "out"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"custom intensity takes no {sorted(named)}" in capsys.readouterr().err
-    assert not (out / "values.csv").exists()
 
 
 def _fail(*a, **kw):

@@ -627,14 +627,20 @@ class TestSolvePolicies:
         got = self._check(ModelSpec.parse(label), kt, [200.0, 0.0, 200.0], 3)
         _assert_same_result(got[0], got[2])
 
-    def test_one_K_is_one_solve(self, base_kernels):
-        # solve is the one-K case, and its grids are views of the pass, not copies
-        spec = ModelSpec.parse("D/2/F")
-        res = solve(spec, base_kernels, 100)
-        _assert_same_result(solve_policies(spec, base_kernels, [base_kernels.params.K], 100)[0],
-                            res)
-        assert all(g.base is not None for g in (res.value_grid.V, res.policy.action,
-                                                res.policy.target))
+    @pytest.mark.parametrize("label", ["D/2/F", "S/1/Z"])
+    def test_one_K_grids_are_views_of_the_pass(self, label, monkeypatch):
+        from eolstop import solver
+
+        passes = []
+        real = solver._backward_pass
+        monkeypatch.setattr(solver, "_backward_pass",
+                            lambda *a, **kw: passes.append(real(*a, **kw)) or passes[-1])
+        params, model, _, x_max = small_instance(2)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        res = solve(ModelSpec.parse(label), kt, 3)
+        grids = passes[-1][1]  # the grids pass comes after an S model's sweep
+        assert all(np.shares_memory(g, r) for g, r in zip(
+            grids, (res.value_grid.V, res.policy.action, res.policy.target)))
 
     def test_one_K_at_the_cap_raises(self):
         # demand far above the cap: at K = 0 the optimum orders up to x_max,
