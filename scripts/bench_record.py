@@ -15,8 +15,16 @@ commit), or when one workload's paired runs differ in ``--seconds``.
 The file records the machine (``nproc`` and the Python, numpy and scipy
 versions of each side's records), each side's revision and, per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's median and quartiles
-over the paired runs, and how many pairs the change wins (strictly better in
-the metric's direction).  Standard library only.
+over the paired runs, how many pairs the change wins (strictly better in
+the metric's direction) and a label, against the metric's ``bound``:
+
+* ``regressed``: the change's median is worse than the parent's by more
+  than the bound, relative to the parent's median;
+* ``unresolved``: the parent's interquartile range is wider than the bound,
+  relative to its median, and not every change run beats every parent run;
+* ``ok``: otherwise.
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -87,10 +95,23 @@ def mismatch(pairs: dict) -> str | None:
     return None
 
 
+def label(metric: dict, parent: list[float], change: list[float]) -> str:
+    """``regressed``, ``unresolved`` or ``ok`` for one metric's paired runs;
+    see the module docstring."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * (c - p) < 0: c is better
+    p_sum, bound = summary(parent), metric["bound"]
+    if sign * (statistics.median(change) / p_sum["median"] - 1.0) > bound:
+        return "regressed"
+    all_beat = all(sign * (c - p) < 0 for c in change for p in parent)
+    if (p_sum["q3"] - p_sum["q1"]) / p_sum["median"] > bound and not all_beat:
+        return "unresolved"
+    return "ok"
+
+
 def compare(pairs: dict, metrics: list[dict]) -> dict:
     """Per workload and metric, over the seed pairs that both report it: both
-    sides' summaries, the change's median relative to the parent's, and the
-    change's wins."""
+    sides' summaries, the change's median relative to the parent's, the
+    change's wins and the label."""
     out = {}
     for workload, (parent, change) in pairs.items():
         rows = {}
@@ -106,7 +127,8 @@ def compare(pairs: dict, metrics: list[dict]) -> dict:
             rows[name] = {"unit": metric["unit"], "better": metric["better"],
                           "parent": p_sum, "change": c_sum,
                           "median_change": c_sum["median"] / p_sum["median"] - 1.0,
-                          "wins": wins, "pairs": len(both)}
+                          "wins": wins, "pairs": len(both),
+                          "label": label(metric, [p for p, _ in both], [c for _, c in both])}
         out[workload] = {"seeds": [r["seed"] for r in parent], "seconds": parent[0].get("seconds"),
                          "metrics": rows,
                          "failed": [sum(r["failed"] for r in side) for side in (parent, change)]}
@@ -142,7 +164,7 @@ def main(argv=None) -> int:
         for name, m in row["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
                   f"{m['unit']} ({100 * m['median_change']:+.1f}%), "
-                  f"change better in {m['wins']} of {m['pairs']} pairs")
+                  f"change better in {m['wins']} of {m['pairs']} pairs: {m['label']}")
     print(f"wrote {out}")
     return 0
 

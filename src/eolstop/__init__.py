@@ -30,9 +30,9 @@ from .errors import (
     CapSaturated,
     ConfigError,
     EolstopError,
+    NonFinite,
     NonNormalizable,
     NotFound,
-    OutOfGrid,
     OutOfHorizon,
     PolicyIncompatible,
     UnreachableState,
@@ -42,11 +42,6 @@ from .kernels import (
     build_kernel_table,
     build_kernel_tables,
     constant_A,
-    holding_cost,
-    one_period_cost,
-    reformulated_cost,
-    replacement_cost,
-    stopping_cost,
 )
 from .sim import (
     MartingaleReport,

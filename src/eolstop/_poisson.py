@@ -1,4 +1,4 @@
-"""Poisson pmf terms, cdf, tails and upper quantiles, and the Poisson mixture
+"""Poisson pmf terms, cdf, tails and tail cutoffs, and the Poisson mixture
 that gives 1F1, on numpy and ``math`` alone.
 
 No scipy module is imported: ``scipy.special`` alone took about 0.3 s of
@@ -23,9 +23,8 @@ the oracles of the tests.
   per mu on the cdfs at even integers in the range of mu, which are such
   sums plus terms, built in blocks of k and kept.  ``tail_rows`` gives one
   row of pmf terms per rate and the tails P{N > k} summed from those same
-  terms, the cdf from k = 0 and the sf from the far end; ``ppf`` and
-  ``tail_cutoff`` search a window of one row per rate that a Bennett bound
-  places.
+  terms, the cdf from k = 0 and the sf from the far end; ``tail_cutoff``
+  searches a window of one row per rate that a Bennett bound places.
 * ``hyp1f1_neg`` is 1F1(alpha; beta; -a) at integer 1 <= alpha < beta, as a
   Poisson(a) mixture of positive terms.
 
@@ -319,10 +318,10 @@ def tail_rows(mu, n):
     return p, np.clip(np.where(below, 1.0 - np.cumsum(p, axis=1), sf), 0, 1)
 
 
-def _first_in_tail(mu, eps, hit):
-    """The smallest k >= 0 at which hit(P{N > k}) holds, for a condition met
-    once P{N > k} <= eps < 1/2, so above the median (>= mu - log 2) and, by
-    Bennett's inequality, by mu + t with t^2 = 2 L (mu + t/3), L > -log eps."""
+def tail_cutoff(mu, eps):
+    """The smallest k with P{N > k} <= eps, for 0 < eps < 1/2: above the
+    median (>= mu - log 2) and, by Bennett's inequality, by mu + t with
+    t^2 = 2 L (mu + t/3), L > -log eps."""
     mu = np.asarray(mu, dtype=float)
     flat = mu.ravel()
     if not flat.size:
@@ -331,21 +330,9 @@ def _first_in_tail(mu, eps, hit):
     lo = np.maximum(np.floor(flat) - 1.0, 0.0)
     hi = np.ceil(flat + L / 3 + np.sqrt(L * L / 9 + 2 * L * flat))
     width = int((hi - lo).max()) + 1
-    found = hit(_window(flat, lo, width)[1])
+    found = _window(flat, lo, width)[1] <= eps
     found[:, -1] = True
     return (lo + np.argmax(found, axis=1)).reshape(mu.shape)[()]
-
-
-def ppf(q, mu):
-    """The smallest k with cdf(k, mu) >= q, for 1/2 <= q < 1."""
-    if not 0.5 <= q < 1.0:
-        raise ValueError("ppf takes 1/2 <= q < 1")
-    return _first_in_tail(mu, 1.0 - q, lambda s: 1.0 - s >= q)
-
-
-def tail_cutoff(mu, eps):
-    """The smallest k with P{N > k} <= eps, for 0 < eps < 1/2."""
-    return _first_in_tail(mu, eps, lambda s: s <= eps)
 
 
 def _log_factorial80(n):

@@ -37,7 +37,8 @@ from . import _backends
 from . import _poisson as poisson
 from .costs import CostParameters
 from .demand import IntensityModel
-from .errors import AssumptionViolated, NotFound, PolicyIncompatible, UnreachableState
+from .errors import (AssumptionViolated, NonFinite, NotFound, PolicyIncompatible,
+                     UnreachableState)
 from .kernels import constant_A
 from .solver import ORDER, STOP, PolicyTable, StopMode
 
@@ -179,7 +180,7 @@ def _delta2_x(params: CostParameters, model: IntensityModel, x: int, tau, n: _No
     """Delta^2_x C(x, tau): the boundary term at tau plus an integral."""
     j = x + 1  # the closed form indexes the Poisson terms one level up
     mu_tau, disc_tau, c2_tau = _model_at(params, model, tau)
-    c2p = -params.gamma * params.c3_bar * np.exp(-params.gamma * n.u)
+    c2p = -params.gamma * params.c3(n.u)
     return (disc_tau * (c2_tau + params.c4) * _pmf(j, mu_tau)
             + n.integrate(n.disc * (params.c1 - c2p + params.delta * n.c2) * _pmf(j, n.mu)))
 
@@ -219,7 +220,7 @@ def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
                       step: float = DEFAULT_TAU_STEP) -> SwitchCostCurve:
     """Evaluate the switch-cost curve and its inventory differences on the
     tau grid via cumulative per-panel quadrature, the panels split at unit
-    periods."""
+    periods; NonFinite if any of them is inf or NaN."""
     _require_assumptions(params, model)
     grid = _tau_grid(model, step)
     edges = np.union1d(grid, np.arange(1, model.horizon))
@@ -227,6 +228,8 @@ def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
     vals = _cost(params, x, nodes) + constant_A(params, model)
     d1 = _delta_x(params, x, nodes)
     d2 = _delta2_x(params, model, x, grid, nodes)
+    if not all(np.isfinite(a).all() for a in (vals, d1, d2)):
+        raise NonFinite("the switch-cost curve")
     return SwitchCostCurve(x=x, tau_grid=grid, values=vals, delta_x=d1, delta2_x=d2)
 
 

@@ -32,6 +32,7 @@ from .errors import (
     CapSaturated,
     ConfigError,
     EolstopError,
+    NonFinite,
     NotFound,
 )
 from .kernels import build_kernel_tables
@@ -46,7 +47,7 @@ from .solver import (
     solve_values,
 )
 
-_NUMERICAL_ERRORS = (CapSaturated, NotFound, AssumptionViolated)
+_NUMERICAL_ERRORS = (CapSaturated, NotFound, AssumptionViolated, NonFinite)
 # command-line flag -> the config key it overrides
 _OVERRIDES = {"convention": "convention", "xmax": "x_max", "seed": "seed", "paths": "paths"}
 

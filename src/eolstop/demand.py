@@ -79,11 +79,11 @@ class IntensityModel:
 
 def pmf_supports(rates) -> np.ndarray:
     """Per period, the largest demand count n_k its truncated pmf keeps: the
-    1 - PMF_TAIL_EPS quantile + 1 (0 at rate 0)."""
+    smallest k with P{N > k} <= PMF_TAIL_EPS, plus 1 (0 at rate 0)."""
     rates = np.asarray(rates, dtype=np.float64)
     n_sup = np.zeros(len(rates), dtype=np.int64)
     pos = rates > 0
-    n_sup[pos] = poisson.ppf(1.0 - PMF_TAIL_EPS, rates[pos]).astype(np.int64) + 1
+    n_sup[pos] = poisson.tail_cutoff(rates[pos], PMF_TAIL_EPS).astype(np.int64) + 1
     return n_sup
 
 

@@ -13,10 +13,6 @@ class OutOfHorizon(EolstopError, ValueError):
     """Time argument outside [0, T]."""
 
 
-class OutOfGrid(EolstopError, IndexError):
-    """(period, inventory) outside the kernel table bounds."""
-
-
 class CapSaturated(EolstopError):
     """An optimal order-up-to search hit the inventory cap; results would be truncated.
 
@@ -26,6 +22,14 @@ class CapSaturated(EolstopError):
     def __init__(self, message: str, tables=()):
         super().__init__(message)
         self.tables = tuple(tables)
+
+
+class NonFinite(EolstopError):
+    """A total cost, curve or estimate came out inf or NaN: the cost
+    parameters overflow float64."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} came out inf or NaN: the cost parameters overflow float64")
 
 
 class BudgetMisuse(EolstopError, ValueError):

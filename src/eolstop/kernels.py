@@ -8,12 +8,10 @@ integrals of the form
 
 where gammainc(i+1, b) is P{N_b > i} for N_b ~ Poisson(b), read off one
 Poisson tail row per period (``_poisson.tail_rows``) up to the period's
-support cap.  One row builder,
-``_kernel_rows``, turns these into the holding, lost-sales and reformulated
-kernels with running sums over the inventory axis; ``build_kernel_tables``
-calls it for every period at once, and each point kernel (``holding_cost``,
-``replacement_cost``, ``one_period_cost``, ``reformulated_cost``) reads one
-cell of period k's row.  The outside-source stream has one home too:
+support cap.  One row builder, ``_kernel_rows``, turns these into the
+holding, lost-sales and reformulated kernels with running sums over the
+inventory axis, for every period at once; the kernels are read only as rows
+of a ``KernelTable``.  The outside-source stream has one home too:
 ``_c3_period`` per period and ``_stop_tail``, its discounted tail.  The
 independent checks are fixed-order Gauss-Legendre quadrature of the same
 integrand (``unit_poisson_integrals_quadrature``) and the adaptive-quadrature
@@ -42,7 +40,6 @@ from numpy.polynomial.legendre import leggauss
 from . import _poisson as poisson
 from .costs import CostParameters, LostSalesConvention
 from .demand import IntensityModel
-from .errors import OutOfGrid
 
 
 def _unit_integral(a: float):
@@ -139,17 +136,15 @@ def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.nda
 
 
 def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSalesConvention,
-                 shared: _SharedRows, holding=None, lost: bool = True):
+                 shared: _SharedRows, H=None, lost: bool = True):
     """H, L and C_tilde at x = 0..width-1 for each period of ``periods``
-    (``shared.rates`` aligned with it), as ((H, slope), L, C_tilde), where
-    slope is H(x+1) - H(x) at the last column.
+    (``shared.rates`` aligned with it), as (H, L, C_tilde).
 
     The double sum in the holding kernel and the satisfied-demand sum in the
     replacement kernel are running sums over i, so the rows cost
     O(periods * width) beyond the per-period integral arrays, which are built
-    for all periods in one vectorised pass.  Once a row reaches past the
-    support cap, L and the satisfied-demand sum are flat and H grows by that
-    slope.  H depends on delta and c1 only: ``holding``, an (H, slope) pair
+    for all periods in one vectorised pass.  Past the support cap, L and the
+    satisfied-demand sum are flat.  H depends on delta and c1 only: ``H``,
     built on ``shared`` with the same two, is used as it is.  With ``lost``
     false, L is not built (None).
     """
@@ -158,19 +153,18 @@ def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSa
     m = P0.shape[1]  # the support columns; every running sum is flat past them
 
     # in-place steps keep the peak near the four (n, width) arrays of the table
-    if holding is None:
+    if H is None:
         q = np.empty((n, width))
         np.cumsum(P0, axis=1, out=q[:, :m])
         q[:, m:] = q[:, m - 1:m]
         H = np.zeros((n, width))
-        holding = H, params.c1 * q[:, -1]
         np.multiply(np.cumsum(q, axis=1, out=q)[:, :-1], params.c1, out=H[:, 1:])
         del q
     sub = np.cumsum(R_c2, axis=1)  # sum_{i<=x} at x < m, then flat
     if convention is LostSalesConvention.ARRIVAL:  # sum_{i<=x-1}, empty at x=0
         sub = np.concatenate((np.zeros((n, 1)), sub[:, :width - 1]), axis=1)
     k = sub.shape[1]
-    Ct = holding[0] + prem_full[:, None]
+    Ct = H + prem_full[:, None]
     Ct[:, :k] -= sub
     Ct[:, k:] -= sub[:, -1:]
     Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
@@ -180,68 +174,19 @@ def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSa
         np.subtract(c2_full[:, None], sub, out=L[:, :k])
         L[:, k:] = L[:, k - 1:k]
         np.maximum(L, 0.0, out=L)  # the exact tail cancels to rounding noise
-    return holding, L, Ct
+    return H, L, Ct
 
 
-def _checked(params: CostParameters, model: IntensityModel, k: int = 0, x: int = 0,
-             last: int | None = None):
-    """OutOfGrid unless 0 <= k <= last (default T-1) and x >= 0; ValueError
-    when the parameters and the model disagree on the horizon."""
-    last = params.horizon - 1 if last is None else last
-    if not 0 <= k <= last:
-        raise OutOfGrid(f"period k={k} outside 0..{last}")
+def _checked(params: CostParameters, model: IntensityModel):
+    """ValueError when the parameters and the model disagree on the horizon."""
     if params.horizon != model.horizon:
         raise ValueError("cost parameters and intensity model disagree on the horizon")
-    if x < 0:
-        raise OutOfGrid("inventory must be non-negative")
-
-
-def _cell(params, model, convention, k: int, x: int):
-    """H, L and C_tilde at (k, x) from period k's row, built to
-    min(x, cap + 1) so the cost stays O(support cap) in x."""
-    _checked(params, model, k, x)
-    rates = model.rates[k:k + 1]
-    xr = min(x, int(_support_caps(rates)[0]) + 1)
-    (H, slope), L, Ct = _kernel_rows(params, np.array([k]), convention,
-                                     _SharedRows(rates, xr + 1))
-    extra = (x - xr) * slope[0]
-    return H[0, xr] + extra, L[0, xr], Ct[0, xr] + extra
-
-
-def holding_cost(params: CostParameters, model: IntensityModel, k: int, x: int) -> float:
-    """Expected discounted holding cost over period k starting with x units."""
-    return float(_cell(params, model, LostSalesConvention.ARRIVAL, k, x)[0])
-
-
-def replacement_cost(params: CostParameters, model: IntensityModel,
-                     convention: LostSalesConvention, k: int, x: int) -> float:
-    """Expected discounted lost-sales cost over period k starting with x units."""
-    return float(_cell(params, model, convention, k, x)[1])
-
-
-def one_period_cost(params, model, convention, k: int, x: int) -> float:
-    H, L, _ = _cell(params, model, convention, k, x)
-    return float(H + L)
-
-
-def reformulated_cost(params, model, convention, k: int, x: int) -> float:
-    """One-period cost net of the policy-independent outside-source stream.
-
-    At x = 0 this is the lost-sales premium integral; for x >= 1 the final
-    sum's upper index follows the active convention.
-    """
-    return float(_cell(params, model, convention, k, x)[2])
-
-
-def stopping_cost(params: CostParameters, model: IntensityModel, k: int, x: int) -> float:
-    """Scrap plus the expected discounted outside-source stream from k to T."""
-    _checked(params, model, k, x, last=params.horizon)
-    return params.c4 * x + float(_stop_tail(params, model.rates)[k])
 
 
 def constant_A(params: CostParameters, model: IntensityModel) -> float:
     """E of the discounted outside-source cost of every arrival on [0, T]."""
-    return stopping_cost(params, model, 0, 0)
+    _checked(params, model)
+    return float(_stop_tail(params, model.rates)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +222,8 @@ class KernelTable:
 
     @cached_property
     def _original_rows(self):
-        (H, _), L, _ = _kernel_rows(self.params, np.arange(self.horizon), self.convention,
-                                    _SharedRows(self.model.rates, self.x_max + 1))
+        H, L, _ = _kernel_rows(self.params, np.arange(self.horizon), self.convention,
+                               _SharedRows(self.model.rates, self.x_max + 1))
         return H, L, H + L
 
     @property
@@ -323,13 +268,13 @@ def build_kernel_tables(params_list, model: IntensityModel,
     periods = np.arange(model.horizon)
     shared = _SharedRows(model.rates, x_max + 1)
     tables = [None] * len(params_list)
-    key = holding = None
+    key = H = None
     for i in sorted(range(len(params_list)),
                     key=lambda j: (params_list[j].delta, params_list[j].c1)):
         params = params_list[i]
         if (params.delta, params.c1) != key:
-            key, holding = (params.delta, params.c1), None  # drop the last block first
-        holding, _, Ct = _kernel_rows(params, periods, convention, shared, holding, lost=False)
+            key, H = (params.delta, params.c1), None  # drop the last block first
+        H, _, Ct = _kernel_rows(params, periods, convention, shared, H, lost=False)
         stop_tail = _stop_tail(params, model.rates)
         tables[i] = KernelTable(
             params=params,

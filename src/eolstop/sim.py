@@ -23,7 +23,7 @@ import numpy as np
 from . import _backends
 from .costs import CostParameters
 from .demand import IntensityModel
-from .errors import UnreachableState
+from .errors import NonFinite, UnreachableState
 from .kernels import constant_A
 from .solver import ORDER, STOP, PolicyTable
 
@@ -132,6 +132,8 @@ def evaluate_policy(
 
     mean = float(cost.mean())
     se = float(cost.std(ddof=1) / np.sqrt(paths))
+    if not np.isfinite([mean, se]).all():
+        raise NonFinite("the Monte Carlo mean or its standard error")
     return SimEstimate(mean=mean, std_error=se, paths=paths, seed=seed)
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backends
-from .errors import BudgetMisuse, CapSaturated
+from .errors import BudgetMisuse, CapSaturated, NonFinite
 from .kernels import KernelTable
 
 CONTINUE, STOP, ORDER = 0, 1, 2
@@ -194,7 +194,9 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     (V, action, target) grids over every epoch as (t, x, column), columns
     as below; else no policy is filled.  Either way a chosen order-up-to
     level at x_max raises CapSaturated once the pass is done, naming every
-    table that hit it and the first epoch (counting down) where one did.
+    table that hit it and the first epoch (counting down) where one did, and
+    a total V(0, x) + A (V(0, x) if ``original``) that is not finite raises
+    NonFinite.
     """
     kt0 = tables[0]
     T, X = kt0.horizon, kt0.x_max
@@ -275,6 +277,9 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         raise CapSaturated(f"order-up-to reached x_max={X} at epoch {cap_epoch}; raise the cap",
                            tables=np.flatnonzero(capped).tolist())
     V0 = np.broadcast_to(W[:, :, -nK:], W.shape[:2] + (nK, X + 1))
+    A = 0.0 if original else np.array([kt.A for kt in tables]).reshape(col)
+    if not np.isfinite(V0 + A).all():
+        raise NonFinite("a total cost")
     if not grids:
         return V0, None
     return V0, tuple(g.transpose(0, 2, 1) for g in (V, action, target))

@@ -72,3 +72,25 @@ def test_unpairable_records_exit_2(tmp_path, parent, change, message):
     run = _run(tmp_path)
     assert run.returncode == 2 and message in run.stderr
     assert not (tmp_path / "BENCH_7.json").exists()
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # the median is 30% worse, past wall_s's bound of 0.25
+    ([1.6, 1.7, 1.5, 1.8, 1.65], [2.1, 2.2, 2.0, 2.3, 2.15], "regressed"),
+    # 15% worse: within the bound
+    ([1.6, 1.7, 1.5, 1.8, 1.65], [1.9, 1.95, 1.85, 2.0, 1.9], "ok"),
+    # the parent's runs spread by 0.8 / 1.5 of their median, and the runs overlap
+    ([1.0, 2.0, 1.5, 3.0, 1.2], [1.5, 1.6, 1.4, 1.7, 1.5], "unresolved"),
+    # as widely spread, but every change run beats every parent run
+    ([2.0, 3.0, 2.5, 4.0, 2.2], [1.0, 1.1, 1.2, 1.3, 1.4], "ok"),
+], ids=["regressed", "within-bound", "unresolved", "separated"])
+def test_each_metric_is_labelled(tmp_path, parent, change, want):
+    _write(tmp_path / "parent", [_record(s, w, revision="p") for s, w in enumerate(parent, 1)])
+    _write(tmp_path / "change", [_record(s, w, revision="c") for s, w in enumerate(change, 1)])
+    run = _run(tmp_path)
+    assert run.returncode == 0, run.stderr
+    metrics = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]["sweep384"]["metrics"]
+    assert metrics["wall_s"]["label"] == want
+    assert metrics["setup_s"]["label"] == metrics["peak_rss_mb"]["label"] == "ok"  # equal runs
+    line = next(ln for ln in run.stdout.splitlines() if ln.startswith("sweep384 wall_s:"))
+    assert line.endswith(f"pairs: {want}")

@@ -486,6 +486,29 @@ def test_one_K_at_the_cap_exits_3(tmp_path):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 3
 
 
+# finite costs whose sums overflow float64: every total cost, the switch-cost
+# curve and the Monte Carlo mean come out inf or NaN
+OVERFLOW = dict(intensity={"kind": "convex", "horizon": 6, "total_demand": 30.0},
+                costs={"c_bar": 1e306, "c1": 1e306, "c2_bar": 1e307, "c3_bar": 1e307,
+                       "gamma": 0.01, "c4": 1e305, "delta": 0.005},
+                setup_costs=[0.0, 1e307], x0=[0, 3], x_max=60,
+                models=["D/inf/F", "S/1/Z", "T/1/Z"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", [["solve"], ["compare", "D/inf/F", "S/1/Z"], ["bounds"],
+                                  ["simulate"]], ids=lambda argv: argv[0])
+def test_overflowing_costs_exit_3_before_any_report(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, **OVERFLOW)
+    assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "inf or NaN" in captured.err
+    assert not out.exists()
+
+
 def _config_commands():
     import argparse
 

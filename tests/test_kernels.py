@@ -7,15 +7,9 @@ from eolstop import (
     CostParameters,
     IntensityModel,
     LostSalesConvention,
-    OutOfGrid,
     build_kernel_table,
     build_named_intensity,
     constant_A,
-    holding_cost,
-    one_period_cost,
-    reformulated_cost,
-    replacement_cost,
-    stopping_cost,
 )
 from eolstop.kernels import (
     _unit_poisson_rows,
@@ -29,6 +23,17 @@ from scalar_kernels import period_c3_term
 
 ARR = LostSalesConvention.ARRIVAL
 PAP = LostSalesConvention.PAPER
+# a zero-rate period, and a 40-per-period one whose support cap exceeds 30
+EDGE_MODEL = IntensityModel(horizon=4, rates=np.array([0.0, 3.0, 40.0, 0.5]))
+
+
+def table(params, model, conv=ARR, x_max=300):
+    return build_kernel_table(params, model, conv, x_max=x_max)
+
+
+def stop_cost(kt, k, x):
+    """S(k, x) = c4*x + stop_tail[k] from the table."""
+    return kt.params.c4 * x + kt.stop_tail[k]
 
 
 def quad_L(params, model, k, x, upper):
@@ -75,97 +80,82 @@ class TestIntegralEngine:
 
 
 class TestHoldingCost:
-    def test_zero_inventory(self, base_model):
-        p = base_params()
+    def test_zero_inventory(self, base_kernels):
         for k in (0, 17, 49):
-            assert holding_cost(p, base_model, k, 0) == 0.0
+            assert base_kernels.H[k, 0] == 0.0
 
     def test_closed_form_single_unit(self):
         # delta = 0, lam = 2, c1 = 1, x = 1  ->  (1 - e^-2)/2
         m = IntensityModel(horizon=1, rates=np.array([2.0]))
-        p = base_params(T=1, delta=0.0)
-        val = holding_cost(p, m, 0, 1)
+        val = table(base_params(T=1, delta=0.0), m).H[0, 1]
         assert val == pytest.approx((1 - np.exp(-2)) / 2, rel=1e-12)
         assert val == pytest.approx(0.43233235838169365, rel=1e-9)
 
     def test_no_demand_full_period(self):
         m = IntensityModel(horizon=1, rates=np.array([0.0]))
-        p = base_params(T=1, delta=0.0)
-        assert holding_cost(p, m, 0, 3) == pytest.approx(3.0, rel=1e-12)
+        assert table(base_params(T=1, delta=0.0), m).H[0, 3] == pytest.approx(3.0, rel=1e-12)
 
-    def test_against_quadrature(self, base_model):
+    def test_against_quadrature(self, base_model, base_kernels):
         p = base_params()
         for k, x in [(0, 1), (0, 7), (12, 3), (49, 2)]:
-            assert holding_cost(p, base_model, k, x) == pytest.approx(
+            assert base_kernels.H[k, x] == pytest.approx(
                 quad_H(p, base_model, k, x), rel=1e-9
             )
-
-    def test_out_of_grid(self, base_model):
-        with pytest.raises(OutOfGrid):
-            holding_cost(base_params(), base_model, 50, 1)
 
 
 class TestReplacementCost:
     def test_zero_when_no_penalty(self, base_model):
-        p = base_params(c2_bar=0.0, c3_bar=0.0)
+        kt = table(base_params(c2_bar=0.0, c3_bar=0.0), base_model)
         for k, x in [(0, 0), (5, 3), (49, 10)]:
-            assert replacement_cost(p, base_model, ARR, k, x) == pytest.approx(0.0, abs=1e-15)
+            assert kt.L[k, x] == pytest.approx(0.0, abs=1e-15)
 
-    def test_vanishes_for_large_inventory(self, base_model):
-        p = base_params()
-        l0 = replacement_cost(p, base_model, ARR, 0, 0)
-        assert replacement_cost(p, base_model, ARR, 0, 1200) < 1e-6 * l0
+    def test_vanishes_for_large_inventory(self, base_kernels):
+        assert base_kernels.L[0, 1200] < 1e-6 * base_kernels.L[0, 0]
 
     def test_all_arrivals_lost_at_zero_stock(self):
         # delta = gamma = 0, lam = 2, c2 = 1: every arrival lost -> cost 2
         m = IntensityModel(horizon=1, rates=np.array([2.0]))
         p = base_params(T=1, delta=0.0, gamma=0.0, c2_bar=1.0, c3_bar=0.0)
-        assert replacement_cost(p, m, ARR, 0, 0) == pytest.approx(2.0, rel=1e-12)
+        assert table(p, m).L[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("conv,upper_of", [(ARR, lambda x: x - 1), (PAP, lambda x: x)])
     def test_against_quadrature(self, base_model, conv, upper_of):
         p = base_params()
+        kt = table(p, base_model, conv)
         for k, x in [(0, 0), (0, 4), (30, 2)]:
-            assert replacement_cost(p, base_model, conv, k, x) == pytest.approx(
+            assert kt.L[k, x] == pytest.approx(
                 quad_L(p, base_model, k, x, upper_of(x)), rel=1e-9
             )
 
-    def test_conventions_differ_by_one_term(self, base_model):
-        p = base_params()
-        diff = replacement_cost(p, base_model, ARR, 3, 5) - replacement_cost(p, base_model, PAP, 3, 5)
+    def test_conventions_differ_by_one_term(self, base_kernels, base_kernels_paper):
+        diff = base_kernels.L[3, 5] - base_kernels_paper.L[3, 5]
         assert diff > 0  # the paper-printed sum subtracts one extra term
 
 
 class TestOnePeriodCost:
     def test_zero_case(self, base_model):
-        p = base_params(c2_bar=0.0, c3_bar=0.0)
-        assert one_period_cost(p, base_model, ARR, 0, 0) == 0.0
+        assert table(base_params(c2_bar=0.0, c3_bar=0.0), base_model).C[0, 0] == 0.0
 
-    def test_is_sum_of_kernels(self, base_model):
-        p = base_params()
+    def test_is_sum_of_kernels(self, base_kernels):
+        kt = base_kernels
         for k, x in [(0, 0), (7, 11), (49, 120)]:
-            assert one_period_cost(p, base_model, ARR, k, x) == pytest.approx(
-                holding_cost(p, base_model, k, x)
-                + replacement_cost(p, base_model, ARR, k, x),
-                rel=1e-15,
-            )
+            assert kt.C[k, x] == pytest.approx(kt.H[k, x] + kt.L[k, x], rel=1e-15)
 
 
 class TestStoppingCost:
-    def test_terminal_is_scrap_only(self, base_model):
-        p = base_params()
-        assert stopping_cost(p, base_model, 50, 10) == pytest.approx(250.0)
+    def test_terminal_is_scrap_only(self, base_kernels):
+        assert stop_cost(base_kernels, 50, 10) == pytest.approx(250.0)
 
     def test_no_outside_source(self, base_model):
-        p = base_params(c3_bar=0.0)
-        assert stopping_cost(p, base_model, 3, 7) == pytest.approx(7 * 25.0)
+        kt = table(base_params(c3_bar=0.0), base_model)
+        assert stop_cost(kt, 3, 7) == pytest.approx(7 * 25.0)
 
     def test_undiscounted_collapses_to_mean_demand(self, base_model):
-        p = base_params(delta=0.0, gamma=0.0)
+        kt = table(base_params(delta=0.0, gamma=0.0), base_model)
         want = 25.0 * 4 + 200.0 * base_model.total_demand
-        assert stopping_cost(p, base_model, 0, 4) == pytest.approx(want, rel=1e-12)
+        assert stop_cost(kt, 0, 4) == pytest.approx(want, rel=1e-12)
 
-    def test_against_quadrature(self, base_model):
+    def test_against_quadrature(self, base_model, base_kernels):
         p = base_params()
         k = 20
         tail = quad(
@@ -174,47 +164,38 @@ class TestStoppingCost:
             k, 50, epsabs=1e-10, epsrel=1e-12, limit=400,
             points=list(range(k, 51)),
         )[0]
-        assert stopping_cost(p, base_model, k, 6) == pytest.approx(25.0 * 6 + tail, rel=1e-8)
+        assert stop_cost(base_kernels, k, 6) == pytest.approx(25.0 * 6 + tail, rel=1e-8)
 
 
 class TestReformulatedCost:
     def test_vanishes_without_premium(self, base_model):
-        p = base_params(c2_bar=0.0)
-        assert reformulated_cost(p, base_model, ARR, 4, 0) == pytest.approx(0.0, abs=1e-15)
+        kt = table(base_params(c2_bar=0.0), base_model)
+        assert kt.C_tilde[4, 0] == pytest.approx(0.0, abs=1e-15)
 
-    def test_identity_with_one_period_cost(self, base_model):
+    def test_identity_with_one_period_cost(self, base_model, base_kernels):
         # C - C_tilde equals the period's outside-source integral
-        p = base_params()
+        p, kt = base_params(), base_kernels
         for k in (0, 13, 49):
             c3k = period_c3_term(p, base_model, k)
             for x in (0, 1, 2, 9, 40):
-                lhs = one_period_cost(p, base_model, ARR, k, x) - reformulated_cost(
-                    p, base_model, ARR, k, x
-                )
-                assert lhs == pytest.approx(c3k, rel=1e-12)
+                assert kt.C[k, x] - kt.C_tilde[k, x] == pytest.approx(c3k, rel=1e-12)
 
-    def test_paper_mode_identity_only_beyond_zero(self, base_model):
+    def test_paper_mode_identity_only_beyond_zero(self, base_model, base_kernels_paper):
         # the printed x = 0 special case follows the arrival accounting, so
         # under the paper-printed convention the identity breaks exactly there
-        p = base_params()
-        c30 = period_c3_term(p, base_model, 0)
+        kt = base_kernels_paper
+        c30 = period_c3_term(base_params(), base_model, 0)
         for x in (1, 3, 8):
-            lhs = one_period_cost(p, base_model, PAP, 0, x) - reformulated_cost(
-                p, base_model, PAP, 0, x
-            )
-            assert lhs == pytest.approx(c30, rel=1e-12)
-        mismatch = one_period_cost(p, base_model, PAP, 0, 0) - reformulated_cost(
-            p, base_model, PAP, 0, 0
-        )
-        assert abs(mismatch - c30) > 1e-6
+            assert kt.C[0, x] - kt.C_tilde[0, x] == pytest.approx(c30, rel=1e-12)
+        assert abs(kt.C[0, 0] - kt.C_tilde[0, 0] - c30) > 1e-6
 
-    def test_base_case_x0_against_quadrature(self, base_model):
+    def test_base_case_x0_against_quadrature(self, base_model, base_kernels):
         # premium integral: int_0^1 e^{-delta u} (c2 - c3)(u) lam(u) du
         p = base_params()
         lam = base_model.rates[0]
         want = quad(lambda u: np.exp(-p.delta * u) * p.c2_bar * lam, 0, 1,
                     epsabs=1e-13, epsrel=1e-13)[0]
-        assert reformulated_cost(p, base_model, ARR, 0, 0) == pytest.approx(want, rel=1e-9)
+        assert base_kernels.C_tilde[0, 0] == pytest.approx(want, rel=1e-9)
 
 
 class TestConstantA:
@@ -227,46 +208,29 @@ class TestConstantA:
 
 
 class TestKernelTable:
-    def test_matches_direct_evaluation(self, base_model):
-        p = base_params()
-        for conv in (ARR, PAP):
-            kt = build_kernel_table(p, base_model, conv, x_max=300)
-            rng = np.random.default_rng(5)
-            for _ in range(25):
-                k = int(rng.integers(0, 50))
-                x = int(rng.integers(0, 301))
-                # 1e-12 relative to the kernel's natural scale
-                tol = dict(rel=1e-12, abs=1e-12 * max(1.0, kt.L[k, 0]))
-                assert kt.H[k, x] == pytest.approx(holding_cost(p, base_model, k, x), **tol)
-                assert kt.L[k, x] == pytest.approx(
-                    replacement_cost(p, base_model, conv, k, x), **tol)
-                assert kt.C_tilde[k, x] == pytest.approx(
-                    reformulated_cost(p, base_model, conv, k, x), **tol)
-            assert kt.A == pytest.approx(constant_A(p, base_model), rel=1e-12)
-            assert kt.stop_tail[17] == pytest.approx(
-                stopping_cost(p, base_model, 17, 0), rel=1e-12)
-
     @pytest.mark.parametrize("conv", [ARR, PAP])
-    def test_every_cell_matches_point_functions_at_edges(self, conv):
-        # a zero-rate period, and x_max below the support cap of the 40/period one
-        model = IntensityModel(horizon=4, rates=np.array([0.0, 3.0, 40.0, 0.5]))
+    def test_clipped_table_matches_wider_table_at_edges(self, conv):
+        # x_max = 30 clips the support cap of EDGE_MODEL's 40/period period;
+        # x_max = 300 holds every cap, and its first 31 columns are the same
         p = base_params(T=4)
-        kt = build_kernel_table(p, model, conv, x_max=30)
+        kt = build_kernel_table(p, EDGE_MODEL, conv, x_max=30)
+        wide = build_kernel_table(p, EDGE_MODEL, conv, x_max=300)
         for k in range(4):
             tol = dict(rel=1e-12, abs=1e-12 * max(1.0, kt.L[k, 0]))
-            for x in range(31):
-                assert kt.H[k, x] == pytest.approx(holding_cost(p, model, k, x), **tol)
-                assert kt.L[k, x] == pytest.approx(replacement_cost(p, model, conv, k, x), **tol)
-                assert kt.C_tilde[k, x] == pytest.approx(
-                    reformulated_cost(p, model, conv, k, x), **tol)
-            assert kt.c3_period[k] == pytest.approx(period_c3_term(p, model, k), rel=1e-12)
-            assert kt.stop_tail[k] == pytest.approx(stopping_cost(p, model, k, 0), rel=1e-12)
+            for name in ("H", "L", "C", "C_tilde"):
+                assert getattr(kt, name)[k] == pytest.approx(
+                    getattr(wide, name)[k, :31], **tol), (name, k)
+            assert kt.c3_period[k] == pytest.approx(period_c3_term(p, EDGE_MODEL, k), rel=1e-12)
             n = len(kt.pmfs[k])
-            np.testing.assert_allclose(kt.pmfs[k], poisson.pmf(np.arange(n), model.rates[k]),
+            np.testing.assert_allclose(kt.pmfs[k],
+                                       poisson.pmf(np.arange(n), EDGE_MODEL.rates[k]),
                                        rtol=2e-13, atol=0)
         no_demand = p.c1 * np.arange(31) * (1.0 - np.exp(-p.delta)) / p.delta
         assert np.all(kt.L[0] == 0.0) and kt.H[0] == pytest.approx(no_demand, rel=1e-12)
         assert list(kt.pmfs[0]) == [1.0] and list(kt.pmf_tails[0]) == [0.0]
+        assert kt.A == constant_A(p, EDGE_MODEL)
+        with pytest.raises(ValueError, match="horizon"):
+            constant_A(base_params(), EDGE_MODEL)
 
     def test_monotonicity_and_additivity(self, base_kernels):
         kt = base_kernels
@@ -309,10 +273,9 @@ class TestTailSumIdentity:
 
 
 # ---------------------------------------------------------------------------
-# values recorded before the point kernels became rows of the table builder
+# kernel tables pinned bit for bit
 # ---------------------------------------------------------------------------
 
-EDGE_MODEL = IntensityModel(horizon=4, rates=np.array([0.0, 3.0, 40.0, 0.5]))
 KT_FIELDS = ("H", "L", "C", "C_tilde", "c3_period", "stop_tail", "A", "pmfs", "pmf_tails")
 # "<setting id or edge>/<convention>" -> sha256 of "field sha256\n" over
 # KT_FIELDS, each field as float64 bytes (pmf rows each followed by "|");
@@ -355,71 +318,6 @@ def test_kernel_table_is_pinned(case):
         kt = build_kernel_table(setting_cost_params(s, 0.0), setting_intensity(s), conv, x_max=1200)
     digest, listing = _table_digest(kt)
     assert digest == PINNED_TABLES[case], listing
-
-
-# every point kernel as f(params, model, k, x)
-POINT_KERNELS = {
-    "H": holding_cost,
-    "L/arrival": lambda p, m, k, x: replacement_cost(p, m, ARR, k, x),
-    "L/paper": lambda p, m, k, x: replacement_cost(p, m, PAP, k, x),
-    "C/arrival": lambda p, m, k, x: one_period_cost(p, m, ARR, k, x),
-    "C/paper": lambda p, m, k, x: one_period_cost(p, m, PAP, k, x),
-    "Ct/arrival": lambda p, m, k, x: reformulated_cost(p, m, ARR, k, x),
-    "Ct/paper": lambda p, m, k, x: reformulated_cost(p, m, PAP, k, x),
-    "S": stopping_cost,
-}
-# (model, k) -> x -> POINT_KERNELS values in order
-HUGE_X = {
-    ("base", 0): {
-        10**6: (997479.1155598711, 0.0, 0.0, 997479.1155598711, 997479.1155598711,
-                987502.3238199952, 987502.3238199952, 25087765.15847341),
-        10**9: (997504136.4176334, 0.0, 0.0, 997504136.4176334, 997504136.4176334,
-                997494159.6258936, 997494159.6258936, 25000087765.158474),
-    },
-    ("base", 49): {
-        10**6: (997504.0180402512, 0.0, 0.0, 997504.0180402512, 997504.0180402512,
-                997469.0179170527, 997469.0179170527, 25000035.0001232),
-        10**9: (997504161.3201139, 0.0, 0.0, 997504161.3201139, 997504161.3201139,
-                997504126.3199906, 997504126.3199906, 25000000035.000122),
-    },
-    ("edge", 0): {
-        10**6: (997504.161463536, 0.0, 0.0, 997504.161463536, 997504.161463536,
-                997504.161463536, 997504.161463536, 25008387.170145392),
-        10**9: (997504161.463536, 0.0, 0.0, 997504161.463536, 997504161.463536,
-                997504161.463536, 997504161.463536, 25000008387.170147),
-    },
-    ("edge", 2): {
-        10**6: (997484.2280053657, 4.3655745685100555e-11, 4.3655745685100555e-11,
-                997484.2280053657, 997484.2280053657, 989701.1575791318, 989701.1575791318,
-                25007878.91037128),
-        10**9: (997504141.5300744, 4.3655745685100555e-11, 4.3655745685100555e-11,
-                997504141.5300744, 997504141.5300744, 997496358.4596481, 997496358.4596481,
-                25000007878.91037),
-    },
-}
-
-
-@pytest.mark.parametrize("case", sorted(HUGE_X))
-def test_point_kernels_at_huge_inventory(case, base_model):
-    name, k = case
-    p, m = (base_params(), base_model) if name == "base" else (base_params(T=4), EDGE_MODEL)
-    # 1e-12 relative, or of the period's lost-sales scale where L is rounding noise
-    atol = 1e-12 * max(1.0, replacement_cost(p, m, ARR, k, 0))
-    for x, want in HUGE_X[case].items():
-        for (kernel, f), w in zip(POINT_KERNELS.items(), want):
-            assert f(p, m, k, x) == pytest.approx(w, rel=1e-12, abs=atol), (kernel, x)
-
-
-@pytest.mark.parametrize("kernel", sorted(POINT_KERNELS))
-def test_point_kernel_input_checks(kernel, base_model):
-    f = POINT_KERNELS[kernel]
-    p = base_params()
-    past = p.horizon + 1 if kernel == "S" else p.horizon  # S(k, x) is defined at k = T
-    for k, x in [(-1, 1), (past, 1), (0, -1)]:
-        with pytest.raises(OutOfGrid):
-            f(p, base_model, k, x)
-    with pytest.raises(ValueError):
-        f(base_params(T=4), base_model, 0, 1)
 
 
 def test_cost_rates_follow_the_exponential_family():

@@ -9,6 +9,7 @@ from eolstop import (
     IntensityModel,
     LostSalesConvention,
     ModelSpec,
+    NonFinite,
     UnreachableState,
     build_kernel_table,
     build_named_intensity,
@@ -184,6 +185,15 @@ class TestErrors:
         other = build_named_intensity("constant", 10, 10.0)
         with pytest.raises(UnreachableState):
             evaluate_policy(res.policy, base_kernels.params, other, 0, paths=10, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_costs_raise(self, base_kernels):
+        # the policy is finite; costs that overflow float64 make the mean inf
+        res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0)
+        huge = base_params(c_bar=1e306, c1=1e306, c2_bar=1e307, c3_bar=1e307, c4=1e305)
+        with pytest.raises(NonFinite):
+            evaluate_policy(res.policy, huge, base_kernels.model, 50, paths=10, seed=0)
 
 
 class TestZeroArrivalPeriod:
