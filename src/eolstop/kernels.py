@@ -135,10 +135,10 @@ def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.nda
     return P0, R_c2, prem_full + _c3_period(params, rates, periods), prem_full
 
 
-def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSalesConvention,
+def _kernel_rows(params: CostParameters, convention: LostSalesConvention,
                  shared: _SharedRows, H=None, lost: bool = True):
-    """H, L and C_tilde at x = 0..width-1 for each period of ``periods``
-    (``shared.rates`` aligned with it), as (H, L, C_tilde).
+    """H, L and C_tilde at x = 0..width-1 for each period of ``shared.rates``,
+    as (H, L, C_tilde).
 
     The double sum in the holding kernel and the satisfied-demand sum in the
     replacement kernel are running sums over i, so the rows cost
@@ -148,8 +148,8 @@ def _kernel_rows(params: CostParameters, periods: np.ndarray, convention: LostSa
     built on ``shared`` with the same two, is used as it is.  With ``lost``
     false, L is not built (None).
     """
-    n, width = len(periods), shared.width
-    P0, R_c2, c2_full, prem_full = _period_integrals(params, shared.rates, periods, shared)
+    n, width = len(shared.rates), shared.width
+    P0, R_c2, c2_full, prem_full = _period_integrals(params, shared.rates, np.arange(n), shared)
     m = P0.shape[1]  # the support columns; every running sum is flat past them
 
     # in-place steps keep the peak near the four (n, width) arrays of the table
@@ -222,7 +222,7 @@ class KernelTable:
 
     @cached_property
     def _original_rows(self):
-        H, L, _ = _kernel_rows(self.params, np.arange(self.horizon), self.convention,
+        H, L, _ = _kernel_rows(self.params, self.convention,
                                _SharedRows(self.model.rates, self.x_max + 1))
         return H, L, H + L
 
@@ -274,7 +274,7 @@ def build_kernel_tables(params_list, model: IntensityModel,
         params = params_list[i]
         if (params.delta, params.c1) != key:
             key, H = (params.delta, params.c1), None  # drop the last block first
-        H, _, Ct = _kernel_rows(params, periods, convention, shared, H, lost=False)
+        H, _, Ct = _kernel_rows(params, convention, shared, H, lost=False)
         stop_tail = _stop_tail(params, model.rates)
         tables[i] = KernelTable(
             params=params,

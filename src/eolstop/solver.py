@@ -277,8 +277,10 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         raise CapSaturated(f"order-up-to reached x_max={X} at epoch {cap_epoch}; raise the cap",
                            tables=np.flatnonzero(capped).tolist())
     V0 = np.broadcast_to(W[:, :, -nK:], W.shape[:2] + (nK, X + 1))
-    A = 0.0 if original else np.array([kt.A for kt in tables]).reshape(col)
-    if not np.isfinite(V0 + A).all():
+    # a table's totals lie between its smallest and largest V(0, x) plus its A,
+    # so those two sums decide without a copy of V0
+    A = np.array([0.0 if original else kt.A for kt in tables])
+    if not np.isfinite([V0.min(axis=(1, 2, 3)) + A, V0.max(axis=(1, 2, 3)) + A]).all():
         raise NonFinite("a total cost")
     if not grids:
         return V0, None
