@@ -20,6 +20,9 @@ the metric's direction) and a label, against the metric's ``bound``:
 
 * ``regressed``: the change's median is worse than the parent's by more
   than the bound, relative to the parent's median;
+* ``improved``: the change wins at least nine tenths of the pairs (a tie
+  wins for neither side) and its median is better than the parent's by
+  more than the parent's interquartile range, the rule for claiming a gain;
 * ``unresolved``: the parent's interquartile range is wider than the bound,
   relative to its median, and not every change run beats every parent run;
 * ``ok``: otherwise.
@@ -95,15 +98,20 @@ def mismatch(pairs: dict) -> str | None:
     return None
 
 
-def label(metric: dict, parent: list[float], change: list[float]) -> str:
-    """``regressed``, ``unresolved`` or ``ok`` for one metric's paired runs;
-    see the module docstring."""
+def label(metric: dict, parent: list[float], change: list[float], wins: int) -> str:
+    """``regressed``, ``improved``, ``unresolved`` or ``ok`` for one metric's
+    paired runs, ``wins`` of them won by the change; see the module
+    docstring."""
     sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * (c - p) < 0: c is better
     p_sum, bound = summary(parent), metric["bound"]
-    if sign * (statistics.median(change) / p_sum["median"] - 1.0) > bound:
+    c_median = statistics.median(change)
+    if sign * (c_median / p_sum["median"] - 1.0) > bound:
         return "regressed"
+    spread = p_sum["q3"] - p_sum["q1"]
+    if 10 * wins >= 9 * len(parent) and sign * (p_sum["median"] - c_median) > spread:
+        return "improved"
     all_beat = all(sign * (c - p) < 0 for c in change for p in parent)
-    if (p_sum["q3"] - p_sum["q1"]) / p_sum["median"] > bound and not all_beat:
+    if spread / p_sum["median"] > bound and not all_beat:
         return "unresolved"
     return "ok"
 
@@ -128,7 +136,8 @@ def compare(pairs: dict, metrics: list[dict]) -> dict:
                           "parent": p_sum, "change": c_sum,
                           "median_change": c_sum["median"] / p_sum["median"] - 1.0,
                           "wins": wins, "pairs": len(both),
-                          "label": label(metric, [p for p, _ in both], [c for _, c in both])}
+                          "label": label(metric, [p for p, _ in both], [c for _, c in both],
+                                         wins)}
         out[workload] = {"seeds": [r["seed"] for r in parent], "seconds": parent[0].get("seconds"),
                          "metrics": rows,
                          "failed": [sum(r["failed"] for r in side) for side in (parent, change)]}

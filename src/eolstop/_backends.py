@@ -96,7 +96,8 @@ def period_tables(counts, x_max, delta, gamma):
     columns past min(n, x_max) are never needed.
     """
     lo = counts.min()
-    ns = np.flatnonzero(np.bincount((counts - lo).ravel())) + lo
+    # in memory order: the simulator's counts are a transposed view
+    ns = np.flatnonzero(np.bincount((counts - lo).ravel("K"))) + lo
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
     # 1F1 runs only on the cells read: j <= n, and j >= 1 for the arrivals

@@ -1,5 +1,5 @@
-"""Poisson pmf terms, cdf, tails and tail cutoffs, and the Poisson mixture
-that gives 1F1, on numpy and ``math`` alone.
+"""Poisson pmf terms, cdf, tails, tail cutoffs and counts by inversion, and
+the Poisson mixture that gives 1F1, on numpy and ``math`` alone.
 
 No scipy module is imported: ``scipy.special`` alone took about 0.3 s of
 every CLI call's start.  ``scipy.stats.poisson`` and ``scipy.special`` stay
@@ -25,6 +25,8 @@ the oracles of the tests.
   row of pmf terms per rate and the tails P{N > k} summed from those same
   terms, the cdf from k = 0 and the sf from the far end; ``tail_cutoff``
   searches a window of one row per rate that a Bennett bound places.
+* ``inverse_counts`` draws Poisson counts from uniforms by inversion on
+  those tail rows, run on past every uniform, with a guide table.
 * ``hyp1f1_neg`` is 1F1(alpha; beta; -a) at integer 1 <= alpha < beta, as a
   Poisson(a) mixture of positive terms.
 
@@ -63,6 +65,8 @@ _THIN_STEP, _THIN_TERMS = 2.0, 27
 _THIN_MIN = 256  # the least count of mu that ``cdf`` thins
 _THIN_BLOCK = 64  # columns of the anchors' cdfs built and kept together
 _THIN_ANCHORS = 1024  # the most anchors that ``cdf`` thins from
+_COUNT_EPS = 2.0 ** -54  # the count rows run to a tail this small, below any v
+_COUNT_GUIDE = 4096  # buckets of v in the guide table of ``inverse_counts``
 LONG_DOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
@@ -333,6 +337,40 @@ def tail_cutoff(mu, eps):
     found = _window(flat, lo, width)[1] <= eps
     found[:, -1] = True
     return (lo + np.argmax(found, axis=1)).reshape(mu.shape)[()]
+
+
+def _count_tails(mu):
+    """P{N > j} at j = 0..n for each rate of mu (1-D), n the largest
+    ``tail_cutoff(mu, 2^-54)``: the rows ``inverse_counts`` reads, each of
+    which ends on a tail of about 2^-54, below the least v it takes."""
+    n = int(np.max(tail_cutoff(mu, _COUNT_EPS), initial=0))
+    return tail_rows(mu, n)[1]
+
+
+def inverse_counts(mu, v):
+    """Poisson counts by inversion: #{j : P{N > j} >= v} for each v in
+    [2^-53, 1] of row i of v (2-D), at the rate mu[i]; an int64 array of v's
+    shape.
+
+    With v = 1 - U, U uniform on the multiples of 2^-53 in [0, 1) (numpy's
+    ``Generator.random``), P{count > j} = P{v <= P{N > j}}, which is P{N > j}
+    rounded down to a multiple of 2^-53: the law of N to the resolution of
+    the uniform.  Nothing is cut off, since the tail rows (``_count_tails``)
+    run on until they are below the least v.  The tails fall along a row, so
+    the count is a ``searchsorted``; a guide table on v (Chen & Asau) first
+    gives the count of every v whose bucket [b/B, (b+1)/B) holds no tail
+    value, where the count is the same at both ends, with one gather.
+    """
+    rows = -_count_tails(np.asarray(mu, dtype=float))  # rising: -v is searched
+    edges = -np.arange(_COUNT_GUIDE + 1) / _COUNT_GUIDE
+    out = np.empty(v.shape, dtype=np.int64)
+    for t, vi, o in zip(rows, v, out):
+        g = np.searchsorted(t, edges, side="right")  # the count at v = b/B
+        guide = np.append(np.where(g[:-1] == g[1:], g[:-1], -1), g[-1])
+        np.take(guide, (vi * _COUNT_GUIDE).astype(np.intp), out=o)
+        miss = np.flatnonzero(o < 0)
+        o[miss] = np.searchsorted(t, -vi[miss], side="right")
+    return out
 
 
 def _log_factorial80(n):

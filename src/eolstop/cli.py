@@ -292,7 +292,7 @@ def _cmd_bounds(args, cfg, out_dir, timings):
 
 
 def _cmd_simulate(args, cfg, out_dir, timings):
-    rows = []
+    rows, cells = [], []
     for label, K, x0, kt, res, _ in _solve_each(cfg, cfg.models, cfg.x0):
         est = sim.evaluate_policy(res.policy, kt.params, kt.model, x0,
                                   paths=cfg.paths, seed=cfg.seed)
@@ -300,10 +300,13 @@ def _cmd_simulate(args, cfg, out_dir, timings):
         z = (est.mean - dp) / est.std_error if est.std_error else 0.0
         rows.append([label, K, x0, f"{dp:.4f}", f"{est.mean:.4f}",
                      f"{est.std_error:.4f}", f"{z:.3f}"])
+        cells.append({"label": label, "K": K, "x0": x0, "paths": est.paths, "seed": est.seed,
+                      "mc_se": est.std_error, "z": z})
         print(f"{label} K={K:g} x0={x0}: DP {dp:.1f}  "
               f"MC {est.mean:.1f} +- {est.std_error:.1f}  (z={z:.2f})")
     _write_csv(out_dir / "simulate.csv", ["model", "K", "x0", "dp_value", "mc_mean", "mc_se", "z"],
                rows)
+    return {"simulate": cells}
 
 
 def _cmd_settings():

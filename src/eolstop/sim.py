@@ -1,17 +1,23 @@
 """Monte Carlo policy evaluation by conditional (Rao-Blackwellised) accrual.
 
 Paths execute a solved policy at integer review epochs and draw only their
-Poisson demand count in each period.  Between epochs the inventory is a
-step function decremented at arrivals; an arrival consuming the last unit is
-satisfied, the next one is lost (arrival-consistent accounting), and every
-arrival after the stop epoch pays the outside-source cost.  Given a period's
-count, the arrivals are uniform order statistics, so the period's expected
-discounted cost given (count, stock) is a sum of Beta moments
-(``_backends.period_tables``); each path adds that expectation in place of
-sampled arrival times.  The estimate keeps its mean, and its variance can
-only fall.  Exact accrual over sampled arrivals is the tests' oracle.
-``martingale_check`` keeps sampled arrival times, because its conditional
-version would reduce to E[N] and test nothing.
+Poisson demand count in each period, by inversion of the Poisson tails
+(``_poisson.inverse_counts``): from U of ``Generator.random`` and v = 1 - U
+in [2^-53, 1], the count is #{j : P{N > j} >= v}, so P{count > j} is P{N > j}
+to the 2^-53 resolution of U, and the tail rows run on below 2^-53, so no
+count is cut off.  For the same seed these counts, and every estimate drawn
+from them, differ from those of versions that called ``Generator.poisson``.
+
+Between epochs the inventory is a step function decremented at arrivals; an
+arrival consuming the last unit is satisfied, the next one is lost
+(arrival-consistent accounting), and every arrival after the stop epoch pays
+the outside-source cost.  Given a period's count, the arrivals are uniform
+order statistics, so the period's expected discounted cost given (count,
+stock) is a sum of Beta moments (``_backends.period_tables``); each path adds
+that expectation in place of sampled arrival times.  The estimate keeps its
+mean, and its variance can only fall.  Exact accrual over sampled arrivals is
+the tests' oracle.  ``martingale_check`` keeps sampled arrival times, because
+its conditional version would reduce to E[N] and test nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backends
+from . import _backends, _poisson
 from .costs import CostParameters
 from .demand import IntensityModel
 from .errors import NonFinite, UnreachableState
@@ -56,6 +62,20 @@ def _sorted_period_arrivals(rng, k: int, counts: np.ndarray):
     return u
 
 
+def _check_paths(paths: int, least: int):
+    if paths < least:
+        raise ValueError(f"paths={paths}: need at least {least}")
+
+
+def _poisson_counts(rng, rates, paths: int):
+    """(paths, T) Poisson demand counts, period k from ``rng``'s k-th block
+    of ``paths`` uniforms (``_poisson.inverse_counts``); a view of a (T,
+    paths) array, so that each period's counts are one contiguous row."""
+    v = rng.random((len(rates), paths))
+    np.subtract(1.0, v, out=v)  # v = 1 - U lies in [2^-53, 1]
+    return _poisson.inverse_counts(rates, v).T
+
+
 def _draw_counts(policy: PolicyTable, model: IntensityModel, x0: int, paths: int, seed: int):
     """(paths, T) Poisson period demand counts, after checking that x0 and
     the horizon fit ``policy``."""
@@ -63,7 +83,7 @@ def _draw_counts(policy: PolicyTable, model: IntensityModel, x0: int, paths: int
         raise UnreachableState("policy and intensity disagree on the horizon")
     if not 0 <= x0 <= policy.x_max:
         raise UnreachableState(f"x0={x0} outside the policy grid 0..{policy.x_max}")
-    return np.random.default_rng(seed).poisson(model.rates, size=(paths, model.horizon))
+    return _poisson_counts(np.random.default_rng(seed), model.rates, paths)
 
 
 def _walk(policy: PolicyTable, x0: int, counts: np.ndarray):
@@ -118,8 +138,7 @@ def evaluate_policy(
     """
     if params.horizon != model.horizon:
         raise UnreachableState("policy, parameters and intensity disagree on the horizon")
-    if paths < 2:
-        raise ValueError("need at least two paths for a standard error")
+    _check_paths(paths, 2)
     counts = _draw_counts(policy, model, x0, paths, seed)
     tables = _backends.period_tables(counts, policy.x_max, params.delta, params.gamma)
 
@@ -150,6 +169,7 @@ def sample_stopping_times(
     counts are all the randomness needed; ``evaluate_policy`` with the same
     seed draws the same counts.
     """
+    _check_paths(paths, 1)
     counts = _draw_counts(policy, model, x0, paths, seed)
     tau = np.full(paths, model.horizon, dtype=np.int64)
     for k, stop_now, *_ in _walk(policy, x0, counts):
@@ -168,9 +188,10 @@ def martingale_check(
     The closed form replaces the Poisson integral by its intensity-weighted
     Lebesgue integral; the z-score should behave like a standard normal.
     """
+    _check_paths(paths, 2)
     rng = np.random.default_rng(seed)
     T = model.horizon
-    counts = rng.poisson(model.rates, size=(paths, T))
+    counts = _poisson_counts(rng, model.rates, paths)
     total = np.zeros(paths)
     for k in range(T):
         u = _sorted_period_arrivals(rng, k, counts[:, k])

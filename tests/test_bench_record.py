@@ -81,9 +81,22 @@ def test_unpairable_records_exit_2(tmp_path, parent, change, message):
     ([1.6, 1.7, 1.5, 1.8, 1.65], [1.9, 1.95, 1.85, 2.0, 1.9], "ok"),
     # the parent's runs spread by 0.8 / 1.5 of their median, and the runs overlap
     ([1.0, 2.0, 1.5, 3.0, 1.2], [1.5, 1.6, 1.4, 1.7, 1.5], "unresolved"),
-    # as widely spread, but every change run beats every parent run
-    ([2.0, 3.0, 2.5, 4.0, 2.2], [1.0, 1.1, 1.2, 1.3, 1.4], "ok"),
-], ids=["regressed", "within-bound", "unresolved", "separated"])
+    # as widely spread, but every change run beats every parent run, by far
+    # more than the parent's interquartile range of 0.8
+    ([2.0, 3.0, 2.5, 4.0, 2.2], [1.0, 1.1, 1.2, 1.3, 1.4], "improved"),
+    # every change run beats every parent run, but the medians are 0.65 apart
+    ([2.0, 3.0, 2.5, 4.0, 2.2], [1.75, 1.8, 1.85, 1.9, 1.95], "ok"),
+    # the change wins 9 of 10 pairs, its median 0.3 better against an
+    # interquartile range of 0.1
+    ([1.6, 1.7, 1.5, 1.8, 1.65, 1.6, 1.7, 1.55, 1.75, 1.65],
+     [1.3, 1.4, 1.2, 1.5, 1.35, 1.3, 1.4, 1.25, 1.45, 1.7], "improved"),
+    # as far apart, but 8 wins and 2 ties in 10 pairs: a tie wins for neither
+    ([1.6, 1.7, 1.5, 1.8, 1.65, 1.6, 1.7, 1.55, 1.75, 1.65],
+     [1.3, 1.4, 1.2, 1.5, 1.35, 1.3, 1.4, 1.25, 1.75, 1.65], "ok"),
+    # 5 of 5 pairs won, but the medians differ by 0.05 within a range of 0.1
+    ([1.6, 1.7, 1.5, 1.8, 1.65], [1.55, 1.65, 1.45, 1.75, 1.6], "ok"),
+], ids=["regressed", "within-bound", "unresolved", "separated", "separated-within-iqr",
+        "nine-of-ten", "eight-of-ten-and-ties", "all-pairs-within-iqr"])
 def test_each_metric_is_labelled(tmp_path, parent, change, want):
     _write(tmp_path / "parent", [_record(s, w, revision="p") for s, w in enumerate(parent, 1)])
     _write(tmp_path / "change", [_record(s, w, revision="c") for s, w in enumerate(change, 1)])

@@ -220,6 +220,11 @@ class TestCli:
                      "--paths", "300"]) == 0
         rows = list(csv.reader((out / "simulate.csv").read_text().splitlines()))
         assert len(rows) == 1 + 2 * 2 * 2
+        # the manifest keeps one entry per cell, with SE and z unrounded
+        cells = json.loads((out / "manifest.json").read_text())["simulate"]
+        assert [[c["label"], str(c["K"]), str(c["x0"]), f"{c['mc_se']:.4f}", f"{c['z']:.3f}"]
+                for c in cells] == [[r[0], r[1], r[2], r[5], r[6]] for r in rows[1:]]
+        assert all((c["paths"], c["seed"]) == (300, TINY["seed"]) for c in cells)
 
     def test_bounds_on_a_step_that_does_not_divide_T(self, tmp_path):
         # T=8 and tau_step 0.07: bounds, argmin and its cost all come from

@@ -209,6 +209,76 @@ def test_tail_rows_match_gammainc(decay):
     _assert_close(got, want, truth, on)
 
 
+# the Monte Carlo's count rates: none, the least base-case rate, small, the
+# largest base-case rate and far past the DP's sizes
+COUNT_RATES = [0.0, 0.2878, 3.0, 50.26, 3000.0]
+
+
+def _count_probes(tail):
+    """Values of v in [2^-53, 1] where a count can go wrong: both ends, each
+    tail value of the row and its neighbours, each bucket edge b/B of the
+    guide table and the float below it, and v under the DP's 1e-12 tail."""
+    B = _poisson._COUNT_GUIDE
+    edges = np.arange(1, B + 1) / B
+    v = np.concatenate(([2.0 ** -53, 1.0, 1e-12, 1e-13, 1e-15, 2.0 ** -52], tail,
+                        np.nextafter(tail, 0.0), np.nextafter(tail, 1.0), edges,
+                        np.nextafter(edges, 0.0)))
+    return np.unique(v[(v >= 2.0 ** -53) & (v <= 1.0)])
+
+
+@pytest.mark.parametrize("mu", COUNT_RATES)
+def test_inverse_counts_match_a_brute_force_count(mu):
+    # the count is #{j : P{N > j} >= v} on the row the sampler reads, and
+    # that row falls below the least v before it ends, so nothing is cut off
+    tail = _poisson._count_tails(np.array([mu]))[0]
+    assert np.all(np.diff(tail) <= 0) and tail[-1] < 2.0 ** -53
+    v = _count_probes(tail)
+    got = _poisson.inverse_counts(np.array([mu]), v[None, :])[0]
+    want = np.array([np.count_nonzero(tail >= x) for x in v])
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+@extended
+@pytest.mark.parametrize("mu", COUNT_RATES)
+def test_count_tails_match_the_definition(mu):
+    # the sampler's tail row is within REL of the long double sums, and the
+    # true tail past the row's end is below the least v too
+    tail = _poisson._count_tails(np.array([mu]))[0]
+    truth = _reference(np.array([mu]), len(tail) - 1)[2][0]
+    on = truth >= TINY
+    assert np.all(_rel(tail, truth)[on] <= REL)
+    assert truth[-1] < 2.0 ** -53
+
+
+@pytest.mark.parametrize("mu", COUNT_RATES)
+def test_inverse_counts_chi_square(mu):
+    # 2e5 draws from v = 1 - U against the pmf terms, in bins of k that each
+    # expect at least 20 draws, the last open-ended
+    n = 200_000
+    v = 1.0 - np.random.default_rng(29).random((1, n))
+    counts = _poisson.inverse_counts(np.array([mu]), v)[0]
+    if mu == 0.0:
+        assert not counts.any()
+        return
+    k = np.arange(int(_poisson.tail_cutoff(mu, 1e-15)) + 1)
+    expect = n * _poisson.term(k, mu)
+    starts, acc = [0], 0.0
+    for i, e in enumerate(expect[:-1]):
+        acc += e
+        if acc >= 20.0:
+            starts.append(i + 1)
+            acc = 0.0
+    starts = starts[:-1] if expect[starts[-1]:].sum() < 20.0 else starts
+    seen = np.bincount(np.minimum(counts, len(k) - 1), minlength=len(k))
+    obs, exp = (np.add.reduceat(a, starts) for a in (seen, expect))
+    exp[-1] += n - expect.sum()
+    assert exp.min() >= 20 and obs.sum() == n
+    stat = np.sum((obs - exp) ** 2 / exp)
+    from scipy.stats import chi2
+    assert chi2.sf(stat, len(obs) - 1) > 1e-4, (stat, len(obs))
+
+
 @pytest.mark.parametrize("a", [0.0, 1e-6, 0.005, 0.5, 5.0, 50.0, 800.0])
 def test_hyp1f1_matches_scipy(a):
     # 1F1(alpha; beta; -a) at 1 <= alpha < beta <= 301: the arrivals' 1F1(j;

@@ -20,7 +20,7 @@ from eolstop import (
     stopping_time_distribution,
     switch_cost,
 )
-from eolstop import _backends
+from eolstop import _backends, sim
 from eolstop.sim import _sorted_period_arrivals, sample_stopping_times
 from eolstop.solver import CONTINUE, STOP, PolicyTable
 
@@ -135,25 +135,46 @@ class TestDeterminism:
         assert a.std_error == pytest.approx(b.std_error, rel=1e-2)
 
     # sha256 of the stopping epochs drawn before the simulator shared one path
-    # stepper, on the instances of the histogram and zero-arrival tests
+    # stepper, on the instances of the histogram and zero-arrival tests; they
+    # were drawn with numpy's Poisson sampler, which the test feeds back in
     TAU_SHA256 = {
         ("convex", 5): "21c163f19312c9336c8c2727f62362f90f78479876eb5d85761cf35c2dae5d16",
         ("convex", 17): "f559321768a062df32a7c9b799009be03a348ab6f734a624ba75379743542959",
         ("zero", 5): "162e234e3449fd503ae34675cf41694d170bdd10ce24b2d26e93b4797c44c475",
         ("zero", 17): "74443db5b5a2ccb0fd7c0dafa9269835c52053fffc8479798d4a598239d3f0cb",
     }
+    # sha256 of the (paths, T) int64 counts that ``_draw_counts`` draws by
+    # inversion on the same instances
+    COUNTS_SHA256 = {
+        ("convex", 5): "df04d4055be74359c6cc56270e80797417805f6d1323107ed446855e8e18a7fa",
+        ("convex", 17): "68cec97514ad738a9933ccd42ade0f7c66bce5e3e2edb10d5aa5d21232ab70c6",
+        ("zero", 5): "66fe10ea629718572daa4ca6869df907ec5149f7a2998eac5cc174cea8215b0e",
+        ("zero", 17): "8455527cbc7c303076f2e7dd07d2d36bd52c5b274977500685c966aec860f643",
+    }
 
-    @pytest.mark.parametrize("seed", [5, 17])
-    def test_stopping_times_are_pinned(self, seed):
+    @staticmethod
+    def pinned_instances():
+        """(policy, model, x0, paths) of the convex and zero-arrival cases."""
         model = build_named_intensity("convex", 12, 40.0)
         kt = build_kernel_table(base_params(K=200.0, T=12), model, ARR, x_max=90)
         res = solve(ModelSpec.parse("D/inf/F"), kt, 0)
-        runs = {"convex": sample_stopping_times(res.policy, model, 0, paths=30_000, seed=seed),
-                "zero": sample_stopping_times(TestZeroArrivalPeriod.policy(),
-                                              TestZeroArrivalPeriod.MODEL, 3, paths=400,
-                                              seed=seed)}
-        for name, tau in runs.items():
+        return {"convex": (res.policy, model, 0, 30_000),
+                "zero": (TestZeroArrivalPeriod.policy(), TestZeroArrivalPeriod.MODEL, 3, 400)}
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_stopping_times_are_pinned(self, seed, monkeypatch):
+        monkeypatch.setattr(sim, "_poisson_counts",
+                            lambda rng, rates, paths: rng.poisson(rates, size=(paths, len(rates))))
+        for name, (policy, model, x0, paths) in self.pinned_instances().items():
+            tau = sample_stopping_times(policy, model, x0, paths=paths, seed=seed)
             assert hashlib.sha256(tau.tobytes()).hexdigest() == self.TAU_SHA256[name, seed]
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_counts_are_pinned(self, seed):
+        for name, (policy, model, x0, paths) in self.pinned_instances().items():
+            counts = sim._draw_counts(policy, model, x0, paths, seed)
+            assert counts.shape == (paths, model.horizon) and counts.dtype == np.int64
+            assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[name, seed]
 
 
 class TestMartingale:
@@ -185,6 +206,25 @@ class TestErrors:
         other = build_named_intensity("constant", 10, 10.0)
         with pytest.raises(UnreachableState):
             evaluate_policy(res.policy, base_kernels.params, other, 0, paths=10, seed=0)
+
+    @pytest.mark.parametrize("call, paths", [
+        ("evaluate_policy", 1), ("martingale_check", 1), ("martingale_check", 0),
+        ("sample_stopping_times", 0), ("sample_stopping_times", -1),
+    ])
+    def test_too_few_paths(self, base_model, call, paths):
+        # two paths for a standard error, one for a stopping time
+        pol, p = manual_policy("D/inf/F", 50, 10), base_params()
+        run = {"evaluate_policy": lambda: evaluate_policy(pol, p, base_model, 0, paths=paths),
+               "martingale_check": lambda: martingale_check(p, base_model, paths=paths),
+               "sample_stopping_times":
+                   lambda: sample_stopping_times(pol, base_model, 0, paths=paths)}[call]
+        with pytest.raises(ValueError, match=f"paths={paths}"):
+            run()
+
+    def test_one_path_has_a_stopping_time(self, base_model):
+        tau = sample_stopping_times(manual_policy("D/inf/F", 50, 10, stop_epoch=7), base_model, 0,
+                                    paths=1)
+        assert tau.tolist() == [7]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
