@@ -349,8 +349,9 @@ def _count_tails(mu):
 
 def inverse_counts(mu, v):
     """Poisson counts by inversion: #{j : P{N > j} >= v} for each v in
-    [2^-53, 1] of row i of v (2-D), at the rate mu[i]; an int64 array of v's
-    shape.
+    [2^-53, 1] of row i of v (a 2-D float64 array), at the rate mu[i].  Each
+    row's counts are written over it, so that a draw holds one array, not
+    two; returns v's buffer seen as int64.
 
     With v = 1 - U, U uniform on the multiples of 2^-53 in [0, 1) (numpy's
     ``Generator.random``), P{count > j} = P{v <= P{N > j}}, which is P{N > j}
@@ -363,13 +364,14 @@ def inverse_counts(mu, v):
     """
     rows = -_count_tails(np.asarray(mu, dtype=float))  # rising: -v is searched
     edges = -np.arange(_COUNT_GUIDE + 1) / _COUNT_GUIDE
-    out = np.empty(v.shape, dtype=np.int64)
+    out = v.view(np.int64)
     for t, vi, o in zip(rows, v, out):
         g = np.searchsorted(t, edges, side="right")  # the count at v = b/B
         guide = np.append(np.where(g[:-1] == g[1:], g[:-1], -1), g[-1])
-        np.take(guide, (vi * _COUNT_GUIDE).astype(np.intp), out=o)
-        miss = np.flatnonzero(o < 0)
-        o[miss] = np.searchsorted(t, -vi[miss], side="right")
+        counts = guide[(vi * _COUNT_GUIDE).astype(np.intp)]
+        miss = np.flatnonzero(counts < 0)
+        counts[miss] = np.searchsorted(t, -vi[miss], side="right")
+        o[:] = counts
     return out
 
 
