@@ -9,8 +9,9 @@ prints the max |diff| in percentage points against the reference Tables 11,
 Run with:  PYTHONPATH=src python scripts/diagnose_table11.py
 
 The script reaches into solver and kernel internals (``_backward_pass``,
-``_period_integrals``) to build the candidates; it is a record of one
-diagnosis, not library code.
+``_period_integrals``) to build the candidates, and takes the original-form
+chains from the test suite's oracle, ``tests/original_form.py``; it is a
+record of one diagnosis, not library code.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import base_params  # noqa: E402
+from original_form import original_form_values, original_rows  # noqa: E402
 from test_acceptance import (  # noqa: E402
     KS, TABLE5, TABLE7, TABLE7P, TABLE9, TABLE11, XS, grid, max_abs_diff,
 )
@@ -84,18 +86,16 @@ def switch_at(k_star):
     return run
 
 
-def original_form(kt_cost):
-    """T chain in original form (one-period cost C, no A) on ``kt_cost``."""
+def original_form(C):
+    """T chain in original form (one-period cost rows C, no A)."""
     def run(kt, label):
-        k = kernels_with_K(kt_cost, kt.params.K)
-        spec = ModelSpec.parse(label)
-        (V0,), _ = _backward_pass(spec, [k], [k.params.K], [T], original=True)
-        return V0[0, 0]
+        return original_form_values(ModelSpec.parse(label), kt, C)
     return run
 
 
-def c3_held_kernels():
-    """Kernel table whose lost-sales cost uses c3 at the period-start epoch."""
+def c3_held_rows():
+    """One-period cost rows C whose lost-sales cost uses c3 at the
+    period-start epoch."""
     real = kernel_module._period_integrals
 
     def held(params, rates, periods, rows):
@@ -105,10 +105,9 @@ def c3_held_kernels():
         c2k = params.c2(periods)
         return P0, (c2k * rates)[:, None] * P0, c2k * B0, prem_full
 
+    kt = build_kernel_table(PARAMS, MODEL, LostSalesConvention.ARRIVAL, x_max=X)
     with mock.patch.object(kernel_module, "_period_integrals", held):
-        kt = build_kernel_table(PARAMS, MODEL, LostSalesConvention.ARRIVAL, x_max=X)
-        kt.C  # noqa: B018  (the table derives C on first use: do it under the patch)
-        return kt
+        return original_rows(kt)[2]
 
 
 def a_variant(disc_start, disc_in_period, gamma_in_period):
@@ -137,7 +136,7 @@ def main():
         ("as built (arrival convention)", D, Tv),
         ("paper-printed convention, both chains", table_values(pap, D_LABELS), table_values(pap, T_LABELS)),
         ("paper-printed convention, T chain only", D, table_values(pap, T_LABELS)),
-        ("T chain in original form (identity check)", D, table_values(arr, T_LABELS, original_form(arr))),
+        ("T chain in original form (identity check)", D, table_values(arr, T_LABELS, original_form(original_rows(arr)[2]))),
         ("terminal scrap undiscounted (c4 at T, not e^-dT c4)", D,
          table_values(arr, T_LABELS, scrap_scaled(np.exp(PARAMS.delta * T)))),
         ("terminal scrap discounted to T-1", D, table_values(arr, T_LABELS, scrap_scaled(np.exp(PARAMS.delta)))),
@@ -145,7 +144,7 @@ def main():
         (f"last period's outside-source term added (+{last:.1f})", D, shifted(last)),
         (f"last period's outside-source term dropped (-{last:.1f})", D, shifted(-last)),
         ("c3 at period start in the T-chain lost-sales kernel", D,
-         table_values(arr, T_LABELS, original_form(c3_held_kernels()))),
+         table_values(arr, T_LABELS, original_form(c3_held_rows()))),
     ]
     for name, (start, dis, gam) in {
         "A: discount held at period start": (k, 0, 1),

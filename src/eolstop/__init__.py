@@ -59,7 +59,6 @@ from .solver import (
     ValueGrid,
     extract_regions,
     solve,
-    solve_original_form,
     solve_values,
     static_switch_values,
 )

@@ -85,9 +85,10 @@ def period_tables(counts, x_max, delta, gamma):
     The segment from arrival j to arrival j+1 (arrival 0 at 0, arrival n+1
     at 1) has expected discounted length 1F1(j+1; n+2; -delta) / (n+1).
     Returns ``(ns, hold, hold_j, lost_d, lost_dg)``: row r is for the r-th
-    distinct value n = ns[r] of ``counts`` (ascending; found by a bincount
-    from the smallest count, so a high rate allocates no row from 0), and
-    for m = min(stock, n) in
+    distinct value n = ns[r] of ``counts`` (ascending; marked one period
+    column of ``counts`` at a time on flags from the smallest count to the
+    largest, so a high rate allocates no flag from 0 and ``counts`` is not
+    copied whole), and for m = min(stock, n) in
     0..min(max n, x_max)
       hold[r, m], hold_j[r, m]  sum over segments j <= m of E[seg_j], j E[seg_j]
       lost_a[r, m]  sum over arrivals j = m+1..n of E[e^{-a U_j}], for
@@ -96,8 +97,10 @@ def period_tables(counts, x_max, delta, gamma):
     columns past min(n, x_max) are never needed.
     """
     lo = counts.min()
-    # in memory order: the simulator's counts are a transposed view
-    ns = np.flatnonzero(np.bincount((counts - lo).ravel("K"))) + lo
+    seen = np.zeros(counts.max() - lo + 1, dtype=bool)
+    for row in counts.T:  # the simulator's counts are a transposed view: rows are contiguous
+        seen[row - lo] = True
+    ns = np.flatnonzero(seen) + lo
     n = ns[:, None].astype(float)
     j = np.arange(min(int(ns[-1]), x_max) + 1)
     # 1F1 runs only on the cells read: j <= n, and j >= 1 for the arrivals

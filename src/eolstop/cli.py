@@ -213,6 +213,7 @@ def _cmd_solve(args, cfg, out_dir, timings):
     _write_csv(out_dir / "values.csv", ["model", "K", "x0", "total_cost"],
                ((*key, v) for key, v in sorted(values.items())))
     print(f"wrote {out_dir}/values.csv ({len(values)} rows)")
+    return {"A": kt.A}  # K-free, so every cell's table has the same
 
 
 def _cmd_compare(args, cfg, out_dir, timings):
@@ -306,7 +307,7 @@ def _cmd_simulate(args, cfg, out_dir, timings):
               f"MC {est.mean:.1f} +- {est.std_error:.1f}  (z={z:.2f})")
     _write_csv(out_dir / "simulate.csv", ["model", "K", "x0", "dp_value", "mc_mean", "mc_se", "z"],
                rows)
-    return {"simulate": cells}
+    return {"simulate": cells, "A": kt.A}
 
 
 def _cmd_settings():

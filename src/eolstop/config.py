@@ -175,6 +175,14 @@ class ExperimentConfig:
             raise
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
+        # a repeat would collapse into one report row or overwrite a file;
+        # the labels parse, since check_grid has read them
+        labels = [ModelSpec.parse(label).label for label in self.models]
+        for key, values in (("setup_costs", self.setup_costs), ("x0", self.x0),
+                            ("models", labels)):
+            if len(set(values)) < len(values):
+                repeated = sorted({v for v in values if values.count(v) > 1})
+                raise ConfigError(f"{key} lists {repeated} more than once")
 
     def _check_horizon(self, horizon: int):
         """Reject a horizon whose value grid, Monte Carlo draws or switch-time
@@ -270,9 +278,8 @@ def check_grid(horizon: int, x_max: int, labels) -> None:
 
 def kernels_with_K(kernels: KernelTable, K: float) -> KernelTable:
     """Kernel arrays are K-independent; swap the scalar without rebuilding.
-    Rows the table has already derived on first use (H, L, C) come along."""
+    The original form's rows (H, L, C), which the table does not keep, are
+    built by the test suite's oracle, ``tests/original_form.py``."""
     if K == kernels.params.K:
         return kernels
-    out = dataclasses.replace(kernels, params=dataclasses.replace(kernels.params, K=float(K)))
-    vars(out).update({k: v for k, v in vars(kernels).items() if k not in vars(out)})
-    return out
+    return dataclasses.replace(kernels, params=dataclasses.replace(kernels.params, K=float(K)))

@@ -9,9 +9,9 @@ integrals of the form
 where gammainc(i+1, b) is P{N_b > i} for N_b ~ Poisson(b), read off one
 Poisson tail row per period (``_poisson.tail_rows``) up to the period's
 support cap.  One row builder, ``_kernel_rows``, turns these into the
-holding, lost-sales and reformulated kernels with running sums over the
-inventory axis, for every period at once; the kernels are read only as rows
-of a ``KernelTable``.  The outside-source stream has one home too:
+holding and reformulated kernels with running sums over the inventory axis,
+for every period at once; the kernels are read only as rows of a
+``KernelTable``.  The outside-source stream has one home too:
 ``_c3_period`` per period and ``_stop_tail``, its discounted tail.  The
 independent checks are fixed-order Gauss-Legendre quadrature of the same
 integrand (``unit_poisson_integrals_quadrature``) and the adaptive-quadrature
@@ -24,15 +24,14 @@ Poisson-integral rows (``_SharedRows``) and the holding block of each
 
 A ``KernelTable`` keeps only what the reformulated recursion reads: C_tilde,
 the stopping-cost tail and the intensity model, whose demand pmfs it shares
-with every other table on that model.  The build skips L; H, L and C (the
-original form and the tests) come from one more ``_kernel_rows`` call on
-first use.
+with every other table on that model.  The lost-sales kernel L and the
+one-period cost C = H + L of the original form are built from
+``_period_integrals`` by the test suite's oracle, ``tests/original_form.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -126,7 +125,8 @@ def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.nda
     aligned with it), from ``rows(decay)``, the Poisson-integral rows of a
     decay: P0 (weight e^{-delta s}) and the c2-weighted arrival integrals
     R_i, both zero past each period's cap, then per period the plain c2
-    arrival integral and the premium integral."""
+    arrival integral (read only by the original form's oracle in
+    ``tests/original_form.py``) and the premium integral."""
     d, g = params.delta, params.gamma
     P0, Pg = rows(d), rows(d + g)
     # int e^{-d s} c2 lam pmf_i
@@ -136,23 +136,22 @@ def _period_integrals(params: CostParameters, rates: np.ndarray, periods: np.nda
 
 
 def _kernel_rows(params: CostParameters, convention: LostSalesConvention,
-                 shared: _SharedRows, H=None, lost: bool = True):
-    """H, L and C_tilde at x = 0..width-1 for each period of ``shared.rates``,
-    as (H, L, C_tilde).
+                 shared: _SharedRows, H=None):
+    """H and C_tilde at x = 0..width-1 for each period of ``shared.rates``,
+    as (H, C_tilde).
 
     The double sum in the holding kernel and the satisfied-demand sum in the
     replacement kernel are running sums over i, so the rows cost
     O(periods * width) beyond the per-period integral arrays, which are built
-    for all periods in one vectorised pass.  Past the support cap, L and the
-    satisfied-demand sum are flat.  H depends on delta and c1 only: ``H``,
-    built on ``shared`` with the same two, is used as it is.  With ``lost``
-    false, L is not built (None).
+    for all periods in one vectorised pass.  Past the support cap the
+    satisfied-demand sum is flat.  H depends on delta and c1 only: ``H``,
+    built on ``shared`` with the same two, is used as it is.
     """
     n, width = len(shared.rates), shared.width
-    P0, R_c2, c2_full, prem_full = _period_integrals(params, shared.rates, np.arange(n), shared)
+    P0, R_c2, _, prem_full = _period_integrals(params, shared.rates, np.arange(n), shared)
     m = P0.shape[1]  # the support columns; every running sum is flat past them
 
-    # in-place steps keep the peak near the four (n, width) arrays of the table
+    # in-place steps keep the peak near the (n, width) arrays of the table
     if H is None:
         q = np.empty((n, width))
         np.cumsum(P0, axis=1, out=q[:, :m])
@@ -168,13 +167,7 @@ def _kernel_rows(params: CostParameters, convention: LostSalesConvention,
     Ct[:, :k] -= sub
     Ct[:, k:] -= sub[:, -1:]
     Ct[:, 0] = prem_full  # x = 0 case is the premium integral in both modes
-    L = None
-    if lost:
-        L = np.empty((n, width))
-        np.subtract(c2_full[:, None], sub, out=L[:, :k])
-        L[:, k:] = L[:, k - 1:k]
-        np.maximum(L, 0.0, out=L)  # the exact tail cancels to rounding noise
-    return H, L, Ct
+    return H, Ct
 
 
 def _checked(params: CostParameters, model: IntensityModel):
@@ -196,7 +189,7 @@ class KernelTable:
 
     Arrays are (T, x_max+1); ``stop_tail[k]`` is the integral part of the
     stopping cost from epoch k, so S(k, x) = c4*x + stop_tail[k] and
-    A = stop_tail[0].  H, L and C = H + L are built on first use.
+    A = stop_tail[0].
     """
 
     params: CostParameters
@@ -220,24 +213,6 @@ class KernelTable:
     def pmf_tails(self) -> list:
         return self.model.demand_pmfs[1]
 
-    @cached_property
-    def _original_rows(self):
-        H, L, _ = _kernel_rows(self.params, self.convention,
-                               _SharedRows(self.model.rates, self.x_max + 1))
-        return H, L, H + L
-
-    @property
-    def H(self) -> np.ndarray:
-        return self._original_rows[0]
-
-    @property
-    def L(self) -> np.ndarray:
-        return self._original_rows[1]
-
-    @property
-    def C(self) -> np.ndarray:
-        return self._original_rows[2]
-
 
 def build_kernel_table(
     params: CostParameters,
@@ -259,7 +234,7 @@ def build_kernel_tables(params_list, model: IntensityModel,
     The support caps are computed once, the Poisson-integral rows once per
     distinct decay (delta and delta + gamma), and the holding block H once
     per distinct (delta, c1): the tables are built in (delta, c1) order, so
-    one H block is alive at a time.  L is not built.
+    one H block is alive at a time.
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
@@ -274,7 +249,7 @@ def build_kernel_tables(params_list, model: IntensityModel,
         params = params_list[i]
         if (params.delta, params.c1) != key:
             key, H = (params.delta, params.c1), None  # drop the last block first
-        H, _, Ct = _kernel_rows(params, convention, shared, H, lost=False)
+        H, Ct = _kernel_rows(params, convention, shared, H)
         stop_tail = _stop_tail(params, model.rates)
         tables[i] = KernelTable(
             params=params,

@@ -9,32 +9,32 @@ A model is addressed as ``a/b/c``:
 
 The recursion runs in reformulated units: the stopping cost is just the
 scrap term ``c4*x`` and the policy-independent outside-source constant A is
-added back at the end.  ``solve_original_form`` runs the same engine on the
-raw kernels (stopping cost with its integral tail) to verify the
-reformulation identity V = V_tilde + A.
+added back at the end.  The original form (one-period cost C, stopping cost
+with its integral tail) lives in the test suite, ``tests/original_form.py``,
+as an independent oracle of the identity V = V_tilde + A.
 
 After the reformulation the setup cost K enters only the order search, so
 one backward pass serves several K, and the switch epochs k* a STATIC model
 may commit to ride along as one more batch axis.  So do kernel tables that
 share the horizon, x_max and demand rates (the settings of one intensity):
-their cost rows, scrap, order cost, discount and stopping tail broadcast
-along a leading table axis.  The pass carries one value array of shape
-(table, k*, column, x) and takes one Bellman step on all of it per epoch;
-rows with k* <= t hold the forced stop.  A column is a (budget layer, K)
-pair that may order, and an order from it goes on one layer down at the
-same K (in itself when the budget is unlimited); a finite budget's last
-layer, which never orders, is one K-free column (K = inf).  The column axis
-keeps size 1 until some layer may order (epoch T-1 for ``.../F``, 0 for
-``.../Z``), so the no-order chain the columns share is computed once.
+their cost rows, scrap, order cost and discount broadcast along a leading
+table axis.  The pass carries one value array of shape (table, k*, column,
+x) and takes one Bellman step on all of it per epoch; rows with k* <= t hold
+the forced stop.  A column is a (budget layer, K) pair that may order, and
+an order from it goes on one layer down at the same K (in itself when the
+budget is unlimited); a finite budget's last layer, which never orders, is
+one K-free column (K = inf).  The column axis keeps size 1 until some layer
+may order (epoch T-1 for ``.../F``, 0 for ``.../Z``), so the no-order chain
+the columns share is computed once.
 ``solve_values`` takes a list of tables; STATIC specs, and
 ``solve_policies`` with its policy grids over every K, keep one table per pass.
 
 A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
 order J, and the value is min(G, J) and then min(that, stop), both taken in
-G.  The scrap, order-cost, discount and (reformulated) stopping terms are
-built once per pass.  What is left is the floor, one ``np.convolve`` per
-row in ``ev_clamped``.  The stop and order masks and the order-up-to levels
+G.  The stopping (scrap), order-cost and discount terms are built once per
+pass.  What is left is the floor, one ``np.convolve`` per row in
+``ev_clamped``.  The stop and order masks and the order-up-to levels
 (the smallest-index argmin) are built only when the policy is kept.  The
 CapSaturated test needs no argmin, and where the order cost at x_max - 1 is
 no higher than at x_max in every column it reads that one column: see
@@ -178,41 +178,35 @@ def _check_cap(f, J, G, stop_vec):
 
 
 def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
-                   original: bool = False, grids: bool = False):
+                   grids: bool = False):
     """Run the recursion down to 0 for every table, switch epoch and setup
     cost at once.
 
     ``tables`` is a sequence of kernel tables that share the horizon, x_max
     and demand rates (``solve_values`` checks this); their cost rows, scrap,
-    order and discount terms and stopping tails enter along the leading
-    table axis.  Row i is forced to stop at epoch ``switch_epochs[i]``
-    (ascending) and at every later one; before it, stopping is admissible
-    for DYNAMIC specs only.  ``original`` runs the un-reformulated form:
-    one-period cost C and the stopping cost's outside-source tail.  Returns
-    V(0) at the full budget layer as (len(tables), len(switch_epochs),
-    len(setup_costs), X+1) and, with ``grids`` (one table, one epoch), the
-    (V, action, target) grids over every epoch as (t, x, column), columns
-    as below; else no policy is filled.  Either way a chosen order-up-to
-    level at x_max raises CapSaturated once the pass is done, naming every
-    table that hit it and the first epoch (counting down) where one did, and
-    a total V(0, x) + A (V(0, x) if ``original``) that is not finite raises
+    order and discount terms enter along the leading table axis.  Row i is
+    forced to stop at epoch ``switch_epochs[i]`` (ascending) and at every
+    later one; before it, stopping is admissible for DYNAMIC specs only.
+    Returns V(0) at the full budget layer as (len(tables),
+    len(switch_epochs), len(setup_costs), X+1) and, with ``grids`` (one
+    table, one epoch), the (V, action, target) grids over every epoch as
+    (t, x, column), columns as below; else no policy is filled.  Either way
+    a chosen order-up-to level at x_max raises CapSaturated once the pass is
+    done, naming every table that hit it and the first epoch (counting down)
+    where one did, and a total V(0, x) + A that is not finite raises
     NonFinite.
     """
     kt0 = tables[0]
     T, X = kt0.horizon, kt0.x_max
     pmfs, tails = kt0.pmfs, kt0.pmf_tails
     stops = spec.stop_mode is StopMode.DYNAMIC
-    costs = [kt.C if original else kt.C_tilde for kt in tables]
     y = np.arange(X + 1, dtype=np.float64)
     col = (len(tables), 1, 1, -1)  # a per-table term along (epoch, column, x)
-    scrap = np.stack([kt.params.c4 * y for kt in tables]).reshape(col)
+    # the stopping cost c4*x at every epoch; + 0.0 turns the -0.0 of c4 * 0
+    # (c4 < 0) into +0.0
+    stop_vec = np.stack([kt.params.c4 * y for kt in tables]).reshape(col) + 0.0
     cy = np.stack([kt.params.c_bar * y for kt in tables]).reshape(col)
     disc = np.array([np.exp(-kt.params.delta) for kt in tables]).reshape(col)
-    stop_tail = (np.stack([kt.stop_tail for kt in tables], axis=1) if original
-                 else np.zeros((T + 1, len(tables)))).reshape((T + 1,) + col)
-    # the stopping cost at every epoch unless ``original``; + 0.0 turns the
-    # -0.0 of c4 * 0 (c4 < 0) into +0.0, as adding the zero tail did
-    stop_vec = scrap + 0.0
     # one column per (layer that may order, K), the top layer last; a finite
     # budget's last layer is one K-free column in front (K = inf: no order)
     Ks, b = np.asarray(setup_costs, dtype=np.float64), spec.order_budget
@@ -224,10 +218,10 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     epochs = np.asarray(switch_epochs)
     # W[s, i, c] is table s's value column c at t+1; one column until some
     # layer may order, so the no-order chain they all share is expected once
-    W = np.broadcast_to(scrap + stop_tail[epochs[-1]], (len(tables), len(epochs), 1, X + 1))
+    W = np.broadcast_to(stop_vec, (len(tables), len(epochs), 1, X + 1))
     if grids:  # filled as (t, column, x), returned as (t, x, column) views
         V = np.empty((T + 1, len(Kcol), X + 1))
-        V[epochs[0]:] = (scrap + stop_tail[epochs[0]:]).reshape(-1, 1, X + 1)
+        V[epochs[0]:] = stop_vec.reshape(1, 1, X + 1)
         action = np.full(V.shape, STOP, dtype=np.int8)
         target = np.full(V.shape, -1, dtype=np.int32)
 
@@ -237,10 +231,8 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         live = first_live[t]
         G = _backends.ev_clamped(W[:, live:], pmfs[t], tails[t])
         G *= disc
-        for s, c in enumerate(costs):
-            G[s] += c[t]
-        if original:
-            stop_vec = scrap + stop_tail[t]
+        for s, kt in enumerate(tables):
+            G[s] += kt.C_tilde[t]
         if grids:  # one table and one row
             ordering = np.zeros(V.shape[1:], dtype=bool)
         if t == 0 or spec.first_order is FirstOrder.FREE:
@@ -279,7 +271,7 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     V0 = np.broadcast_to(W[:, :, -nK:], W.shape[:2] + (nK, X + 1))
     # a table's totals lie between its smallest and largest V(0, x) plus its A,
     # so those two sums decide without a copy of V0
-    A = np.array([0.0 if original else kt.A for kt in tables])
+    A = np.array([kt.A for kt in tables])
     if not np.isfinite([V0.min(axis=(1, 2, 3)) + A, V0.max(axis=(1, 2, 3)) + A]).all():
         raise NonFinite("a total cost")
     if not grids:
@@ -287,14 +279,14 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     return V0, tuple(g.transpose(0, 2, 1) for g in (V, action, target))
 
 
-def _best_epoch(spec, kernels, setup_costs, original=False):
+def _best_epoch(spec, kernels, setup_costs):
     """Per setup cost (rows) and starting inventory: the value of the best
     switch epoch the spec admits (each of 0..T for STATIC, T otherwise) and
     that epoch, the earliest on ties."""
     epochs = np.arange(kernels.horizon + 1)
     if spec.stop_mode is not StopMode.STATIC:
         epochs = epochs[-1:]
-    (V0,), _ = _backward_pass(spec, [kernels], setup_costs, epochs, original=original)
+    (V0,), _ = _backward_pass(spec, [kernels], setup_costs, epochs)
     return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 
@@ -328,21 +320,6 @@ def solve_policies(spec: ModelSpec, kernels: KernelTable, setup_costs,
 def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
     """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
     return solve_policies(spec, kernels, [kernels.params.K], x0)[0]
-
-
-def solve_original_form(spec: ModelSpec, kernels: KernelTable, x0: int) -> float:
-    """Un-reformulated recursion: one-period cost C and stopping cost with its
-    outside-source integral.  Intended for small instances and equivalence
-    tests against ``solve``.
-
-    Its total equals ``solve``'s V + A (the identity V = V~ + A) under
-    ``LostSalesConvention.ARRIVAL`` only.  Under PAPER the reformulated cost
-    C~ at x = 0 keeps the arrival accounting while C follows the printed sum,
-    so the two disagree: on the base case at K=1000, x0=0 this form is lower
-    by 134 for D/inf/F, 37 for D/1/Z and 788 for T/inf/F (1.4%)."""
-    if not 0 <= x0 <= kernels.x_max:
-        raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
-    return float(_best_epoch(spec, kernels, [kernels.params.K], original=True)[0][0, x0])
 
 
 def static_switch_values(spec: ModelSpec,

@@ -19,7 +19,6 @@ from eolstop import (
     extract_regions,
     martingale_check,
     solve,
-    solve_original_form,
     static_switch_values,
     stopping_time_distribution,
     switch_cost_curve,
@@ -32,6 +31,7 @@ from eolstop.settings import setting_cost_params, setting_from_id, setting_inten
 from eolstop.sim import sample_stopping_times
 
 from conftest import base_params, small_instance
+from original_form import solve_original_form
 from test_solver import ALL_SPECS, oracle_value, tiny_kernels
 
 ARR = LostSalesConvention.ARRIVAL

@@ -302,11 +302,15 @@ class TestCli:
         {"tau_step": 1e-12},
         {"intensity": {"kind": "custom", "rates": [3, 3, 2, 1], "horizon": 100,
                        "total_demand": 5000}},
+        {"setup_costs": [1000, 1000]},
+        {"x0": [0, 0]},
+        {"models": ["D/1/Z", "d/1/z"]},
     ], ids=["models-empty", "models-number", "costs-list", "c1-nan", "c4-inf", "K-nan",
             "second-K-nan", "x0-fractional", "x0-empty", "x0-string", "x_max-string",
             "model-label", "convention", "horizon-10.5", "x_max-huge", "budget-huge",
             "seed-negative", "seed-fractional", "paths-fractional", "x_max-fractional",
-            "paths-huge", "tau_step-tiny", "custom-with-named-keys"])
+            "paths-huge", "tau_step-tiny", "custom-with-named-keys", "K-repeated",
+            "x0-repeated", "model-repeated"])
     def test_validation_error_exit_code(self, tmp_path, monkeypatch, overrides):
         # each is a config error: exit 2 before anything is solved or written,
         # so no kernel table (the first large allocation) is ever built
@@ -530,9 +534,12 @@ def test_every_config_command_writes_manifest(tmp_path, command):
     assert main([command, "--config", str(write_cfg(tmp_path)), "--out", str(out),
                  *PINNED_RUNS.get(command, [])]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    cfg = ExperimentConfig.from_dict(manifest["config"])
     assert manifest["command"] == command
-    assert manifest["config_digest"] == ExperimentConfig.from_dict(manifest["config"]).digest()
+    assert manifest["config_digest"] == cfg.digest()
     assert manifest["timings_s"]["total"] >= 0
+    if command in ("solve", "simulate"):  # A, unrounded
+        assert manifest["A"] == cfg.build_kernels().A
 
 
 @pytest.fixture

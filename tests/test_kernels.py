@@ -19,6 +19,7 @@ from eolstop.kernels import (
 )
 
 from conftest import base_params
+from original_form import original_rows
 from scalar_kernels import period_c3_term
 
 ARR = LostSalesConvention.ARRIVAL
@@ -29,6 +30,18 @@ EDGE_MODEL = IntensityModel(horizon=4, rates=np.array([0.0, 3.0, 40.0, 0.5]))
 
 def table(params, model, conv=ARR, x_max=300):
     return build_kernel_table(params, model, conv, x_max=x_max)
+
+
+def H_of(kt):
+    return original_rows(kt)[0]
+
+
+def L_of(kt):
+    return original_rows(kt)[1]
+
+
+def C_of(kt):
+    return original_rows(kt)[2]
 
 
 def stop_cost(kt, k, x):
@@ -81,65 +94,67 @@ class TestIntegralEngine:
 
 class TestHoldingCost:
     def test_zero_inventory(self, base_kernels):
+        H = H_of(base_kernels)
         for k in (0, 17, 49):
-            assert base_kernels.H[k, 0] == 0.0
+            assert H[k, 0] == 0.0
 
     def test_closed_form_single_unit(self):
         # delta = 0, lam = 2, c1 = 1, x = 1  ->  (1 - e^-2)/2
         m = IntensityModel(horizon=1, rates=np.array([2.0]))
-        val = table(base_params(T=1, delta=0.0), m).H[0, 1]
+        val = H_of(table(base_params(T=1, delta=0.0), m))[0, 1]
         assert val == pytest.approx((1 - np.exp(-2)) / 2, rel=1e-12)
         assert val == pytest.approx(0.43233235838169365, rel=1e-9)
 
     def test_no_demand_full_period(self):
         m = IntensityModel(horizon=1, rates=np.array([0.0]))
-        assert table(base_params(T=1, delta=0.0), m).H[0, 3] == pytest.approx(3.0, rel=1e-12)
+        assert H_of(table(base_params(T=1, delta=0.0), m))[0, 3] == pytest.approx(3.0, rel=1e-12)
 
     def test_against_quadrature(self, base_model, base_kernels):
-        p = base_params()
+        p, H = base_params(), H_of(base_kernels)
         for k, x in [(0, 1), (0, 7), (12, 3), (49, 2)]:
-            assert base_kernels.H[k, x] == pytest.approx(
+            assert H[k, x] == pytest.approx(
                 quad_H(p, base_model, k, x), rel=1e-9
             )
 
 
 class TestReplacementCost:
     def test_zero_when_no_penalty(self, base_model):
-        kt = table(base_params(c2_bar=0.0, c3_bar=0.0), base_model)
+        L = L_of(table(base_params(c2_bar=0.0, c3_bar=0.0), base_model))
         for k, x in [(0, 0), (5, 3), (49, 10)]:
-            assert kt.L[k, x] == pytest.approx(0.0, abs=1e-15)
+            assert L[k, x] == pytest.approx(0.0, abs=1e-15)
 
     def test_vanishes_for_large_inventory(self, base_kernels):
-        assert base_kernels.L[0, 1200] < 1e-6 * base_kernels.L[0, 0]
+        L = L_of(base_kernels)
+        assert L[0, 1200] < 1e-6 * L[0, 0]
 
     def test_all_arrivals_lost_at_zero_stock(self):
         # delta = gamma = 0, lam = 2, c2 = 1: every arrival lost -> cost 2
         m = IntensityModel(horizon=1, rates=np.array([2.0]))
         p = base_params(T=1, delta=0.0, gamma=0.0, c2_bar=1.0, c3_bar=0.0)
-        assert table(p, m).L[0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert L_of(table(p, m))[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("conv,upper_of", [(ARR, lambda x: x - 1), (PAP, lambda x: x)])
     def test_against_quadrature(self, base_model, conv, upper_of):
         p = base_params()
-        kt = table(p, base_model, conv)
+        L = L_of(table(p, base_model, conv))
         for k, x in [(0, 0), (0, 4), (30, 2)]:
-            assert kt.L[k, x] == pytest.approx(
+            assert L[k, x] == pytest.approx(
                 quad_L(p, base_model, k, x, upper_of(x)), rel=1e-9
             )
 
     def test_conventions_differ_by_one_term(self, base_kernels, base_kernels_paper):
-        diff = base_kernels.L[3, 5] - base_kernels_paper.L[3, 5]
+        diff = L_of(base_kernels)[3, 5] - L_of(base_kernels_paper)[3, 5]
         assert diff > 0  # the paper-printed sum subtracts one extra term
 
 
 class TestOnePeriodCost:
     def test_zero_case(self, base_model):
-        assert table(base_params(c2_bar=0.0, c3_bar=0.0), base_model).C[0, 0] == 0.0
+        assert C_of(table(base_params(c2_bar=0.0, c3_bar=0.0), base_model))[0, 0] == 0.0
 
     def test_is_sum_of_kernels(self, base_kernels):
-        kt = base_kernels
+        H, L, C = original_rows(base_kernels)
         for k, x in [(0, 0), (7, 11), (49, 120)]:
-            assert kt.C[k, x] == pytest.approx(kt.H[k, x] + kt.L[k, x], rel=1e-15)
+            assert C[k, x] == pytest.approx(H[k, x] + L[k, x], rel=1e-15)
 
 
 class TestStoppingCost:
@@ -175,19 +190,21 @@ class TestReformulatedCost:
     def test_identity_with_one_period_cost(self, base_model, base_kernels):
         # C - C_tilde equals the period's outside-source integral
         p, kt = base_params(), base_kernels
+        C = C_of(kt)
         for k in (0, 13, 49):
             c3k = period_c3_term(p, base_model, k)
             for x in (0, 1, 2, 9, 40):
-                assert kt.C[k, x] - kt.C_tilde[k, x] == pytest.approx(c3k, rel=1e-12)
+                assert C[k, x] - kt.C_tilde[k, x] == pytest.approx(c3k, rel=1e-12)
 
     def test_paper_mode_identity_only_beyond_zero(self, base_model, base_kernels_paper):
         # the printed x = 0 special case follows the arrival accounting, so
         # under the paper-printed convention the identity breaks exactly there
         kt = base_kernels_paper
+        C = C_of(kt)
         c30 = period_c3_term(base_params(), base_model, 0)
         for x in (1, 3, 8):
-            assert kt.C[0, x] - kt.C_tilde[0, x] == pytest.approx(c30, rel=1e-12)
-        assert abs(kt.C[0, 0] - kt.C_tilde[0, 0] - c30) > 1e-6
+            assert C[0, x] - kt.C_tilde[0, x] == pytest.approx(c30, rel=1e-12)
+        assert abs(C[0, 0] - kt.C_tilde[0, 0] - c30) > 1e-6
 
     def test_base_case_x0_against_quadrature(self, base_model, base_kernels):
         # premium integral: int_0^1 e^{-delta u} (c2 - c3)(u) lam(u) du
@@ -215,32 +232,33 @@ class TestKernelTable:
         p = base_params(T=4)
         kt = build_kernel_table(p, EDGE_MODEL, conv, x_max=30)
         wide = build_kernel_table(p, EDGE_MODEL, conv, x_max=300)
+        rows = dict(zip("HLC", original_rows(kt)), C_tilde=kt.C_tilde)
+        wide_rows = dict(zip("HLC", original_rows(wide)), C_tilde=wide.C_tilde)
         for k in range(4):
-            tol = dict(rel=1e-12, abs=1e-12 * max(1.0, kt.L[k, 0]))
+            tol = dict(rel=1e-12, abs=1e-12 * max(1.0, rows["L"][k, 0]))
             for name in ("H", "L", "C", "C_tilde"):
-                assert getattr(kt, name)[k] == pytest.approx(
-                    getattr(wide, name)[k, :31], **tol), (name, k)
+                assert rows[name][k] == pytest.approx(wide_rows[name][k, :31], **tol), (name, k)
             assert kt.c3_period[k] == pytest.approx(period_c3_term(p, EDGE_MODEL, k), rel=1e-12)
             n = len(kt.pmfs[k])
             np.testing.assert_allclose(kt.pmfs[k],
                                        poisson.pmf(np.arange(n), EDGE_MODEL.rates[k]),
                                        rtol=2e-13, atol=0)
         no_demand = p.c1 * np.arange(31) * (1.0 - np.exp(-p.delta)) / p.delta
-        assert np.all(kt.L[0] == 0.0) and kt.H[0] == pytest.approx(no_demand, rel=1e-12)
+        assert np.all(rows["L"][0] == 0.0) and rows["H"][0] == pytest.approx(no_demand, rel=1e-12)
         assert list(kt.pmfs[0]) == [1.0] and list(kt.pmf_tails[0]) == [0.0]
         assert kt.A == constant_A(p, EDGE_MODEL)
         with pytest.raises(ValueError, match="horizon"):
             constant_A(base_params(), EDGE_MODEL)
 
     def test_monotonicity_and_additivity(self, base_kernels):
-        kt = base_kernels
-        scale = kt.L[:, :1]  # per-period magnitude for tolerance
-        assert np.all(np.diff(kt.H, axis=1) >= -1e-12)
-        assert np.all(np.diff(kt.L, axis=1) <= 1e-12 * np.maximum(scale, 1.0))
-        assert np.all(kt.H >= 0) and np.all(kt.L >= 0)
-        assert np.allclose(kt.C, kt.H + kt.L, rtol=0, atol=0)
-        assert np.all(kt.H[:, 0] == 0)
-        assert np.all(kt.L[:, -1] < 1e-6 * kt.L[:, 0])
+        H, L, C = original_rows(base_kernels)
+        scale = L[:, :1]  # per-period magnitude for tolerance
+        assert np.all(np.diff(H, axis=1) >= -1e-12)
+        assert np.all(np.diff(L, axis=1) <= 1e-12 * np.maximum(scale, 1.0))
+        assert np.all(H >= 0) and np.all(L >= 0)
+        assert np.allclose(C, H + L, rtol=0, atol=0)
+        assert np.all(H[:, 0] == 0)
+        assert np.all(L[:, -1] < 1e-6 * L[:, 0])
 
     def test_pmf_mass_accounted(self, base_kernels):
         for pmf, tail in zip(base_kernels.pmfs, base_kernels.pmf_tails):
@@ -279,7 +297,8 @@ class TestTailSumIdentity:
 KT_FIELDS = ("H", "L", "C", "C_tilde", "c3_period", "stop_tail", "A", "pmfs", "pmf_tails")
 # "<setting id or edge>/<convention>" -> sha256 of "field sha256\n" over
 # KT_FIELDS, each field as float64 bytes (pmf rows each followed by "|");
-# settings at K = 0 and x_max 1200, the edge model at x_max 30
+# settings at K = 0 and x_max 1200, the edge model at x_max 30; H, L and C
+# are the original form's rows, from the oracle
 PINNED_TABLES = {
     "1/arrival": "22c53632eadce86013638d67e6b7153b9e29ae4f00f4468886c870497cc16bbb",
     "1/paper": "77c42dcd2f9f00f000cd64142cc86da03c2e9da3f3e91029b28712b55c6c7158",
@@ -295,8 +314,10 @@ PINNED_TABLES = {
 def _table_digest(kt):
     import hashlib
 
+    original = dict(zip("HLC", original_rows(kt)))
+
     def field_bytes(name):
-        v = getattr(kt, name)
+        v = original[name] if name in original else getattr(kt, name)
         if name in ("pmfs", "pmf_tails"):
             return b"".join(np.asarray(r, dtype=np.float64).tobytes() + b"|" for r in v)
         return np.asarray(v, dtype=np.float64).tobytes()
@@ -339,19 +360,6 @@ def test_tables_on_one_model_share_read_only_pmf_rows():
         a.pmfs[3][0] = 0.0
 
 
-def test_original_form_rows_are_derived_on_first_use(base_model):
-    from eolstop import kernels_with_K, solve_values
-    from eolstop.solver import ModelSpec
-
-    kt = build_kernel_table(base_params(), base_model, ARR, x_max=300)
-    solve_values(ModelSpec.parse("D/inf/F"), [kt], [0.0, 1000.0])
-    assert "_original_rows" not in vars(kt)  # the reformulated pass reads only C_tilde
-    H, L, C = kt.H, kt.L, kt.C
-    assert kt.H is H and np.array_equal(C, H + L)
-    other = kernels_with_K(kt, 1000.0)  # K-free rows come along with the table
-    assert other.params.K == 1000.0 and other.C is C and other.L is L
-
-
 def test_unit_poisson_rows_equal_the_full_rectangle_formula():
     # the rows keep only the cells i <= imax[k]; the full-rectangle formula,
     # one tail row per rate and zeroed past each cap, must come out bit for
@@ -380,10 +388,9 @@ class TestKernelTables:
 
     def assert_tables_equal(self, got, want):
         assert len(got) == len(want)
-        assert all("_original_rows" not in vars(kt) for kt in got)  # H, L, C wait for first use
         for g, w in zip(got, want):
             assert g.params == w.params and g.x_max == w.x_max and g.convention is w.convention
-            for f in ("C_tilde", "c3_period", "stop_tail", "A", "H", "L", "C"):
+            for f in ("C_tilde", "c3_period", "stop_tail", "A"):
                 assert np.array_equal(getattr(g, f), getattr(w, f)), f
 
     @pytest.mark.parametrize("conv", [ARR, PAP])

@@ -20,7 +20,6 @@ from eolstop import (
     extract_regions,
     solve,
     kernels_with_K,
-    solve_original_form,
     solve_values,
     static_switch_values,
 )
@@ -29,6 +28,7 @@ from eolstop.solver import (CONTINUE, ORDER, STOP, FirstOrder, StopMode, _backwa
                             _best_epoch, _check_cap, solve_policies)
 
 from conftest import base_params, small_instance
+from original_form import original_rows, solve_original_form
 from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
 
 ARR = LostSalesConvention.ARRIVAL
@@ -163,7 +163,7 @@ class TestReformulationEquivalence:
     @hyp_settings(max_examples=40, deadline=None)
     def test_identity_holds_under_arrival(self, seed, label):
         # V = V~ + A is the arrival convention's identity; under PAPER the
-        # x = 0 kernels break it (see solve_original_form)
+        # x = 0 kernels break it (see original_form.solve_original_form)
         params, model, x0, x_max = small_instance(seed)
         kt = build_kernel_table(params, model, ARR, x_max=x_max)
         spec = ModelSpec.parse(label)
@@ -184,18 +184,21 @@ class TestReformulationEquivalence:
         kt = tiny_kernels(seed=9, T=1, x_max=10)
         p = kt.params
         pmf, tail = kt.pmfs[0], kt.pmf_tails[0]
+        C = original_rows(kt)[2]
         S00 = p.c4 * 0 + kt.stop_tail[0]
         best = S00
         for m in range(0, 11):
             surplus = sum(pmf[n] * max(m - n, 0) for n in range(len(pmf)))
             cost = (0.0 if m == 0 else p.K + p.c_bar * m)
-            cost += kt.C[0, m] + np.exp(-p.delta) * p.c4 * surplus
+            cost += C[0, m] + np.exp(-p.delta) * p.c4 * surplus
             best = min(best, cost)
         assert solve_original_form(ModelSpec.parse("D/inf/F"), kt, 0) == pytest.approx(
             best, rel=1e-12)
 
 
 class TestStructure:
+    KS = [0.0, 1000.0, 5000.0]
+
     def test_terminal_condition(self, base_kernels):
         res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0)
         x = np.arange(base_kernels.x_max + 1)
@@ -319,6 +322,31 @@ class TestStructure:
             assert len(levels) == 1
             s = levels.pop()
             assert np.array_equal(order, np.arange(s))  # order iff x < base stock
+
+    @pytest.mark.parametrize("sid", [1, 9, 64, 113, 125, 128])
+    def test_policy_shape_on_paper_settings(self, sid):
+        # after Scarf (1960): at every (t, z) the order set is one run with one
+        # order-up-to level, and the stop set one run at an end of the grid
+        # or two, [0, b] and [a, x_max]
+        kt = _setting_kernels(sid)
+        X = kt.x_max
+
+        def runs(where):
+            idx = np.flatnonzero(where)
+            return np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1) if len(idx) else []
+
+        for label in ("D/inf/F", "T/inf/F", "D/2/F"):
+            for K, res in zip(self.KS, solve_policies(ModelSpec.parse(label), kt, self.KS, 0)):
+                action, target = res.policy.action, res.policy.target
+                for t, z in itertools.product(range(kt.horizon + 1), range(action.shape[2])):
+                    where = (label, K, t, z)
+                    order = runs(action[t, :, z] == ORDER)
+                    assert len(order) <= 1, where
+                    assert len(np.unique(target[t, action[t, :, z] == ORDER, z])) <= 1, where
+                    stop = runs(action[t, :, z] == STOP)
+                    assert (len(stop) == 0
+                            or len(stop) == 1 and (stop[0][0] == 0 or stop[0][-1] == X)
+                            or len(stop) == 2 and stop[0][0] == 0 and stop[1][-1] == X), where
 
 
 class TestSpecValidation:
@@ -451,7 +479,7 @@ class TestStaticModels:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, "tied"])
     def test_switch_epoch_batch_equals_single_epoch_passes(self, label, seed):
         # one pass over every switch epoch gives what one pass per epoch
-        # gives, the earliest epoch winning ties, in both cost forms
+        # gives, the earliest epoch winning ties
         if seed == "tied":  # demand-free periods: at x=0 several epochs cost the same
             model = IntensityModel(horizon=5, rates=np.array([0.0, 2.0, 0.0, 0.0, 1.0]))
             params, x_max = base_params(K=50.0, T=5), 12
@@ -459,19 +487,17 @@ class TestStaticModels:
             params, model, _, x_max = small_instance(seed)
         kt = build_kernel_table(params, model, ARR, x_max=x_max)
         spec, T = ModelSpec.parse(label), kt.horizon
-        for original in (False, True):
-            best = np.full(x_max + 1, np.inf)
-            best_k = np.zeros(x_max + 1, dtype=np.int64)
-            for k in range(T + 1):
-                (V0,), _ = _backward_pass(spec, [kt], [params.K], [k], original=original)
-                v = V0[0, 0]
-                better = v < best
-                best[better], best_k[better] = v[better], k
-            got, got_k = _best_epoch(spec, kt, [params.K], original)
-            assert np.array_equal(got[0], best) and np.array_equal(got_k[0], best_k)
-            if not original:
-                vals, epochs = static_switch_values(spec, kt)
-                assert np.array_equal(vals, best + kt.A) and np.array_equal(epochs, best_k)
+        best = np.full(x_max + 1, np.inf)
+        best_k = np.zeros(x_max + 1, dtype=np.int64)
+        for k in range(T + 1):
+            (V0,), _ = _backward_pass(spec, [kt], [params.K], [k])
+            v = V0[0, 0]
+            better = v < best
+            best[better], best_k[better] = v[better], k
+        got, got_k = _best_epoch(spec, kt, [params.K])
+        assert np.array_equal(got[0], best) and np.array_equal(got_k[0], best_k)
+        vals, epochs = static_switch_values(spec, kt)
+        assert np.array_equal(vals, best + kt.A) and np.array_equal(epochs, best_k)
 
     def test_static_between_dynamic_and_never(self, base_kernels):
         d = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0).total_cost
@@ -674,23 +700,21 @@ class TestTableBatch:
     @pytest.mark.parametrize("first", [1, 113])
     def test_batch_equals_per_table(self, first, label):
         # settings first..first+15 share kind and horizon: solve_values at
-        # three K, and the pass itself at one K for the forms solve_values
-        # does not batch; an S model's switch-epoch axis rides along as two
-        # epochs
+        # three K, and for S models, which solve_values runs one table at a
+        # time, the pass itself at one K, the switch-epoch axis riding along
+        # as two epochs
         tables = _shared_intensity_tables(range(first, first + 16))
         spec, T = ModelSpec.parse(label), tables[0].horizon
-        static = spec.stop_mode is StopMode.STATIC
-        if not static:  # solve_values runs STATIC specs one table at a time
+        if spec.stop_mode is not StopMode.STATIC:
             got = solve_values(spec, tables, self.KS)
             assert got.shape == (16, 3, 1201)
             for kt, rows in zip(tables, got):
                 assert np.array_equal(rows, solve_values(spec, kt, self.KS))
-        epochs = [T // 2, T] if static else [T]
-        for original in (False, True) if static else (True,):
-            V0, _ = _backward_pass(spec, tables, [1000.0], epochs, original=original)
-            for kt, v in zip(tables, V0):
-                (want,), _ = _backward_pass(spec, [kt], [1000.0], epochs, original=original)
-                assert np.array_equal(v, want)
+            return
+        V0, _ = _backward_pass(spec, tables, [1000.0], [T // 2, T])
+        for kt, v in zip(tables, V0):
+            (want,), _ = _backward_pass(spec, [kt], [1000.0], [T // 2, T])
+            assert np.array_equal(v, want)
 
     @pytest.mark.parametrize("label", ["S/1/Z", "S/2/F", "D/2/F"])
     def test_list_of_small_tables(self, label):
@@ -746,8 +770,9 @@ def _setting_kernels(sid):
 
 
 def test_table11_diagnosis_is_pinned():
-    # scripts/diagnose_table11.py reaches into ``_backward_pass``; its whole
-    # report (every candidate row and the implied gaps) must not move
+    # scripts/diagnose_table11.py reaches into ``_backward_pass`` and runs
+    # the original-form oracle; its whole report (every candidate row and
+    # the implied gaps) must not move
     import hashlib
     import os
     import subprocess
