@@ -7,7 +7,9 @@
   * suffix_min - suffix minimum along the last axis (order-up-to search)
   * suffix_argmin - the smallest index attaining it (the order-up-to level)
   * period_tables - conditional expected period costs given the arrival count
-  * sim_period - one period of the Monte Carlo sweep across all paths
+  * period_lookups - the same folded into flat lookups over (count, stock)
+  * sim_period - one period of the Monte Carlo sweep across all paths, two
+                 gathers per path
 
 Callers reach these by module attribute (``_backends.ev_clamped``), so a test
 can swap in the scalar oracles of ``tests/scalar_kernels.py``.
@@ -119,24 +121,54 @@ def period_tables(counts, x_max, delta, gamma):
             lost(delta), lost(delta + gamma))
 
 
-def sim_period(cost, stock, stopped, counts, tables, k, params):
-    """Add each path's expected cost over [k, k+1) given its arrival count.
+def period_lookups(tables, top, params):
+    """Flat per-path lookups of one period's expected costs, from the
+    ``period_tables`` of the counts and for post-decision stocks up to
+    ``top``.
 
-    ``stock`` is the stock after epoch k's decisions (0 on stopped paths) and
-    ``tables`` come from ``period_tables`` over counts that include these,
-    at ``params.delta`` and ``params.gamma``.  Holding costs c1 per unit and
-    time, a lost arrival at u costs c2(u), and a stopped path pays c3(u) for
-    every arrival.  Period k enters only through e^{-delta k} and
-    e^{-(delta+gamma) k}.
-
-    Cell (row of n, m) of every table sits at one flat index: a lookup over
-    ns[0]..ns[-1] gives row * width for a count, and m adds the column.
+    Returns ``(row_start, hold_cost, lost_dg)``.  Cell ``row_start[n] + p``
+    is for count n and post-decision stock p, or p = -1 on stopped paths
+    (stock 0):
+      hold_cost  c1 (stock hold - hold_j) + c2_bar lost_d, undiscounted,
+                 without the lost-sales term on stopped paths
+      lost_dg    lost_dg itself, the arrivals that pay c3
+    with every table read at column min(stock, n).  A table's columns past
+    n repeat column n, so column min(stock, width - 1) holds the same value.
     """
     ns, hold, hold_j, lost_d, lost_dg = tables
-    row_start = np.zeros(ns[-1] - ns[0] + 1, dtype=np.intp)
-    row_start[ns - ns[0]] = np.arange(len(ns)) * hold.shape[1]
-    cell = row_start[counts - ns[0]] + np.minimum(stock, counts)
-    cost += np.exp(-params.delta * k) * (
-        params.c1 * (stock * hold.ravel()[cell] - hold_j.ravel()[cell])
-        + params.c2_bar * np.where(stopped, 0.0, lost_d.ravel()[cell]))
-    cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg.ravel()[cell]
+    post = np.arange(-1, top + 1)
+    stock = np.maximum(post, 0)
+    col = np.minimum(stock, hold.shape[1] - 1)
+    hold_cost = hold.take(col, axis=1)
+    hold_cost *= stock
+    hold_cost -= hold_j.take(col, axis=1)
+    hold_cost *= params.c1
+    lost = lost_d.take(col, axis=1)
+    lost[:, 0] = 0.0
+    lost *= params.c2_bar
+    hold_cost += lost
+    del lost
+    row_start = np.zeros(ns[-1] + 1, dtype=np.intp)
+    row_start[ns] = np.arange(len(ns)) * len(post) + 1
+    return row_start, hold_cost.ravel(), lost_dg.take(col, axis=1).ravel()
+
+
+def sim_period(cost, post, counts, tables, k, params):
+    """Add each path's expected cost over [k, k+1) given its arrival count.
+
+    ``post`` is the stock after epoch k's decisions, -1 on stopped paths, and
+    ``tables`` come from ``period_lookups`` over counts that include these.
+    Holding costs c1 per unit and time, a lost arrival at u costs c2(u), and
+    a stopped path pays c3(u) for every arrival.  Period k enters only
+    through e^{-delta k} and e^{-(delta+gamma) k}: two gathers on one flat
+    index per path.
+    """
+    row_start, hold_cost, lost_dg = tables
+    cell = row_start.take(counts)
+    cell += post
+    term = hold_cost.take(cell)
+    term *= np.exp(-params.delta * k)
+    cost += term
+    lost_dg.take(cell, out=term)
+    term *= np.exp(-(params.delta + params.gamma) * k) * params.c3_bar
+    cost += term

@@ -216,19 +216,29 @@ class SwitchCostCurve:
     delta2_x: np.ndarray
 
 
-def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
-                      step: float = DEFAULT_TAU_STEP) -> SwitchCostCurve:
-    """Evaluate the switch-cost curve and its inventory differences on the
-    tau grid via cumulative per-panel quadrature, the panels split at unit
-    periods; NonFinite if any of them is inf or NaN."""
+def _switch_cost_values(params: CostParameters, model: IntensityModel, x: int, step: float):
+    """The tau grid, the curve's nodes on it (panels split at unit periods)
+    and C(x, tau) at every grid point, by cumulative per-panel quadrature;
+    NonFinite if a value is inf or NaN."""
     _require_assumptions(params, model)
     grid = _tau_grid(model, step)
     edges = np.union1d(grid, np.arange(1, model.horizon))
     nodes = _nodes(params, model, edges, _CURVE_ORDER, at=np.searchsorted(edges, grid))
     vals = _cost(params, x, nodes) + constant_A(params, model)
+    if not np.isfinite(vals).all():
+        raise NonFinite("the switch-cost curve")
+    return grid, nodes, vals
+
+
+def switch_cost_curve(params: CostParameters, model: IntensityModel, x: int,
+                      step: float = DEFAULT_TAU_STEP) -> SwitchCostCurve:
+    """Evaluate the switch-cost curve and its inventory differences on the
+    tau grid via cumulative per-panel quadrature, the panels split at unit
+    periods; NonFinite if any of them is inf or NaN."""
+    grid, nodes, vals = _switch_cost_values(params, model, x, step)
     d1 = _delta_x(params, x, nodes)
     d2 = _delta2_x(params, model, x, grid, nodes)
-    if not all(np.isfinite(a).all() for a in (vals, d1, d2)):
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
         raise NonFinite("the switch-cost curve")
     return SwitchCostCurve(x=x, tau_grid=grid, values=vals, delta_x=d1, delta2_x=d2)
 
@@ -284,10 +294,11 @@ def switch_time_bounds(params: CostParameters, model: IntensityModel, x: int,
 
 def brute_force_switch_argmin(params: CostParameters, model: IntensityModel, x: int,
                               step: float = DEFAULT_TAU_STEP):
-    """Grid argmin of the switch-cost curve; the oracle the bounds sandwich."""
-    curve = switch_cost_curve(params, model, x, step=step)
-    i = int(np.argmin(curve.values))
-    return float(curve.tau_grid[i]), float(curve.values[i])
+    """Grid argmin of the switch-cost curve; the oracle the bounds sandwich.
+    It reads the curve's values only, not its inventory differences."""
+    grid, _, vals = _switch_cost_values(params, model, x, step)
+    i = int(np.argmin(vals))
+    return float(grid[i]), float(vals[i])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ that expectation in place of sampled arrival times.  The estimate keeps its
 mean, and its variance can only fall.  Exact accrual over sampled arrivals is
 the tests' oracle.  ``martingale_check`` keeps sampled arrival times, because
 its conditional version would reduce to E[N] and test nothing.
+
+Paths step through the policy as states of tables (``_state_tables``): per
+epoch and state (budget layer and stock, or stopped) they hold the stock
+after the decisions, the next state's base and the decisions' cost, and the
+period's costs are folded over (count, stock) once per call
+(``_backends.period_lookups``).  An epoch is a few gathers per path.
 """
 
 from __future__ import annotations
@@ -86,41 +92,97 @@ def _draw_counts(policy: PolicyTable, model: IntensityModel, x0: int, paths: int
     return _poisson_counts(np.random.default_rng(seed), model.rates, paths)
 
 
-def _walk(policy: PolicyTable, x0: int, counts: np.ndarray):
+_TABLE_CELLS = 4096  # (epoch, state) cells of ``_state_tables`` built at once
+
+
+def _state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParameters | None):
+    """The decisions of ``policy`` at ``epochs`` as tables over the states a
+    path can reach while its stock stays below W.
+
+    State z * W + x is budget layer z with stock x; state Z * W is the
+    absorbing stopped state.  Returns ``(post, base, dcost, bad)``, (epochs,
+    states) arrays:
+      post   stock after the decisions, -1 once stopped
+      base   the state of the post-decision stock when it is 0, so a period's
+             demand d leads to base + max(post - d, 0)
+      dcost  the decisions' undiscounted cost, c4 * scrap + (K + c_bar * qty
+             for an order), or None without ``params``
+      bad    ORDER cells whose target does not exceed the stock, or None
+             when there is none
+    """
+    Z = policy.action.shape[2]
+    S = Z * W
+    act, tgt = (g[epochs, :W].transpose(0, 2, 1).reshape(-1, S)
+                for g in (policy.action, policy.target))
+    x = np.tile(np.arange(W), Z)
+    stop, order = act == STOP, act == ORDER
+    post = np.full((len(act), S + 1), -1)
+    np.copyto(post[:, :S], x)
+    np.copyto(post[:, :S], tgt, where=order)
+    np.copyto(post[:, :S], -1, where=stop)
+    base = np.full(post.shape, S)
+    np.copyto(base[:, :S], np.repeat(np.arange(Z) * W, W))
+    if policy.spec.order_budget is not None:
+        base[:, :S] -= W * order
+    np.copyto(base[:, :S], S, where=stop)
+    bad = order & (tgt <= x)
+    bad = np.pad(bad, ((0, 0), (0, 1))) if bad.any() else None
+    dcost = None
+    if params is not None:
+        # c4 * scrap + where(qty > 0, K + c_bar * qty, 0.0) with the same
+        # roundings (sums and products commute): c4 * x + 0.0 on a stop,
+        # c4 * 0 + (K + c_bar * (target - x)) on an order, 0.0 elsewhere
+        dcost = np.zeros(post.shape)
+        np.copyto(dcost[:, :S], params.c4 * x + 0.0, where=stop)
+        qty = np.subtract(tgt, x, dtype=float)
+        qty *= params.c_bar
+        qty += params.K
+        qty += params.c4 * 0
+        np.copyto(dcost[:, :S], qty, where=order)
+    return post, base, dcost, bad
+
+
+def _stock_top(policy: PolicyTable, x0: int) -> int:
+    """The largest stock a path from x0 can hold."""
+    return max(x0, int(policy.target.max()))
+
+
+def _walk(policy: PolicyTable, x0: int, counts: np.ndarray,
+          params: CostParameters | None = None, cost: np.ndarray | None = None):
     """Step every path through ``policy`` from stock x0, period k taking
     ``counts[:, k]`` units of demand (lost once stock runs out).
 
     At each epoch k = 0..T, after the epoch's decisions and before its
-    period's demand, yields ``(k, stop_now, scrap, qty, stock, stopped)``:
-    the paths stopping at k and the stock they scrap, each path's order
-    quantity (0 for no order), and the state after the decisions.
+    period's demand, yields ``(k, post)``: each path's stock after the
+    decisions, -1 once stopped.  Given ``params`` and ``cost``, it first adds
+    the decisions' cost, discounted by e^{-delta k}, to ``cost``.  Each path
+    is a state of ``_state_tables``, built a few epochs at a time, so that
+    an epoch is a few gathers per path.
     """
     paths, T = counts.shape
-    # epoch k's (x, z) table as one row, cell z * (X+1) + x; for the solver's
-    # tables, which are (t, z, x) arrays seen as (t, x, z), this is a view
-    width = policy.action.shape[1]
-    actions, targets = (np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(T + 1, -1)
-                        for g in (policy.action, policy.target))
-    stock = np.full(paths, x0, dtype=np.int64)
-    zvec = np.full(paths, policy.z0, dtype=np.int64)
-    stopped = np.zeros(paths, dtype=bool)
+    W = _stock_top(policy, x0) + 1
+    block = max(1, _TABLE_CELLS // (policy.action.shape[2] * W + 1))
+    state = np.full(paths, policy.z0 * W + x0, dtype=np.intp)
+    step = np.empty(paths, dtype=np.intp)
     for k in range(T + 1):
-        cell = zvec * width + stock
-        act = actions[k][cell]
-        tgt = targets[k][cell]
-        stop_now = ~stopped & (act == STOP)
-        scrap = np.where(stop_now, stock, 0)
-        stopped = stopped | stop_now
-        order_now = ~stopped & (act == ORDER)
-        qty = np.where(order_now, tgt - stock, 0)
-        if np.any(qty[order_now] <= 0):
+        i = k % block
+        if i == 0:
+            post = base = dcost = bad = None  # the last block goes before the next is built
+            post, base, dcost, bad = _state_tables(policy, W, slice(k, k + block), params)
+        if bad is not None and bad[i].take(state).any():
             raise UnreachableState("policy order target does not exceed current stock")
-        stock = np.where(stopped, 0, stock + qty)
-        if policy.spec.order_budget is not None:
-            zvec -= order_now
-        yield k, stop_now, scrap, qty, stock, stopped
+        if cost is not None:
+            spent = dcost[i].take(state)
+            spent *= np.exp(-params.delta * k)
+            cost += spent
+            del spent
+        at = post[i].take(state)
+        yield k, at
         if k < T:
-            stock = np.maximum(stock - counts[:, k], 0)
+            np.subtract(at, counts[:, k], out=step)
+            np.maximum(step, 0, out=step)
+            step += base[i].take(state)
+            state, step = step, state
 
 
 def evaluate_policy(
@@ -140,14 +202,14 @@ def evaluate_policy(
         raise UnreachableState("policy, parameters and intensity disagree on the horizon")
     _check_paths(paths, 2)
     counts = _draw_counts(policy, model, x0, paths, seed)
-    tables = _backends.period_tables(counts, policy.x_max, params.delta, params.gamma)
+    tables = _backends.period_lookups(
+        _backends.period_tables(counts, policy.x_max, params.delta, params.gamma),
+        _stock_top(policy, x0), params)
 
     cost = np.zeros(paths)
-    for k, _, scrap, qty, stock, stopped in _walk(policy, x0, counts):
-        cost += np.exp(-params.delta * k) * (
-            params.c4 * scrap + np.where(qty > 0, params.K + params.c_bar * qty, 0.0))
+    for k, post in _walk(policy, x0, counts, params, cost):
         if k < model.horizon:
-            _backends.sim_period(cost, stock, stopped, counts[:, k], tables, k, params)
+            _backends.sim_period(cost, post, counts[:, k], tables, k, params)
 
     mean = float(cost.mean())
     se = float(cost.std(ddof=1) / np.sqrt(paths))
@@ -167,14 +229,15 @@ def sample_stopping_times(
 
     Stopping decisions only read integer-epoch states, so period demand
     counts are all the randomness needed; ``evaluate_policy`` with the same
-    seed draws the same counts.
+    seed draws the same counts.  A path stops at the first epoch whose
+    post-decision stock is -1: the epochs before it, capped at T.
     """
     _check_paths(paths, 1)
     counts = _draw_counts(policy, model, x0, paths, seed)
-    tau = np.full(paths, model.horizon, dtype=np.int64)
-    for k, stop_now, *_ in _walk(policy, x0, counts):
-        tau[stop_now] = k
-    return tau
+    tau = np.zeros(paths, dtype=np.int64)
+    for _, post in _walk(policy, x0, counts):
+        tau += post >= 0
+    return np.minimum(tau, model.horizon, out=tau)
 
 
 def martingale_check(

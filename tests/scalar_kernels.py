@@ -9,7 +9,14 @@ The simulator adds each period's expected cost given its arrival count
 arrivals: ``_sim_period_exact`` (vectorised) and ``_sim_period_loop``
 (scalar) accrue one period on the same sorted arrival times, and
 ``exact_accrual`` fits either into ``evaluate_policy`` in place of
-``_backends.sim_period``.
+``_backends.sim_period``, counting its calls.
+
+``walk_reference``, ``sim_period_rows``, ``evaluate_policy_reference`` and
+``stopping_times_reference`` are the simulator's stepper in its direct form:
+per epoch, masks of the paths that stop and order, and each period's costs
+read from the rows of ``_backends.period_tables`` that ``np.searchsorted``
+finds.  The table-driven stepper of ``eolstop.sim`` must give the same
+numbers, bit for bit.
 
 ``period_c3_term`` is one period's outside-source integral, the oracle of
 the kernel table's ``c3_period`` row.
@@ -19,7 +26,10 @@ import math
 
 import numpy as np
 
+from eolstop import _backends, sim
+from eolstop.errors import UnreachableState
 from eolstop.sim import _sorted_period_arrivals
+from eolstop.solver import ORDER, STOP
 
 
 def _ev_clamped_loop(V, pmf, tail):
@@ -140,12 +150,87 @@ def exact_accrual(period, seed):
     """A stand-in for ``_backends.sim_period``: it draws the sorted arrival
     times of every path from a generator of its own, seeded by ``seed``, and
     accrues them with ``period`` (``_sim_period_exact`` or
-    ``_sim_period_loop``)."""
+    ``_sim_period_loop``).  Its ``calls`` attribute counts the periods it
+    accrued, so that a test can tell that the simulator called it."""
     rng = np.random.default_rng(seed)
 
-    def sim_period(cost, stock, stopped, counts, tables, k, params):
+    def sim_period(cost, post, counts, tables, k, params):
+        sim_period.calls += 1
         u = _sorted_period_arrivals(rng, k, counts)
-        period(stock.copy(), stopped, cost, u, counts, k,
+        period(np.maximum(post, 0), post < 0, cost, u, counts, k,
                params.c1, params.c2_bar, params.c3_bar, params.gamma, params.delta)
 
+    sim_period.calls = 0
     return sim_period
+
+
+def walk_reference(policy, x0, counts):
+    """Step every path through ``policy`` from stock x0, period k taking
+    ``counts[:, k]`` units of demand (lost once stock runs out).
+
+    At each epoch k = 0..T, after the epoch's decisions and before its
+    period's demand, yields ``(k, stop_now, scrap, qty, stock, stopped)``:
+    the paths stopping at k and the stock they scrap, each path's order
+    quantity (0 for no order), and the state after the decisions.
+    """
+    paths, T = counts.shape
+    # epoch k's (x, z) table as one row, cell z * (X+1) + x
+    width = policy.action.shape[1]
+    actions, targets = (np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(T + 1, -1)
+                        for g in (policy.action, policy.target))
+    stock = np.full(paths, x0, dtype=np.int64)
+    zvec = np.full(paths, policy.z0, dtype=np.int64)
+    stopped = np.zeros(paths, dtype=bool)
+    for k in range(T + 1):
+        cell = zvec * width + stock
+        act = actions[k][cell]
+        tgt = targets[k][cell]
+        stop_now = ~stopped & (act == STOP)
+        scrap = np.where(stop_now, stock, 0)
+        stopped = stopped | stop_now
+        order_now = ~stopped & (act == ORDER)
+        qty = np.where(order_now, tgt - stock, 0)
+        if np.any(qty[order_now] <= 0):
+            raise UnreachableState("policy order target does not exceed current stock")
+        stock = np.where(stopped, 0, stock + qty)
+        if policy.spec.order_budget is not None:
+            zvec -= order_now
+        yield k, stop_now, scrap, qty, stock, stopped
+        if k < T:
+            stock = np.maximum(stock - counts[:, k], 0)
+
+
+def sim_period_rows(cost, stock, stopped, counts, tables, k, params):
+    """One period's expected costs from the raw ``period_tables``: the row
+    of each count by ``np.searchsorted`` and cells read as table[row, m],
+    m = min(stock, count); ``stock`` is 0 on stopped paths."""
+    ns, hold, hold_j, lost_d, lost_dg = tables
+    row = np.searchsorted(ns, counts)
+    m = np.minimum(stock, counts)
+    cost += np.exp(-params.delta * k) * (
+        params.c1 * (stock * hold[row, m] - hold_j[row, m])
+        + params.c2_bar * np.where(stopped, 0.0, lost_d[row, m]))
+    cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg[row, m]
+
+
+def evaluate_policy_reference(policy, params, model, x0, paths, seed):
+    """(mean, standard error) of ``sim.evaluate_policy`` on the same counts,
+    by ``walk_reference`` and ``sim_period_rows``."""
+    counts = sim._draw_counts(policy, model, x0, paths, seed)
+    tables = _backends.period_tables(counts, policy.x_max, params.delta, params.gamma)
+    cost = np.zeros(paths)
+    for k, _, scrap, qty, stock, stopped in walk_reference(policy, x0, counts):
+        cost += np.exp(-params.delta * k) * (
+            params.c4 * scrap + np.where(qty > 0, params.K + params.c_bar * qty, 0.0))
+        if k < model.horizon:
+            sim_period_rows(cost, stock, stopped, counts[:, k], tables, k, params)
+    return float(cost.mean()), float(cost.std(ddof=1) / np.sqrt(paths))
+
+
+def stopping_times_reference(policy, model, x0, paths, seed):
+    """``sim.sample_stopping_times`` by ``walk_reference``."""
+    counts = sim._draw_counts(policy, model, x0, paths, seed)
+    tau = np.full(paths, model.horizon, dtype=np.int64)
+    for k, stop_now, *_ in walk_reference(policy, x0, counts):
+        tau[stop_now] = k
+    return tau

@@ -14,6 +14,7 @@ from eolstop import (
     IntensityModel,
     LostSalesConvention,
     ModelSpec,
+    NonFinite,
     NotFound,
     PolicyIncompatible,
     UnreachableState,
@@ -158,6 +159,26 @@ class TestCurve:
         assert np.all(np.diff(curve.tau_grid) > 0)
         assert np.all(np.isfinite(curve.values))
         assert len(curve.values) == len(curve.tau_grid) == len(curve.delta_x)
+
+    @pytest.mark.parametrize("x", [0, 25, 100])
+    def test_argmin_reads_the_curve(self, base_model, x):
+        # brute_force_switch_argmin evaluates the values alone; it must pick
+        # the curve's own grid point and value
+        p = base_params()
+        curve = switch_cost_curve(p, base_model, x)
+        i = int(np.argmin(curve.values))
+        got = brute_force_switch_argmin(p, base_model, x)
+        assert got == (float(curve.tau_grid[i]), float(curve.values[i]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("call", ["switch_cost_curve", "brute_force_switch_argmin"])
+    def test_overflowing_values_raise(self, base_model, call):
+        p = base_params(c2_bar=1e308, c3_bar=1e308)
+        run = {"switch_cost_curve": switch_cost_curve,
+               "brute_force_switch_argmin": brute_force_switch_argmin}[call]
+        with pytest.raises(NonFinite, match="switch-cost curve"):
+            run(p, base_model, 100)
 
 
 class TestOrderUpToOfTau:

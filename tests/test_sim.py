@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eolstop import (
     build_named_intensity,
     constant_A,
     evaluate_policy,
+    kernels_with_K,
     martingale_check,
     solve,
     stopping_time_distribution,
@@ -22,10 +24,17 @@ from eolstop import (
 )
 from eolstop import _backends, sim
 from eolstop.sim import _sorted_period_arrivals, sample_stopping_times
-from eolstop.solver import CONTINUE, STOP, PolicyTable
+from eolstop.solver import CONTINUE, ORDER, STOP, PolicyTable
 
-from conftest import base_params
-from scalar_kernels import _sim_period_exact, _sim_period_loop, exact_accrual
+from conftest import base_params, small_instance
+from scalar_kernels import (
+    _sim_period_exact,
+    _sim_period_loop,
+    evaluate_policy_reference,
+    exact_accrual,
+    sim_period_rows,
+    stopping_times_reference,
+)
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -117,10 +126,12 @@ class TestDeterminism:
         # the two exact-accrual oracles, vectorised and scalar, on the same arrivals
         res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 0)
         args = (res.policy, base_kernels.params, base_kernels.model, 0)
-        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 13))
+        exact, loop = exact_accrual(_sim_period_exact, 13), exact_accrual(_sim_period_loop, 13)
+        monkeypatch.setattr(_backends, "sim_period", exact)
         a = evaluate_policy(*args, paths=2_000, seed=13)
-        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_loop, 13))
+        monkeypatch.setattr(_backends, "sim_period", loop)
         b = evaluate_policy(*args, paths=2_000, seed=13)
+        assert exact.calls == loop.calls == base_kernels.model.horizon
         assert a.mean == pytest.approx(b.mean, rel=1e-10)
 
     def test_conditional_tracks_exact_accrual(self, base_kernels, monkeypatch):
@@ -129,8 +140,10 @@ class TestDeterminism:
         res = solve(ModelSpec.parse("D/inf/F"), base_kernels, 100)
         args = (res.policy, base_kernels.params, base_kernels.model, 100)
         a = evaluate_policy(*args, paths=2_000, seed=13)
-        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 13))
+        exact = exact_accrual(_sim_period_exact, 13)
+        monkeypatch.setattr(_backends, "sim_period", exact)
         b = evaluate_policy(*args, paths=2_000, seed=13)
+        assert exact.calls == base_kernels.model.horizon
         assert abs(a.mean - b.mean) < 0.1 * b.std_error
         assert a.std_error == pytest.approx(b.std_error, rel=1e-2)
 
@@ -175,6 +188,99 @@ class TestDeterminism:
             counts = sim._draw_counts(policy, model, x0, paths, seed)
             assert counts.shape == (paths, model.horizon) and counts.dtype == np.int64
             assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[name, seed]
+
+
+STEPPER_SPECS = ["D/inf/F", "D/1/Z", "D/2/F", "D/3/F", "T/1/Z", "T/inf/F", "S/1/Z", "S/2/F"]
+
+
+class TestTableStepper:
+    """``evaluate_policy`` and ``sample_stopping_times`` step paths through
+    state tables; on the same counts they must give what the stepper's direct
+    form (``scalar_kernels.walk_reference``) gives, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(policy, params, model, x0, paths, seed):
+        est = evaluate_policy(policy, params, model, x0, paths=paths, seed=seed)
+        want = evaluate_policy_reference(policy, params, model, x0, paths, seed)
+        assert (est.mean, est.std_error) == want
+        tau = sample_stopping_times(policy, model, x0, paths=paths, seed=seed)
+        assert np.array_equal(tau, stopping_times_reference(policy, model, x0, paths, seed))
+
+    @pytest.mark.parametrize("K", [0.0, 1000.0, 5000.0])
+    @pytest.mark.parametrize("label", STEPPER_SPECS)
+    def test_base_case(self, base_kernels, label, K):
+        kt = kernels_with_K(base_kernels, K)
+        for x0 in (0, 100, 250, 700):
+            res = solve(ModelSpec.parse(label), kt, x0)
+            self.assert_matches_reference(res.policy, kt.params, kt.model, x0, 2_000, x0 + 7)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_small_instances(self, seed):
+        params, model, x0, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        for label in STEPPER_SPECS:
+            res = solve(ModelSpec.parse(label), kt, x0)
+            self.assert_matches_reference(res.policy, params, model, x0, 500, seed)
+
+
+class TestUnreachableOrder:
+    """An ORDER cell whose target does not exceed the stock raises
+    UnreachableState once a path reaches it, and only then.  Without demand
+    every path keeps its stock x0 = 5."""
+
+    MODEL = IntensityModel(horizon=3, rates=np.zeros(3))
+
+    @staticmethod
+    def policy(label, cells):
+        """Continue until the stop at T, except an ORDER up to ``target`` at
+        each (epoch, stock, target) of ``cells``."""
+        pol = manual_policy(label, 3, 10)
+        for k, x, target in cells:
+            pol.action[k, x, pol.z0] = ORDER
+            pol.target[k, x, pol.z0] = target
+        return pol
+
+    @pytest.mark.parametrize("target", [5, 2], ids=["at-stock", "below-stock"])
+    @pytest.mark.parametrize("label", ["D/inf/F", "D/1/Z"])
+    def test_reached_cell_raises(self, label, target):
+        pol = self.policy(label, [(2, 5, target)])
+        with pytest.raises(UnreachableState, match="does not exceed current stock"):
+            evaluate_policy(pol, base_params(T=3), self.MODEL, 5, paths=10, seed=0)
+        with pytest.raises(UnreachableState, match="does not exceed current stock"):
+            sample_stopping_times(pol, self.MODEL, 5, paths=10, seed=0)
+
+    @pytest.mark.parametrize("label", ["D/inf/F", "D/1/Z"])
+    def test_unreached_cell_is_ignored(self, label):
+        # stock 3 at epoch 1 lies inside the state tables, stock 8 at epoch 0
+        # beyond them; no path holds either
+        pol = self.policy(label, [(1, 3, 2), (0, 8, 1)])
+        TestTableStepper.assert_matches_reference(pol, base_params(T=3), self.MODEL, 5, 10, 0)
+        assert sample_stopping_times(pol, self.MODEL, 5, paths=10, seed=0).tolist() == [3] * 10
+
+
+class TestPeakMemory:
+    # tracemalloc peak, in bytes, of a second evaluate_policy call (the first
+    # fills caches) on one base-case cell, K 1000, x0 100, 15,000 paths, seed
+    # 1, as measured before the simulator stepped paths through state tables;
+    # the (15,000, 50) int64 counts take 6.0e6 of it
+    PEAK = {"D/inf/F": 7_674_425, "D/1/Z": 7_674_071}
+
+    @pytest.mark.parametrize("label", sorted(PEAK))
+    def test_peak_does_not_grow(self, base_kernels, label):
+        kt = kernels_with_K(base_kernels, 1000.0)
+        res = solve(ModelSpec.parse(label), kt, 100)
+
+        def run():
+            return evaluate_policy(res.policy, kt.params, kt.model, 100, paths=15_000, seed=1)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK[label]
 
 
 class TestMartingale:
@@ -255,10 +361,12 @@ class TestZeroArrivalPeriod:
     def test_matches_scalar_oracle(self, monkeypatch):
         p = base_params(T=3, c1=1.7)
         args = (self.policy(), p, self.MODEL, 3)
-        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 17))
+        exact, loop = exact_accrual(_sim_period_exact, 17), exact_accrual(_sim_period_loop, 17)
+        monkeypatch.setattr(_backends, "sim_period", exact)
         a = evaluate_policy(*args, paths=400, seed=17)
-        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_loop, 17))
+        monkeypatch.setattr(_backends, "sim_period", loop)
         b = evaluate_policy(*args, paths=400, seed=17)
+        assert exact.calls == loop.calls == self.MODEL.horizon
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
         assert a.std_error == pytest.approx(b.std_error, rel=1e-12)
 
@@ -331,9 +439,10 @@ class TestConditionalPeriod:
         stock, stopped, counts = (np.array(v) for v in self.PATHS[paths])
         stopped = stopped.astype(bool)
         p, k, reps = base_params(**costs), 30, 4_000
-        tables = _backends.period_tables(counts, 40, p.delta, p.gamma)
+        tables = _backends.period_lookups(_backends.period_tables(counts, 40, p.delta, p.gamma),
+                                          40, p)
         cond = np.zeros(len(stock))
-        _backends.sim_period(cond, stock, stopped, counts, tables, k, p)
+        _backends.sim_period(cond, np.where(stopped, -1, stock), counts, tables, k, p)
 
         rep = np.repeat(counts, reps)
         u = _sorted_period_arrivals(np.random.default_rng(3), k, rep)
@@ -364,8 +473,10 @@ class TestConditionalPeriod:
         assert np.array_equal(ns, np.unique(counts))
         for t in tables:
             assert t.shape[0] == len(ns) and t.shape[1] <= 202
-        monkeypatch.setattr(_backends, "sim_period", exact_accrual(_sim_period_exact, 3))
+        stand_in = exact_accrual(_sim_period_exact, 3)
+        monkeypatch.setattr(_backends, "sim_period", stand_in)
         exact = evaluate_policy(pol, p, model, 200, paths=200, seed=3)
+        assert stand_in.calls == model.horizon
         assert abs(est.mean - exact.mean) < 0.1 * exact.std_error
 
     # period rates per case; "one-count" draws no randomness, every count is 7
@@ -379,18 +490,11 @@ class TestConditionalPeriod:
 
     @pytest.mark.parametrize("case", sorted(LOOKUP_RATES))
     def test_flat_lookup_is_bit_identical(self, case):
-        # sim_period finds each path's table cell through a count lookup and
-        # one flat index; the costs must equal, bit for bit, those of rows
-        # found by np.unique + np.searchsorted and cells read as table[row, m]
-        def searchsorted_period(cost, stock, stopped, counts, tables, k, params):
-            ns, hold, hold_j, lost_d, lost_dg = tables
-            row = np.searchsorted(ns, counts)
-            m = np.minimum(stock, counts)
-            cost += np.exp(-params.delta * k) * (
-                params.c1 * (stock * hold[row, m] - hold_j[row, m])
-                + params.c2_bar * np.where(stopped, 0.0, lost_d[row, m]))
-            cost += np.exp(-(params.delta + params.gamma) * k) * params.c3_bar * lost_dg[row, m]
-
+        # sim_period finds each path's cell of the ``period_lookups`` through
+        # a count lookup and one flat index, and reads costs folded over the
+        # post-decision stock; they must equal, bit for bit, those of rows
+        # found by np.searchsorted and cells read as table[row, m]
+        # (``sim_period_rows``)
         rng = np.random.default_rng(5)
         paths, x_max, p = 3_000, 120, base_params()
         rates = self.LOOKUP_RATES[case]
@@ -398,11 +502,13 @@ class TestConditionalPeriod:
                   else rng.poisson(rates, size=(paths, len(rates))))
         tables = _backends.period_tables(counts, x_max, p.delta, p.gamma)
         assert np.array_equal(tables[0], np.unique(counts))
+        lookups = _backends.period_lookups(tables, x_max, p)
         for k in range(counts.shape[1]):
             stopped = rng.uniform(size=paths) < 0.2
             # stock runs past the count on most low-rate paths, never at rate 3000
             stock = np.where(stopped, 0, rng.integers(0, x_max + 1, size=paths))
             got, want = (np.full(paths, 10.0) for _ in range(2))
-            _backends.sim_period(got, stock, stopped, counts[:, k], tables, 3 * k, p)
-            searchsorted_period(want, stock, stopped, counts[:, k], tables, 3 * k, p)
+            _backends.sim_period(got, np.where(stopped, -1, stock), counts[:, k], lookups,
+                                 3 * k, p)
+            sim_period_rows(want, stock, stopped, counts[:, k], tables, 3 * k, p)
             assert np.array_equal(got, want), (case, k)
