@@ -13,13 +13,13 @@ panels are the steps of the one tau grid (``_tau_grid``,
 T / max(1, round(T / step)) apart) split at the unit periods, so that none
 straddles a rate jump.  The curve, its argmin and both bounds read that grid.
 
-The stopping-time law is one forward pass under the fixed policy: the law of
-(x, z) starts at (x0, z0); at each epoch the mass on stopping states is
-P{tau* = t} and leaves, ordering states hand their mass to the order-up-to
-level one budget layer down, and the post-decision law is pushed through the
-period's demand, (y - D)^+, by ``_backends.push_clamped``.
-That is one push per period, every budget layer at once, against one backward
-pass per target epoch.
+The stopping-time law is one forward pass under the fixed policy, over the
+states of the Monte Carlo's tables (``sim.state_tables``): the law starts at
+(x0, z0); at each epoch the mass on states whose post-decision stock is -1
+is P{tau* = t} and leaves, the rest moves to its post-decision state, and
+that law is pushed through the period's demand, (y - D)^+, by
+``_backends.push_clamped``.  That is one push per period, every budget layer
+at once, against one backward pass per target epoch.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import _backends
+from . import _backends, sim
 from . import _poisson as poisson
 from .costs import CostParameters
 from .demand import IntensityModel
 from .errors import (AssumptionViolated, NonFinite, NotFound, PolicyIncompatible,
                      UnreachableState)
 from .kernels import constant_A
-from .solver import ORDER, STOP, PolicyTable, StopMode
+from .solver import PolicyTable, StopMode
 
 DEFAULT_TAU_STEP = 0.01
 _GL_ORDER = 32  # Gauss-Legendre nodes per unit period of a point function
@@ -321,9 +321,10 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
     """Exact stopping-time law by one forward pass of the state law.
 
     Starting from all mass on (x0, z0), each epoch's stopping states give
-    their mass to P{tau* = t} and leave; ordering states move to their
-    order-up-to level (one budget layer down for a finite budget); the
-    post-decision law then passes through the period's demand.
+    their mass to P{tau* = t} and leave, the rest moves to its post-decision
+    state (``sim.state_tables``), and the law then passes through the
+    period's demand.  Mass on an ORDER cell whose target does not exceed the
+    stock raises UnreachableState, as it does for a simulated path.
     """
     if policy.spec.stop_mode is not StopMode.DYNAMIC:
         raise PolicyIncompatible("stopping-time distribution needs a dynamic-stop policy")
@@ -331,22 +332,20 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
         raise UnreachableState("policy and intensity disagree on the horizon")
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
-    T, Z = policy.horizon, policy.action.shape[2]
+    T, Z, W = policy.horizon, policy.action.shape[2], sim.stock_top(policy, x0) + 1
+    post, base, _, bad = sim.state_tables(policy, W, slice(None), None)
     pmfs, tails = model.demand_pmfs
-    src = np.arange(Z) if policy.spec.order_budget is None else np.arange(Z) - 1
     mass = np.zeros(T + 1)
-    q = np.zeros((policy.x_max + 1, Z))
-    q[x0, policy.z0] = 1.0
+    q = np.zeros(Z * W + 1)  # the law over the states; the stopped one stays empty
+    q[policy.z0 * W + x0] = 1.0
     for t in range(T + 1):
-        act = policy.action[t]
-        stopping = act == STOP
+        if bad is not None and q[bad[t]].any():
+            raise UnreachableState("policy order target does not exceed current stock")
+        stopping = post[t] < 0
         mass[t] = q[stopping].sum()
         q[stopping] = 0.0
         if t == T or not q.any():
             break
-        xs, zs = np.nonzero(act == ORDER)
-        moved = q[xs, zs]
-        q[xs, zs] = 0.0
-        np.add.at(q, (policy.target[t, xs, zs], src[zs]), moved)
-        q = _backends.push_clamped(q.T, pmfs[t], tails[t]).T
+        after = np.bincount(base[t] + post[t], q, Z * W)  # stopping states add 0 to Z*W - 1
+        q[:-1] = _backends.push_clamped(after.reshape(Z, W), pmfs[t], tails[t]).ravel()
     return StoppingTimeDistribution(mass=mass, x0=x0)

@@ -364,7 +364,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         out_dir, timings = Path(args.out), {}
         t0 = time.perf_counter()
-        extra = args.func(args, cfg, out_dir, timings)
+        with np.errstate(over="ignore", invalid="ignore"):  # NonFinite (exit 3) reports these
+            extra = args.func(args, cfg, out_dir, timings)
         timings["total"] = time.perf_counter() - t0
         _write_manifest(out_dir, args.command, cfg, timings, extra)
         return 0

@@ -19,11 +19,13 @@ mean, and its variance can only fall.  Exact accrual over sampled arrivals is
 the tests' oracle.  ``martingale_check`` keeps sampled arrival times, because
 its conditional version would reduce to E[N] and test nothing.
 
-Paths step through the policy as states of tables (``_state_tables``): per
+Paths step through the policy as states of tables (``state_tables``): per
 epoch and state (budget layer and stock, or stopped) they hold the stock
 after the decisions, the next state's base and the decisions' cost, and the
 period's costs are folded over (count, stock) once per call
-(``_backends.period_lookups``).  An epoch is a few gathers per path.
+(``_backends.period_lookups``).  An epoch is a few gathers per path.  The
+exact stopping-time law (``analytics.stopping_time_distribution``) moves
+its mass through the same tables, so only they map a decision to a state.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ def _draw_counts(policy: PolicyTable, model: IntensityModel, x0: int, paths: int
     return _poisson_counts(np.random.default_rng(seed), model.rates, paths)
 
 
-_TABLE_CELLS = 4096  # (epoch, state) cells of ``_state_tables`` built at once
+_TABLE_CELLS = 4096  # (epoch, state) cells of ``state_tables`` built at once
 
 
-def _state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParameters | None):
+def state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParameters | None):
     """The decisions of ``policy`` at ``epochs`` as tables over the states a
     path can reach while its stock stays below W.
 
@@ -142,7 +144,7 @@ def _state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParame
     return post, base, dcost, bad
 
 
-def _stock_top(policy: PolicyTable, x0: int) -> int:
+def stock_top(policy: PolicyTable, x0: int) -> int:
     """The largest stock a path from x0 can hold."""
     return max(x0, int(policy.target.max()))
 
@@ -156,11 +158,11 @@ def _walk(policy: PolicyTable, x0: int, counts: np.ndarray,
     period's demand, yields ``(k, post)``: each path's stock after the
     decisions, -1 once stopped.  Given ``params`` and ``cost``, it first adds
     the decisions' cost, discounted by e^{-delta k}, to ``cost``.  Each path
-    is a state of ``_state_tables``, built a few epochs at a time, so that
+    is a state of ``state_tables``, built a few epochs at a time, so that
     an epoch is a few gathers per path.
     """
     paths, T = counts.shape
-    W = _stock_top(policy, x0) + 1
+    W = stock_top(policy, x0) + 1
     block = max(1, _TABLE_CELLS // (policy.action.shape[2] * W + 1))
     state = np.full(paths, policy.z0 * W + x0, dtype=np.intp)
     step = np.empty(paths, dtype=np.intp)
@@ -168,7 +170,7 @@ def _walk(policy: PolicyTable, x0: int, counts: np.ndarray,
         i = k % block
         if i == 0:
             post = base = dcost = bad = None  # the last block goes before the next is built
-            post, base, dcost, bad = _state_tables(policy, W, slice(k, k + block), params)
+            post, base, dcost, bad = state_tables(policy, W, slice(k, k + block), params)
         if bad is not None and bad[i].take(state).any():
             raise UnreachableState("policy order target does not exceed current stock")
         if cost is not None:
@@ -204,7 +206,7 @@ def evaluate_policy(
     counts = _draw_counts(policy, model, x0, paths, seed)
     tables = _backends.period_lookups(
         _backends.period_tables(counts, policy.x_max, params.delta, params.gamma),
-        _stock_top(policy, x0), params)
+        stock_top(policy, x0), params)
 
     cost = np.zeros(paths)
     for k, post in _walk(policy, x0, counts, params, cost):

@@ -20,6 +20,12 @@ numbers, bit for bit.
 
 ``period_c3_term`` is one period's outside-source integral, the oracle of
 the kernel table's ``c3_period`` row.
+
+``stopping_law_reference`` is the exact stopping-time law over the full
+stock grid, with its own order move: ordering states hand their mass to the
+order-up-to level (one budget layer down for a finite budget) by
+``np.add.at``.  ``analytics.stopping_time_distribution`` reads the
+simulator's state tables instead and must agree with it to rounding.
 """
 
 import math
@@ -234,3 +240,29 @@ def stopping_times_reference(policy, model, x0, paths, seed):
     for k, stop_now, *_ in walk_reference(policy, x0, counts):
         tau[stop_now] = k
     return tau
+
+
+def stopping_law_reference(policy, model, x0):
+    """P{tau* = m}, m = 0..T, of ``policy`` from (x0, z0), by a forward pass
+    of the law of (x, z) over 0..x_max: stopping states give their mass to
+    P{tau* = t} and leave, ordering states move theirs to the order-up-to
+    level, and the post-decision law passes through the period's demand."""
+    T, Z = policy.horizon, policy.action.shape[2]
+    pmfs, tails = model.demand_pmfs
+    src = np.arange(Z) if policy.spec.order_budget is None else np.arange(Z) - 1
+    mass = np.zeros(T + 1)
+    q = np.zeros((policy.x_max + 1, Z))
+    q[x0, policy.z0] = 1.0
+    for t in range(T + 1):
+        act = policy.action[t]
+        stopping = act == STOP
+        mass[t] = q[stopping].sum()
+        q[stopping] = 0.0
+        if t == T or not q.any():
+            break
+        xs, zs = np.nonzero(act == ORDER)
+        moved = q[xs, zs]
+        q[xs, zs] = 0.0
+        np.add.at(q, (policy.target[t, xs, zs], src[zs]), moved)
+        q = _backends.push_clamped(q.T, pmfs[t], tails[t]).T
+    return mass

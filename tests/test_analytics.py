@@ -17,6 +17,7 @@ from eolstop import (
     NonFinite,
     NotFound,
     PolicyIncompatible,
+    PolicyTable,
     UnreachableState,
     brute_force_switch_argmin,
     build_kernel_table,
@@ -27,6 +28,7 @@ from eolstop import (
     extract_regions,
     kernels_with_K,
     order_up_to_of_tau,
+    sample_stopping_times,
     solve,
     static_switch_values,
     stopping_time_distribution,
@@ -40,6 +42,7 @@ from eolstop.demand import period_pmfs
 from eolstop.solver import CONTINUE, ORDER, STOP, _backward_pass
 
 from conftest import base_params, small_instance
+from scalar_kernels import stopping_law_reference
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -484,6 +487,63 @@ class TestStoppingTimeDistribution:
         assert dist.mass[-1] > 0  # mass reaches T, so no epoch is skipped
         assert not evs
         assert len(pushes) == 12  # one per period, every budget layer at once
+
+
+class TestLawOnStateTables:
+    """The law steps through the simulator's state tables; the full-grid
+    law with its own order move (``stopping_law_reference``) is its oracle."""
+
+    SPECS = ["D/inf/F", "D/1/Z", "D/2/F", "D/3/F"]
+
+    @staticmethod
+    def assert_matches_reference(policy, model, x0s):
+        for x0 in x0s:
+            got = stopping_time_distribution(policy, model, x0).mass
+            want = stopping_law_reference(policy, model, x0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14, err_msg=f"x0={x0}")
+
+    @pytest.mark.parametrize("K", [0.0, 1000.0, 5000.0])
+    @pytest.mark.parametrize("label", SPECS)
+    def test_base_case(self, base_kernels, label, K):
+        kt = kernels_with_K(base_kernels, K)
+        pol = solve(ModelSpec.parse(label), kt, 0).policy  # a D policy serves every x0
+        self.assert_matches_reference(pol, kt.model, (0, 100, 250, 700))
+
+    @pytest.mark.parametrize("seed", [*range(12), 253])
+    def test_small_instances(self, seed):
+        params, model, x0, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        for label in self.SPECS:
+            pol = solve(ModelSpec.parse(label), kt, x0).policy
+            self.assert_matches_reference(pol, model, sorted({x0, *range(0, x_max + 1, 7)}))
+
+    MODEL = IntensityModel(horizon=4, rates=np.zeros(4))  # no demand: stock stays at x0
+
+    @staticmethod
+    def policy(cells):
+        """D/inf/F with T = 4 and x_max = 10 that continues until the stop at
+        T, except an ORDER up to ``target`` at each (epoch, stock, target) of
+        ``cells``."""
+        action = np.full((5, 11, 1), CONTINUE, dtype=np.int8)
+        action[4] = STOP
+        target = np.full(action.shape, -1, dtype=np.int32)
+        for t, x, g in cells:
+            action[t, x, 0], target[t, x, 0] = ORDER, g
+        return PolicyTable(spec=ModelSpec.parse("D/inf/F"), x_max=10, horizon=4,
+                           action=action, target=target, z0=0)
+
+    def test_reached_order_to_the_stock_raises(self):
+        # at t = 1 the mass on x = 3 orders up to 3, as a simulated path does
+        pol = self.policy([(1, 3, 3), (2, 9, 5)])
+        with pytest.raises(UnreachableState, match="does not exceed current stock"):
+            stopping_time_distribution(pol, self.MODEL, 3)
+        with pytest.raises(UnreachableState, match="does not exceed current stock"):
+            sample_stopping_times(pol, self.MODEL, 3, paths=10, seed=0)
+
+    def test_unreached_order_is_ignored(self):
+        pol = self.policy([(2, 9, 5)])
+        assert stopping_time_distribution(pol, self.MODEL, 3).mass.tolist() == [0, 0, 0, 0, 1]
+        assert sample_stopping_times(pol, self.MODEL, 3, paths=10, seed=0).tolist() == [4] * 10
 
 
 def _backward_law(policy, model, x0):

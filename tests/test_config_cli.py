@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings as hyp_settings
+from hypothesis import HealthCheck, example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from eolstop import ConfigError, ExperimentConfig
@@ -504,11 +507,11 @@ OVERFLOW = dict(intensity={"kind": "convex", "horizon": 6, "total_demand": 30.0}
                 models=["D/inf/F", "S/1/Z", "T/1/Z"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("argv", [["solve"], ["compare", "D/inf/F", "S/1/Z"], ["bounds"],
                                   ["simulate"]], ids=lambda argv: argv[0])
 def test_overflowing_costs_exit_3_before_any_report(tmp_path, capsys, argv):
+    # no overflow warning escapes the command (the suite turns warnings into
+    # errors): NonFinite is the one signal
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, **OVERFLOW)
     assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 3
@@ -516,6 +519,17 @@ def test_overflowing_costs_exit_3_before_any_report(tmp_path, capsys, argv):
     assert captured.out == ""
     assert "numerical failure" in captured.err and "inf or NaN" in captured.err
     assert not out.exists()
+
+
+def test_overflow_under_warnings_as_errors_exits_3_without_traceback(tmp_path):
+    cfg = write_cfg(tmp_path, **OVERFLOW)
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "eolstop.cli", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert run.returncode == 3, run.stderr
+    assert "Traceback" not in run.stderr and "numerical failure" in run.stderr
 
 
 def _config_commands():
@@ -783,6 +797,10 @@ _JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
 
 
 @given(key=st.sampled_from(_FUZZ_KEYS), value=_JSON_VALUES)
+# costs whose sums overflow in the solver and the kernel rows
+@example(key=("costs", "c1"), value=4.5e306)
+@example(key=("costs", "c3_bar"), value=1.0164285051904422e+307)
+@example(key=("costs", "c2_bar"), value=1.7001896425721054e+307)
 @hyp_settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_config_is_accepted_or_rejected_cleanly(key, value):
     # one value of a small valid config becomes a random JSON value: from_dict

@@ -348,6 +348,30 @@ class TestStructure:
                             or len(stop) == 1 and (stop[0][0] == 0 or stop[0][-1] == X)
                             or len(stop) == 2 and stop[0][0] == 0 and stop[1][-1] == X), where
 
+    @pytest.mark.parametrize("label", ["T/inf/F", "D/inf/F"])
+    def test_order_ties_continue(self, label):
+        # no demand, K = 0, delta = 0 and a last cost row of -(c_bar + c4) x
+        # make V(t, x) = -c_bar x for t < T, so every order from x costs
+        # exactly what continuing does; ties continue, so nothing is ordered
+        T, X = 3, 10
+        model = IntensityModel(horizon=T, rates=np.zeros(T))
+        kt = build_kernel_table(base_params(T=T, delta=0.0), model, ARR, x_max=X)
+        C = np.zeros((T, X + 1))
+        C[-1] = -(kt.params.c_bar + kt.params.c4) * np.arange(X + 1)
+        pol = solve(ModelSpec.parse(label), dataclasses.replace(kt, C_tilde=C), 0).policy
+        assert not (pol.action == ORDER).any()
+
+    def test_stopping_can_break_the_sS_form(self):
+        # a counterexample to the one-level form above once stopping is
+        # allowed: at t = 0 with its one order left, seed 253's D/1/Z policy
+        # orders from 2-4 up to 5 and from 6-8 up to 9, and continues at 5
+        params, model, x0, x_max = small_instance(253)
+        kt = build_kernel_table(params, model, ARR, x_max=x_max)
+        pol = solve(ModelSpec.parse("D/1/Z"), kt, x0).policy
+        act, tgt = pol.action[0, :10, pol.z0], pol.target[0, :10, pol.z0]
+        assert act.tolist() == [STOP] * 2 + [ORDER] * 3 + [CONTINUE] + [ORDER] * 3 + [CONTINUE]
+        assert tgt[act == ORDER].tolist() == [5, 5, 5, 9, 9, 9]
+
 
 class TestSpecValidation:
     def test_unlimited_zero_only_rejected(self):
