@@ -56,7 +56,9 @@ CATALOGUE = [
            "np.copyto(post[:, :S], -1, where=stop)", "np.copyto(post[:, :S], 0, where=stop)",
            FORWARD_TESTS),
     Mutant("bad-flag", SIM,
-           "bad = order & (tgt <= x)", "bad = order & (tgt < x)", FORWARD_TESTS),
+           "bad = order & ((tgt <= x)", "bad = order & ((tgt < x)", FORWARD_TESTS),
+    Mutant("no-order-left", SIM,
+           "(base[:, :S] < 0))", "(base[:, :S] < -W))", FORWARD_TESTS),
     Mutant("law-base", LAW,
            "np.bincount(base[t] + post[t], q, Z * W)", "np.bincount(post[t], q, Z * W)",
            ("tests/test_analytics.py",)),

@@ -323,8 +323,8 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
     Starting from all mass on (x0, z0), each epoch's stopping states give
     their mass to P{tau* = t} and leave, the rest moves to its post-decision
     state (``sim.state_tables``), and the law then passes through the
-    period's demand.  Mass on an ORDER cell whose target does not exceed the
-    stock raises UnreachableState, as it does for a simulated path.
+    period's demand.  Mass on an ORDER cell that ``sim.state_tables`` flags
+    raises UnreachableState, as it does for a simulated path.
     """
     if policy.spec.stop_mode is not StopMode.DYNAMIC:
         raise PolicyIncompatible("stopping-time distribution needs a dynamic-stop policy")
@@ -340,7 +340,7 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
     q[policy.z0 * W + x0] = 1.0
     for t in range(T + 1):
         if bad is not None and q[bad[t]].any():
-            raise UnreachableState("policy order target does not exceed current stock")
+            raise UnreachableState("order target does not exceed current stock, or no order left")
         stopping = post[t] < 0
         mass[t] = q[stopping].sum()
         q[stopping] = 0.0

@@ -109,8 +109,8 @@ def state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParamet
              demand d leads to base + max(post - d, 0)
       dcost  the decisions' undiscounted cost, c4 * scrap + (K + c_bar * qty
              for an order), or None without ``params``
-      bad    ORDER cells whose target does not exceed the stock, or None
-             when there is none
+      bad    ORDER cells at layer 0 of a finite budget or whose target does
+             not exceed the stock; None when there is none
     """
     Z = policy.action.shape[2]
     S = Z * W
@@ -127,7 +127,7 @@ def state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParamet
     if policy.spec.order_budget is not None:
         base[:, :S] -= W * order
     np.copyto(base[:, :S], S, where=stop)
-    bad = order & (tgt <= x)
+    bad = order & ((tgt <= x) | (base[:, :S] < 0))  # base < 0: no order was left
     bad = np.pad(bad, ((0, 0), (0, 1))) if bad.any() else None
     dcost = None
     if params is not None:
@@ -172,7 +172,7 @@ def _walk(policy: PolicyTable, x0: int, counts: np.ndarray,
             post = base = dcost = bad = None  # the last block goes before the next is built
             post, base, dcost, bad = state_tables(policy, W, slice(k, k + block), params)
         if bad is not None and bad[i].take(state).any():
-            raise UnreachableState("policy order target does not exceed current stock")
+            raise UnreachableState("order target does not exceed current stock, or no order left")
         if cost is not None:
             spent = dcost[i].take(state)
             spent *= np.exp(-params.delta * k)

@@ -249,6 +249,18 @@ class TestUnreachableOrder:
         with pytest.raises(UnreachableState, match="does not exceed current stock"):
             sample_stopping_times(pol, self.MODEL, 5, paths=10, seed=0)
 
+    def test_order_with_no_order_left_raises(self):
+        # D/1/F orders 5 -> 7 at t = 0, then 7 -> 9 at t = 1 from layer 0,
+        # which has no order left; before, a path took that order into the
+        # stopped state, and the stopping-time law into the top layer
+        pol = self.policy("D/1/F", [(0, 5, 7)])
+        pol.action[1, 7, 0], pol.target[1, 7, 0] = ORDER, 9
+        for run in (lambda: evaluate_policy(pol, base_params(T=3), self.MODEL, 5, paths=10),
+                    lambda: sample_stopping_times(pol, self.MODEL, 5, paths=10),
+                    lambda: stopping_time_distribution(pol, self.MODEL, 5)):
+            with pytest.raises(UnreachableState, match="no order left"):
+                run()
+
     @pytest.mark.parametrize("label", ["D/inf/F", "D/1/Z"])
     def test_unreached_cell_is_ignored(self, label):
         # stock 3 at epoch 1 lies inside the state tables, stock 8 at epoch 0
