@@ -60,7 +60,7 @@ CATALOGUE = [
     Mutant("no-order-left", SIM,
            "(base[:, :S] < 0))", "(base[:, :S] < -W))", FORWARD_TESTS),
     Mutant("law-base", LAW,
-           "np.bincount(base[t] + post[t], q, Z * W)", "np.bincount(post[t], q, Z * W)",
+           "np.bincount(base[t] + post[t], q", "np.bincount(post[t], q",
            ("tests/test_analytics.py",)),
     Mutant("tie-rule", SOLVER,
            "ordering[:, :-1] = J[0, 0] < G[0, 0, :, :-1]",

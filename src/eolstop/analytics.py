@@ -332,11 +332,11 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
         raise UnreachableState("policy and intensity disagree on the horizon")
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
-    T, Z, W = policy.horizon, policy.action.shape[2], sim.stock_top(policy, x0) + 1
+    T, W = policy.horizon, sim.stock_top(policy, x0) + 1
     post, base, _, bad = sim.state_tables(policy, W, slice(None), None)
     pmfs, tails = model.demand_pmfs
     mass = np.zeros(T + 1)
-    q = np.zeros(Z * W + 1)  # the law over the states; the stopped one stays empty
+    q = np.zeros(post.shape[1])  # the law over the states; the last, stopped one stays empty
     q[policy.z0 * W + x0] = 1.0
     for t in range(T + 1):
         if bad is not None and q[bad[t]].any():
@@ -346,6 +346,6 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
         q[stopping] = 0.0
         if t == T or not q.any():
             break
-        after = np.bincount(base[t] + post[t], q, Z * W)  # stopping states add 0 to Z*W - 1
-        q[:-1] = _backends.push_clamped(after.reshape(Z, W), pmfs[t], tails[t]).ravel()
+        after = np.bincount(base[t] + post[t], q, len(q) - 1)  # zeroed stops land on x = W - 1
+        q[:-1] = _backends.push_clamped(after.reshape(-1, W), pmfs[t], tails[t]).ravel()
     return StoppingTimeDistribution(mass=mass, x0=x0)

@@ -251,8 +251,7 @@ class TestUnreachableOrder:
 
     def test_order_with_no_order_left_raises(self):
         # D/1/F orders 5 -> 7 at t = 0, then 7 -> 9 at t = 1 from layer 0,
-        # which has no order left; before, a path took that order into the
-        # stopped state, and the stopping-time law into the top layer
+        # which has no order left: its next state would lie below layer 0
         pol = self.policy("D/1/F", [(0, 5, 7)])
         pol.action[1, 7, 0], pol.target[1, 7, 0] = ORDER, 9
         for run in (lambda: evaluate_policy(pol, base_params(T=3), self.MODEL, 5, paths=10),
