@@ -38,6 +38,7 @@ SIM = "src/eolstop/sim.py"
 LAW = "src/eolstop/analytics.py"
 SOLVER = "src/eolstop/solver.py"
 FORWARD_TESTS = ("tests/test_sim.py", "tests/test_analytics.py")
+SOLVER_TESTS = ("tests/test_solver.py", "tests/test_analytics.py")
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,21 @@ CATALOGUE = [
     Mutant("no-order-left", SIM,
            "(base[:, :S] < 0))", "(base[:, :S] < -W))", FORWARD_TESTS),
     Mutant("law-base", LAW,
-           "np.bincount(base[t] + post[t], q", "np.bincount(post[t], q",
+           "np.bincount(base + post, q", "np.bincount(post, q",
            ("tests/test_analytics.py",)),
     Mutant("tie-rule", SOLVER,
-           "ordering[:, :-1] = J[0, 0] < G[0, 0, :, :-1]",
-           "ordering[:, :-1] = J[0, 0] <= G[0, 0, :, :-1]",
-           ("tests/test_solver.py", "tests/test_analytics.py")),
+           "ordering[..., :-1] = J[0] < G[0, ..., :-1]",
+           "ordering[..., :-1] = J[0] <= G[0, ..., :-1]", SOLVER_TESTS),
+    Mutant("cap-tie", SOLVER,
+           "taken = at_m & (Jx < G[..., lo:X])", "taken = at_m & (Jx <= G[..., lo:X])",
+           SOLVER_TESTS),
+    Mutant("first-live", SOLVER,
+           'np.searchsorted(epochs, np.arange(T), side="right")',
+           'np.searchsorted(epochs, np.arange(T), side="left")', SOLVER_TESTS),
+    Mutant("row-stop-fill", SOLVER,
+           "V[e:, r] = stop_vec[0, 0]", "V[epochs[0]:, r] = stop_vec[0, 0]", SOLVER_TESTS),
+    Mutant("K-column", SOLVER,
+           "np.r_[0, 1 + i:1 + nK * b:nK]", "np.r_[0, i:1 + nK * b:nK]", SOLVER_TESTS),
 ]
 
 

@@ -322,9 +322,9 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
 
     Starting from all mass on (x0, z0), each epoch's stopping states give
     their mass to P{tau* = t} and leave, the rest moves to its post-decision
-    state (``sim.state_tables``), and the law then passes through the
-    period's demand.  Mass on an ORDER cell that ``sim.state_tables`` flags
-    raises UnreachableState, as it does for a simulated path.
+    state (``sim.state_tables``, read as the paths read them), and the law
+    then passes through the period's demand.  Mass on an ORDER cell that the
+    tables flag raises UnreachableState, as it does for a simulated path.
     """
     if policy.spec.stop_mode is not StopMode.DYNAMIC:
         raise PolicyIncompatible("stopping-time distribution needs a dynamic-stop policy")
@@ -333,19 +333,18 @@ def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
     if not 0 <= x0 <= policy.x_max:
         raise ValueError(f"x0 must lie in 0..{policy.x_max}")
     T, W = policy.horizon, sim.stock_top(policy, x0) + 1
-    post, base, _, bad = sim.state_tables(policy, W, slice(None), None)
     pmfs, tails = model.demand_pmfs
     mass = np.zeros(T + 1)
-    q = np.zeros(post.shape[1])  # the law over the states; the last, stopped one stays empty
+    q = np.zeros(policy.action.shape[2] * W + 1)  # the state law; the stopped state stays empty
     q[policy.z0 * W + x0] = 1.0
-    for t in range(T + 1):
-        if bad is not None and q[bad[t]].any():
-            raise UnreachableState("order target does not exceed current stock, or no order left")
-        stopping = post[t] < 0
+    for t, (post, base, _, bad) in enumerate(sim.state_tables(policy, W)):
+        if bad is not None and q[bad].any():
+            raise UnreachableState(sim.BAD_ORDER)
+        stopping = post < 0
         mass[t] = q[stopping].sum()
         q[stopping] = 0.0
         if t == T or not q.any():
             break
-        after = np.bincount(base[t] + post[t], q, len(q) - 1)  # zeroed stops land on x = W - 1
+        after = np.bincount(base + post, q, len(q) - 1)  # zeroed stops land on x = W - 1
         q[:-1] = _backends.push_clamped(after.reshape(-1, W), pmfs[t], tails[t]).ravel()
     return StoppingTimeDistribution(mass=mass, x0=x0)

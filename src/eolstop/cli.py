@@ -131,17 +131,14 @@ def _pct_grid(kernels, cfg: ExperimentConfig, a: str, b: str, ids=None) -> np.nd
 
 
 def _solve_each(cfg: ExperimentConfig, labels, x0s):
-    """Solve each model label at every K at once, per start in ``x0s`` only for
-    STATIC specs, whose switch epoch depends on x0; yields (label, K, x0,
-    kernels, result, file tag) in that order.  ``labels`` is read lazily."""
+    """One ``solve_policies`` call per model label (read lazily) for every K
+    and x0; yields (label, K, x0, kernels, result, file tag) in that order."""
     base = cfg.build_kernels()
     for label in labels:
-        spec = ModelSpec.parse(label)
-        starts = x0s if spec.stop_mode is StopMode.STATIC else x0s[:1]
-        solved = {x0: solve_policies(spec, base, cfg.setup_costs, x0) for x0 in starts}
-        for (i, K), x0 in itertools.product(enumerate(cfg.setup_costs), x0s):
-            res = solved.get(x0, solved[x0s[0]])[i]  # a D or T result serves every x0
-            yield label, K, x0, kernels_with_K(base, K), res, f"{_tag(label)}_K{K:g}"
+        solved = solve_policies(ModelSpec.parse(label), base, cfg.setup_costs, x0s)
+        for K, row in zip(cfg.setup_costs, solved):
+            for x0, res in zip(x0s, row):
+                yield label, K, x0, kernels_with_K(base, K), res, f"{_tag(label)}_K{K:g}"
 
 
 def _write_regions_csv(path: Path, policy):

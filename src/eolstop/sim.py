@@ -30,6 +30,7 @@ its mass through the same tables, so only they map a decision to a state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,53 +96,57 @@ def _draw_counts(policy: PolicyTable, model: IntensityModel, x0: int, paths: int
 
 
 _TABLE_CELLS = 4096  # (epoch, state) cells of ``state_tables`` built at once
+BAD_ORDER = "order target does not exceed current stock, or no order left"
 
 
-def state_tables(policy: PolicyTable, W: int, epochs: slice, params: CostParameters | None):
-    """The decisions of ``policy`` at ``epochs`` as tables over the states a
-    path can reach while its stock stays below W.
+def state_tables(policy: PolicyTable, W: int, params: CostParameters | None = None):
+    """The decisions of ``policy`` as tables over the states a path can reach
+    while its stock stays below W, one epoch at a time, k = 0..T.
 
     State z * W + x is budget layer z with stock x; state Z * W is the
-    absorbing stopped state.  Returns ``(post, base, dcost, bad)``, (epochs,
-    states) arrays:
+    absorbing stopped state.  Yields ``(post, base, dcost, bad)``, arrays
+    over the states:
       post   stock after the decisions, -1 once stopped
       base   the state of the post-decision stock when it is 0, so a period's
              demand d leads to base + max(post - d, 0)
       dcost  the decisions' undiscounted cost, c4 * scrap + (K + c_bar * qty
              for an order), or None without ``params``
       bad    ORDER cells at layer 0 of a finite budget or whose target does
-             not exceed the stock; None when there is none
+             not exceed the stock, or None
+    They are built about ``_TABLE_CELLS`` (epoch, state) cells at a time, so
+    they stay small whatever the horizon and the stock.
     """
     Z = policy.action.shape[2]
     S = Z * W
-    act, tgt = (g[epochs, :W].transpose(0, 2, 1).reshape(-1, S)
-                for g in (policy.action, policy.target))
     x = np.tile(np.arange(W), Z)
-    stop, order = act == STOP, act == ORDER
-    post = np.full((len(act), S + 1), -1)
-    np.copyto(post[:, :S], x)
-    np.copyto(post[:, :S], tgt, where=order)
-    np.copyto(post[:, :S], -1, where=stop)
-    base = np.full(post.shape, S)
-    np.copyto(base[:, :S], np.repeat(np.arange(Z) * W, W))
-    if policy.spec.order_budget is not None:
-        base[:, :S] -= W * order
-    np.copyto(base[:, :S], S, where=stop)
-    bad = order & ((tgt <= x) | (base[:, :S] < 0))  # base < 0: no order was left
-    bad = np.pad(bad, ((0, 0), (0, 1))) if bad.any() else None
-    dcost = None
-    if params is not None:
-        # c4 * scrap + where(qty > 0, K + c_bar * qty, 0.0) with the same
-        # roundings (sums and products commute): c4 * x + 0.0 on a stop,
-        # c4 * 0 + (K + c_bar * (target - x)) on an order, 0.0 elsewhere
-        dcost = np.zeros(post.shape)
-        np.copyto(dcost[:, :S], params.c4 * x + 0.0, where=stop)
-        qty = np.subtract(tgt, x, dtype=float)
-        qty *= params.c_bar
-        qty += params.K
-        qty += params.c4 * 0
-        np.copyto(dcost[:, :S], qty, where=order)
-    return post, base, dcost, bad
+    # post and base where nothing is decided; the stopped state stays stopped
+    idle = np.append(x, -1), np.append(np.repeat(np.arange(Z) * W, W), S)
+    block, none = max(1, _TABLE_CELLS // (S + 1)), itertools.repeat(None)
+    for k in range(0, policy.horizon + 1, block):
+        act, tgt = (g[k:k + block, :W].transpose(0, 2, 1).reshape(-1, S)
+                    for g in (policy.action, policy.target))
+        stop, order = act == STOP, act == ORDER
+        post, base = (np.repeat(row[None], len(act), axis=0) for row in idle)
+        np.copyto(post[:, :S], tgt, where=order)
+        np.copyto(post[:, :S], -1, where=stop)
+        if policy.spec.order_budget is not None:
+            base[:, :S] -= W * order
+        np.copyto(base[:, :S], S, where=stop)
+        bad = order & ((tgt <= x) | (base[:, :S] < 0))  # base < 0: no order was left
+        bad = np.pad(bad, ((0, 0), (0, 1))) if bad.any() else none
+        dcost = none
+        if params is not None:
+            # c4 * scrap + where(qty > 0, K + c_bar * qty, 0.0) with the same
+            # roundings (sums and products commute): c4 * x + 0.0 on a stop,
+            # c4 * 0 + (K + c_bar * (target - x)) on an order, 0.0 elsewhere
+            dcost = np.zeros(post.shape)
+            np.copyto(dcost[:, :S], params.c4 * x + 0.0, where=stop)
+            qty = np.subtract(tgt, x, dtype=float)
+            qty *= params.c_bar
+            qty += params.K
+            qty += params.c4 * 0
+            np.copyto(dcost[:, :S], qty, where=order)
+        yield from zip(post, base, dcost, bad)
 
 
 def stock_top(policy: PolicyTable, x0: int) -> int:
@@ -158,32 +163,26 @@ def _walk(policy: PolicyTable, x0: int, counts: np.ndarray,
     period's demand, yields ``(k, post)``: each path's stock after the
     decisions, -1 once stopped.  Given ``params`` and ``cost``, it first adds
     the decisions' cost, discounted by e^{-delta k}, to ``cost``.  Each path
-    is a state of ``state_tables``, built a few epochs at a time, so that
-    an epoch is a few gathers per path.
+    is a state of ``state_tables``, so an epoch is a few gathers per path.
     """
     paths, T = counts.shape
     W = stock_top(policy, x0) + 1
-    block = max(1, _TABLE_CELLS // (policy.action.shape[2] * W + 1))
     state = np.full(paths, policy.z0 * W + x0, dtype=np.intp)
     step = np.empty(paths, dtype=np.intp)
-    for k in range(T + 1):
-        i = k % block
-        if i == 0:
-            post = base = dcost = bad = None  # the last block goes before the next is built
-            post, base, dcost, bad = state_tables(policy, W, slice(k, k + block), params)
-        if bad is not None and bad[i].take(state).any():
-            raise UnreachableState("order target does not exceed current stock, or no order left")
+    for k, (post, base, dcost, bad) in enumerate(state_tables(policy, W, params)):
+        if bad is not None and bad.take(state).any():
+            raise UnreachableState(BAD_ORDER)
         if cost is not None:
-            spent = dcost[i].take(state)
+            spent = dcost.take(state)
             spent *= np.exp(-params.delta * k)
             cost += spent
             del spent
-        at = post[i].take(state)
+        at = post.take(state)
         yield k, at
         if k < T:
             np.subtract(at, counts[:, k], out=step)
             np.maximum(step, 0, out=step)
-            step += base[i].take(state)
+            step += base.take(state)
             state, step = step, state
 
 

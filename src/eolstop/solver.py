@@ -26,8 +26,8 @@ budget is unlimited); a finite budget's last layer, which never orders, is
 one K-free column (K = inf).  The column axis keeps size 1 until some layer
 may order (epoch T-1 for ``.../F``, 0 for ``.../Z``), so the no-order chain
 the columns share is computed once.
-``solve_values`` takes a list of tables; STATIC specs, and
-``solve_policies`` with its policy grids over every K, keep one table per pass.
+``solve_values`` takes a list of tables; STATIC specs keep one table per
+pass, as does ``solve_policies``, whose one grids pass serves every K and x0.
 
 A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
@@ -189,8 +189,9 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     later one; before it, stopping is admissible for DYNAMIC specs only.
     Returns V(0) at the full budget layer as (len(tables),
     len(switch_epochs), len(setup_costs), X+1) and, with ``grids`` (one
-    table, one epoch), the (V, action, target) grids over every epoch as
-    (t, x, column), columns as below; else no policy is filled.  Either way
+    table), the (V, action, target) grids over every epoch as (t, row, x,
+    column), columns as below, each row a forced STOP from its epoch on; else
+    no policy is filled.  Either way
     a chosen order-up-to level at x_max raises CapSaturated once the pass is
     done, naming every table that hit it and the first epoch (counting down)
     where one did, and a total V(0, x) + A that is not finite raises
@@ -219,9 +220,8 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     # W[s, i, c] is table s's value column c at t+1; one column until some
     # layer may order, so the no-order chain they all share is expected once
     W = np.broadcast_to(stop_vec, (len(tables), len(epochs), 1, X + 1))
-    if grids:  # filled as (t, column, x), returned as (t, x, column) views
-        V = np.empty((T + 1, len(Kcol), X + 1))
-        V[epochs[0]:] = stop_vec.reshape(1, 1, X + 1)
+    if grids:  # filled as (t, row, column, x), returned as (t, row, x, column) views
+        V = np.empty((T + 1, len(epochs), len(Kcol), X + 1))
         action = np.full(V.shape, STOP, dtype=np.int8)
         target = np.full(V.shape, -1, dtype=np.int32)
 
@@ -233,8 +233,8 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         G *= disc
         for s, kt in enumerate(tables):
             G[s] += kt.C_tilde[t]
-        if grids:  # one table and one row
-            ordering = np.zeros(V.shape[1:], dtype=bool)
+        if grids:  # one table; rows from live on
+            ordering = np.zeros((len(epochs) - live,) + V.shape[2:], dtype=bool)
         if t == 0 or spec.first_order is FirstOrder.FREE:
             if G.shape[2] < len(Kcol):  # the shared no-order chain splits into the columns
                 G = np.repeat(G, len(Kcol), axis=2)
@@ -248,18 +248,17 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
                 cap_epoch = t
             capped |= hit
             if grids:  # strict: ties continue
-                ordering[:, :-1] = J[0, 0] < G[0, 0, :, :-1]
-                target[t, :, :-1] = _backends.suffix_argmin(f[0, 0], mins[0, 0])[:, 1:]
+                ordering[..., :-1] = J[0] < G[0, ..., :-1]
+                target[t, live:, :, :-1] = _backends.suffix_argmin(f[0], mins[0])[..., 1:]
             np.minimum(G[..., :-1], J, out=G[..., :-1])  # ties continue
-        if grids:
-            stopping = stop_vec[0, 0] <= G[0, 0] if stops else np.zeros_like(ordering)
-            ordering &= ~stopping
-            target[t][~ordering] = -1
-            action[t] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
         if stops:
             np.minimum(G, stop_vec, out=G)  # ties stop
-        if grids:
-            V[t] = G[0, 0]
+        if grids:  # stop <= min(G, stop) exactly where stop <= G
+            stopping = stop_vec[0] <= G[0] if stops else np.zeros_like(ordering)
+            ordering &= ~stopping
+            target[t, live:][~ordering] = -1
+            action[t, live:] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
+            V[t, live:] = G[0]
         W = G
         if live:  # rows with k* <= t hold the forced stop
             W = np.concatenate((np.broadcast_to(stop_vec, G.shape[:1] + (live,) + G.shape[2:]),
@@ -276,50 +275,54 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         raise NonFinite("a total cost")
     if not grids:
         return V0, None
-    return V0, tuple(g.transpose(0, 2, 1) for g in (V, action, target))
+    for r, e in enumerate(epochs):  # the pass filled each row before its epoch
+        V[e:, r] = stop_vec[0, 0]
+    return V0, tuple(g.transpose(0, 1, 3, 2) for g in (V, action, target))
 
 
 def _best_epoch(spec, kernels, setup_costs):
     """Per setup cost (rows) and starting inventory: the value of the best
-    switch epoch the spec admits (each of 0..T for STATIC, T otherwise) and
-    that epoch, the earliest on ties."""
+    switch epoch 0..T of a STATIC spec and that epoch, the earliest on ties."""
     epochs = np.arange(kernels.horizon + 1)
-    if spec.stop_mode is not StopMode.STATIC:
-        epochs = epochs[-1:]
     (V0,), _ = _backward_pass(spec, [kernels], setup_costs, epochs)
     return V0.min(axis=0), epochs[V0.argmin(axis=0)]
 
 
 def solve_policies(spec: ModelSpec, kernels: KernelTable, setup_costs,
-                   x0: int) -> list[SolveResult]:
-    """Each K's ``solve(spec, kernels_with_K(kernels, K), x0)``, bit for bit,
-    from one grids pass per switch epoch the K choose; each K's grids are its
-    columns of the pass, copied only where a finite budget's pass has several K."""
-    if not 0 <= x0 <= kernels.x_max:
-        raise ValueError(f"x0 must lie in 0..{kernels.x_max}")
-    T, A, b = kernels.horizon, kernels.A, spec.order_budget
-    best, epochs = None, [T] * len(setup_costs)
-    if spec.stop_mode is StopMode.STATIC:  # each K commits to its best switch epoch for x0
+                   x0s) -> list[list[SolveResult]]:
+    """``results[i][j]`` is ``solve(spec, kernels_with_K(kernels, K_i),
+    x0s[j])``, bit for bit, from one grids pass (after one switch-epoch sweep
+    for STATIC specs) whose rows are the distinct epochs the (K, x0) commit
+    to, T alone for D and T specs.  Each (K, row)'s grids are its columns of
+    the pass, copied once where a finite budget has several K, and shared by
+    every x0 that commits to that row."""
+    T, X, A, b, nK = kernels.horizon, kernels.x_max, kernels.A, spec.order_budget, len(setup_costs)
+    if not x0s or not all(0 <= x0 <= X for x0 in x0s):
+        raise ValueError(f"x0s must list starts in 0..{X}")
+    best, epochs = None, np.full((nK, len(x0s)), T)
+    if spec.stop_mode is StopMode.STATIC:  # each (K, x0) commits to its best switch epoch
         best, best_k = _best_epoch(spec, kernels, setup_costs)
-        epochs = best_k[:, x0].tolist()
-    grids = {e: _backward_pass(spec, [kernels], [K for K, k in zip(setup_costs, epochs) if k == e],
-                               [e], grids=True)[1] for e in set(epochs)}
-    z0, results = spec.layers - 1, []  # the whole budget is left at time zero
-    for i, e in enumerate(epochs):  # K's columns of its epoch's pass: see _backward_pass
-        j, n = epochs[:i].count(e), epochs.count(e)
-        cols = slice(j, None, n) if b is None or n == 1 else np.r_[0, 1 + j:1 + n * b:n]
-        V, action, target = (g[..., cols] for g in grids[e])
-        policy = PolicyTable(spec=spec, x_max=kernels.x_max, horizon=T, action=action,
-                             target=target, z0=z0, switch_epoch=None if best is None else e)
-        results.append(SolveResult(spec=spec, value_grid=ValueGrid(V=V, A=A), policy=policy,
-                                   total_cost=float(V[0, x0, z0] + A),
-                                   switch_values=None if best is None else best[i] + A))
+        epochs = best_k[:, list(x0s)]
+    rows = sorted(set(epochs.ravel().tolist()))  # np.unique imports numpy.ma: 1 MB, 19 ms
+    _, grids = _backward_pass(spec, [kernels], setup_costs, rows, grids=True)
+    z0, results = spec.layers - 1, [[] for _ in setup_costs]  # z0: the whole budget is left
+    for i, chosen in enumerate(epochs.tolist()):  # K's columns of each row: see _backward_pass
+        cols = slice(i, None, nK) if b is None or nK == 1 else np.r_[0, 1 + i:1 + nK * b:nK]
+        views = {e: [g[:, r][..., cols] for g in grids] for r, e in enumerate(rows) if e in chosen}
+        switch_values = None if best is None else best[i] + A
+        for x0, e in zip(x0s, chosen):
+            V, action, target = views[e]
+            policy = PolicyTable(spec=spec, x_max=X, horizon=T, action=action, target=target,
+                                 z0=z0, switch_epoch=None if best is None else e)
+            results[i].append(SolveResult(spec=spec, value_grid=ValueGrid(V=V, A=A), policy=policy,
+                                          total_cost=float(V[0, x0, z0] + A),
+                                          switch_values=switch_values))
     return results
 
 
 def solve(spec: ModelSpec, kernels: KernelTable, x0: int) -> SolveResult:
     """Solve the requested taxonomy model; total cost is V_tilde(0, x0) + A."""
-    return solve_policies(spec, kernels, [kernels.params.K], x0)[0]
+    return solve_policies(spec, kernels, [kernels.params.K], [x0])[0][0]
 
 
 def static_switch_values(spec: ModelSpec,
@@ -337,7 +340,7 @@ def solve_values(spec: ModelSpec, kernels, setup_costs) -> np.ndarray:
 
     One backward pass serves every K, since the kernels do not depend on
     it.  Row i equals ``solve_policies(spec, kernels, setup_costs,
-    x0)[i].values_at_zero``, except that for STATIC specs each x takes its
+    x0s)[i][j].values_at_zero``, except that for STATIC specs each x takes its
     own best switch epoch, as in ``static_switch_values``.
 
     ``kernels`` may also be a list of tables that share the horizon, x_max

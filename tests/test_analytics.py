@@ -335,8 +335,8 @@ class TestSolverAgreesWithAnalytics:
         # first-order condition c_bar + Delta_x C(x, k) >= 0 first holds
         _, (_, action, target) = _backward_pass(self.SPEC, [base_kernels], [0.0], [k], grids=True)
         z0 = self.SPEC.layers - 1
-        assert action[0, 0, z0] == ORDER
-        assert target[0, 0, z0] == order_up_to_of_tau(base_kernels.params, base_model, k) == level
+        assert action[0, 0, 0, z0] == ORDER  # grids are (t, row, x, layer)
+        assert target[0, 0, 0, z0] == order_up_to_of_tau(base_kernels.params, base_model, k) == level
 
     def test_order_pass_equals_the_best_order_over_switch_costs(self, base_model, base_kernels):
         # at K = 1000 the epoch-k pass either keeps x or orders up to some
@@ -386,8 +386,8 @@ class TestSolverAgreesWithAnalytics:
                     _backward_pass(self.SPEC, [kt], [0.0], [k], grids=True)
                 continue
             _, (_, action, target) = _backward_pass(self.SPEC, [kt], [0.0], [k], grids=True)
-            ordered = action[0, 0, z0] == ORDER
-            assert (target[0, 0, z0] if ordered else 0) == level, (k, action[0, 0, z0])
+            ordered = action[0, 0, 0, z0] == ORDER  # grids are (t, row, x, layer)
+            assert (target[0, 0, 0, z0] if ordered else 0) == level, (k, action[0, 0, 0, z0])
 
     def test_best_no_order_epoch_lies_within_the_bounds(self, base_model, base_kernels):
         kt = kernels_with_K(base_kernels, self.NO_ORDER)

@@ -188,7 +188,7 @@ class TestCli:
         cfg = write_cfg(tmp_path, models=["S/1/Z"], setup_costs=Ks, x0=x0s)
         out = tmp_path / "o5"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(sweeps) == 1  # one per (label, x0); solve reads the first x0 only
+        assert len(sweeps) == 1  # one per S label; solve reads the first x0 only
         with (out / "values.csv").open() as fh:
             got = {(float(r["K"]), int(r["x0"])): float(r["total_cost"])
                    for r in csv.DictReader(fh)}
@@ -453,10 +453,9 @@ def test_simulate_matches_direct_calls(tmp_path):
         assert list(csv.reader(fh)) == want
 
 
-def test_simulate_solves_once_per_label_and_static_start(tmp_path, monkeypatch):
-    # a D policy serves every K and x0 from one grids pass; an S policy
-    # depends on x0, so its switch-epoch sweep runs once per x0 (for all K)
-    from eolstop import ModelSpec, kernels_with_K, solve, solver
+def _count_solves(monkeypatch):
+    """Lists that gain a model label per grids pass and per switch-epoch sweep."""
+    from eolstop import solver
 
     passes, sweeps = [], []
     real_pass, real_sweep = solver._backward_pass, solver._best_epoch
@@ -469,11 +468,20 @@ def test_simulate_solves_once_per_label_and_static_start(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "_backward_pass", counted_pass)
     monkeypatch.setattr(solver, "_best_epoch",
                         lambda spec, *a, **kw: sweeps.append(spec.label) or real_sweep(spec, *a, **kw))
+    return passes, sweeps
+
+
+def test_simulate_solves_once_per_label_and_static_start(tmp_path, monkeypatch):
+    # every label takes one grids pass for all K and x0; an S policy depends
+    # on x0, yet its switch-epoch sweep runs once, for every K and x0
+    from eolstop import ModelSpec, kernels_with_K, solve
+
+    passes, sweeps = _count_solves(monkeypatch)
     labels, Ks, x0s = ["D/inf/F", "D/1/Z", "S/1/Z"], [200.0, 2000.0], [9, 0, 20]
     cfg = write_cfg(tmp_path, models=labels, setup_costs=Ks, x0=x0s, paths=50)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert passes.count("D/inf/F") == passes.count("D/1/Z") == 1
-    assert sweeps == ["S/1/Z"] * len(x0s)
+    assert passes == labels
+    assert sweeps == ["S/1/Z"]
     with (tmp_path / "out" / "simulate.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["model"], float(r["K"]), int(r["x0"])) for r in rows] == [
@@ -482,6 +490,22 @@ def test_simulate_solves_once_per_label_and_static_start(tmp_path, monkeypatch):
     for r in rows:  # at K = 2000 the S model commits to epochs 1, 0 and 3
         res = solve(ModelSpec.parse(r["model"]), kernels_with_K(base, float(r["K"])), int(r["x0"]))
         assert r["dp_value"] == f"{res.total_cost:.4f}"
+
+
+@pytest.mark.parametrize("command, passes_want, sweeps_want", [
+    ("solve", ["D/inf/F", "D/1/Z", "S/1/Z"], ["S/1/Z"]),
+    ("regions", ["D/inf/F", "D/1/Z", "S/1/Z"], ["S/1/Z"]),
+    ("taudist", ["D/inf/F", "D/1/Z"], []),
+    ("compare", [], ["S/1/Z"]),
+])
+def test_each_command_solves_once_per_label(tmp_path, monkeypatch, command, passes_want,
+                                            sweeps_want):
+    passes, sweeps = _count_solves(monkeypatch)
+    cfg = write_cfg(tmp_path, models=["D/inf/F", "D/1/Z", "S/1/Z"], setup_costs=[200.0, 2000.0],
+                    x0=[9, 0, 20])
+    pair = ["S/1/Z", "D/1/Z"] if command == "compare" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *pair]) == 0
+    assert (passes, sweeps) == (passes_want, sweeps_want)
 
 
 def test_one_K_at_the_cap_exits_3(tmp_path):

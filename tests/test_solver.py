@@ -196,6 +196,19 @@ class TestReformulationEquivalence:
             best, rel=1e-12)
 
 
+def _runs(where):
+    """The runs of consecutive indices where ``where`` holds."""
+    idx = np.flatnonzero(where)
+    return np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1) if len(idx) else []
+
+
+def _assert_one_order_level(policy, t, z, where):
+    """At (t, z) the order set is one run with one order-up-to level."""
+    order = policy.action[t, :, z] == ORDER
+    assert len(_runs(order)) <= 1, where
+    assert len(np.unique(policy.target[t, order, z])) <= 1, where
+
+
 class TestStructure:
     KS = [0.0, 1000.0, 5000.0]
 
@@ -330,23 +343,27 @@ class TestStructure:
         # or two, [0, b] and [a, x_max]
         kt = _setting_kernels(sid)
         X = kt.x_max
-
-        def runs(where):
-            idx = np.flatnonzero(where)
-            return np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1) if len(idx) else []
-
         for label in ("D/inf/F", "T/inf/F", "D/2/F"):
-            for K, res in zip(self.KS, solve_policies(ModelSpec.parse(label), kt, self.KS, 0)):
-                action, target = res.policy.action, res.policy.target
+            for K, (res,) in zip(self.KS, solve_policies(ModelSpec.parse(label), kt, self.KS, [0])):
+                action = res.policy.action
                 for t, z in itertools.product(range(kt.horizon + 1), range(action.shape[2])):
                     where = (label, K, t, z)
-                    order = runs(action[t, :, z] == ORDER)
-                    assert len(order) <= 1, where
-                    assert len(np.unique(target[t, action[t, :, z] == ORDER, z])) <= 1, where
-                    stop = runs(action[t, :, z] == STOP)
+                    _assert_one_order_level(res.policy, t, z, where)
+                    stop = _runs(action[t, :, z] == STOP)
                     assert (len(stop) == 0
                             or len(stop) == 1 and (stop[0][0] == 0 or stop[0][-1] == X)
                             or len(stop) == 2 and stop[0][0] == 0 and stop[1][-1] == X), where
+
+    @pytest.mark.parametrize("conv", list(LostSalesConvention))
+    def test_one_order_level_on_random_instances(self, conv):
+        # unlimited orders keep the one-level form on random instances: at
+        # every (t, z) the order set is one run with one order-up-to level
+        for seed, label in itertools.product(range(100), ("T/inf/F", "D/inf/F")):
+            params, model, x0, x_max = small_instance(seed)
+            kt = build_kernel_table(params, model, conv, x_max=x_max)
+            pol = solve(ModelSpec.parse(label), kt, x0).policy
+            for t in range(pol.horizon + 1):
+                _assert_one_order_level(pol, t, 0, (seed, label, t))
 
     @pytest.mark.parametrize("label", ["T/inf/F", "D/inf/F"])
     def test_order_ties_continue(self, label):
@@ -638,16 +655,25 @@ def _assert_same_result(got, want):
 
 
 class TestSolvePolicies:
-    """One policy pass serves every K: each K's result is its own solve's."""
+    """One policy pass serves every K and x0: each (K, x0)'s result is its own
+    solve's."""
 
     LABELS = ["D/inf/F", "D/2/F", "D/1/Z", "T/1/Z", "S/1/Z", "S/2/F"]
 
     @staticmethod
-    def _check(spec, kt, Ks, x0):
-        got = solve_policies(spec, kt, Ks, x0)
-        assert len(got) == len(Ks)
-        for K, res in zip(Ks, got):
-            _assert_same_result(res, solve(spec, kernels_with_K(kt, K), x0))
+    def _check(spec, kt, Ks, x0s):
+        got = solve_policies(spec, kt, Ks, x0s)
+        assert [len(row) for row in got] == [len(x0s)] * len(Ks)
+        for K, row in zip(Ks, got):
+            for x0, res in zip(x0s, row):
+                _assert_same_result(res, solve(spec, kernels_with_K(kt, K), x0))
+        # results that share a (K, epoch) share their grids
+        for row in got:
+            for a, b in itertools.combinations(row, 2):
+                same = a.policy.switch_epoch == b.policy.switch_epoch
+                assert all(np.shares_memory(g, h) == same for g, h in zip(
+                    (a.value_grid.V, a.policy.action, a.policy.target),
+                    (b.value_grid.V, b.policy.action, b.policy.target)))
         return got
 
     @pytest.mark.parametrize("label", LABELS)
@@ -655,27 +681,43 @@ class TestSolvePolicies:
     def test_small_instances(self, label, seed):
         params, model, _, x_max = small_instance(seed)
         kt = build_kernel_table(params, model, ARR, x_max=x_max)
-        self._check(ModelSpec.parse(label), kt, [0.0, 20.0, 200.0], seed * x_max // 4)
+        self._check(ModelSpec.parse(label), kt, [0.0, 20.0, 200.0],
+                    [seed * x_max // 4, 0, x_max])
 
     @pytest.mark.parametrize("label", LABELS)
     def test_base_case(self, label, base_kernels):
-        self._check(ModelSpec.parse(label), base_kernels, [0.0, 1000.0, 5000.0], 100)
+        self._check(ModelSpec.parse(label), base_kernels, [0.0, 1000.0, 5000.0], [100, 0, 250])
 
-    def test_static_K_choose_different_epochs(self):
-        # the CLI tests' T = 8 model: at x0 = 20 the two K commit to
-        # different switch epochs, so each takes its grids from its own pass
+    def test_static_K_choose_different_epochs(self, monkeypatch):
+        # the CLI tests' T = 8 model: at K = 2000 the x0 9, 0 and 20 commit to
+        # epochs 1, 0 and 3, and at x0 = 20 the two K to different epochs;
+        # the one grids pass has a row per epoch chosen
+        from eolstop import solver
+
+        rows, real = [], solver._backward_pass
+
+        def counted(spec, tables, Ks, epochs, **kw):
+            if kw.get("grids"):
+                rows.append(list(epochs))
+            return real(spec, tables, Ks, epochs, **kw)
+
         model = build_named_intensity("convex", 8, 24.0)
         kt = build_kernel_table(base_params(T=8), model, ARR, x_max=60)
-        spec, Ks, x0 = ModelSpec.parse("S/1/Z"), [200.0, 2000.0], 20
-        got = self._check(spec, kt, Ks, x0)
-        assert got[0].policy.switch_epoch != got[1].policy.switch_epoch
+        spec, Ks, x0s = ModelSpec.parse("S/1/Z"), [200.0, 2000.0], [9, 0, 20]
+        monkeypatch.setattr(solver, "_backward_pass", counted)
+        got = solve_policies(spec, kt, Ks, x0s)
+        monkeypatch.undo()
+        self._check(spec, kt, Ks, x0s)
+        assert [res.policy.switch_epoch for res in got[1]] == [1, 0, 3]
+        assert got[0][2].policy.switch_epoch != got[1][2].policy.switch_epoch
+        assert rows == [sorted({res.policy.switch_epoch for row in got for res in row})]
 
     @pytest.mark.parametrize("label", ["D/2/F", "S/1/Z", "D/inf/F"])
     def test_repeated_K(self, label):
         params, model, _, x_max = small_instance(1)
         kt = build_kernel_table(params, model, ARR, x_max=x_max)
-        got = self._check(ModelSpec.parse(label), kt, [200.0, 0.0, 200.0], 3)
-        _assert_same_result(got[0], got[2])
+        got = self._check(ModelSpec.parse(label), kt, [200.0, 0.0, 200.0], [3])
+        _assert_same_result(got[0][0], got[2][0])
 
     @pytest.mark.parametrize("label", ["D/2/F", "S/1/Z"])
     def test_one_K_grids_are_views_of_the_pass(self, label, monkeypatch):
@@ -702,7 +744,13 @@ class TestSolvePolicies:
         with pytest.raises(CapSaturated):
             solve(spec, kt, 0)
         with pytest.raises(CapSaturated):
-            solve_policies(spec, kt, [1e12, 0.0], 0)
+            solve_policies(spec, kt, [1e12, 0.0], [0])
+
+    @pytest.mark.parametrize("x0s", [[], [0, 61], [-1]])
+    def test_bad_starts_raise(self, x0s):
+        kt = tiny_kernels(seed=1, T=3, x_max=60)
+        with pytest.raises(ValueError, match="x0s must list starts in 0..60"):
+            solve_policies(ModelSpec.parse("S/1/Z"), kt, [0.0], x0s)
 
 
 def _shared_intensity_tables(ids, x_max=1200):
