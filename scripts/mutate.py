@@ -37,6 +37,7 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 SIM = "src/eolstop/sim.py"
 LAW = "src/eolstop/analytics.py"
 SOLVER = "src/eolstop/solver.py"
+CLI = "src/eolstop/cli.py"
 FORWARD_TESTS = ("tests/test_sim.py", "tests/test_analytics.py")
 SOLVER_TESTS = ("tests/test_solver.py", "tests/test_analytics.py")
 
@@ -61,11 +62,14 @@ CATALOGUE = [
     Mutant("no-order-left", SIM,
            "(base[:, :S] < 0))", "(base[:, :S] < -W))", FORWARD_TESTS),
     Mutant("law-base", LAW,
-           "np.bincount(base + post, q", "np.bincount(post, q",
+           "np.bincount((rows + (base + post))", "np.bincount((rows + (post))",
+           ("tests/test_analytics.py",)),
+    Mutant("law-start", LAW,
+           "policy.z0 * W + np.asarray(x0s", "policy.z0 * (W - 1) + np.asarray(x0s",
            ("tests/test_analytics.py",)),
     Mutant("tie-rule", SOLVER,
-           "ordering[..., :-1] = J[0] < G[0, ..., :-1]",
-           "ordering[..., :-1] = J[0] <= G[0, ..., :-1]", SOLVER_TESTS),
+           "ordering = J[0] < G[0, ..., :-1]", "ordering = J[0] <= G[0, ..., :-1]",
+           SOLVER_TESTS),
     Mutant("cap-tie", SOLVER,
            "taken = at_m & (Jx < G[..., lo:X])", "taken = at_m & (Jx <= G[..., lo:X])",
            SOLVER_TESTS),
@@ -76,6 +80,12 @@ CATALOGUE = [
            "V[e:, r] = stop_vec[0, 0]", "V[epochs[0]:, r] = stop_vec[0, 0]", SOLVER_TESTS),
     Mutant("K-column", SOLVER,
            "np.r_[0, 1 + i:1 + nK * b:nK]", "np.r_[0, i:1 + nK * b:nK]", SOLVER_TESTS),
+    Mutant("target-where", SOLVER,
+           "np.copyto(target[t, live:, :, :-1], order_to, where=ordering)",
+           "np.copyto(target[t, live:, :, :-1], order_to)", SOLVER_TESTS),
+    Mutant("run-cut", CLI,
+           "cut = (act[:, 1:] != act[:, :-1]) | (tgt[:, 1:] != tgt[:, :-1])",
+           "cut = (act[:, 1:] != act[:, :-1])", ("tests/test_config_cli.py",)),
 ]
 
 
@@ -134,7 +144,8 @@ def main(argv=None) -> int:
             passed, secs = _pytest(tree, m.tests)
             survivors += passed
             tests = ", ".join(Path(t).name for t in m.tests)
-            print(f"| {m.name} | {Path(m.path).name} | `{m.old}` → `{m.new}` | {tests} | "
+            old, new = (text.replace("|", "\\|") for text in (m.old, m.new))  # Markdown cells
+            print(f"| {m.name} | {Path(m.path).name} | `{old}` → `{new}` | {tests} | "
                   f"{'survived' if passed else 'killed'} | {secs:.1f} |", flush=True)
             shutil.rmtree(tree)
     return 1 if survivors else 0

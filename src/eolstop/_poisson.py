@@ -287,15 +287,15 @@ def _thinned_cdf(k: int, mu, a):
     b0, b1 = lo // _THIN_BLOCK, k // _THIN_BLOCK
     rows = np.hstack([_anchor_block(first, count, b) for b in range(b0, b1 + 1)])
     cols = rows[:, lo - b0 * _THIN_BLOCK:k - b0 * _THIN_BLOCK + 1]
-    # P{N(a) <= k - j} in row j, contiguous so that each row is read at speed
-    g = np.take(np.ascontiguousarray(cols[:, ::-1].T), ((a - first) / _THIN_STEP).astype(np.intp),
-                axis=1)
+    # P{N(a) <= k - j} in row j, contiguous so that each row is read at speed;
+    # each mu reads column ``at`` of it, a row at a time
+    g = np.ascontiguousarray(cols[:, ::-1].T)
+    at = ((a - first) / _THIN_STEP).astype(np.intp)
     d = mu - a
-    ratios = d / np.arange(1.0, _THIN_TERMS)[:, None]  # d / j in row j - 1
-    out = g[-1].copy()
+    out, step = g[-1].take(at), np.empty(len(at))
     for j in range(_THIN_TERMS - 1, 0, -1):  # the weights e^-d d^j / j!, by Horner
-        out *= ratios[j - 1]
-        out += g[j - 1]
+        out *= np.divide(d, j, out=step)
+        out += g[j - 1].take(at, out=step)
     return np.clip(np.exp(-d) * out, 0, 1)
 
 

@@ -20,6 +20,9 @@ is P{tau* = t} and leaves, the rest moves to its post-decision state, and
 that law is pushed through the period's demand, (y - D)^+, by
 ``_backends.push_clamped``.  That is one push per period, every budget layer
 at once, against one backward pass per target epoch.
+``stopping_time_distributions`` carries the laws of several starts through
+one set of tables, a row each, and gives each the bits of its one-start law
+(``stopping_time_distribution``).
 """
 
 from __future__ import annotations
@@ -318,33 +321,57 @@ class StoppingTimeDistribution:
 
 def stopping_time_distribution(policy: PolicyTable, model: IntensityModel,
                                x0: int) -> StoppingTimeDistribution:
-    """Exact stopping-time law by one forward pass of the state law.
+    """Exact stopping-time law from x0: the one-start case of
+    ``stopping_time_distributions``."""
+    return stopping_time_distributions(policy, model, [x0])[0]
+
+
+def stopping_time_distributions(policy: PolicyTable, model: IntensityModel,
+                                x0s) -> list[StoppingTimeDistribution]:
+    """Exact stopping-time law from each of ``x0s``, by one forward pass of
+    the state laws, one row per start, through one set of tables.
 
     Starting from all mass on (x0, z0), each epoch's stopping states give
     their mass to P{tau* = t} and leave, the rest moves to its post-decision
     state (``sim.state_tables``, read as the paths read them), and the law
     then passes through the period's demand.  Mass on an ORDER cell that the
     tables flag raises UnreachableState, as it does for a simulated path.
+
+    The tables span the stocks below W, the largest ``sim.stock_top`` + 1 of
+    the starts.  A start's mass stays below its own w <= W, and each row is
+    summed and pushed over its own w stocks per layer, in the order of a
+    w-wide table, so every law is bit for bit the one-start law.
     """
     if policy.spec.stop_mode is not StopMode.DYNAMIC:
         raise PolicyIncompatible("stopping-time distribution needs a dynamic-stop policy")
     if policy.horizon != model.horizon:
         raise UnreachableState("policy and intensity disagree on the horizon")
-    if not 0 <= x0 <= policy.x_max:
-        raise ValueError(f"x0 must lie in 0..{policy.x_max}")
-    T, W = policy.horizon, sim.stock_top(policy, x0) + 1
+    if not x0s or not all(0 <= x0 <= policy.x_max for x0 in x0s):
+        raise ValueError(f"x0s must list starts in 0..{policy.x_max}")
+    widths = [sim.stock_top(policy, x0) + 1 for x0 in x0s]
+    T, Z, W, n = policy.horizon, policy.action.shape[2], max(widths), len(x0s)
+    S = Z * W
+    # per width w: the starts of that width, and the states of a w-wide table
+    # (stock below w, and the stopped state) in their order
+    inside = np.append(np.tile(np.arange(W), Z), -1)
+    groups = [(w, np.flatnonzero(np.equal(widths, w)), inside < w) for w in sorted(set(widths))]
     pmfs, tails = model.demand_pmfs
-    mass = np.zeros(T + 1)
-    q = np.zeros(policy.action.shape[2] * W + 1)  # the state law; the stopped state stays empty
-    q[policy.z0 * W + x0] = 1.0
+    mass = np.zeros((n, T + 1))
+    q = np.zeros((n, S + 1))  # the state laws; the stopped state stays empty
+    law = q[:, :S].reshape(n, Z, W)  # a view: (start, layer, stock)
+    q[np.arange(n), policy.z0 * W + np.asarray(x0s, dtype=np.intp)] = 1.0
+    rows = np.arange(n)[:, None] * S  # row r's states go to bins r * S onward
     for t, (post, base, _, bad) in enumerate(sim.state_tables(policy, W)):
-        if bad is not None and q[bad].any():
+        if bad is not None and q[:, bad].any():
             raise UnreachableState(sim.BAD_ORDER)
         stopping = post < 0
-        mass[t] = q[stopping].sum()
-        q[stopping] = 0.0
+        for _, at, own in groups:
+            mass[at, t] = q[np.ix_(at, np.flatnonzero(stopping & own))].sum(axis=1)
+        q[:, stopping] = 0.0
         if t == T or not q.any():
             break
-        after = np.bincount(base + post, q, len(q) - 1)  # zeroed stops land on x = W - 1
-        q[:-1] = _backends.push_clamped(after.reshape(-1, W), pmfs[t], tails[t]).ravel()
-    return StoppingTimeDistribution(mass=mass, x0=x0)
+        # zeroed stops land on x = W - 1
+        after = np.bincount((rows + (base + post)).ravel(), q.ravel(), n * S).reshape(n, Z, W)
+        for w, at, _ in groups:
+            law[at, :, :w] = _backends.push_clamped(after[at, :, :w], pmfs[t], tails[t])
+    return [StoppingTimeDistribution(mass=m, x0=x0) for m, x0 in zip(mass, x0s)]

@@ -141,21 +141,36 @@ def _solve_each(cfg: ExperimentConfig, labels, x0s):
                 yield label, K, x0, kernels_with_K(base, K), res, f"{_tag(label)}_K{K:g}"
 
 
+@functools.lru_cache(maxsize=4)
+def _region_rows(x_max: int):
+    r"""Per action code, the rows x = 0..x_max of a regions block as one text,
+    with "\0" for t and "\1" for the order-up-to level, and where each row
+    starts in it (x_max + 2 offsets)."""
+    suffix = {CONTINUE: "continue,", STOP: "stop,", ORDER: "order,\1"}
+    texts, starts = [], []
+    for code in range(len(suffix)):
+        rows = [f"\0,{x},{suffix[code]}\r\n" for x in range(x_max + 1)]
+        texts.append("".join(rows))
+        starts.append(list(itertools.accumulate(map(len, rows), initial=0)))
+    return texts, starts
+
+
 def _write_regions_csv(path: Path, policy):
     """One row per (t, x) at the starting budget layer, in the bytes
-    ``csv.writer`` would write.  Each epoch's block joins cached ",x," cells
-    with an action suffix; only ORDER rows format their target."""
+    ``csv.writer`` would write.  Each epoch's block is cut from the cached
+    rows of ``_region_rows`` at the runs of equal (action, target): one
+    ``str.replace`` per run puts in its target, one per epoch puts in t."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    x_cells = np.array([f",{x}," for x in range(policy.x_max + 1)], dtype=object)
-    suffix = np.empty(3, dtype=object)  # by action code
-    suffix[[CONTINUE, STOP, ORDER]] = "continue,\r\n", "stop,\r\n", "order,"
+    texts, starts = _region_rows(policy.x_max)
+    act, tgt = policy.action[:, :, policy.z0], policy.target[:, :, policy.z0]
+    cut = (act[:, 1:] != act[:, :-1]) | (tgt[:, 1:] != tgt[:, :-1])
     blocks = ["t,x,action,order_up_to\r\n"]
     for t in range(policy.horizon + 1):
-        act = policy.action[t, :, policy.z0]
-        rows = x_cells + suffix[act]
-        order = np.flatnonzero(act == ORDER)
-        rows[order] += [f"{g}\r\n" for g in policy.target[t, order, policy.z0].tolist()]
-        blocks.append(f"{t}" + f"{t}".join(rows))  # every row starts with ",x,"
+        lo = [0, *(np.flatnonzero(cut[t]) + 1).tolist()]
+        hi = [*lo[1:], policy.x_max + 1]
+        runs = zip(act[t, lo].tolist(), tgt[t, lo].tolist(), lo, hi)
+        blocks.append("".join(texts[a][starts[a][i]:starts[a][j]].replace("\1", f"{g}")
+                              for a, g, i, j in runs).replace("\0", f"{t}"))
     path.write_text("".join(blocks), newline="")
 
 
@@ -203,9 +218,8 @@ def _cmd_solve(args, cfg, out_dir, timings):
         values.update({(label, K, x0): float(row[x0]) for x0 in cfg.x0})
         _write_regions_csv(out_dir / f"regions_{tag}.csv", res.policy)
         if res.policy.spec.stop_mode is StopMode.DYNAMIC:
-            for x0 in cfg.x0:
-                dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
-                _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
+            for dist in analytics.stopping_time_distributions(res.policy, kt.model, cfg.x0):
+                _write_taudist_csv(out_dir / f"taudist_{tag}_x{dist.x0}.csv", dist)
     timings["solve_grid"] = time.perf_counter() - t0
     _write_csv(out_dir / "values.csv", ["model", "K", "x0", "total_cost"],
                ((*key, v) for key, v in sorted(values.items())))
@@ -270,10 +284,9 @@ def _cmd_taudist(args, cfg, out_dir, timings):
         return False
 
     for label, K, _, kt, res, tag in _solve_each(cfg, filter(dynamic, cfg.models), cfg.x0[:1]):
-        for x0 in cfg.x0:
-            dist = analytics.stopping_time_distribution(res.policy, kt.model, x0)
-            _write_taudist_csv(out_dir / f"taudist_{tag}_x{x0}.csv", dist)
-            print(f"{label} K={K:g} x0={x0}: mean stop {dist.mean():.2f}, "
+        for dist in analytics.stopping_time_distributions(res.policy, kt.model, cfg.x0):
+            _write_taudist_csv(out_dir / f"taudist_{tag}_x{dist.x0}.csv", dist)
+            print(f"{label} K={K:g} x0={dist.x0}: mean stop {dist.mean():.2f}, "
                   f"mass sums to {dist.mass.sum():.9f}")
 
 

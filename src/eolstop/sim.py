@@ -24,8 +24,8 @@ epoch and state (budget layer and stock, or stopped) they hold the stock
 after the decisions, the next state's base and the decisions' cost, and the
 period's costs are folded over (count, stock) once per call
 (``_backends.period_lookups``).  An epoch is a few gathers per path.  The
-exact stopping-time law (``analytics.stopping_time_distribution``) moves
-its mass through the same tables, so only they map a decision to a state.
+exact stopping-time laws (``analytics.stopping_time_distributions``) move
+their mass through the same tables, so only they map a decision to a state.
 """
 
 from __future__ import annotations

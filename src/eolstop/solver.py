@@ -35,7 +35,8 @@ order J, and the value is min(G, J) and then min(that, stop), both taken in
 G.  The stopping (scrap), order-cost and discount terms are built once per
 pass.  What is left is the floor, one ``np.convolve`` per row in
 ``ev_clamped``.  The stop and order masks and the order-up-to levels
-(the smallest-index argmin) are built only when the policy is kept.  The
+(the smallest-index argmin) are built only when the policy is kept, and are
+copied into its grids where the masks hold.  The
 CapSaturated test needs no argmin, and where the order cost at x_max - 1 is
 no higher than at x_max in every column it reads that one column: see
 ``_check_cap``.
@@ -222,7 +223,7 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     W = np.broadcast_to(stop_vec, (len(tables), len(epochs), 1, X + 1))
     if grids:  # filled as (t, row, column, x), returned as (t, row, x, column) views
         V = np.empty((T + 1, len(epochs), len(Kcol), X + 1))
-        action = np.full(V.shape, STOP, dtype=np.int8)
+        action = np.full(V.shape, CONTINUE, dtype=np.int8)
         target = np.full(V.shape, -1, dtype=np.int32)
 
     capped, cap_epoch = np.zeros(len(tables), dtype=bool), None
@@ -233,8 +234,7 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         G *= disc
         for s, kt in enumerate(tables):
             G[s] += kt.C_tilde[t]
-        if grids:  # one table; rows from live on
-            ordering = np.zeros((len(epochs) - live,) + V.shape[2:], dtype=bool)
+        ordering = None  # with grids (one table): where rows from live on order, x < X
         if t == 0 or spec.first_order is FirstOrder.FREE:
             if G.shape[2] < len(Kcol):  # the shared no-order chain splits into the columns
                 G = np.repeat(G, len(Kcol), axis=2)
@@ -248,16 +248,20 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
                 cap_epoch = t
             capped |= hit
             if grids:  # strict: ties continue
-                ordering[..., :-1] = J[0] < G[0, ..., :-1]
-                target[t, live:, :, :-1] = _backends.suffix_argmin(f[0], mins[0])[..., 1:]
+                ordering = J[0] < G[0, ..., :-1]
+                order_to = _backends.suffix_argmin(f[0], mins[0])[..., 1:]
             np.minimum(G[..., :-1], J, out=G[..., :-1])  # ties continue
         if stops:
             np.minimum(G, stop_vec, out=G)  # ties stop
-        if grids:  # stop <= min(G, stop) exactly where stop <= G
-            stopping = stop_vec[0] <= G[0] if stops else np.zeros_like(ordering)
-            ordering &= ~stopping
-            target[t, live:][~ordering] = -1
-            action[t, live:] = np.select([stopping, ordering], [STOP, ORDER], CONTINUE)
+        if grids:  # live rows hold CONTINUE and target -1 until a mask says otherwise
+            if stops:  # stop <= min(G, stop) exactly where stop <= G
+                stopping = stop_vec[0] <= G[0]
+                np.copyto(action[t, live:], STOP, where=stopping)
+                if ordering is not None:
+                    ordering &= ~stopping[..., :-1]
+            if ordering is not None:
+                np.copyto(action[t, live:, :, :-1], ORDER, where=ordering)
+                np.copyto(target[t, live:, :, :-1], order_to, where=ordering)
             V[t, live:] = G[0]
         W = G
         if live:  # rows with k* <= t hold the forced stop
@@ -277,6 +281,7 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
         return V0, None
     for r, e in enumerate(epochs):  # the pass filled each row before its epoch
         V[e:, r] = stop_vec[0, 0]
+        action[e:, r] = STOP
     return V0, tuple(g.transpose(0, 1, 3, 2) for g in (V, action, target))
 
 

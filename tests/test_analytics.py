@@ -517,6 +517,39 @@ class TestLawOnStateTables:
             pol = solve(ModelSpec.parse(label), kt, x0).policy
             self.assert_matches_reference(pol, model, sorted({x0, *range(0, x_max + 1, 7)}))
 
+    @pytest.mark.parametrize("conv", list(LostSalesConvention))
+    @pytest.mark.parametrize("label", ["D/inf/F", "D/2/F", "D/1/Z"])
+    def test_many_starts_match_one_start_laws(self, label, conv):
+        # one pass for several x0, duplicates and starts above the largest
+        # target (whose own tables are wider) included, gives each x0's law
+        # bit for bit
+        wider = 0
+        for seed in range(16):
+            params, model, x0, x_max = small_instance(seed)
+            kt = build_kernel_table(params, model, conv, x_max=x_max)
+            pol = solve(ModelSpec.parse(label), kt, x0).policy
+            x0s = [x_max, x0, 0, x0, int(pol.target.max()) + 1, 3]
+            x0s = [x for x in x0s if x <= x_max]
+            wider += x_max > pol.target.max()
+            got = analytics.stopping_time_distributions(pol, model, x0s)
+            assert [d.x0 for d in got] == x0s
+            for x, d in zip(x0s, got):
+                want = stopping_time_distribution(pol, model, x).mass
+                assert d.mass.tobytes() == want.tobytes(), (seed, x)
+        assert wider
+
+    def test_many_starts_raise_when_one_reaches_a_flag(self):
+        pol = self.policy([(1, 3, 3)])
+        assert analytics.stopping_time_distributions(pol, self.MODEL, [5, 9])[0].mass[-1] == 1
+        with pytest.raises(UnreachableState, match="does not exceed current stock"):
+            analytics.stopping_time_distributions(pol, self.MODEL, [5, 3, 9])
+
+    def test_starts_outside_the_grid_raise(self):
+        pol = self.policy([])
+        for x0s in ([], [0, 11], [-1]):
+            with pytest.raises(ValueError, match="x0s must list starts in 0..10"):
+                analytics.stopping_time_distributions(pol, self.MODEL, x0s)
+
     MODEL = IntensityModel(horizon=4, rates=np.zeros(4))  # no demand: stock stays at x0
 
     @staticmethod

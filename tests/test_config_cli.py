@@ -94,7 +94,8 @@ def _regions_csv_oracle(path, policy):
                 w.writerow([t, x, names[int(act[x])], int(tgt[x]) if act[x] == 2 else ""])
 
 
-@pytest.mark.parametrize("seed,label", [(3, "D/inf/F"), (7, "D/2/F")])
+# seed 253's D/1/Z policy orders up to 5 and up to 9 in one epoch
+@pytest.mark.parametrize("seed,label", [(3, "D/inf/F"), (7, "D/2/F"), (253, "D/1/Z")])
 def test_regions_writer_matches_csv_writer(tmp_path, seed, label):
     from conftest import small_instance
 
@@ -132,6 +133,26 @@ def test_regions_writer_on_random_policies(tmp_path, case):
     policy = PolicyTable(spec=ModelSpec.parse("D/inf/F" if Z == 1 else f"D/{Z - 1}/F"),
                          x_max=x_max, horizon=T, action=action,
                          target=target.astype(np.int32), z0=z0)
+    _regions_csv_oracle(tmp_path / "want.csv", policy)
+    _write_regions_csv(tmp_path / "got.csv", policy)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("x_max", [9, 10, 99, 100, 1000])
+def test_regions_writer_at_digit_boundaries(tmp_path, x_max):
+    # x and t change their width at 10, 100 and 1000; each ORDER run of
+    # length 3 or more changes its target within, so a block cut at action
+    # changes alone writes one target where the oracle writes two
+    from eolstop import ModelSpec
+    from eolstop.cli import _write_regions_csv
+    from eolstop.solver import PolicyTable
+
+    T, Z, rng = 12, 2, np.random.default_rng(x_max)
+    action = np.repeat(rng.integers(0, 3, size=(T + 1, x_max // 3 + 1, Z)), 3, axis=1)
+    action = action[:, :x_max + 1].astype(np.int8)
+    target = np.where(action == 2, x_max + np.arange(x_max + 1)[:, None] // 2, -1)
+    policy = PolicyTable(spec=ModelSpec.parse("D/1/F"), x_max=x_max, horizon=T, action=action,
+                         target=target.astype(np.int32), z0=1)
     _regions_csv_oracle(tmp_path / "want.csv", policy)
     _write_regions_csv(tmp_path / "got.csv", policy)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -506,6 +527,21 @@ def test_each_command_solves_once_per_label(tmp_path, monkeypatch, command, pass
     pair = ["S/1/Z", "D/1/Z"] if command == "compare" else []
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *pair]) == 0
     assert (passes, sweeps) == (passes_want, sweeps_want)
+
+
+@pytest.mark.parametrize("command", ["solve", "taudist"])
+def test_laws_build_state_tables_once_per_policy(tmp_path, monkeypatch, command):
+    # one set of tables carries every x0's stopping-time law of a (label, K)
+    from eolstop import sim
+
+    built, real = [], sim.state_tables
+    monkeypatch.setattr(sim, "state_tables",
+                        lambda policy, *a: built.append(policy.spec.label) or real(policy, *a))
+    cfg = write_cfg(tmp_path, models=["D/inf/F", "S/1/Z", "D/2/F"], setup_costs=[0.0, 200.0],
+                    x0=[9, 0, 20, 60])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert built == ["D/inf/F"] * 2 + ["D/2/F"] * 2
+    assert len(list((tmp_path / "out").glob("taudist_*.csv"))) == 2 * 2 * 4
 
 
 def test_one_K_at_the_cap_exits_3(tmp_path):
