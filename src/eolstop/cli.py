@@ -159,19 +159,21 @@ def _write_regions_csv(path: Path, policy):
     """One row per (t, x) at the starting budget layer, in the bytes
     ``csv.writer`` would write.  Each epoch's block is cut from the cached
     rows of ``_region_rows`` at the runs of equal (action, target): one
-    ``str.replace`` per run puts in its target, one per epoch puts in t."""
+    ``str.replace`` per run puts in its target, one per epoch puts in t.
+    Blocks are written as they are made, so the file's text is never held
+    whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     texts, starts = _region_rows(policy.x_max)
     act, tgt = policy.action[:, :, policy.z0], policy.target[:, :, policy.z0]
     cut = (act[:, 1:] != act[:, :-1]) | (tgt[:, 1:] != tgt[:, :-1])
-    blocks = ["t,x,action,order_up_to\r\n"]
-    for t in range(policy.horizon + 1):
-        lo = [0, *(np.flatnonzero(cut[t]) + 1).tolist()]
-        hi = [*lo[1:], policy.x_max + 1]
-        runs = zip(act[t, lo].tolist(), tgt[t, lo].tolist(), lo, hi)
-        blocks.append("".join(texts[a][starts[a][i]:starts[a][j]].replace("\1", f"{g}")
-                              for a, g, i, j in runs).replace("\0", f"{t}"))
-    path.write_text("".join(blocks), newline="")
+    with path.open("w", newline="") as fh:
+        fh.write("t,x,action,order_up_to\r\n")
+        for t in range(policy.horizon + 1):
+            lo = [0, *(np.flatnonzero(cut[t]) + 1).tolist()]
+            hi = [*lo[1:], policy.x_max + 1]
+            runs = zip(act[t, lo].tolist(), tgt[t, lo].tolist(), lo, hi)
+            fh.write("".join(texts[a][starts[a][i]:starts[a][j]].replace("\1", f"{g}")
+                             for a, g, i, j in runs).replace("\0", f"{t}"))
 
 
 def _write_taudist_csv(path: Path, dist):
