@@ -6,7 +6,8 @@
 Each entry of ``CATALOGUE`` names one source mutation: a file, a text that
 occurs in it exactly once, its replacement, and the test files that cover
 the code.  For each entry the script copies ``src/``, ``tests/``,
-``scripts/`` and ``pyproject.toml`` to a temporary directory, applies the
+``scripts/``, ``perfbench/`` (which ``tests/test_backends.py`` reads) and
+``pyproject.toml`` to a temporary directory, applies the
 mutation there and runs pytest on the entry's test files, stopping at the
 first failure.  A mutant is ``killed`` when pytest fails and ``survived``
 when it passes.  Before the mutants, each distinct set of test files runs
@@ -33,13 +34,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
 SIM = "src/eolstop/sim.py"
 LAW = "src/eolstop/analytics.py"
 SOLVER = "src/eolstop/solver.py"
 CLI = "src/eolstop/cli.py"
+BACKENDS = "src/eolstop/_backends.py"
 FORWARD_TESTS = ("tests/test_sim.py", "tests/test_analytics.py")
 SOLVER_TESTS = ("tests/test_solver.py", "tests/test_analytics.py")
+BACKEND_TESTS = ("tests/test_backends.py", "tests/test_solver.py", "tests/test_analytics.py")
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,15 @@ CATALOGUE = [
     Mutant("target-where", SOLVER,
            "np.copyto(target[t, live:, :, :-1], order_to, where=ordering)",
            "np.copyto(target[t, live:, :, :-1], order_to)", SOLVER_TESTS),
+    Mutant("block-stride", BACKENDS,
+           "(P.strides[0], B * P.itemsize, P.itemsize)",
+           "(P.strides[0], (B - 1) * P.itemsize, P.itemsize)", BACKEND_TESTS),
+    Mutant("toeplitz-index", BACKENDS,
+           "row[B - 1:B - 1 + len(p)] = p", "row[B - 2:B - 2 + len(p)] = p", BACKEND_TESTS),
+    Mutant("ev-tail", BACKENDS, "v0 = V[..., :1]", "v0 = 0 * V[..., :1]", BACKEND_TESTS),
+    Mutant("push-tail", BACKENDS,
+           "out[..., 0] += q @ _clamped_tail(pmf, tail, q.shape[-1])",
+           "out[..., 0] += 0 * q @ _clamped_tail(pmf, tail, q.shape[-1])", BACKEND_TESTS),
     Mutant("run-cut", CLI,
            "cut = (act[:, 1:] != act[:, :-1]) | (tgt[:, 1:] != tgt[:, :-1])",
            "cut = (act[:, 1:] != act[:, :-1])", ("tests/test_config_cli.py",)),

@@ -1,5 +1,7 @@
 """Inner loops of the solver and the simulator, vectorised with numpy.
 
+  * toeplitz_blocks - per demand pmf, the banded Toeplitz block that lowers
+                      its convolution to one matrix product
   * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)],
                  for every row of V at once
   * push_clamped - its transpose, the law of (y - D)^+ for y drawn from each
@@ -18,8 +20,11 @@ can swap in the scalar oracles of ``tests/scalar_kernels.py``.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._poisson import hyp1f1_neg
+
+B = 32  # cells per output block of the blocked Toeplitz product
 
 
 def active_backend() -> str:
@@ -33,31 +38,57 @@ def _clamped_tail(pmf, tail, n):
     return tail[np.minimum(np.arange(n), len(pmf) - 1)]
 
 
-def ev_clamped(V, pmf, tail):
-    """E[V((y - D)^+)] for every row of V (the last axis; a 1-D V is one row).
+def toeplitz_blocks(pmfs):
+    """Per pmf, its (B + m - 1) x B block T[i, j] = pmf[j + m - 1 - i] (0
+    outside the pmf), m = len(pmf): B outputs of the convolution with pmf
+    are one block of B + m - 1 inputs times T.  All pmfs are cut from one
+    copy, made for the longest (a shorter pmf's block is that copy's last
+    B + m - 1 rows, since the rows above them are zero)."""
+    m = max(len(p) for p in pmfs)
+    w = np.zeros((len(pmfs), m + 2 * B - 2))
+    for row, p in zip(w, pmfs):
+        row[B - 1:B - 1 + len(p)] = p
+    full = np.ascontiguousarray(sliding_window_view(w, B, axis=1)[:, ::-1])
+    return [T[m - len(p):] for T, p in zip(full, pmfs)]
+
+
+def _convolve_rows(V, T):
+    """np.convolve(v, pmf)[:n] for every row v of V, T = the pmf's
+    ``toeplitz_blocks`` entry: each row, padded with m - 1 leading zeros, is
+    read as overlapping blocks of B + m - 1 cells at stride B, and all the
+    blocks of all the rows are multiplied by T in one ``matmul``."""
+    n, k = V.shape[-1], len(T) - B  # k = m - 1
+    nb = -(-n // B)
+    P = np.zeros(V.shape[:-1] + (nb * B + k,))
+    P[..., k:k + n] = V
+    P = P.reshape(-1, P.shape[-1])
+    blocks = as_strided(P, (len(P), nb, B + k), (P.strides[0], B * P.itemsize, P.itemsize),
+                        writeable=False)
+    return np.matmul(blocks, T).reshape(V.shape[:-1] + (nb * B,))[..., :n]
+
+
+def ev_clamped(V, pmf, tail, T):
+    """E[V((y - D)^+)] for every row of V (the last axis; a 1-D V is one row),
+    T = ``toeplitz_blocks([pmf])[0]``.
 
     tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and the truncated
-    residual mass) lands on inventory 0.  One ``np.convolve`` per row, and
-    the tail term for all rows at once."""
-    n = V.shape[-1]
-    out = np.empty(V.shape)
-    for v, o in zip(V.reshape(-1, n), out.reshape(-1, n)):
-        o[:] = np.convolve(v, pmf)[:n]
-    out += V[..., :1] * _clamped_tail(pmf, tail, n)
+    residual mass) lands on inventory 0.  One blocked Toeplitz product for
+    all rows, and the tail term for all rows at once."""
+    conv, s = _convolve_rows(V, T), len(pmf) - 1
+    v0 = V[..., :1]
+    out = np.empty(V.shape)  # the tail term is v0 tail[min(y, s)]: one number past s
+    np.add(conv[..., :s], v0 * tail[:min(s, V.shape[-1])], out=out[..., :s])
+    np.add(conv[..., s:], v0 * tail[s], out=out[..., s:])
     return out
 
 
-def push_clamped(q, pmf, tail):
+def push_clamped(q, pmf, tail, T):
     """Law of (y - D)^+ for y ~ q, for every row of q (the last axis; a 1-D q
     is one row), the transpose of ``ev_clamped``: mass at y moves to y - d
     with pmf[d], and demand beyond y (with the truncated residual) lands on 0.
-    One ``np.correlate`` and one ``np.dot`` per row."""
-    n, s = q.shape[-1], len(pmf) - 1
-    reach = _clamped_tail(pmf, tail, n)
-    out = np.empty(q.shape)
-    for r, o in zip(q.reshape(-1, n), out.reshape(-1, n)):
-        o[:] = np.correlate(r, pmf, "full")[s:s + n]
-        o[0] += np.dot(r, reach)
+    The correlation is the blocked convolution of the reversed rows."""
+    out = np.ascontiguousarray(_convolve_rows(q[..., ::-1], T)[..., ::-1])
+    out[..., 0] += q @ _clamped_tail(pmf, tail, q.shape[-1])
     return out
 
 

@@ -342,7 +342,10 @@ _CONFIG_COMMANDS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it as it was, so in-process callers of ``main`` share it."""
     ap = argparse.ArgumentParser(prog="eolstop",
                                  description="End-of-life inventory optimal stopping toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -1,8 +1,13 @@
 """Reference kernels: the oracles the numpy inner loops are tested against.
 
-``_ev_clamped_loop`` and ``_suffix_min_loop`` take the same arguments as
-their namesakes in ``eolstop._backends`` and return the same result one
-scalar at a time.  Plain Python, so slow; keep the instances small.
+``_ev_clamped_loop``, ``_push_clamped_loop`` and ``_suffix_min_loop`` take
+the arguments of their namesakes in ``eolstop._backends`` (less the blocked
+operator) and return the same result one scalar at a time.  Plain Python, so
+slow; keep the instances small.  ``_ev_clamped_rows`` is ``_ev_clamped_loop``
+on every row, bit for bit, one demand count at a time over all rows, fast
+enough to stand in for ``_backends.ev_clamped`` in a full-size solve.
+``_push_clamped_rows`` takes the push the same way, equal to the loop to
+rounding.
 
 The simulator adds each period's expected cost given its arrival count
 (``_backends.sim_period``).  Its oracle is exact accrual over sampled
@@ -22,9 +27,9 @@ numbers, bit for bit.
 the kernel table's ``c3_period`` row.
 
 ``stopping_law_reference`` is the exact stopping-time law over the full
-stock grid, with its own order move: ordering states hand their mass to the
-order-up-to level (one budget layer down for a finite budget) by
-``np.add.at``.  ``analytics.stopping_time_distribution`` reads the
+stock grid, with its own order move and push: ordering states hand their
+mass to the order-up-to level (one budget layer down for a finite budget) by
+``np.add.at``, and the demand moves it by ``_push_clamped_rows``.  ``analytics.stopping_time_distribution`` reads the
 simulator's state tables instead and must agree with it to rounding.
 """
 
@@ -48,6 +53,39 @@ def _ev_clamped_loop(V, pmf, tail):
         for d in range(m + 1):
             acc += pmf[d] * V[y - d]
         out[y] = acc
+    return out
+
+
+def _ev_clamped_rows(V, pmf, tail, T=None):
+    """``_ev_clamped_loop`` on every row of V (the last axis), bit for bit:
+    each cell adds the tail term and then d = 0, 1, ... in the loop's order.
+    T, the blocked operator of ``_backends.ev_clamped``, is not read."""
+    n, s = V.shape[-1], len(pmf) - 1
+    out = V[..., :1] * tail[np.minimum(np.arange(n), s)]
+    for d in range(min(s, n - 1) + 1):
+        out[..., d:] += pmf[d] * V[..., :n - d]
+    return out
+
+
+def _push_clamped_loop(q, pmf, tail):
+    n, s = len(q), len(pmf) - 1
+    out = np.zeros(n)
+    for y in range(n):
+        m = min(y, s)
+        for d in range(m + 1):
+            out[y - d] += q[y] * pmf[d]
+        out[0] += q[y] * tail[m]
+    return out
+
+
+def _push_clamped_rows(q, pmf, tail):
+    """The law of ``_push_clamped_loop`` on every row of q (the last axis),
+    one demand count at a time over all rows."""
+    n, s = q.shape[-1], len(pmf) - 1
+    out = np.zeros(q.shape)
+    for d in range(min(s, n - 1) + 1):
+        out[..., :n - d] += pmf[d] * q[..., d:]
+    out[..., 0] += q @ tail[np.minimum(np.arange(n), s)]
     return out
 
 
@@ -264,5 +302,5 @@ def stopping_law_reference(policy, model, x0):
         moved = q[xs, zs]
         q[xs, zs] = 0.0
         np.add.at(q, (policy.target[t, xs, zs], src[zs]), moved)
-        q = _backends.push_clamped(q.T, pmfs[t], tails[t]).T
+        q = _push_clamped_rows(q.T, pmfs[t], tails[t]).T
     return mass

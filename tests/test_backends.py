@@ -17,18 +17,25 @@ from eolstop import (
     kernels_with_K,
     solve,
 )
+from eolstop.solver import solve_policies
 
 from conftest import small_instance
-from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
+from scalar_kernels import (_ev_clamped_loop, _ev_clamped_rows, _push_clamped_loop,
+                            _suffix_min_loop)
 
 
 def _rows(W):
     return W.reshape(-1, W.shape[-1])
 
 
-def _ev_clamped_rows(V, pmf, tail):
-    """``_ev_clamped_loop`` on every row of V (the last axis)."""
-    return np.array([_ev_clamped_loop(v, pmf, tail) for v in _rows(V)]).reshape(V.shape)
+def _ev(V, pmf, tail):
+    """``_backends.ev_clamped`` with the pmf's own blocked operator."""
+    return _backends.ev_clamped(V, pmf, tail, _backends.toeplitz_blocks([pmf])[0])
+
+
+def _push(q, pmf, tail):
+    """``_backends.push_clamped`` with the pmf's own blocked operator."""
+    return _backends.push_clamped(q, pmf, tail, _backends.toeplitz_blocks([pmf])[0])
 
 
 def _suffix_min_rows(W):
@@ -47,7 +54,7 @@ class TestScalarKernelsAgree:
         V = rng.normal(size=300).cumsum()
         for t in (0, 25, 49):
             pmf, tail = base_kernels.pmfs[t], base_kernels.pmf_tails[t]
-            a = _backends.ev_clamped(V, pmf, tail)
+            a = _ev(V, pmf, tail)
             b = _ev_clamped_loop(V, pmf, tail)
             assert np.allclose(a, b, rtol=1e-13, atol=1e-12)
 
@@ -56,10 +63,10 @@ class TestScalarKernelsAgree:
         rng = np.random.default_rng(2)
         V = rng.normal(size=(2, 3, 1, 300)).cumsum(axis=-1)
         pmf, tail = base_kernels.pmfs[25], base_kernels.pmf_tails[25]
-        got = _backends.ev_clamped(V, pmf, tail)
+        got = _ev(V, pmf, tail)
         assert got.shape == V.shape
         for v, g in zip(_rows(V), _rows(got)):
-            assert np.array_equal(g, _backends.ev_clamped(v, pmf, tail))
+            assert np.array_equal(g, _ev(v, pmf, tail))
 
     def test_suffix_min_with_ties(self):
         rng = np.random.default_rng(1)
@@ -92,6 +99,53 @@ class TestScalarKernelsAgree:
         assert np.array_equal(a.policy.action, b.policy.action)
         assert np.array_equal(a.policy.target, b.policy.target)
 
+    @pytest.mark.parametrize("conv", list(LostSalesConvention))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_policy_grids_match_the_oracle_solve(self, seed, conv, monkeypatch):
+        # every K and x0 of one policy pass, against the same pass with the
+        # loop oracle in place of the blocked product
+        params, model, x0, x_max = small_instance(seed)
+        kt = build_kernel_table(params, model, conv, x_max=x_max)
+        Ks, x0s = [0.0, 20.0, 200.0], [0, x0]
+        for label in ("D/inf/F", "D/2/F", "D/1/Z", "T/1/Z", "S/1/Z"):
+            spec = ModelSpec.parse(label)
+            got = solve_policies(spec, kt, Ks, x0s)
+            with monkeypatch.context() as m:
+                m.setattr(_backends, "ev_clamped", _ev_clamped_rows)
+                want = solve_policies(spec, kt, Ks, x0s)
+            for a, b in zip(sum(got, []), sum(want, [])):
+                assert a.policy.switch_epoch == b.policy.switch_epoch
+                assert np.array_equal(a.policy.action, b.policy.action)
+                assert np.array_equal(a.policy.target, b.policy.target)
+                assert a.total_cost == pytest.approx(b.total_cost, rel=1e-12)
+
+
+# (shape of V or q, pmf length m) at the edges of the B-cell blocks: m = 1,
+# m > B and m > n, n < B, n = B and n not a multiple of it, 4-D batches
+BLOCK_CASES = [((1,), 1), ((3,), 47), ((2, 31), 1), ((2, 32), 33), ((3, 33), 64),
+               ((4, 96), 100), ((2, 3, 300), 47), ((2, 1, 3, 70), 2), ((1, 2, 2, 1201), 40)]
+
+
+@pytest.mark.parametrize("shape, m", BLOCK_CASES)
+def test_blocked_operators_match_the_loop_oracles(shape, m):
+    assert _backends.B == 32  # the cases above are placed around it
+    rng = np.random.default_rng(m * 1000 + shape[-1])
+    pmf = rng.uniform(size=m)
+    pmf *= (1.0 - 1e-3) / pmf.sum()  # a truncated residual for the tail to carry
+    tail = 1.0 - np.cumsum(pmf)
+    T = _backends.toeplitz_blocks([rng.uniform(size=5), pmf, rng.uniform(size=70)])[1]
+    assert np.array_equal(T, _backends.toeplitz_blocks([pmf])[0])
+    V, q = rng.uniform(1.0, 2.0, size=shape), rng.uniform(size=shape)
+    ev, push = _backends.ev_clamped(V, pmf, tail, T), _backends.push_clamped(q, pmf, tail, T)
+    assert ev.shape == push.shape == shape
+    assert ev.flags.c_contiguous and push.flags.c_contiguous
+    want_ev = np.array([_ev_clamped_loop(v, pmf, tail) for v in _rows(V)]).reshape(shape)
+    want_push = np.array([_push_clamped_loop(r, pmf, tail) for r in _rows(q)]).reshape(shape)
+    np.testing.assert_allclose(ev, want_ev, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(push, want_push, rtol=1e-13, atol=0)
+    # the row oracle that stands in for ev_clamped in full-size solves is the loop
+    assert np.array_equal(_ev_clamped_rows(V, pmf, tail), want_ev)
+
 
 @pytest.mark.parametrize("n", [5, 40])  # below and above the pmf's support 0..11
 def test_push_is_the_adjoint_of_ev(n):
@@ -106,15 +160,15 @@ def test_push_is_the_adjoint_of_ev(n):
     rng = np.random.default_rng(n)
     for _ in range(20):
         v, q = rng.uniform(size=n), rng.uniform(size=n)
-        lhs = np.dot(_backends.ev_clamped(v, pmf, tail), q)
-        rhs = np.dot(v, _backends.push_clamped(q, pmf, tail))
+        lhs = np.dot(_ev(v, pmf, tail), q)
+        rhs = np.dot(v, _push(q, pmf, tail))
         assert abs(lhs - rhs) <= 1e-12 * lhs
-    np.testing.assert_allclose(_backends.ev_clamped(np.ones(n), pmf, tail), 1.0, rtol=1e-12)
-    assert _backends.push_clamped(q, pmf, tail).sum() == pytest.approx(q.sum(), rel=1e-12)
+    np.testing.assert_allclose(_ev(np.ones(n), pmf, tail), 1.0, rtol=1e-12)
+    assert _push(q, pmf, tail).sum() == pytest.approx(q.sum(), rel=1e-12)
     # a 2-D q is pushed row by row: the identity and the mass hold per row
     V, Q = rng.uniform(size=(2, 3, n))
-    pushed = _backends.push_clamped(Q, pmf, tail)
-    np.testing.assert_allclose(np.sum(_backends.ev_clamped(V, pmf, tail) * Q, axis=1),
+    pushed = _push(Q, pmf, tail)
+    np.testing.assert_allclose(np.sum(_ev(V, pmf, tail) * Q, axis=1),
                                np.sum(V * pushed, axis=1), rtol=1e-12)
     np.testing.assert_allclose(pushed.sum(axis=1), Q.sum(axis=1), rtol=1e-12)
 

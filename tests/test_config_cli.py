@@ -420,7 +420,7 @@ PINNED_SHA256 = {
                "a2b00daaf232088de33bbecd17202872a0b981d6e305aad941cdd3c8e23bab79"),
     "regions": ("98922f9aa5a9622b6806d1043e5bdba97b72b30d4e57a7d40cc2751233741389",
                "1ad3667e80bea725ff078740af9d4e61ed49f6a01d0b68600e0d873abcdbddc6"),
-    "solve": ("7f28244f454816af926e64b8ec984b1d768de81d7eb358d7e5de5ebe87929f7b",
+    "solve": ("215cf9d9fca77114b2e983571ef9398976a579835bd7501a70051551d0b750de",
              "538ad5a1c0d8e88e08cae6d0a09a6694152d1cc5446d08a0288fd730b36b6f09"),
     "sweep": ("62a8019a052c417f817d57c274c9c960e2f4e9c220e353073c7afb9c76ae7ef4",
              "4b08283042434d603513d28496ce3edae4f51c29967b18a21a7098e3b46fa090"),
@@ -600,6 +600,20 @@ def _config_commands():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sorted(name for name, p in sub.choices.items()
                   if any("--config" in a.option_strings for a in p._actions))
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    from eolstop import cli
+
+    cli.build_parser.cache_clear()
+    for name in ("good", "bad"):
+        (tmp_path / name).mkdir()
+    good, bad = write_cfg(tmp_path / "good"), write_cfg(tmp_path / "bad", x0=[])
+    assert main(["solve", "--config", str(good), "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert (tmp_path / "a" / "values.csv").exists() and not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("command", _config_commands())

@@ -29,7 +29,7 @@ from eolstop.solver import (CONTINUE, ORDER, STOP, FirstOrder, StopMode, _backwa
 
 from conftest import base_params, small_instance
 from original_form import original_rows, solve_original_form
-from scalar_kernels import _ev_clamped_loop, _suffix_min_loop
+from scalar_kernels import _ev_clamped_loop, _ev_clamped_rows, _suffix_min_loop
 
 ARR = LostSalesConvention.ARRIVAL
 
@@ -613,32 +613,37 @@ class TestSolveValues:
         assert sum(rows) == steps(6)
 
     # "<setting id>/<label>" -> sha256 of the solve_values array at K {0,
-    # 1000, 5000} and x_max 1200, as float64 bytes
+    # 1000, 5000} and x_max 1200, as float64 bytes; the same with
+    # OPENBLAS_NUM_THREADS 1 and 2
     PINNED_VALUES = {
-        "1/D/1/Z": "c1d39d057a3349a12586b0e7d8294f2d54e65f7ef247e963eef2b8b663fa2953",
-        "1/D/inf/F": "731ccd8fcdd4b9af36c1eda8928c98d875b368fe527991b030b32f43e85a935a",
-        "1/D/2/F": "bfa1b9cb340e37fb94f797e8c8839424d9418eb75b572364587b7d69270d587b",
-        "1/S/1/Z": "70bb0cd44d23532b829eec205b8d7a63d4714b69ce8271ca33c8536bae58f082",
-        "1/T/inf/F": "f8224e305bd90db3f5a21af7d07b28cb7a6e89e5923236af63c955119c177c43",
-        "62/D/1/Z": "42836e6f0ed0afe19e61b3cfd1f2a370085cc860735fd3818d4c0de8faad99c2",
-        "62/D/inf/F": "f4b08f2a4c338f0c08af5d50e1bf4f638c055aeacdf51d64549279334c13dc59",
-        "62/D/2/F": "be9fa122352220095151a6923b2b47195c338e7c76ef788b6f923922f9da100a",
-        "62/S/1/Z": "4e9f99fc7c8527b5d1aff60d0bd5694996b9ad7676558e1d9cb85f532f4c9b31",
-        "62/T/inf/F": "bd3e423974c881d165a0aacde1bf9321f3c1d19adc27d637b930212dd36afdd0",
-        "125/D/1/Z": "d0eb6eaba47a48c8db289bdb40dcacef4b4dc4916ca2d110c3e23c81125a3e21",
-        "125/D/inf/F": "4a016c8b24e32dad8568b5427eaf3e8f95aa12a9919b5e0bbf3e03b259057f80",
-        "125/D/2/F": "72e1cb6dc91bc280fdf5fb82c3436b70b6ee55ff00ffcfa86bb89c8f1437c2c8",
-        "125/S/1/Z": "7d1c6e2288097b12a2027d7e635a6da9c0da662a8a2d43e3e3e0eb34434a77f0",
-        "125/T/inf/F": "fe8760cbacd5245873ff8b51b58f4353732732b36b1b36288c376425758fec1c",
+        "1/D/1/Z": "fa4472623a32aee934d9ecfb77567f93a85ae2f80d466d48870414a35839b162",
+        "1/D/inf/F": "cd53f8e207a58d4a3897da2537fccdd27bb6dce43f4e7f4fe8d5f602e34b50de",
+        "1/D/2/F": "8bcafdb3bcb58495ad238359d8828a47ce2e73e9f8904f4ad3859393b087cf4e",
+        "1/S/1/Z": "d74c7b83a0248405a311ea41c6ffc6c7f8b29e868789fa18002b7a130874ce72",
+        "1/T/inf/F": "fced83410750b7c62bfba0637255bc87f1b4a7bf31e546ea9005979e6df960c1",
+        "62/D/1/Z": "b5a9bcbfe556168470796a05f48c62c31a1d18341bf9c264e610539b60348577",
+        "62/D/inf/F": "2766a067234b60f58eb0d8d31be64d21f14af14079388e213b4a6cde40046310",
+        "62/D/2/F": "e6196bc0a61d8e63a45d24e5869c28e3cf1808d2501ac837c87fb1eddecf8157",
+        "62/S/1/Z": "bc3ec6f41bb78dd6ba4986317be7469969edf094caaa4107d1e8d2db2795dee2",
+        "62/T/inf/F": "98e00cb2c0aea14014eb59bef54c7f528f4bae5d043eb57c4016d95cafd0fcd6",
+        "125/D/1/Z": "0f6bbab72eec881f45a8d9e9c1ecb74def6ca706ff247d25de0ba644a36dbc86",
+        "125/D/inf/F": "20dcdda61f7922a1bd8bc8e3fcfc2f52130dc588f27e8e3513de759a40eafbff",
+        "125/D/2/F": "b9302ea1ee53faa53029a54818d0f8a8f558ff3e738e543b365d6fe9a81f78d0",
+        "125/S/1/Z": "9ffff4becef4103b85d910ebb2fea16e6fd0c010056c7f9a00bf7170f25593d3",
+        "125/T/inf/F": "8133ce098c3f2050ef6193cbb54815a53ac9a2d0bc2afbfac286dc6e8c26e5d1",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED_VALUES))
-    def test_values_are_pinned(self, case):
+    def test_values_are_pinned(self, case, monkeypatch):
         import hashlib
 
         sid, label = case.split("/", 1)
-        got = solve_values(ModelSpec.parse(label), _setting_kernels(int(sid)), [0.0, 1000.0, 5000.0])
+        spec, kt, Ks = ModelSpec.parse(label), _setting_kernels(int(sid)), [0.0, 1000.0, 5000.0]
+        got = solve_values(spec, kt, Ks)
         assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINNED_VALUES[case]
+        # the pinned bits are the blocked product's; the loop oracle's sums agree
+        monkeypatch.setattr(_backends, "ev_clamped", _ev_clamped_rows)
+        np.testing.assert_allclose(got, solve_values(spec, kt, Ks), rtol=1e-12, atol=0)
 
 
 def _assert_same_result(got, want):
