@@ -87,10 +87,9 @@ CATALOGUE = [
            "np.copyto(target[t, live:, :, :-1], order_to, where=ordering)",
            "np.copyto(target[t, live:, :, :-1], order_to)", SOLVER_TESTS),
     Mutant("block-stride", BACKENDS,
-           "(P.strides[0], B * P.itemsize, P.itemsize)",
-           "(P.strides[0], (B - 1) * P.itemsize, P.itemsize)", BACKEND_TESTS),
+           "(P.shape[1], B, 1)", "(P.shape[1], B - 1, 1)", BACKEND_TESTS),
     Mutant("toeplitz-index", BACKENDS,
-           "row[B - 1:B - 1 + len(p)] = p", "row[B - 2:B - 2 + len(p)] = p", BACKEND_TESTS),
+           "w[B - 1:B - 1 + m] = p", "w[B - 2:B - 2 + m] = p", BACKEND_TESTS),
     Mutant("ev-tail", BACKENDS, "v0 = V[..., :1]", "v0 = 0 * V[..., :1]", BACKEND_TESTS),
     Mutant("push-tail", BACKENDS,
            "out[..., 0] += q @ _clamped_tail(pmf, tail, q.shape[-1])",

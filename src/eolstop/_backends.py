@@ -20,7 +20,6 @@ can swap in the scalar oracles of ``tests/scalar_kernels.py``.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._poisson import hyp1f1_neg
 
@@ -38,32 +37,43 @@ def _clamped_tail(pmf, tail, n):
     return tail[np.minimum(np.arange(n), len(pmf) - 1)]
 
 
+def _window(a, shape, strides, offset=0):
+    """A read-only view of the contiguous array a, strides and offset in
+    cells.  ``np.ndarray`` over a read-only buffer of a checks that the view
+    stays inside it; ``as_strided`` checks nothing and builds each view
+    through ``__array_interface__``, which at a backward pass's thousands of
+    calls held sweep384's peak RSS about 3 MB higher."""
+    return np.ndarray(shape, a.dtype, memoryview(a).toreadonly(), offset * a.itemsize,
+                      tuple(c * a.itemsize for c in strides))
+
+
 def toeplitz_blocks(pmfs):
     """Per pmf, its (B + m - 1) x B block T[i, j] = pmf[j + m - 1 - i] (0
-    outside the pmf), m = len(pmf): B outputs of the convolution with pmf
-    are one block of B + m - 1 inputs times T.  All pmfs are cut from one
-    copy, made for the longest (a shorter pmf's block is that copy's last
-    B + m - 1 rows, since the rows above them are zero)."""
-    m = max(len(p) for p in pmfs)
-    w = np.zeros((len(pmfs), m + 2 * B - 2))
-    for row, p in zip(w, pmfs):
-        row[B - 1:B - 1 + len(p)] = p
-    full = np.ascontiguousarray(sliding_window_view(w, B, axis=1)[:, ::-1])
-    return [T[m - len(p):] for T, p in zip(full, pmfs)]
+    outside the pmf), m = len(pmf), as a C-contiguous array: B outputs of the
+    convolution with pmf are one block of B + m - 1 inputs times T.  T's
+    rows are the B-cell windows over the pmf, padded with B - 1 zeros on
+    each side, last window first."""
+    blocks = []
+    for p in pmfs:
+        m = len(p)
+        w = np.zeros(m + 2 * B - 2)
+        w[B - 1:B - 1 + m] = p
+        blocks.append(_window(w, (B + m - 1, B), (-1, 1), offset=B + m - 2).copy())
+    return blocks
 
 
 def _convolve_rows(V, T):
     """np.convolve(v, pmf)[:n] for every row v of V, T = the pmf's
     ``toeplitz_blocks`` entry: each row, padded with m - 1 leading zeros, is
     read as overlapping blocks of B + m - 1 cells at stride B, and all the
-    blocks of all the rows are multiplied by T in one ``matmul``."""
+    blocks of all the rows are multiplied by T in one ``matmul``.  The
+    result is a view of the product's rows of ceil(n / B) B cells."""
     n, k = V.shape[-1], len(T) - B  # k = m - 1
     nb = -(-n // B)
     P = np.zeros(V.shape[:-1] + (nb * B + k,))
     P[..., k:k + n] = V
     P = P.reshape(-1, P.shape[-1])
-    blocks = as_strided(P, (len(P), nb, B + k), (P.strides[0], B * P.itemsize, P.itemsize),
-                        writeable=False)
+    blocks = _window(P, (len(P), nb, B + k), (P.shape[1], B, 1))
     return np.matmul(blocks, T).reshape(V.shape[:-1] + (nb * B,))[..., :n]
 
 
@@ -73,12 +83,11 @@ def ev_clamped(V, pmf, tail, T):
 
     tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and the truncated
     residual mass) lands on inventory 0.  One blocked Toeplitz product for
-    all rows, and the tail term for all rows at once."""
-    conv, s = _convolve_rows(V, T), len(pmf) - 1
-    v0 = V[..., :1]
-    out = np.empty(V.shape)  # the tail term is v0 tail[min(y, s)]: one number past s
-    np.add(conv[..., :s], v0 * tail[:min(s, V.shape[-1])], out=out[..., :s])
-    np.add(conv[..., s:], v0 * tail[s], out=out[..., s:])
+    all rows, and the tail term added to it in place for all rows at once."""
+    out, s = _convolve_rows(V, T), len(pmf) - 1
+    v0 = V[..., :1]  # the tail term is v0 tail[min(y, s)]: one number past s
+    out[..., :s] += v0 * tail[:min(s, V.shape[-1])]
+    out[..., s:] += v0 * tail[s]
     return out
 
 
@@ -86,8 +95,9 @@ def push_clamped(q, pmf, tail, T):
     """Law of (y - D)^+ for y ~ q, for every row of q (the last axis; a 1-D q
     is one row), the transpose of ``ev_clamped``: mass at y moves to y - d
     with pmf[d], and demand beyond y (with the truncated residual) lands on 0.
-    The correlation is the blocked convolution of the reversed rows."""
-    out = np.ascontiguousarray(_convolve_rows(q[..., ::-1], T)[..., ::-1])
+    The correlation is the blocked convolution of the reversed rows, and the
+    result a reversed view of it."""
+    out = _convolve_rows(q[..., ::-1], T)[..., ::-1]
     out[..., 0] += q @ _clamped_tail(pmf, tail, q.shape[-1])
     return out
 

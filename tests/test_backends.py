@@ -135,10 +135,13 @@ def test_blocked_operators_match_the_loop_oracles(shape, m):
     tail = 1.0 - np.cumsum(pmf)
     T = _backends.toeplitz_blocks([rng.uniform(size=5), pmf, rng.uniform(size=70)])[1]
     assert np.array_equal(T, _backends.toeplitz_blocks([pmf])[0])
+    i, j = np.indices((_backends.B + m - 1, _backends.B))
+    d = j + m - 1 - i  # T[i, j] = pmf[j + m - 1 - i], 0 outside the pmf
+    assert T.flags.c_contiguous
+    assert np.array_equal(T, np.where((d >= 0) & (d < m), pmf[d.clip(0, m - 1)], 0.0))
     V, q = rng.uniform(1.0, 2.0, size=shape), rng.uniform(size=shape)
     ev, push = _backends.ev_clamped(V, pmf, tail, T), _backends.push_clamped(q, pmf, tail, T)
     assert ev.shape == push.shape == shape
-    assert ev.flags.c_contiguous and push.flags.c_contiguous
     want_ev = np.array([_ev_clamped_loop(v, pmf, tail) for v in _rows(V)]).reshape(shape)
     want_push = np.array([_push_clamped_loop(r, pmf, tail) for r in _rows(q)]).reshape(shape)
     np.testing.assert_allclose(ev, want_ev, rtol=1e-13, atol=0)
