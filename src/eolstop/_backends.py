@@ -1,7 +1,7 @@
 """Inner loops of the solver and the simulator, vectorised with numpy.
 
-  * toeplitz_blocks - per demand pmf, the banded Toeplitz block that lowers
-                      its convolution to one matrix product
+  * toeplitz_block - the banded Toeplitz block of a demand pmf, which lowers
+                     its convolution to one matrix product
   * ev_clamped - clamped one-period expectation  EV[y] = E[V((y - D)^+)],
                  for every row of V at once
   * push_clamped - its transpose, the law of (y - D)^+ for y drawn from each
@@ -47,24 +47,21 @@ def _window(a, shape, strides, offset=0):
                       tuple(c * a.itemsize for c in strides))
 
 
-def toeplitz_blocks(pmfs):
-    """Per pmf, its (B + m - 1) x B block T[i, j] = pmf[j + m - 1 - i] (0
-    outside the pmf), m = len(pmf), as a C-contiguous array: B outputs of the
+def toeplitz_block(pmf):
+    """The (B + m - 1) x B block T[i, j] = pmf[j + m - 1 - i] (0 outside the
+    pmf), m = len(pmf), as a C-contiguous array: B outputs of the
     convolution with pmf are one block of B + m - 1 inputs times T.  T's
     rows are the B-cell windows over the pmf, padded with B - 1 zeros on
     each side, last window first."""
-    blocks = []
-    for p in pmfs:
-        m = len(p)
-        w = np.zeros(m + 2 * B - 2)
-        w[B - 1:B - 1 + m] = p
-        blocks.append(_window(w, (B + m - 1, B), (-1, 1), offset=B + m - 2).copy())
-    return blocks
+    m = len(pmf)
+    w = np.zeros(m + 2 * B - 2)
+    w[B - 1:B - 1 + m] = pmf
+    return _window(w, (B + m - 1, B), (-1, 1), offset=B + m - 2).copy()
 
 
 def _convolve_rows(V, T):
     """np.convolve(v, pmf)[:n] for every row v of V, T = the pmf's
-    ``toeplitz_blocks`` entry: each row, padded with m - 1 leading zeros, is
+    ``toeplitz_block``: each row, padded with m - 1 leading zeros, is
     read as overlapping blocks of B + m - 1 cells at stride B, and all the
     blocks of all the rows are multiplied by T in one ``matmul``.  The
     result is a view of the product's rows of ceil(n / B) B cells."""
@@ -79,7 +76,7 @@ def _convolve_rows(V, T):
 
 def ev_clamped(V, pmf, tail, T):
     """E[V((y - D)^+)] for every row of V (the last axis; a 1-D V is one row),
-    T = ``toeplitz_blocks([pmf])[0]``.
+    T = ``toeplitz_block(pmf)``.
 
     tail[j] = 1 - sum_{n<=j} pmf[n]; demand beyond y (and the truncated
     residual mass) lands on inventory 0.  One blocked Toeplitz product for

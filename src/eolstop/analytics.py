@@ -356,7 +356,6 @@ def stopping_time_distributions(policy: PolicyTable, model: IntensityModel,
     inside = np.append(np.tile(np.arange(W), Z), -1)
     groups = [(w, np.flatnonzero(np.equal(widths, w)), inside < w) for w in sorted(set(widths))]
     pmfs, tails = model.demand_pmfs
-    ops = _backends.toeplitz_blocks(pmfs)
     mass = np.zeros((n, T + 1))
     q = np.zeros((n, S + 1))  # the state laws; the stopped state stays empty
     law = q[:, :S].reshape(n, Z, W)  # a view: (start, layer, stock)
@@ -373,6 +372,7 @@ def stopping_time_distributions(policy: PolicyTable, model: IntensityModel,
             break
         # zeroed stops land on x = W - 1
         after = np.bincount((rows + (base + post)).ravel(), q.ravel(), n * S).reshape(n, Z, W)
+        op = _backends.toeplitz_block(pmfs[t])
         for w, at, _ in groups:
-            law[at, :, :w] = _backends.push_clamped(after[at, :, :w], pmfs[t], tails[t], ops[t])
+            law[at, :, :w] = _backends.push_clamped(after[at, :, :w], pmfs[t], tails[t], op)
     return [StoppingTimeDistribution(mass=m, x0=x0) for m, x0 in zip(mass, x0s)]

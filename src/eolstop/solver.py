@@ -33,9 +33,10 @@ A step computes values first: one ``_backends.ev_clamped`` call on every
 row gives the continuation G, the suffix minimum of c*y + G gives the best
 order J, and the value is min(G, J) and then min(that, stop), both taken in
 G.  The stopping (scrap), order-cost and discount terms are built once per
-pass, and so is each period's Toeplitz block (``_backends.toeplitz_blocks``),
-which makes the expectation on every row one matrix product.  The stop and
-order masks and the order-up-to levels
+pass.  The expectation on every row is one matrix product with the period's
+Toeplitz block (``_backends.toeplitz_block``), built in the step that reads
+it, so one block is alive at a time.  The stop and order masks and the
+order-up-to levels
 (the smallest-index argmin) are built only when the policy is kept, and are
 copied into its grids where the masks hold.  The
 CapSaturated test needs no argmin, and where the order cost at x_max - 1 is
@@ -202,7 +203,6 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     kt0 = tables[0]
     T, X = kt0.horizon, kt0.x_max
     pmfs, tails = kt0.pmfs, kt0.pmf_tails
-    ops = _backends.toeplitz_blocks(pmfs)  # each period's operator, once per pass
     stops = spec.stop_mode is StopMode.DYNAMIC
     y = np.arange(X + 1, dtype=np.float64)
     col = (len(tables), 1, 1, -1)  # a per-table term along (epoch, column, x)
@@ -232,7 +232,8 @@ def _backward_pass(spec: ModelSpec, tables, setup_costs, switch_epochs, *,
     first_live = np.searchsorted(epochs, np.arange(T), side="right")  # first row with k* > t
     for t in range(epochs[-1] - 1, -1, -1):
         live = first_live[t]
-        G = _backends.ev_clamped(W[:, live:], pmfs[t], tails[t], ops[t])
+        G = _backends.ev_clamped(W[:, live:], pmfs[t], tails[t],
+                                 _backends.toeplitz_block(pmfs[t]))
         G *= disc
         for s, kt in enumerate(tables):
             G[s] += kt.C_tilde[t]

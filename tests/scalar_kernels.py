@@ -29,8 +29,9 @@ the kernel table's ``c3_period`` row.
 ``stopping_law_reference`` is the exact stopping-time law over the full
 stock grid, with its own order move and push: ordering states hand their
 mass to the order-up-to level (one budget layer down for a finite budget) by
-``np.add.at``, and the demand moves it by ``_push_clamped_rows``.  ``analytics.stopping_time_distribution`` reads the
-simulator's state tables instead and must agree with it to rounding.
+``np.add.at``, and the demand moves it by ``_push_clamped_rows``.
+``analytics.stopping_time_distribution`` reads the simulator's state tables
+instead and must agree with it to rounding.
 """
 
 import math

@@ -586,7 +586,6 @@ def _backward_law(policy, model, x0):
     one budget layer down."""
     T, X, Z = policy.horizon, policy.x_max, policy.action.shape[2]
     pmfs, tails = period_pmfs(model.rates)
-    ops = _backends.toeplitz_blocks(pmfs)
     mass = np.zeros(T + 1)
     a0 = policy.action[0, x0, policy.z0]
     if a0 == STOP:
@@ -595,7 +594,7 @@ def _backward_law(policy, model, x0):
     for m in range(1, T + 1):
         h = (policy.action[m] == STOP).astype(float)
         for t in range(m - 1, -1, -1):
-            P = _backends.ev_clamped(h.T, pmfs[t], tails[t], ops[t]).T
+            P = _backends.ev_clamped(h.T, pmfs[t], tails[t], _backends.toeplitz_block(pmfs[t])).T
             if t == 0:
                 break
             h = np.zeros((X + 1, Z))
