@@ -89,7 +89,7 @@ CATALOGUE = [
     Mutant("block-stride", BACKENDS,
            "(P.shape[1], B, 1)", "(P.shape[1], B - 1, 1)", BACKEND_TESTS),
     Mutant("toeplitz-index", BACKENDS,
-           "w[B - 1:B - 1 + m] = p", "w[B - 2:B - 2 + m] = p", BACKEND_TESTS),
+           "w[B - 1:B - 1 + m] = pmf", "w[B - 2:B - 2 + m] = pmf", BACKEND_TESTS),
     Mutant("ev-tail", BACKENDS, "v0 = V[..., :1]", "v0 = 0 * V[..., :1]", BACKEND_TESTS),
     Mutant("push-tail", BACKENDS,
            "out[..., 0] += q @ _clamped_tail(pmf, tail, q.shape[-1])",
